@@ -1,19 +1,31 @@
 """Exact scalars in cyclotomic fields Q(zeta_N).
 
 An element is stored in the power basis 1, z, ..., z^(phi(N)-1) of
-Q(zeta_N), z = primitive N-th root of unity, with Fraction coefficients
-reduced modulo the N-th cyclotomic polynomial.  Arithmetic coerces mixed
-orders to the lcm.  No floating point anywhere.
+Q(zeta_N), z = primitive N-th root of unity, as one vector of integer
+numerators over one positive denominator:
+
+    x = (num[0] + num[1]*z + ... + num[phi-1]*z^(phi-1)) / den
+
+The form is canonical: gcd(den, *num) == 1 and zero is 0/1.  So two scalars
+of one order are equal exactly when their numerators and denominators are,
+and a zero test looks at the numerators only.  This is the nf_elem layout of
+ANTIC (W. Hart, "ANTIC: Algebraic Number Theory In C", 2015).
+
+A product is an integer convolution whose terms z^k, k >= phi, are folded
+back with the power-basis rows of z^k (reduction modulo the N-th cyclotomic
+polynomial), followed by one gcd.  The inverse of an irrational x is the
+product of its Galois conjugates sigma_k(x), z -> z^k for the units k != 1
+mod N, divided by the rational norm x * prod sigma_k(x).  Arithmetic coerces
+mixed orders to the lcm.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -70,120 +82,125 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_power_product(n: int, conv: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a raw coefficient list in powers of z modulo Phi_n."""
-    phi = euler_phi(n)
-    rows = _power_rows(n)
-    out = [ZERO] * phi
-    for k, c in enumerate(conv):
+@lru_cache(maxsize=None)
+def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """_power_rows(n) with each row kept as its nonzero (column, value) pairs."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in _power_rows(n))
+
+
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    """The units k != 1 modulo n: sigma_k, z -> z^k, are the nontrivial automorphisms."""
+    return tuple(k for k in range(2, n) if gcd(k, n) == 1)
+
+
+def _mul_num(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Power-basis coordinates of a*b for integer coordinate vectors a, b of Q(zeta_n)."""
+    phi = len(a)
+    nzb = [(j, y) for j, y in enumerate(b) if y]
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nzb:
+                conv[i + j] += x * y
+    out = conv[:phi]
+    rows = _sparse_rows(n)
+    for k in range(phi, 2 * phi - 1):
+        c = conv[k]
         if c:
-            row = rows[k]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += c * row[j]
-    return tuple(out)
+            for j, v in rows[k]:
+                out[j] += c * v
+    return out
 
 
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, u) with u*a = g (mod b) and g a nonzero constant, for a invertible mod b."""
+def _substitute(n: int, a: tuple[int, ...], k: int) -> list[int]:
+    """Coordinates in Q(zeta_n) of sum a[i] z^(ik mod n), folded into the power basis."""
+    rows = _sparse_rows(n)
+    out = [0] * euler_phi(n)
+    for i, c in enumerate(a):
+        if c:
+            for j, v in rows[i * k % n]:
+                out[j] += c * v
+    return out
 
-    def deg(p: list[Fraction]) -> int:
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
 
-    def trim(p: list[Fraction]) -> list[Fraction]:
-        d = deg(p)
-        return p[: d + 1] if d >= 0 else []
+def _make(order: int, num: tuple[int, ...], den: int) -> CycScalar:
+    """Scalar from a numerator and denominator already in canonical form."""
+    x = object.__new__(CycScalar)
+    _set_order(x, order)
+    _set_num(x, num)
+    _set_den(x, den)
+    _set_min(x, None)
+    return x
 
-    r0, r1 = trim(a), trim(b)
-    u0, u1 = [ONE], []
-    while r1:
-        d0, d1 = deg(r0), deg(r1)
-        if d0 < d1:
-            r0, r1, u0, u1 = r1, r0, u1, u0
-            continue
-        # one long-division pass
-        q = [ZERO] * (d0 - d1 + 1)
-        rem = list(r0)
-        for k in range(d0 - d1, -1, -1):
-            c = rem[k + d1] / r1[d1]
-            q[k] = c
-            if c:
-                for j in range(d1 + 1):
-                    rem[k + j] -= c * r1[j]
-        rem = trim(rem)
-        # u_new = u0 - q*u1
-        qu = [ZERO] * (len(q) + len(u1))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, uj in enumerate(u1):
-                    if uj:
-                        qu[i + j] += qi * uj
-        un = [ZERO] * max(len(u0), len(qu))
-        for i, v in enumerate(u0):
-            un[i] += v
-        for i, v in enumerate(qu):
-            un[i] -= v
-        r0, r1, u0, u1 = r1, rem, u1, trim(un)
-    if deg(r0) != 0:
-        raise ZeroDivisionError("element is not invertible")
-    return r0, u0
+
+def _canon(order: int, num: list[int], den: int) -> CycScalar:
+    """Scalar num/den for den > 0, divided through by gcd(den, *num)."""
+    g = gcd(den, *num)
+    if g != 1:
+        return _make(order, tuple([c // g for c in num]), den // g)
+    return _make(order, tuple(num), den)
 
 
 class CycScalar:
     """Immutable exact element of Q(zeta_order)."""
 
-    __slots__ = ("order", "coeffs", "_min")
+    __slots__ = ("order", "num", "den", "_min")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    def __new__(cls, order: int, coeffs: tuple[Fraction, ...]):
         phi = euler_phi(order)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_min", None)
+        coeffs = [Fraction(c) for c in coeffs]
+        # coefficients in lowest terms over the lcm of their denominators: canonical
+        den = lcm(*(c.denominator for c in coeffs))
+        return _make(order, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(order: int = 1) -> CycScalar:
-        return CycScalar(order, tuple([ZERO] * euler_phi(order)))
+        return _make(order, (0,) * euler_phi(order), 1)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def one(order: int = 1) -> CycScalar:
-        c = [ZERO] * euler_phi(order)
-        c[0] = ONE
-        return CycScalar(order, tuple(c))
+        return _make(order, (1,) + (0,) * (euler_phi(order) - 1), 1)
 
     @staticmethod
     def rational(value, order: int = 1) -> CycScalar:
-        c = [ZERO] * euler_phi(order)
-        c[0] = Fraction(value)
-        return CycScalar(order, tuple(c))
+        v = Fraction(value)
+        return _make(order, (v.numerator,) + (0,) * (euler_phi(order) - 1), v.denominator)
 
     # -- basic predicates ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        num = self.num
+        return self.den == 1 and num[0] == 1 and not any(num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     # -- coercion ------------------------------------------------------
 
@@ -193,18 +210,7 @@ class CycScalar:
             return self
         if n % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into order {n}")
-        rows = _power_rows(n)
-        step = n // self.order
-        phi = euler_phi(n)
-        out = [ZERO] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                # k*step <= (order-1)*step < n, inside the precomputed table
-                row = rows[k * step]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycScalar(n, tuple(out))
+        return _canon(n, _substitute(n, self.num, n // self.order), self.den)
 
     @staticmethod
     def _common(a: CycScalar, b: CycScalar) -> tuple[CycScalar, CycScalar]:
@@ -223,56 +229,65 @@ class CycScalar:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _add(self, o: CycScalar, sign: int) -> CycScalar:
+        """self + sign * o, for sign = 1 or -1."""
+        a, b = (self, o) if self.order == o.order else CycScalar._common(self, o)
+        da, db = a.den, b.den
+        if da == db:
+            return _canon(a.order, [x + sign * y for x, y in zip(a.num, b.num)], da)
+        mb = sign * da
+        return _canon(a.order, [x * db + y * mb for x, y in zip(a.num, b.num)], da * db)
+
     def __add__(self, other) -> CycScalar:
-        o = CycScalar._co(other)
+        o = other if type(other) is CycScalar else CycScalar._co(other)
         if o is None:
             return NotImplemented
-        a, b = CycScalar._common(self, o)
-        return CycScalar(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._add(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycScalar:
-        return CycScalar(self.order, tuple(-c for c in self.coeffs))
+        return _make(self.order, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other) -> CycScalar:
-        o = CycScalar._co(other)
+        o = other if type(other) is CycScalar else CycScalar._co(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._add(o, -1)
 
     def __rsub__(self, other) -> CycScalar:
         o = CycScalar._co(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._add(self, -1)
 
     def __mul__(self, other) -> CycScalar:
-        o = CycScalar._co(other)
+        o = other if type(other) is CycScalar else CycScalar._co(other)
         if o is None:
             return NotImplemented
-        a, b = CycScalar._common(self, o)
-        phi = euler_phi(a.order)
-        conv = [ZERO] * (2 * phi - 1 if phi > 0 else 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        return CycScalar(a.order, _reduce_power_product(a.order, conv))
+        a, b = (self, o) if self.order == o.order else CycScalar._common(self, o)
+        return _canon(a.order, _mul_num(a.order, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> CycScalar:
-        if self.is_zero():
+        num, den, n = self.num, self.den, self.order
+        if not any(num):
             raise ZeroDivisionError("division by zero scalar")
-        if self.is_rational():
-            return CycScalar.rational(1 / self.coeffs[0], self.order)
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.order)]
-        g, u = _poly_xgcd(list(self.coeffs), phi_poly)
-        scale = 1 / g[0]
-        out = _reduce_power_product(self.order, [c * scale for c in u])
-        return CycScalar(self.order, out)
+        c = num[0]
+        if not any(num[1:]):
+            return _make(n, (den if c > 0 else -den,) + num[1:], abs(c))
+        units = _units(n)
+        conj = _substitute(n, num, units[0])
+        for k in units[1:]:
+            conj = _mul_num(n, conj, _substitute(n, num, k))
+        # num * conj is the norm of num: a nonzero rational integer
+        norm = _mul_num(n, num, conj)
+        assert not any(norm[1:]), "norm is not rational"
+        r = norm[0]
+        if r < 0:
+            r, den = -r, -den
+        return _canon(n, [den * v for v in conj], r)
 
     def __truediv__(self, other) -> CycScalar:
         o = CycScalar._co(other)
@@ -308,7 +323,7 @@ class CycScalar:
             return self._min
         best = self
         if self.is_rational():
-            best = CycScalar(1, (self.coeffs[0],))
+            best = _make(1, self.num[:1], self.den)
         else:
             for d in sorted(_divisors(self.order)):
                 if d == self.order:
@@ -317,15 +332,15 @@ class CycScalar:
                 if cand is not None:
                     best = cand
                     break
-        object.__setattr__(self, "_min", best)
+        _set_min(self, best)
         return best
 
     def __eq__(self, other) -> bool:
-        o = CycScalar._co(other)
+        o = other if type(other) is CycScalar else CycScalar._co(other)
         if o is None:
             return NotImplemented
-        a, b = CycScalar._common(self, o)
-        return a.coeffs == b.coeffs
+        a, b = (self, o) if self.order == o.order else CycScalar._common(self, o)
+        return a.den == b.den and a.num == b.num
 
     def __ne__(self, other) -> bool:
         r = self.__eq__(other)
@@ -381,6 +396,10 @@ class CycScalar:
         return CycScalar(order, coeffs)
 
 
+# slot setters: the one way to write a CycScalar's fields past __setattr__
+_set_order, _set_num, _set_den, _set_min = (vars(CycScalar)[f].__set__ for f in CycScalar.__slots__)
+
+
 def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
@@ -399,7 +418,8 @@ def _try_descend(x: CycScalar, d: int) -> CycScalar | None:
     rows = _power_rows(n)
     # columns: embedding of z_d^k, solve small rational system by elimination
     cols = [rows[(k * step)] for k in range(phid)]
-    aug = [[Fraction(cols[k][j]) for k in range(phid)] + [x.coeffs[j]] for j in range(phin)]
+    coeffs = x.coeffs
+    aug = [[Fraction(cols[k][j]) for k in range(phid)] + [coeffs[j]] for j in range(phin)]
     sol = _solve_rational(aug, phid)
     if sol is None:
         return None
@@ -435,9 +455,12 @@ def _solve_rational(aug: list[list[Fraction]], ncols: int) -> list[Fraction] | N
 
 def root_of_unity(order: int, k: int = 1) -> CycScalar:
     """zeta_order^k as an exact scalar."""
-    k %= order
-    rows = _power_rows(order)
-    return CycScalar(order, tuple(Fraction(v) for v in rows[k]))
+    return _root(order, k % order)
+
+
+@lru_cache(maxsize=None)
+def _root(order: int, k: int) -> CycScalar:
+    return _make(order, _power_rows(order)[k], 1)
 
 
 def q_number(i: int, q: CycScalar) -> CycScalar:

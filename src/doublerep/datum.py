@@ -283,32 +283,6 @@ class ValidatedDatum:
             cur = self.tau(cur)
         return out
 
-    def linkage_blocks(self) -> list[tuple[tuple[int, Weight], ...]]:
-        """Partition of simple parameters (l, lambda) into linkage classes."""
-        blocks: list[tuple[tuple[int, Weight], ...]] = []
-        seen: set[tuple[int, tuple]] = set()
-        for lam in self.enumerate_weights():
-            cls = self.classify_weight(lam)
-            key = (cls.l, lam.sort_key())
-            if key in seen:
-                continue
-            if not cls.regular:
-                blocks.append(((self.n, lam),))
-                seen.add(key)
-                continue
-            l = cls.l
-            slam = self.sigma(lam)
-            members = {(l, t) for t in self.tau_orbit(lam)}
-            members |= {(self.n - l, t) for t in self.tau_orbit(slam)}
-            assert len(members) == 2 * self.m, \
-                f"linkage block of (l={l}, {lam.label()}) has {len(members)} members, expected {2 * self.m}"
-            block = tuple(sorted(members, key=lambda p: (p[0], p[1].sort_key())))
-            for p in block:
-                seen.add((p[0], p[1].sort_key()))
-            blocks.append(block)
-        blocks.sort(key=lambda b: (b[0][0], b[0][1].sort_key()))
-        return blocks
-
     # -- structure coefficients --------------------------------------------
 
     def _check_in_class(self, l: int, lam: Weight) -> None:
@@ -351,9 +325,6 @@ class ValidatedDatum:
         return y, z
 
     # -- element/character values used by module relations ------------------
-
-    def a_matrix_value(self, lam: Weight) -> CycScalar:
-        return lam.value_g(self.a)
 
     def gamma_gen_at_a(self, i: int) -> CycScalar:
         # gamma_i(a)
@@ -407,6 +378,8 @@ def validate_datum(group: FinAbGroup, chi: GroupChar, a, alpha) -> ValidatedDatu
         n += 1
         if n > N:
             raise DatumError("rho is not a root of unity (impossible)")
+    if n == 1:
+        raise DatumError("invalid datum: rho = chi(a) = 1, so n = 1; a datum needs n >= 2")
 
     ord_a = group.element_order(a)
     ord_chi = chi.order()
@@ -447,9 +420,20 @@ def datum_from_json(obj: dict) -> ValidatedDatum:
     for key in ("orders", "chi", "a", "alpha"):
         if key not in obj:
             raise DatumError(f"datum JSON missing '{key}'")
-    group = FinAbGroup(tuple(int(v) for v in obj["orders"]))
-    chi = GroupChar(group, tuple(int(v) for v in obj["chi"]))
-    a = tuple(int(v) for v in obj["a"])
-    alpha = CycScalar.from_json(obj["alpha"]) if isinstance(obj["alpha"], dict) \
-        else CycScalar.rational(Fraction(str(obj["alpha"])))
-    return validate_datum(group, chi, a, alpha)
+    fields = {key: _parse_field(key, obj[key]) for key in ("orders", "chi", "a", "alpha")}
+    group = FinAbGroup(fields["orders"])
+    return validate_datum(group, GroupChar(group, fields["chi"]), fields["a"], fields["alpha"])
+
+
+def _parse_field(key: str, v):
+    """Integer tuple, or CycScalar for alpha; a malformed value is a one-line DatumError."""
+    try:
+        if key == "alpha":
+            return CycScalar.from_json(v) if isinstance(v, dict) \
+                else CycScalar.rational(Fraction(str(v)))
+        if not isinstance(v, (list, tuple)):
+            raise TypeError("expected a list of integers")
+        return tuple(int(x) for x in v)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise DatumError(f"malformed datum field '{key}' = {v!r}: {reason}") from exc

@@ -51,9 +51,6 @@ class Morphism:
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
 
-    def is_surjective(self) -> bool:
-        return self.rank() == self.target.dim
-
     def to_json(self) -> dict:
         return {
             "shape": [self.matrix.nrows, self.matrix.ncols],
@@ -517,10 +514,6 @@ class IsoVerdict:
     @property
     def is_yes(self) -> bool:
         return self.verdict == "yes"
-
-    @property
-    def is_no(self) -> bool:
-        return self.verdict == "no"
 
     def to_json(self, include_witness: bool = False) -> dict:
         out = {"verdict": self.verdict, "reason": self.reason, "trials": self.trials}

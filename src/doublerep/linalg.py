@@ -95,11 +95,6 @@ class Mat:
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols} over Q(z{self.order}))"
 
-    def pretty(self) -> str:
-        cells = [[str(v) for v in r] for r in self.rows]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: Mat) -> Mat:

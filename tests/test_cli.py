@@ -55,6 +55,31 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_datum_check_rejects_n_equal_1(capsys, write_json):
+    # rho = chi(a) = 1, so n = 1: outside the theory, rejected at validation
+    path = write_json("n1.json", {"orders": [2, 4], "chi": [1, 2], "a": [1, 1], "alpha": 0})
+    code, out, err = run(capsys, "datum", "check", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid datum") and "n = 1" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", "abc"),
+    ("alpha", "1/0"),
+    ("chi", "x"),
+    ("orders", 4),
+])
+def test_malformed_datum_field_exits_2(capsys, write_json, field, value):
+    path = write_json("malformed.json", {**DATUM_JSON["B"], field: value})
+    code, out, err = run(capsys, "datum", "check", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: malformed datum field '{field}'")
+    assert err.count("\n") == 1
+
+
 def test_weights_list(capsys, datum_file):
     code, out, _ = run(capsys, "weights", "list", datum_file("B"), "--format", "json")
     assert code == 0

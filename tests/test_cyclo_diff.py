@@ -1,0 +1,176 @@
+"""Differential tests: CycScalar against a Fraction-polynomial reference.
+
+The reference keeps an element as its tuple of Fraction power-basis
+coefficients and multiplies by schoolbook convolution followed by long
+division by the cyclotomic polynomial, so it shares no arithmetic with the
+integer-numerator core under test.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from doublerep.cyclo import CycScalar, cyclotomic_poly, euler_phi
+
+ORDERS = (1, 2, 3, 4, 6, 8, 9, 12, 18)
+
+coefficient = st.one_of(st.just(Fraction(0)),
+                        st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+@st.composite
+def coeff_vectors(draw, order: int, count: int = 1):
+    phi = euler_phi(order)
+    return [tuple(draw(st.lists(coefficient, min_size=phi, max_size=phi)))
+            for _ in range(count)]
+
+
+@st.composite
+def order_and_coeffs(draw, count: int = 1):
+    order = draw(st.sampled_from(ORDERS))
+    return order, draw(coeff_vectors(order, count))
+
+
+# -- reference arithmetic ------------------------------------------------------
+
+
+def ref_reduce(order: int, poly: list[Fraction]) -> tuple[Fraction, ...]:
+    """Remainder of poly (constant term first) modulo Phi_order."""
+    cyc = cyclotomic_poly(order)
+    phi = len(cyc) - 1
+    p = list(poly) + [Fraction(0)] * max(0, phi - len(poly))
+    for k in range(len(p) - 1, phi - 1, -1):
+        c = p[k]
+        if c:
+            for j, t in enumerate(cyc):
+                p[k - phi + j] -= c * t
+    return tuple(p[:phi])
+
+
+def ref_mul(order: int, a, b) -> tuple[Fraction, ...]:
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return ref_reduce(order, conv)
+
+
+def ref_str(order: int, coeffs) -> str:
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c:
+            mono = f"z{order}" + (f"^{k}" if k > 1 else "")
+            body = str(abs(c)) if k == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+            parts.append((c < 0, body))
+    if not parts:
+        return "0"
+    s = ("-" if parts[0][0] else "") + parts[0][1]
+    for neg, body in parts[1:]:
+        s += (" - " if neg else " + ") + body
+    return s
+
+
+def assert_canonical(x: CycScalar) -> None:
+    assert len(x.num) == euler_phi(x.order)
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+# -- properties -----------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_and_coeffs(count=2))
+def test_ring_operations_match_reference(case):
+    order, (a, b) = case
+    x, y = CycScalar(order, a), CycScalar(order, b)
+    assert x.coeffs == a
+    assert str(x) == ref_str(order, a)
+    for got, want in ((x + y, tuple(p + q for p, q in zip(a, b))),
+                      (x - y, tuple(p - q for p, q in zip(a, b))),
+                      (-x, tuple(-p for p in a)),
+                      (x * y, ref_mul(order, a, b))):
+        assert_canonical(got)
+        assert got.order == order
+        assert got.coeffs == want
+        assert str(got) == ref_str(order, want)
+        assert got == CycScalar(order, want)
+        assert got.is_zero() == (not any(want)) == (not got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(order_and_coeffs())
+def test_inverse(case):
+    order, (a,) = case
+    x = CycScalar(order, a)
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        return
+    xi = x.inv()
+    assert_canonical(xi)
+    assert x * xi == 1
+    assert (x * xi).is_one()
+    assert xi.inv() == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(order_and_coeffs(), st.integers(min_value=1, max_value=4))
+def test_equal_scalars_hash_equal_across_orders(case, k):
+    order, (a,) = case
+    x = CycScalar(order, a)
+    for y in (x.to_order(k * order), CycScalar(order, a), x.reduced()):
+        assert_canonical(y)
+        assert x == y and y == x
+        assert hash(x) == hash(y)
+    if x.is_rational():
+        q = CycScalar.rational(x.as_rational(), 5 * k)
+        assert x == q and hash(x) == hash(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(order_and_coeffs())
+def test_json_round_trip(case):
+    order, (a,) = case
+    x = CycScalar(order, a)
+    back = CycScalar.from_json(x.to_json())
+    assert back == x and back.order == order
+    assert (back.num, back.den) == (x.num, x.den)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 9, 12])
+def test_constructors_canonical(order):
+    for x in (CycScalar.zero(order), CycScalar.one(order),
+              CycScalar.rational(Fraction(-6, 4), order),
+              CycScalar(order, (Fraction(0),) * euler_phi(order))):
+        assert_canonical(x)
+    assert CycScalar.zero(order) is CycScalar.zero(order)
+    assert CycScalar(order, (Fraction(0),) * euler_phi(order)) == CycScalar.zero(order)
+
+
+# -- sympy oracle for the inverse -------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((9, 12)).flatmap(
+    lambda n: st.tuples(st.just(n), coeff_vectors(n))))
+def test_inverse_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    order, (a,) = case
+    x = CycScalar(order, a)
+    if not x:
+        return
+    z = sympy.symbols("z")
+    f = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * z**k
+                       for k, c in enumerate(a)), z, domain="QQ")
+    g = sympy.Poly(sympy.cyclotomic_poly(order, z), z, domain="QQ")
+    inv = f.invert(g).all_coeffs()[::-1]
+    want = [Fraction(int(c.p), int(c.q)) for c in inv]
+    want += [Fraction(0)] * (euler_phi(order) - len(want))
+    assert x.inv().coeffs == tuple(want)
