@@ -1,0 +1,137 @@
+"""Golden CLI output: a fixed command list whose stdout and exit code are
+compared byte for byte with ``tests/golden/<case>.txt``.
+
+Each case runs ``cli.main`` in-process.  A file records the exit code, the
+one-line stderr error when the exit code is 2, and the stdout verbatim.  An
+argument ``{X}`` is the path of standing datum X; ``{mod:case}`` is a file
+holding the stdout of the named ``module build`` case.  To re-record every
+file after an intended change of output:
+
+    PYTHONPATH=src python -m tests.test_golden_cli
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from doublerep import cli
+
+from .conftest import DATUM_JSON
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+L1 = ("--l", "1", "--lambda", "0;0")
+TOKEN_ARGS = {
+    "verma": ("--lambda", "0;1"),
+    "simple": L1,
+    "projective": L1,
+    "t1": L1,
+    "t1bar": L1,
+    "string_tt": L1 + ("--t", "2"),
+    "string_ttbar": L1 + ("--t", "2"),
+    "band_m1": L1 + ("--eta", "2"),
+    "band_mt": L1 + ("--t", "2", "--eta", "-1"),
+    "w1": L1 + ("--eta", "0"),
+    "w_t": L1 + ("--t", "2", "--eta", "inf"),
+    "omega_power": L1 + ("--s", "2"),
+}
+
+CASES: dict[str, tuple[str, ...]] = {}
+for _key in "ABC":
+    for _tok, _args in TOKEN_ARGS.items():
+        CASES[f"build-{_key}-{_tok}"] = ("module", "build", f"{{{_key}}}",
+                                          "--family", _tok, *_args)
+    CASES[f"build-{_key}-simple-standard"] = (
+        "module", "build", f"{{{_key}}}", "--family", "simple",
+        "--l", "2", "--lambda", "0;1", "--basis", "standard")
+    CASES[f"build-{_key}-omega_power-s-2"] = (
+        "module", "build", f"{{{_key}}}", "--family", "omega_power", *L1, "--s", "-2")
+CASES.update({
+    "build-A-w1-inf": ("module", "build", "{A}", "--family", "w1", *L1, "--eta", "inf"),
+    "analyze-B-T2": ("module", "analyze", "{mod:build-B-string_tt}"),
+    "analyze-C-Omega2": ("module", "analyze", "{mod:build-C-omega_power}",
+                         "--format", "json"),
+    "analyze-A-W1inf": ("module", "analyze", "{mod:build-A-w1-inf}"),
+    "ar-C-4.5": ("ar", "check", "{C}", "--lemma", "4.5", "--l", "1", "--lambda", "0;0"),
+    "ar-B-4.9": ("ar", "check", "{B}", "--lemma", "4.9", "--max-t", "2"),
+    "ar-C-4.10": ("ar", "check", "{C}", "--lemma", "4.10", "--max-t", "2",
+                  "--format", "json"),
+    "ar-B-4.20": ("ar", "check", "{B}", "--lemma", "4.20", "--etas", "1,-1"),
+    "ar-A-4.28": ("ar", "check", "{A}", "--lemma", "4.28", "--max-t", "2",
+                  "--etas", "0,inf"),
+    "ar-A-4.20-guard": ("ar", "check", "{A}", "--lemma", "4.20"),
+    "ar-B-4.28-guard": ("ar", "check", "{B}", "--lemma", "4.28"),
+    "classify-A": ("classify", "{A}", "--etas", "1,-1,2,0,inf"),
+    "classify-B": ("classify", "{B}"),
+    "classify-C": ("classify", "{C}"),
+    "classify-A-json": ("classify", "{A}", "--max-t", "1", "--max-s", "1",
+                        "--format", "json"),
+    "classify-B-json": ("classify", "{B}", "--max-t", "1", "--max-s", "1",
+                        "--format", "json"),
+    "classify-C-json": ("classify", "{C}", "--max-t", "1", "--max-s", "1",
+                        "--format", "json"),
+    "classify-B-budget": ("classify", "{B}", "--budget", "24"),
+})
+
+
+def run_case(name: str, tmp: pathlib.Path) -> str:
+    """Run one case and render what the golden file records."""
+    argv = []
+    for arg in CASES[name]:
+        if arg.startswith("{mod:"):
+            ref = arg[5:-1]
+            path = tmp / f"{ref}.json"
+            code, out, _ = _invoke(_resolve(CASES[ref], tmp))
+            assert code == 0, ref
+            path.write_text(out)
+            argv.append(str(path))
+        else:
+            argv.append(arg)
+    code, out, err = _invoke(_resolve(argv, tmp))
+    head = f"exit: {code}\n"
+    if code == 2:
+        head += f"stderr: {err}"
+    return head + "stdout:\n" + out
+
+
+def _resolve(argv, tmp: pathlib.Path) -> list[str]:
+    out = []
+    for arg in argv:
+        if len(arg) == 3 and arg[0] == "{" and arg[1] in DATUM_JSON:
+            path = tmp / f"datum_{arg[1]}.json"
+            if not path.exists():
+                path.write_text(json.dumps(DATUM_JSON[arg[1]]))
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+def _invoke(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden(name, tmp_path):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert run_case(name, tmp_path) == expected
+
+
+def test_no_stale_golden_files():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as d:
+        for case in CASES:
+            (GOLDEN / f"{case}.txt").write_text(run_case(case, pathlib.Path(d)),
+                                                encoding="utf-8")
