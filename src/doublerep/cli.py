@@ -13,21 +13,19 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from itertools import accumulate
 
-from .cyclo import CycScalar
 from .datum import DatumError, ValidatedDatum, Weight, datum_from_json
-from .linalg import Mat, frobenius_pair, rank
-from .repmod import ModuleRep, direct_sum
+from .linalg import rank  # noqa: F401  (perfbench's tracer test patches cli.rank)
+from .repmod import ModuleRep
 from . import constructors, homology
 
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INVALID = 2
-
-CLI_FAMILIES = ("verma", "simple", "projective", "t1", "t1bar", "string_tt",
-                "string_ttbar", "band_m1", "band_mt", "w1", "w_t", "omega_power")
 
 OUTSIDE = "outside classified grid or bounds"
 
@@ -169,18 +167,9 @@ def cmd_weights_list(args) -> int:
 
 def cmd_module_build(args) -> int:
     datum = _load_datum(args.file)
-    if args.family not in CLI_FAMILIES:
-        raise DatumError(f"unknown family {args.family!r}; "
-                         f"expected one of {', '.join(CLI_FAMILIES)}")
     lam = parse_weight(datum, args.lam) if args.lam is not None else None
-    eta = constructors.EtaParam.parse(args.eta) if args.eta is not None else None
-    if args.family == "omega_power":
-        if lam is None or args.l is None:
-            raise DatumError("omega_power needs --l and --lambda")
-        mod = homology.omega_power(datum, args.l, lam, args.s)
-    else:
-        mod = constructors.build_family(datum, args.family, l=args.l, lam=lam,
-                                        t=args.t, eta=eta, basis=args.basis)
+    mod = constructors.build_family(datum, args.family, l=args.l, lam=lam, t=args.t,
+                                    eta=args.eta, basis=args.basis, s=args.s)
     doc = json.dumps(mod.to_json(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -221,6 +210,7 @@ def cmd_module_analyze(args) -> int:
         lines += [f"  FAIL {c.name}" for c in report.failures()]
         _emit(args, payload, lines)
         return EXIT_VERIFY
+    mod = mod.as_weight_diagonal()[0]
     el = homology.end_local_dim(mod)
     lt = homology.loewy_type(mod)
     soc = homology.socle_multiset(mod) if mod.dim else []
@@ -259,8 +249,8 @@ def cmd_module_analyze(args) -> int:
 
 
 def cmd_module_compare(args) -> int:
-    a = _load_module(args.file_a)
-    b = _load_module(args.file_b)
+    a = _load_module(args.file_a).as_weight_diagonal()[0]
+    b = _load_module(args.file_b).as_weight_diagonal()[0]
     verdict = homology.is_isomorphic(a, b, seed=args.seed)
     payload = verdict.to_json()
     lines = [f"verdict: {verdict.verdict}", f"reason: {verdict.reason}"]
@@ -283,7 +273,10 @@ def cmd_ar_check(args) -> int:
             raise DatumError("--lambda needs --l")
         weights = [(args.l, parse_weight(datum, args.lam))]
     elif args.l is not None:
-        weights = [(args.l, datum.weights_in_class(args.l)[0])]
+        ws = datum.weights_in_class(args.l)
+        if not ws:
+            raise DatumError(f"no weights in class l={args.l}; l runs 1..{datum.n}")
+        weights = [(args.l, ws[0])]
     seqs = homology.ar_sequences_for_lemma(datum, args.lemma, max_t=args.max_t,
                                            etas=etas, weights=weights)
     entries = []
@@ -326,136 +319,51 @@ def cmd_ar_check(args) -> int:
 # classify
 
 
-def _tau_orbit_reps(datum: ValidatedDatum, l: int) -> list[Weight]:
-    seen: set = set()
-    reps = []
-    for w in datum.weights_in_class(l):
-        if w in seen:
-            continue
-        reps.append(w)
-        cur = w
-        for _ in range(datum.m):
-            seen.add(cur)
-            cur = datum.tau(cur, 1)
-    return reps
-
-
 def _classify_specs(datum: ValidatedDatum, max_t: int, max_s: int,
                     etas: list[constructors.EtaParam]) -> list[dict]:
-    """Deterministic enumeration plan for the classification manifest."""
-    n, m = datum.n, datum.m
+    """Deterministic enumeration plan for the classification manifest.
+
+    Each round lists its families at every l, weight and parameter value in
+    turn, so T and Tbar interleave.  At m = 1 the W family stands in for the
+    chains (eta = inf and 0 give T and Tbar).
+    """
+    rounds = [("V",), ("P",), ("Omega",), ("W",) if datum.m == 1 else ("T", "Tbar"), ("M",)]
     specs = []
-    for l in range(1, n + 1):
-        for w in datum.weights_in_class(l):
-            specs.append({"family": "V", "l": l, "lambda": w.label(),
-                          "weight": w.to_json()})
-    for l in range(1, n):
-        for w in datum.weights_in_class(l):
-            specs.append({"family": "P", "l": l, "lambda": w.label(),
-                          "weight": w.to_json()})
-    for l in range(1, n):
-        for w in datum.weights_in_class(l):
-            for sign in (1, -1):
-                for s in range(1, max_s + 1):
-                    specs.append({"family": "Omega", "l": l, "lambda": w.label(),
-                                  "weight": w.to_json(), "s": sign * s})
-    if m == 1:
-        for l in range(1, n):
-            for w in datum.weights_in_class(l):
-                for t in range(1, max_t + 1):
-                    for ep in etas:
-                        specs.append({"family": "W", "l": l, "lambda": w.label(),
-                                      "weight": w.to_json(), "t": t,
-                                      "eta": str(ep)})
-    else:
-        for l in range(1, n):
-            for w in datum.weights_in_class(l):
-                for t in range(1, max_t + 1):
-                    specs.append({"family": "T", "l": l, "lambda": w.label(),
-                                  "weight": w.to_json(), "t": t})
-                    specs.append({"family": "Tbar", "l": l, "lambda": w.label(),
-                                  "weight": w.to_json(), "t": t})
-        for l in range(1, n):
-            for w in _tau_orbit_reps(datum, l):
-                for t in range(1, max_t + 1):
-                    for ep in etas:
-                        if ep.is_inf or ep.scalar(datum).is_zero():
-                            continue  # band holonomy must be a unit
-                        specs.append({"family": "M", "l": l, "lambda": w.label(),
-                                      "weight": w.to_json(), "t": t,
-                                      "eta": str(ep)})
+    for letters in rounds:
+        lead = constructors.FAMILIES[letters[0]]
+        for l in lead.l_range(datum):
+            for w in lead.weights(datum, l):
+                for params in lead.grid(datum, max_t, max_s, etas):
+                    specs += [{"family": c, "l": l, "lambda": w.label(),
+                               "weight": w.to_json(), **params} for c in letters]
     return specs
 
 
+def _spec_family(spec: dict) -> tuple[constructors.Family, dict]:
+    fam = constructors.FAMILIES[spec["family"]]
+    return fam, {p: spec[p] for p in fam.params}
+
+
 def _build_spec(datum: ValidatedDatum, spec: dict) -> ModuleRep:
-    w = Weight.from_json(datum.group, spec["weight"])
-    fam, l = spec["family"], spec["l"]
-    if fam == "V":
-        return constructors.simple(datum, l, w)
-    if fam == "P":
-        return constructors.projective(datum, l, w)
-    if fam == "Omega":
-        return homology.omega_power(datum, l, w, spec["s"])
-    if fam == "T":
-        return constructors.t_chain(datum, l, w, spec["t"])
-    if fam == "Tbar":
-        return constructors.t_chain_bar(datum, l, w, spec["t"])
-    if fam == "M":
-        return constructors.band(datum, l, w,
-                                 constructors.EtaParam.parse(spec["eta"]), spec["t"])
-    if fam == "W":
-        return constructors.w_band(datum, l, w,
-                                   constructors.EtaParam.parse(spec["eta"]), spec["t"])
-    raise DatumError(f"unknown family spec {fam!r}")
+    fam, params = _spec_family(spec)
+    return fam.build(datum, spec["l"], Weight.from_json(datum.group, spec["weight"]), **params)
 
 
-def _spec_tag(spec: dict) -> str:
-    fam = spec["family"]
-    parts = [f"l={spec['l']}", f"lam={spec['lambda']}"]
-    if "s" in spec:
-        parts.append(f"s={spec['s']}")
-    if "t" in spec:
-        parts.append(f"t={spec['t']}")
-    if "eta" in spec:
-        parts.append(f"eta={spec['eta']}")
-    return f"{fam}({', '.join(parts)})"
-
-
-def _expected_type(spec: dict, m: int) -> tuple[int, int, int] | None:
-    """(s, t, rl) predicted for each family entry."""
-    fam = spec["family"]
-    if fam == "V":
-        return (1, 1, 1)
-    if fam == "P":
-        return (1, 1, 3)
-    if fam == "Omega":
-        s = spec["s"]
-        return (s + 1, s, 2) if s > 0 else (-s, -s + 1, 2)
-    if fam in ("T", "Tbar", "W"):
-        return (spec["t"], spec["t"], 2)
-    if fam == "M":
-        return (spec["t"] * m, spec["t"] * m, 2)
-    return None
-
-
-def _classify_entry(datum: ValidatedDatum, spec: dict,
-                    mod: ModuleRep | None = None) -> dict:
-    if mod is None:
-        mod = _build_spec(datum, spec)
+def _classify_entry(datum: ValidatedDatum, spec: dict, mod: ModuleRep) -> dict:
+    fam, params = _spec_family(spec)
     rel = mod.verify_relations()
     el = homology.end_local_dim(mod)
     lt = homology.loewy_type(mod)
-    expected = _expected_type(spec, datum.m)
-    entry = {
-        "tag": _spec_tag(spec),
+    return {
+        "tag": f"{fam.letter}(l={spec['l']}, lam={spec['lambda']}"
+               + "".join(f", {p}={v}" for p, v in params.items()) + ")",
         **{k: v for k, v in spec.items() if k != "weight"},
         "dim": mod.dim,
         "relations_ok": rel.ok,
         "end_local_dim": el,
         "type": lt.to_json(),
-        "type_ok": expected is None or (lt.s, lt.t, lt.rl) == expected,
+        "type_ok": (lt.s, lt.t, lt.rl) == fam.loewy(datum, spec["l"], **params),
     }
-    return entry
 
 
 def _classify_worker(payload: tuple[dict, dict]) -> tuple[dict, dict]:
@@ -470,39 +378,31 @@ def cmd_classify(args) -> int:
     etas = parse_etas(args.etas)
     t0 = time.monotonic()
     specs = _classify_specs(datum, args.max_t, args.max_s, etas)
+    if args.jobs > 1:
+        # dispatch only the specs whose predicted dimensions fit the budget
+        dims = (fam.dim(datum, s["l"], **params)
+                for s, (fam, params) in zip(specs, map(_spec_family, specs)))
+        todo = specs[:sum(1 for total in accumulate(dims) if total <= args.budget)]
+        dj = datum.to_json()
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_classify_worker, [(dj, s) for s in todo],
+                                    chunksize=4))
+        built = ((entry, ModuleRep.from_json(mod_json)) for entry, mod_json in results)
+    else:
+        built = ((None, _build_spec(datum, s)) for s in specs)
     entries: list[dict] = []
     modules: list[ModuleRep] = []
     total_dim = 0
-    truncated = False
-    if args.jobs > 1:
-        dj = datum.to_json()
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_classify_worker, [(dj, s) for s in specs],
-                                    chunksize=4))
-        for (entry, mod_json), spec in zip(results, specs):
-            if total_dim + entry["dim"] > args.budget:
-                truncated = True
-                break
-            total_dim += entry["dim"]
-            entries.append(entry)
-            modules.append(ModuleRep.from_json(mod_json))
-    else:
-        for spec in specs:
-            mod = _build_spec(datum, spec)
-            if total_dim + mod.dim > args.budget:
-                truncated = True
-                break
-            total_dim += mod.dim
-            entries.append(_classify_entry(datum, spec, mod))
-            modules.append(mod)
+    for spec, (entry, mod) in zip(specs, built):
+        if total_dim + mod.dim > args.budget:
+            break
+        total_dim += mod.dim
+        entries.append(entry or _classify_entry(datum, spec, mod))
+        modules.append(mod)
+    truncated = len(entries) < len(specs)
     # pairwise distinctness across the manifest
-    cache = []
-    for mod in modules:
-        cache.append({
-            "wm": mod.weight_multiset(),
-            "xk": len(mod.x_kernel()),
-            "xik": len(mod.xi_kernel()),
-        })
+    keys = [(mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
+            for mod in modules]
     iso_pairs = []
     hom_pairs = 0
     min_sum_el = None
@@ -510,27 +410,16 @@ def cmd_classify(args) -> int:
         for j in range(i + 1, len(modules)):
             a, b = modules[i], modules[j]
             ela, elb = entries[i]["end_local_dim"], entries[j]["end_local_dim"]
-            if (a.dim != b.dim or cache[i]["wm"] != cache[j]["wm"]
-                    or cache[i]["xk"] != cache[j]["xk"]
-                    or cache[i]["xik"] != cache[j]["xik"]):
+            if keys[i] != keys[j]:  # invariants differ: no Hom solve needed
                 pair_el = ela + elb
             else:
                 hom_pairs += 1
-                homs_ab = homology.hom_space(a, b)
-                homs_ba = homology.hom_space(b, a)
-                r = 0
-                if homs_ab and homs_ba:
-                    tmat = [[frobenius_pair(f.matrix, g.matrix) for g in homs_ba]
-                            for f in homs_ab]
-                    r = rank(Mat(datum.N, tmat, len(homs_ba)))
-                pair_el = ela + elb + 2 * r
-                if r > 0:
+                pair_el = homology.end_local_dim_of_sum(
+                    a, b, ela, elb, homology.hom_space(a, b), homology.hom_space(b, a))
+                if pair_el > ela + elb:
                     iso_pairs.append([entries[i]["tag"], entries[j]["tag"]])
-            if min_sum_el is None or pair_el < min_sum_el:
-                min_sum_el = pair_el
-    counts: dict[str, int] = {}
-    for e in entries:
-        counts[e["family"]] = counts.get(e["family"], 0) + 1
+            min_sum_el = pair_el if min_sum_el is None else min(min_sum_el, pair_el)
+    counts = Counter(e["family"] for e in entries)
     n_pairs = len(modules) * (len(modules) - 1) // 2
     payload = {
         "bounds": {"max_t": args.max_t, "max_s": args.max_s,
@@ -569,9 +458,8 @@ def cmd_classify(args) -> int:
     lines.append(f"pairwise: {n_pairs} pairs, {n_pairs - len(iso_pairs)} distinct, "
                  f"{hom_pairs} needed Hom solves, "
                  f"min end_local_dim of a pair sum: {min_sum_el}")
-    if iso_pairs:
-        for p in iso_pairs:
-            lines.append(f"  ISOMORPHIC: {p[0]} == {p[1]}")
+    for p in iso_pairs:
+        lines.append(f"  ISOMORPHIC: {p[0]} == {p[1]}")
     if truncated:
         lines.append(f"TRUNCATED: dimension budget {args.budget} exhausted "
                      f"after {len(entries)} of {len(specs)} modules")
@@ -620,14 +508,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub_module.add_parser("build", parents=[common],
                               help="construct a family member and emit its JSON")
     p.add_argument("file")
-    p.add_argument("--family", required=True, choices=CLI_FAMILIES)
+    p.add_argument("--family", required=True, choices=tuple(constructors.FAMILY_TOKENS))
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--lambda", dest="lam", default=None,
                    help="weight: JSON or 'g1,..;h1,..'")
     p.add_argument("--t", type=int, default=None, help="chain/band length")
-    p.add_argument("--s", type=int, default=1, help="syzygy exponent (signed)")
+    p.add_argument("--s", type=int, default=None, help="syzygy exponent (signed, default 1)")
     p.add_argument("--eta", default=None, help="band parameter: scalar or 'inf'")
-    p.add_argument("--basis", choices=("natural", "standard"), default="natural")
+    p.add_argument("--basis", choices=("natural", "standard"), help="default natural")
     p.add_argument("--out", default=None, help="write module JSON here instead of stdout")
     p.set_defaults(func=cmd_module_build)
 

@@ -13,11 +13,20 @@ Each function emits a ModuleRep on an explicit weight-tagged basis:
                       with a Jordan closing edge across the t copies;
 * ``w_band``       -- the one-parameter family W_t(l, lambda, eta) that
                       replaces the bands when m = 1 (eta may be infinite).
+
+``FAMILIES`` is the one registry of the classified families (V, P, Omega,
+T, Tbar, M, W): parameters, builder, dimension formula, predicted Loewy type
+and tag, read by ``classify``, ``match_family`` and the almost-split
+sequence tables.  ``FAMILY_TOKENS`` maps the ``module build`` tokens onto it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from typing import Callable
 
 from .cyclo import CycScalar
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight
@@ -73,6 +82,9 @@ class EtaParam:
             raise DatumError("eta is infinite; no scalar value")
         return datum.scalar(self.value)
 
+    def is_unit(self, datum: ValidatedDatum) -> bool:
+        return not self.is_inf and not self.scalar(datum).is_zero()
+
     def neg(self) -> EtaParam:
         return self if self.value is None else EtaParam(-self.value)
 
@@ -100,9 +112,7 @@ class EtaParam:
 def _require_regular(datum: ValidatedDatum, l: int, lam: Weight) -> None:
     if not 1 <= l <= datum.n - 1:
         raise DatumError(f"l={l} outside 1..{datum.n - 1}")
-    cls = datum.classify_weight(lam)
-    if cls.l != l:
-        raise DatumError(f"weight {lam.label()} lies in class l={cls.l}, not l={l}")
+    datum._check_in_class(l, lam)
 
 
 def _put(entries: dict, i: int, j: int, val: CycScalar) -> None:
@@ -139,9 +149,7 @@ def simple(datum: ValidatedDatum, l: int, lam: Weight, basis: str = "natural") -
     n = datum.n
     if not 1 <= l <= n:
         raise DatumError(f"l={l} outside 1..{n}")
-    cls = datum.classify_weight(lam)
-    if cls.l != l:
-        raise DatumError(f"weight {lam.label()} lies in class l={cls.l}, not l={l}")
+    datum._check_in_class(l, lam)
     if l == n:
         closing = datum.alpha * (lam.value_g(datum.a) ** n - datum.one())
     else:
@@ -407,11 +415,9 @@ def band(datum: ValidatedDatum, l: int, lam: Weight, eta, t: int = 1) -> ModuleR
     if t < 1:
         raise DatumError(f"band length t={t} must be >= 1")
     eta = EtaParam.of(eta)
-    if eta.is_inf:
+    if not eta.is_unit(datum):
         raise DatumError("band modules need a finite nonzero eta")
     eta_s = eta.scalar(datum)
-    if eta_s.is_zero():
-        raise DatumError("band modules need a finite nonzero eta")
     n, m = datum.n, datum.m
     one = datum.one()
     slam = datum.sigma(lam)
@@ -602,55 +608,136 @@ def w1(datum: ValidatedDatum, l: int, lam: Weight, eta) -> ModuleRep:
 
 
 # ---------------------------------------------------------------------------
-# family dispatcher (names used by the command-line interface)
+# family registry
 
 
-FAMILY_TOKENS = ("verma", "simple", "projective", "t1", "t1bar", "string_tt",
-                 "string_ttbar", "band_m1", "band_mt", "w1", "w_t", "omega")
+@dataclass(frozen=True)
+class Family:
+    """One classified family, keyed in ``FAMILIES`` by its manifest letter.
+
+    ``params`` names the parameters beyond (l, lambda), in tag order.
+    ``build(datum, l, lam, **params)`` constructs a member; ``dim`` and
+    ``loewy``, called as ``(datum, l, **params)``, predict its dimension and
+    Loewy type (s, t, rl); ``tag`` formats the name ``match_family`` prints.
+    Members exist for l in 1..n-1 (1..n unless ``regular``) and for the m
+    that ``on_m`` accepts; ``unit_eta`` asks for a finite nonzero eta, and a
+    ``per_orbit`` member depends on lambda only through its tau-orbit.
+    """
+
+    letter: str
+    params: tuple[str, ...]
+    build: Callable[..., ModuleRep]
+    dim: Callable[..., int]
+    loewy: Callable[..., tuple[int, int, int]]
+    tag: str
+    regular: bool = True
+    on_m: Callable[[int], bool] = lambda m: True
+    unit_eta: bool = False
+    per_orbit: bool = False
+
+    def l_range(self, datum: ValidatedDatum) -> range:
+        return range(1, datum.n if self.regular else datum.n + 1)
+
+    def weights(self, datum: ValidatedDatum, l: int) -> list[Weight]:
+        """The weights of class l, one per tau-orbit if ``per_orbit``."""
+        reps: list[Weight] = []
+        for w in datum.weights_in_class(l):
+            if not (self.per_orbit and any(v in reps for v in datum.tau_orbit(w))):
+                reps.append(w)
+        return reps
+
+    def grid(self, datum: ValidatedDatum, max_t: int, max_s: int, etas) -> list[dict]:
+        """Parameter values within the bounds, in manifest order: t runs
+        1..max_t, s runs 1..max_s then -1..-max_s, eta (as text) follows
+        ``etas``.  Empty when the family has no members at this m."""
+        if not self.on_m(datum.m):
+            return []
+        axes = {"t": range(1, max_t + 1),
+                "s": [*range(1, max_s + 1), *range(-1, -max_s - 1, -1)],
+                "eta": [str(ep) for ep in map(EtaParam.of, etas)
+                        if ep.is_unit(datum) or not self.unit_eta]}
+        return [dict(zip(self.params, vals))
+                for vals in product(*(axes[p] for p in self.params))]
+
+
+def _omega(datum: ValidatedDatum, l: int, lam: Weight, s: int) -> ModuleRep:
+    from . import homology
+    return homology.omega_power(datum, l, lam, s)
+
+
+# Builders look their constructor up at call time, so a wrapper installed on
+# a module attribute sees every build.  The dimension of Omega^s V(l, lambda)
+# follows from its (s+1, s) type: dim Omega^s = 2n * (head length of
+# Omega^(s-1)) - dim Omega^(s-1), and likewise for s < 0.
+FAMILIES = {f.letter: f for f in (
+    Family("V", (), lambda d, l, lam: simple(d, l, lam), lambda d, l: l,
+           lambda d, l: (1, 1, 1), "V({l},{lam})", regular=False),
+    Family("P", (), lambda d, l, lam: projective(d, l, lam), lambda d, l: 2 * d.n,
+           lambda d, l: (1, 1, 3), "P({l},{lam})"),
+    Family("T", ("t",), lambda d, l, lam, t: t_chain(d, l, lam, t),
+           lambda d, l, t: d.n * t, lambda d, l, t: (t, t, 2), "T_{t}({l},{lam})"),
+    Family("Tbar", ("t",), lambda d, l, lam, t: t_chain_bar(d, l, lam, t),
+           lambda d, l, t: d.n * t, lambda d, l, t: (t, t, 2), "Tbar_{t}({l},{lam})"),
+    Family("W", ("t", "eta"), lambda d, l, lam, t, eta: w_band(d, l, lam, eta, t),
+           lambda d, l, t, eta: d.n * t, lambda d, l, t, eta: (t, t, 2),
+           "W_{t}({l},{lam},eta={eta})", on_m=lambda m: m == 1),
+    Family("M", ("t", "eta"), lambda d, l, lam, t, eta: band(d, l, lam, eta, t),
+           lambda d, l, t, eta: d.n * d.m * t,
+           lambda d, l, t, eta: (t * d.m, t * d.m, 2), "M_{t}({l},{lam},eta={eta})",
+           on_m=lambda m: m > 1, unit_eta=True, per_orbit=True),
+    Family("Omega", ("s",), _omega,
+           lambda d, l, s: abs(s) * d.n + (l if s % 2 == 0 else d.n - l),
+           lambda d, l, s: (s + 1, s, 2) if s > 0 else (-s, -s + 1, 2),
+           "Omega^{s}V({l},{lam})"),
+)}
+
+
+# A ``module build`` token built otherwise than by a registry family.
+Token = namedtuple("Token", "params build")
+
+
+def _verma(datum: ValidatedDatum, l: int | None, lam: Weight) -> ModuleRep:
+    if l is not None:
+        datum._check_in_class(l, lam)
+    return verma(datum, lam)
+
+
+# The command-line tokens of ``module build``: registry families, and the
+# variants built another way (verified t = 1 restrictions, the basis choice).
+FAMILY_TOKENS = {
+    "verma": Token((), _verma),
+    "simple": Token(("basis",), lambda d, l, lam, basis: simple(d, l, lam, basis)),
+    "projective": FAMILIES["P"],
+    "t1": Token((), lambda d, l, lam: t1(d, l, lam)),
+    "t1bar": Token((), lambda d, l, lam: t1bar(d, l, lam)),
+    "string_tt": FAMILIES["T"],
+    "string_ttbar": FAMILIES["Tbar"],
+    "band_m1": Token(("eta",), lambda d, l, lam, eta: band(d, l, lam, eta, 1)),
+    "band_mt": FAMILIES["M"],
+    "w1": Token(("eta",), lambda d, l, lam, eta: w1(d, l, lam, eta)),
+    "w_t": FAMILIES["W"],
+    "omega_power": FAMILIES["Omega"],
+}
 
 
 def build_family(datum: ValidatedDatum, family: str, l: int | None = None,
                  lam: Weight | None = None, t: int | None = None, eta=None,
-                 basis: str = "natural") -> ModuleRep:
-    """Build a module by family token.  The 'omega' token is resolved by the
-    caller through the homological layer, not here."""
-    if family not in FAMILY_TOKENS:
+                 basis: str | None = None, s: int | None = None) -> ModuleRep:
+    """Build a module by command-line token.  A parameter the token does not
+    take is rejected, not dropped; t and s default to 1, basis to natural."""
+    tok = FAMILY_TOKENS.get(family)
+    if tok is None:
         raise DatumError(f"unknown family {family!r}; expected one of {', '.join(FAMILY_TOKENS)}")
-    if family == "omega":
-        raise DatumError("family 'omega' is built from a simple module by the syzygy operator")
     if lam is None:
         raise DatumError("family construction needs a weight")
-    if family == "verma":
-        if l is not None:
-            cls = datum.classify_weight(lam)
-            if cls.l != l:
-                raise DatumError(f"weight {lam.label()} lies in class l={cls.l}, not l={l}")
-        return verma(datum, lam)
-    if l is None:
+    if l is None and family != "verma":
         raise DatumError(f"family {family!r} needs l")
-    if family == "simple":
-        return simple(datum, l, lam, basis)
-    if family == "projective":
-        return projective(datum, l, lam)
-    if family == "t1":
-        return t1(datum, l, lam)
-    if family == "string_tt":
-        return t_chain(datum, l, lam, t if t is not None else 1)
-    if family == "t1bar":
-        return t1bar(datum, l, lam)
-    if family == "string_ttbar":
-        return t_chain_bar(datum, l, lam, t if t is not None else 1)
-    if family in ("band_m1", "band_mt"):
-        if eta is None:
-            raise DatumError(f"family {family!r} needs eta")
-        tt = 1 if family == "band_m1" else (t if t is not None else 1)
-        return band(datum, l, lam, eta, tt)
-    if family == "w1":
-        if eta is None:
-            raise DatumError("family 'w1' needs eta")
-        return w1(datum, l, lam, eta)
-    if family == "w_t":
-        if eta is None:
-            raise DatumError("family 'w_t' needs eta")
-        return w_band(datum, l, lam, eta, t if t is not None else 1)
-    raise DatumError(f"unhandled family {family!r}")
+    given = {"t": t, "eta": eta, "basis": basis, "s": s}
+    for name, value in given.items():
+        if value is not None and name not in tok.params:
+            raise DatumError(f"family {family!r} takes no {name}")
+    if eta is None and "eta" in tok.params:
+        raise DatumError(f"family {family!r} needs eta")
+    defaults = {"t": 1, "basis": "natural", "s": 1}
+    return tok.build(datum, l, lam, **{p: defaults[p] if given[p] is None else given[p]
+                                       for p in tok.params})

@@ -153,7 +153,10 @@ class Weight:
     def from_json(group: FinAbGroup, obj: dict) -> Weight:
         if not isinstance(obj, dict) or "gpart" not in obj or "h" not in obj:
             raise DatumError("weight JSON needs 'gpart' and 'h'")
-        return Weight(group, tuple(obj["gpart"]), tuple(obj["h"]))
+        try:
+            return Weight(group, tuple(obj["gpart"]), tuple(obj["h"]))
+        except (ValueError, TypeError) as exc:
+            raise DatumError(f"malformed weight {obj!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

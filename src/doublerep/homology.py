@@ -225,7 +225,6 @@ def end_local_dim_of_sum(a: ModuleRep, b: ModuleRep,
     order = a.datum.N
     if not homs_ab or not homs_ba:
         return el_a + el_b
-    zero = CycScalar.zero(order)
     t = [[frobenius_pair(f.matrix, g.matrix) for g in homs_ba] for f in homs_ab]
     return el_a + el_b + 2 * rank(Mat(order, t, len(homs_ba)))
 
@@ -783,6 +782,16 @@ def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
     return None
 
 
+# Lemmas stated per family: family letter, item tag, the tau-shift taking
+# the left end A to the right end C, and the error where the family is empty.
+AR_LEMMAS = {
+    "4.9": ("T", "4.9(4)", -1, None),
+    "4.10": ("Tbar", "4.10(4)", 1, None),
+    "4.20": ("M", "4.20(5)", 0, "band sequences need m > 1; use 4.28 when m = 1"),
+    "4.28": ("W", "4.28(4)", 0, "W-family sequences need m = 1; use 4.20 when m > 1"),
+}
+
+
 def ar_sequences_for_lemma(datum: ValidatedDatum, lemma: str, max_t: int = 1,
                            etas=(1,), weights=None):
     """Terms (name, A, mids, C) of the almost-split sequences asserted for
@@ -810,69 +819,25 @@ def ar_sequences_for_lemma(datum: ValidatedDatum, lemma: str, max_t: int = 1,
                 out.append((f"4.5(3) t={t} l={l} lam={label}",
                             omega(v, -t), [omega(vs, -(t + 1)), omega(vsi, -(t + 1))],
                             omega(v, -(t + 2))))
-    elif lemma == "4.9":
-        for l, lam in weights:
-            label = lam.label()
-            prev = datum.tau(lam, -1)
-            for t in range(1, max_t + 1):
-                if t == 1:
-                    out.append((f"4.9(4) t=1 l={l} lam={label}",
-                                constructors.t_chain(datum, l, lam, 1),
-                                [constructors.t_chain(datum, l, lam, 2)],
-                                constructors.t_chain(datum, l, prev, 1)))
-                else:
-                    out.append((f"4.9(4) t={t} l={l} lam={label}",
-                                constructors.t_chain(datum, l, lam, t),
-                                [constructors.t_chain(datum, l, prev, t - 1),
-                                 constructors.t_chain(datum, l, lam, t + 1)],
-                                constructors.t_chain(datum, l, prev, t)))
-    elif lemma == "4.10":
-        for l, lam in weights:
-            label = lam.label()
-            nxt = datum.tau(lam, 1)
-            for t in range(1, max_t + 1):
-                if t == 1:
-                    out.append((f"4.10(4) t=1 l={l} lam={label}",
-                                constructors.t_chain_bar(datum, l, lam, 1),
-                                [constructors.t_chain_bar(datum, l, lam, 2)],
-                                constructors.t_chain_bar(datum, l, nxt, 1)))
-                else:
-                    out.append((f"4.10(4) t={t} l={l} lam={label}",
-                                constructors.t_chain_bar(datum, l, lam, t),
-                                [constructors.t_chain_bar(datum, l, nxt, t - 1),
-                                 constructors.t_chain_bar(datum, l, lam, t + 1)],
-                                constructors.t_chain_bar(datum, l, nxt, t)))
-    elif lemma == "4.20":
-        if datum.m == 1:
-            raise DatumError("band sequences need m > 1; use 4.28 when m = 1")
-        for l, lam in weights:
-            label = lam.label()
-            for eta in etas:
-                ep = constructors.EtaParam.of(eta)
-                for t in range(1, max_t + 1):
-                    mids = ([constructors.band(datum, l, lam, ep, 2)] if t == 1 else
-                            [constructors.band(datum, l, lam, ep, t - 1),
-                             constructors.band(datum, l, lam, ep, t + 1)])
-                    out.append((f"4.20(5) t={t} eta={ep} l={l} lam={label}",
-                                constructors.band(datum, l, lam, ep, t), mids,
-                                constructors.band(datum, l, lam, ep, t)))
-    elif lemma == "4.28":
-        if datum.m != 1:
-            raise DatumError("W-family sequences need m = 1; use 4.20 when m > 1")
-        for l, lam in weights:
-            label = lam.label()
-            for eta in etas:
-                ep = constructors.EtaParam.of(eta)
-                for t in range(1, max_t + 1):
-                    mids = ([constructors.w_band(datum, l, lam, ep, 2)] if t == 1 else
-                            [constructors.w_band(datum, l, lam, ep, t - 1),
-                             constructors.w_band(datum, l, lam, ep, t + 1)])
-                    out.append((f"4.28(4) t={t} eta={ep} l={l} lam={label}",
-                                constructors.w_band(datum, l, lam, ep, t), mids,
-                                constructors.w_band(datum, l, lam, ep, t)))
-    else:
+        return out
+    if lemma not in AR_LEMMAS:
         raise DatumError(f"unknown sequence tag {lemma!r}; "
                          "expected one of 4.5, 4.9, 4.10, 4.20, 4.28")
+    letter, item, shift, guard = AR_LEMMAS[lemma]
+    fam = constructors.FAMILIES[letter]
+    if not fam.on_m(datum.m):
+        raise DatumError(guard)
+    for l, lam in weights:
+        c_lam = datum.tau(lam, shift)
+        for kw in ([{"eta": constructors.EtaParam.of(e)} for e in etas]
+                   if "eta" in fam.params else [{}]):
+            on = "".join(f" eta={ep}" for ep in kw.values())
+            for t in range(1, max_t + 1):
+                mids = [fam.build(datum, l, c_lam, t=t - 1, **kw)] if t > 1 else []
+                out.append((f"{item} t={t}{on} l={l} lam={lam.label()}",
+                            fam.build(datum, l, lam, t=t, **kw),
+                            mids + [fam.build(datum, l, lam, t=t + 1, **kw)],
+                            fam.build(datum, l, c_lam, t=t, **kw)))
     return out
 
 
@@ -884,63 +849,21 @@ def match_family(m: ModuleRep, max_t: int = 4, max_s: int = 4,
                  etas=(0, 1, -1, 2, "inf"), seed: int = 0) -> str | None:
     """Name a classified-family member isomorphic to m, or None.
 
-    Candidates are generated from m's own weight support and dimension;
-    matching is certified by is_isomorphic.
+    Candidates are the registry members at m's own support weights whose
+    predicted dimension is dim m: every family but Omega at each weight in
+    turn, then Omega.  Matching is certified by is_isomorphic.
     """
-    datum = m.datum
-    n, mm = datum.n, datum.m
     if m.dim == 0:
         return "zero"
-    cands: list[tuple[str, object]] = []
-    for l, w in candidate_simples(m):
-        label = w.label()
-        if l == m.dim:
-            cands.append((f"V({l},{label})",
-                          lambda l=l, w=w: constructors.simple(datum, l, w)))
-        if l <= n - 1:
-            if m.dim == 2 * n:
-                cands.append((f"P({l},{label})",
-                              lambda l=l, w=w: constructors.projective(datum, l, w)))
-            if m.dim % n == 0:
-                t = m.dim // n
-                if 1 <= t <= max_t:
-                    cands.append((f"T_{t}({l},{label})",
-                                  lambda l=l, w=w, t=t: constructors.t_chain(datum, l, w, t)))
-                    cands.append((f"Tbar_{t}({l},{label})",
-                                  lambda l=l, w=w, t=t: constructors.t_chain_bar(datum, l, w, t)))
-                    if mm == 1:
-                        for eta in etas:
-                            ep = constructors.EtaParam.of(eta)
-                            cands.append((f"W_{t}({l},{label},eta={ep})",
-                                          lambda l=l, w=w, t=t, ep=ep:
-                                          constructors.w_band(datum, l, w, ep, t)))
-            if mm > 1 and m.dim % (n * mm) == 0:
-                t = m.dim // (n * mm)
-                if 1 <= t <= max_t:
-                    for eta in etas:
-                        ep = constructors.EtaParam.of(eta)
-                        if ep.is_inf or ep.scalar(datum).is_zero():
-                            continue
-                        cands.append((f"M_{t}({l},{label},eta={ep})",
-                                      lambda l=l, w=w, t=t, ep=ep:
-                                      constructors.band(datum, l, w, ep, t)))
-    for tag, builder in cands:
-        cand = builder()
-        if cand.dim != m.dim:
-            continue
-        if is_isomorphic(m, cand, seed).is_yes:
-            return tag
-    for l, w in candidate_simples(m):
-        if l > n - 1:
-            continue
-        label = w.label()
-        for direction in (1, -1):
-            cur = constructors.simple(datum, l, w)
-            for s in range(1, max_s + 1):
-                cur = syzygy(cur) if direction > 0 else cosyzygy(cur)
-                if cur.dim == m.dim and is_isomorphic(m, cur, seed).is_yes:
-                    name = f"Omega^{s}" if direction > 0 else f"Omega^-{s}"
-                    return f"{name}V({l},{label})"
-                if cur.dim > 2 * m.dim:
-                    break
+    datum = m.datum
+    fams = constructors.FAMILIES
+    for group in ([f for c, f in fams.items() if c != "Omega"], [fams["Omega"]]):
+        for l, w in candidate_simples(m):
+            for fam in group:
+                if l not in fam.l_range(datum):
+                    continue
+                for params in fam.grid(datum, max_t, max_s, etas):
+                    if (fam.dim(datum, l, **params) == m.dim and is_isomorphic(
+                            m, fam.build(datum, l, w, **params), seed).is_yes):
+                        return fam.tag.format(l=l, lam=w.label(), **params)
     return None

@@ -5,8 +5,11 @@ import json
 import pytest
 
 from doublerep import cli
+from doublerep.constructors import projective
+from doublerep.linalg import Mat, inv
+from doublerep.repmod import ModuleRep
 
-from .conftest import DATUM_JSON, INVALID_DATUM_JSON
+from .conftest import DATUM_JSON, INVALID_DATUM_JSON, first_weight
 
 
 def run(capsys, *argv):
@@ -137,6 +140,24 @@ def test_module_build_weight_class_mismatch_exits_2(capsys, datum_file):
     assert "class" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--t", "5"), ("--eta", "1"), ("--s", "2"),
+                                         ("--basis", "standard")])
+def test_module_build_rejects_parameter_the_token_does_not_take(capsys, datum_file,
+                                                                 flag, value):
+    # t1 is T_1 in its natural basis: any other parameter is an error, not dropped
+    code, out, err = run(capsys, "module", "build", datum_file("B"),
+                         "--family", "t1", "--l", "1", "--lambda", "0;0", flag, value)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"takes no {flag[2:]}" in err
+
+
+def test_module_build_malformed_weight_json_exits_2(capsys, datum_file):
+    code, _, err = run(capsys, "module", "build", datum_file("B"), "--family", "simple",
+                       "--l", "1", "--lambda", '{"gpart":["a"],"h":[0]}')
+    assert code == 2
+    assert err.count("\n") == 1 and "malformed weight" in err
+
+
 def test_module_build_omega_power(capsys, tmp_path, datum_file):
     datum_path = datum_file("B")
     path = build_module(capsys, tmp_path, datum_path,
@@ -189,6 +210,30 @@ def test_module_compare(capsys, tmp_path, datum_file):
     assert code == 0 and "no" in out
 
 
+def test_analyze_and_compare_accept_any_basis(capsys, tmp_path, datum_e):
+    # P(1, lambda) conjugated by an upper-triangular change of basis: a valid
+    # module whose basis vectors are not weight vectors
+    p = projective(datum_e, 1, first_weight(datum_e, 1))
+    one, zero = datum_e.one(), datum_e.zero()
+    change = Mat(datum_e.N, [[one if j >= i else zero for j in range(p.dim)]
+                             for i in range(p.dim)], p.dim)
+    back = inv(change)
+    q = ModuleRep(datum_e, [back * g * change for g in p.act_group],
+                  [back * g * change for g in p.act_gamma],
+                  back * p.act_x * change, back * p.act_xi * change)
+    assert q.weights is None
+    paths = []
+    for name, mod in (("p", p), ("q", q)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(json.dumps(mod.to_json()))
+    code, out_p, _ = run(capsys, "module", "analyze", paths[0])
+    assert code == 0 and "family: P(1,(0;0))" in out_p
+    code, out_q, _ = run(capsys, "module", "analyze", paths[1])
+    assert code == 0 and out_q == out_p
+    code, out, _ = run(capsys, "module", "compare", *paths)
+    assert code == 0 and "verdict: yes" in out
+
+
 # ---------------------------------------------------------------------------
 # ar check
 
@@ -205,6 +250,13 @@ def test_ar_check_wrong_family_for_datum(capsys, datum_file):
     code, _, err = run(capsys, "ar", "check", datum_file("B"), "--lemma", "4.28")
     assert code == 2
     assert "m" in err
+
+
+@pytest.mark.parametrize("l", ["0", "5"])
+def test_ar_check_empty_weight_class_exits_2(capsys, datum_file, l):
+    code, _, err = run(capsys, "ar", "check", datum_file("E"), "--lemma", "4.20", "--l", l)
+    assert code == 2
+    assert err.count("\n") == 1 and f"no weights in class l={l}" in err
 
 
 def test_ar_check_restricted_weight(capsys, datum_file):
@@ -248,6 +300,11 @@ def test_classify_deterministic_across_jobs(capsys, datum_file):
     code2, out2, _ = classify_json(capsys, path, "--seed", "5", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+    # under a budget, the pre-dispatch cut truncates where --jobs 1 does
+    code1, out1, _ = run(capsys, "classify", path, "--budget", "24")
+    code2, out2, _ = run(capsys, "classify", path, "--budget", "24", "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2 and "TRUNCATED" in out1
 
 
 def test_classify_budget_truncation(capsys, datum_file):
