@@ -366,11 +366,17 @@ def _classify_entry(datum: ValidatedDatum, spec: dict, mod: ModuleRep) -> dict:
     }
 
 
-def _classify_worker(payload: tuple[dict, dict]) -> tuple[dict, dict]:
+def _invariant_key(mod: ModuleRep) -> tuple:
+    """Invariants compared before a Hom solve: modules with different keys
+    are not isomorphic."""
+    return (mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
+
+
+def _classify_worker(payload: tuple[dict, dict]) -> tuple[dict, tuple, dict]:
     datum_json, spec = payload
     datum = datum_from_json(datum_json)
     mod = _build_spec(datum, spec)
-    return _classify_entry(datum, spec, mod), mod.to_json()
+    return _classify_entry(datum, spec, mod), _invariant_key(mod), mod.to_json()
 
 
 def cmd_classify(args) -> int:
@@ -387,22 +393,26 @@ def cmd_classify(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_classify_worker, [(dj, s) for s in todo],
                                     chunksize=4))
-        built = ((entry, ModuleRep.from_json(mod_json)) for entry, mod_json in results)
+        # only a module whose key collides takes part in a Hom solve: parse just those
+        seen = Counter(key for _, key, _ in results)
+        built = ((entry, key, ModuleRep.from_json(mod_json) if seen[key] > 1 else None)
+                 for entry, key, mod_json in results)
     else:
-        built = ((None, _build_spec(datum, s)) for s in specs)
+        built = ((None, None, _build_spec(datum, s)) for s in specs)
     entries: list[dict] = []
-    modules: list[ModuleRep] = []
+    keys: list[tuple] = []
+    modules: list[ModuleRep | None] = []
     total_dim = 0
-    for spec, (entry, mod) in zip(specs, built):
-        if total_dim + mod.dim > args.budget:
+    for spec, (entry, key, mod) in zip(specs, built):
+        key = key or _invariant_key(mod)
+        if total_dim + key[0] > args.budget:
             break
-        total_dim += mod.dim
+        total_dim += key[0]
         entries.append(entry or _classify_entry(datum, spec, mod))
+        keys.append(key)
         modules.append(mod)
     truncated = len(entries) < len(specs)
     # pairwise distinctness across the manifest
-    keys = [(mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
-            for mod in modules]
     iso_pairs = []
     hom_pairs = 0
     min_sum_el = None
@@ -566,10 +576,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_bounds(args) -> None:
+    """Reject a numeric bound below its smallest meaningful value."""
+    lows = {"jobs": 1, "budget": 1, "max_s": 0,
+            "max_t": 1 if args.command == "ar" else 0}
+    for name, low in lows.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise DatumError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.func(args)
     except DatumError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cyclo import CycScalar
 from .datum import DatumError, ValidatedDatum, Weight
-from .linalg import Mat, Vec, frobenius_pair, hstack, nullspace, rank, solve_right, vstack
+from .linalg import Echelon, Mat, Vec, frobenius_pair, hstack, nullspace, rank, solve_right, vstack
 from .repmod import ModuleRep, SubmoduleFacts, direct_sum, quotient_module, spin_submodule
 from . import constructors
 
@@ -90,16 +90,11 @@ def _require_weights(m: ModuleRep):
 # Hom spaces
 
 
-def _row_entries(m: Mat):
-    return [[(c, v) for c, v in enumerate(row) if not v.is_zero()] for row in m.rows]
-
-
 def _col_entries(m: Mat):
     cols = [[] for _ in range(m.ncols)]
-    for r, row in enumerate(m.rows):
-        for c, v in enumerate(row):
-            if not v.is_zero():
-                cols[c].append((r, v))
+    for r, row in enumerate(m.nz_rows()):
+        for c, v in row.items():
+            cols[c].append((r, v))
     return cols
 
 
@@ -116,7 +111,6 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
     wa = _require_weights(a)
     wb = _require_weights(b)
     datum = a.datum
-    zero = datum.zero()
     pos = [(i, j) for i in range(b.dim) for j in range(a.dim) if wb[i] == wa[j]]
     if not pos:
         return []
@@ -125,43 +119,25 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
 
     def accum(key, p, val):
         d = eqs.setdefault(key, {})
-        d[p] = d.get(p, zero) + val
+        d[p] = d[p] + val if p in d else val
 
     for opname, opa, opb in (("x", a.act_x, b.act_x), ("xi", a.act_xi, b.act_xi)):
-        rows_a = _row_entries(opa)
+        rows_a = opa.nz_rows()
         cols_b = _col_entries(opb)
         for (i, j), p in pidx.items():
-            for c, val in rows_a[j]:
+            for c, val in rows_a[j].items():
                 accum((opname, i, c), p, val)
             for r, val in cols_b[i]:
                 accum((opname, r, j), p, -val)
-    mat_rows = []
-    for key in sorted(eqs):
-        d = eqs[key]
-        row = [zero] * len(pos)
-        nontrivial = False
-        for p, v in d.items():
-            if not v.is_zero():
-                row[p] = v
-                nontrivial = True
-        if nontrivial:
-            mat_rows.append(row)
-    if mat_rows:
-        vecs = nullspace(Mat(datum.N, mat_rows, len(pos)))
-    else:
-        one = datum.one()
-        vecs = []
-        for k in range(len(pos)):
-            v = [zero] * len(pos)
-            v[k] = one
-            vecs.append(tuple(v))
+    system = Mat.from_sparse(datum.N, [{p: v for p, v in eqs[key].items() if v}
+                                     for key in sorted(eqs)], len(pos))
     out = []
-    for v in vecs:
-        rows = [[zero] * a.dim for _ in range(b.dim)]
+    for v in nullspace(system):
+        rows = [{} for _ in range(b.dim)]
         for k, (i, j) in enumerate(pos):
-            if not v[k].is_zero():
+            if v[k]:
                 rows[i][j] = v[k]
-        out.append(Morphism(a, b, Mat(datum.N, rows, a.dim)))
+        out.append(Morphism(a, b, Mat.from_sparse(datum.N, rows, a.dim)))
     return out
 
 
@@ -380,24 +356,7 @@ def projective_cover_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
         return z, Morphism(z, m, Mat.zeros(datum.N, 0, 0))
     h, pi = head(m)
     chosen: list[tuple[ModuleRep, Mat]] = []
-    span_rows: list[list[CycScalar]] = []
-    span_pivs: list[int] = []
-    zero = datum.zero()
-
-    def grows(vec: list[CycScalar]) -> bool:
-        for row, p in zip(span_rows, span_pivs):
-            c = vec[p]
-            if not c.is_zero():
-                for k in range(len(vec)):
-                    vec[k] = vec[k] - c * row[k]
-        lead = next((k for k, v in enumerate(vec) if not v.is_zero()), None)
-        if lead is None:
-            return False
-        c = vec[lead]
-        span_rows.append([v / c for v in vec])
-        span_pivs.append(lead)
-        return True
-
+    span = Echelon(datum.N, h.dim)
     for key, mult in semisimple_factors(h):
         l, w = key
         ps = projective_of_simple(datum, l, w)
@@ -405,17 +364,13 @@ def projective_cover_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
         for f in hom_space(ps, m):
             if taken == mult:
                 break
-            pif = pi * f.matrix
-            added = False
-            for col in pif.cols():
-                if grows(list(col)):
-                    added = True
-            if added:
+            grown = [p for p in map(span.add, (pi * f.matrix).cols()) if p is not None]
+            if grown:
                 chosen.append((ps, f.matrix))
                 taken += 1
         if taken != mult:
             raise DatumError("projective cover selection failed; inconsistent input")
-    if len(span_rows) != h.dim:
+    if len(span.pivots) != h.dim:
         raise DatumError("projective cover does not fill the head")
     p = direct_sum([ps for ps, _ in chosen])
     f = hstack([mat for _, mat in chosen])

@@ -1,25 +1,40 @@
-"""Dense exact linear algebra over a cyclotomic field.
+"""Sparse exact linear algebra over a cyclotomic field.
 
 Matrices are immutable row-major grids of CycScalar, all at one field
-order.  Elimination uses exact division with first-nonzero pivoting, so
-every routine is deterministic.
+order.  Each caches its nonzero pattern on first use (``Mat.nz_rows``), and
+products, matrix-vector products and the trace pairing visit only nonzero
+entries.  Every elimination is a sparse reduced row echelon form built row
+by row in ``Echelon``: the pivot of a row is its first nonzero column,
+scaled to one, and every other row is zero there.  The reduced row echelon
+form of a row space is unique, so ranks, pivots, kernel bases and solutions
+do not depend on the order in which rows are added.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .cyclo import CycScalar
 
 Vec = tuple[CycScalar, ...]
 
 
+def _dense(r: dict[int, CycScalar], ncols: int, zero: CycScalar) -> Vec:
+    out = [zero] * ncols
+    for j, x in r.items():
+        out[j] = x
+    return tuple(out)
+
+
 class Mat:
     """Immutable exact matrix over Q(zeta_order)."""
 
-    __slots__ = ("order", "nrows", "ncols", "rows")
+    __slots__ = ("order", "nrows", "ncols", "rows", "_nz")
 
     def __init__(self, order: int, rows: tuple[tuple[CycScalar, ...], ...], ncols: int | None = None):
         self.order = order
         self.rows = rows
+        self._nz = None
         self.nrows = len(rows)
         if rows:
             self.ncols = len(rows[0])
@@ -45,7 +60,7 @@ class Mat:
                 raise ValueError("empty column list needs explicit nrows")
             return Mat.zeros(order, nrows, 0)
         n = len(cols[0])
-        return Mat.from_rows(order, [[c[i] for c in cols] for i in range(n)])
+        return Mat.from_rows(order, [[c[i] for c in cols] for i in range(n)], len(cols))
 
     @staticmethod
     def zeros(order: int, r: int, c: int) -> Mat:
@@ -65,7 +80,21 @@ class Mat:
         n = len(entries)
         return Mat(order, tuple(tuple(entries[i] if i == j else z for j in range(n)) for i in range(n)), n)
 
+    @staticmethod
+    def from_sparse(order: int, nz: list[dict[int, CycScalar]], ncols: int) -> Mat:
+        """Matrix with the given nonzero pattern, which it keeps as its own."""
+        z = CycScalar.zero(order)
+        m = Mat(order, tuple(_dense(r, ncols, z) for r in nz), ncols)
+        m._nz = tuple(nz)
+        return m
+
     # -- structure ---------------------------------------------------------
+
+    def nz_rows(self) -> tuple[dict[int, CycScalar], ...]:
+        """The nonzero entries of each row as {column: value}; read-only."""
+        if self._nz is None:
+            self._nz = tuple({j: x for j, x in enumerate(r) if x} for r in self.rows)
+        return self._nz
 
     def __getitem__(self, ij: tuple[int, int]) -> CycScalar:
         return self.rows[ij[0]][ij[1]]
@@ -80,14 +109,14 @@ class Mat:
         return Mat.from_rows(self.order, [self.col(j) for j in range(self.ncols)], self.nrows)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for r in self.rows for v in r)
+        return not any(self.nz_rows())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
-        return all(a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
+        return self.nz_rows() == other.nz_rows()
 
     def __hash__(self):
         raise TypeError("Mat is not hashable")
@@ -123,20 +152,15 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-            z = CycScalar.zero(self.order)
-            bcols = [other.col(j) for j in range(other.ncols)]
+            b = other.nz_rows()
             out = []
-            for ra in self.rows:
-                nz = [(k, a) for k, a in enumerate(ra) if a]
-                row = []
-                for cb in bcols:
-                    s = z
-                    for k, a in nz:
-                        if cb[k]:
-                            s = s + a * cb[k]
-                    row.append(s)
-                out.append(row)
-            return Mat.from_rows(self.order, out, other.ncols)
+            for ra in self.nz_rows():
+                acc = {}
+                for k, x in ra.items():
+                    for j, y in b[k].items():
+                        acc[j] = acc[j] + x * y if j in acc else x * y
+                out.append({j: s for j, s in acc.items() if s})
+            return Mat.from_sparse(self.order, out, other.ncols)
         if isinstance(other, CycScalar):
             return self.scale(other)
         return NotImplemented
@@ -144,14 +168,16 @@ class Mat:
     def matvec(self, v: Vec) -> Vec:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
+        vs = {k: x for k, x in enumerate(v) if x}
         z = CycScalar.zero(self.order)
         out = []
-        for r in self.rows:
-            s = z
-            for a, b in zip(r, v):
-                if a and b:
-                    s = s + a * b
-            out.append(s)
+        for r in self.nz_rows():
+            s = None
+            for k, a in r.items():
+                b = vs.get(k)
+                if b is not None:
+                    s = a * b if s is None else s + a * b
+            out.append(z if s is None else s)
         return tuple(out)
 
     def trace(self) -> CycScalar:
@@ -172,13 +198,12 @@ def frobenius_pair(a: Mat, b: Mat) -> CycScalar:
     if a.ncols != b.nrows or a.nrows != b.ncols:
         raise ValueError("shape mismatch in trace pairing")
     s = CycScalar.zero(a.order)
-    for i in range(a.nrows):
-        ra = a.rows[i]
-        for j, v in enumerate(ra):
-            if v:
-                w = b.rows[j][i]
-                if w:
-                    s = s + v * w
+    bnz = b.nz_rows()
+    for i, ra in enumerate(a.nz_rows()):
+        for j, v in ra.items():
+            w = bnz[j].get(i)
+            if w is not None:
+                s = s + v * w
     return s
 
 
@@ -218,81 +243,121 @@ def block_diag(order: int, mats: list[Mat]) -> Mat:
     return Mat.from_rows(order, grid, c)
 
 
-def _eliminate(rows: list[list[CycScalar]], ncols: int, reduce_up: bool = True) -> list[int]:
-    """In-place RREF (or REF if reduce_up=False); returns pivot column list."""
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if not pv.is_one():
-            ipv = pv.inv()
-            rows[r] = [ipv * v if v else v for v in rows[r]]
-        rng = range(nrows) if reduce_up else range(r + 1, nrows)
-        for i in rng:
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b if b else a for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+def _clear(v: dict[int, CycScalar], p: int, row: dict[int, CycScalar]) -> None:
+    """v -= v[p] * row, in place, for a row with entry one at column p."""
+    c = -v.pop(p)
+    for k, b in row.items():
+        if k != p:
+            if k in v:
+                s = v[k] + c * b
+                if s:
+                    v[k] = s
+                else:
+                    del v[k]
+            else:
+                v[k] = c * b
+
+
+class Echelon:
+    """Reduced row echelon basis of a growing row space over Q(zeta_order).
+
+    ``rows[p]`` is the basis row whose pivot is column p, stored as a
+    ``{column: nonzero value}`` dict with value one at p and no entry at any
+    other pivot; ``pivots`` lists the pivot columns in increasing order.
+    Vectors passed in are dense sequences or ``{column: nonzero value}``
+    dicts, and are not modified.
+    """
+
+    __slots__ = ("order", "ncols", "pivots", "rows")
+
+    def __init__(self, order: int, ncols: int):
+        self.order = order
+        self.ncols = ncols
+        self.pivots: list[int] = []
+        self.rows: dict[int, dict[int, CycScalar]] = {}
+
+    def reduce(self, v) -> dict[int, CycScalar]:
+        """The residue of v modulo the span, zero at every pivot: empty
+        exactly when v lies in the span."""
+        v = dict(v) if isinstance(v, dict) else {k: x for k, x in enumerate(v) if x}
+        rows = self.rows
+        # a row has no entry at another row's pivot, so one pass suffices
+        for p in [p for p in v if p in rows]:
+            _clear(v, p, rows[p])
+        return v
+
+    def add(self, v) -> int | None:
+        """Extend the span by v; return the new pivot, or None if v was in it."""
+        v = self.reduce(v)
+        if not v:
+            return None
+        p = min(v)
+        c = v[p]
+        if not c.is_one():
+            c = c.inv()
+            v = {k: c * x for k, x in v.items() if k != p}
+            v[p] = CycScalar.one(self.order)
+        for row in self.rows.values():
+            if p in row:
+                _clear(row, p, v)
+        insort(self.pivots, p)
+        self.rows[p] = v
+        return p
+
+    def dense(self, p: int) -> Vec:
+        """The row with pivot p as a dense vector."""
+        return _dense(self.rows[p], self.ncols, CycScalar.zero(self.order))
+
+
+def _echelon(order: int, ncols: int, rows) -> Echelon:
+    e = Echelon(order, ncols)
+    for r in rows:
+        e.add(r)
+    return e
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    rows = [list(r) for r in m.rows]
-    pivots = _eliminate(rows, m.ncols)
-    return Mat.from_rows(m.order, rows, m.ncols), pivots
+    e = _echelon(m.order, m.ncols, m.nz_rows())
+    nz = [e.rows[p] for p in e.pivots] + [{} for _ in range(m.nrows - len(e.pivots))]
+    return Mat.from_sparse(m.order, nz, m.ncols), e.pivots
 
 
 def rank(m: Mat) -> int:
-    rows = [list(r) for r in m.rows]
-    return len(_eliminate(rows, m.ncols, reduce_up=False))
+    return len(_echelon(m.order, m.ncols, m.nz_rows()).pivots)
 
 
 def nullspace(m: Mat) -> list[Vec]:
-    """Echelonized basis of the right kernel, deterministic order."""
-    rows = [list(r) for r in m.rows]
-    pivots = _eliminate(rows, m.ncols)
-    pivset = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
+    """Echelonized basis of the right kernel, one vector per free column."""
+    e = _echelon(m.order, m.ncols, m.nz_rows())
     z = CycScalar.zero(m.order)
     o = CycScalar.one(m.order)
     basis = []
-    for fc in free:
+    for fc in range(m.ncols):
+        if fc in e.rows:
+            continue
         v = [z] * m.ncols
         v[fc] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for pc in e.pivots:
+            x = e.rows[pc].get(fc)
+            if x is not None:
+                v[pc] = -x
         basis.append(tuple(v))
     return basis
 
 
 def solve_right(a: Mat, b: Mat) -> Mat | None:
     """A particular X with a*X = b, or None if inconsistent."""
-    aug = hstack([a, b])
-    rows = [list(r) for r in aug.rows]
-    pivots = _eliminate(rows, aug.ncols)
-    for pc in pivots:
-        if pc >= a.ncols:
-            return None
-    z = CycScalar.zero(a.order)
-    out = [[z] * b.ncols for _ in range(a.ncols)]
-    for r, pc in enumerate(pivots):
-        for j in range(b.ncols):
-            out[pc][j] = rows[r][a.ncols + j]
-    return Mat.from_rows(a.order, out, b.ncols)
+    if a.nrows != b.nrows:
+        raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} \\ {b.nrows}x{b.ncols}")
+    n = a.ncols
+    e = _echelon(a.order, n + b.ncols,
+                 ({**ra, **{n + j: x for j, x in rb.items()}}
+                  for ra, rb in zip(a.nz_rows(), b.nz_rows())))
+    if e.pivots and e.pivots[-1] >= n:
+        return None
+    out = [{j - n: x for j, x in e.rows[c].items() if j >= n} if c in e.rows else {}
+           for c in range(n)]
+    return Mat.from_sparse(a.order, out, b.ncols)
 
 
 def inv(m: Mat) -> Mat:
@@ -308,14 +373,10 @@ def column_space_basis(vectors: list[Vec], order: int) -> list[Vec]:
     """Echelonized basis of the span of the given vectors (as columns)."""
     if not vectors:
         return []
-    m = Mat.from_rows(order, list(vectors))  # rows = vectors
-    r, pivots = rref(m)
-    return [r.rows[i] for i in range(len(pivots))]
+    e = _echelon(order, len(vectors[0]), vectors)
+    return [e.dense(p) for p in e.pivots]
 
 
 def in_span(basis_rows: list[Vec], v: Vec, order: int) -> bool:
     """Is v in the row span of basis_rows?"""
-    if not basis_rows:
-        return all(x.is_zero() for x in v)
-    m = Mat.from_rows(order, list(basis_rows) + [list(v)])
-    return rank(m) == len(column_space_basis(list(basis_rows), order))
+    return not _echelon(order, len(v), basis_rows).reduce(v)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .cyclo import CycScalar, q_factorial, root_of_unity
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight, datum_from_json
-from .linalg import Mat, Vec, block_diag, nullspace
+from .linalg import Echelon, Mat, Vec, block_diag, nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +59,7 @@ def _mat_pow(m: Mat, k: int) -> Mat:
 
 
 def _is_diagonal(m: Mat) -> bool:
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            if i != j and not m[i, j].is_zero():
-                return False
-    return True
+    return all(r.keys() <= {i} for i, r in enumerate(m.nz_rows()))
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +152,12 @@ class ModuleRep:
 
         def add(name: str, lhs: Mat, rhs: Mat) -> None:
             diff = lhs - rhs
-            ok = diff.is_zero()
+            bad = [(i, min(r)) for i, r in enumerate(diff.nz_rows()) if r]
             detail = None
-            if not ok:
-                for i in range(dim):
-                    for j in range(dim):
-                        if not diff[i, j].is_zero():
-                            detail = f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"
-                            break
-                    if detail:
-                        break
-            checks.append(CheckResult(name, ok, detail))
+            if bad:
+                i, j = bad[0]
+                detail = f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"
+            checks.append(CheckResult(name, not bad, detail))
 
         X, Xi = self.act_x, self.act_xi
         gens, gams = self.act_group, self.act_gamma
@@ -258,14 +249,8 @@ class ModuleRep:
                         ker = nullspace(Mat.from_cols(N, cols, nrows=dim))
                         if not ker:
                             continue
-                        newrows = []
-                        for t in ker:
-                            v = [zero] * dim
-                            for c, r in zip(t, rows):
-                                if not c.is_zero():
-                                    for k in range(dim):
-                                        v[k] = v[k] + c * r[k]
-                            newrows.append(tuple(v))
+                        span = Mat.from_cols(N, rows, nrows=dim)
+                        newrows = [span.matvec(t) for t in ker]
                         found += len(newrows)
                         if which == 0:
                             refined.append((newrows, gex + [e], hex_))
@@ -437,101 +422,66 @@ def spin_submodule(mod: ModuleRep, seeds: list[Vec]) -> SubmoduleFacts:
 
     Seeds are split into weight-pure components (legitimate because every
     submodule is graded by the weight projectors in the group part of the
-    algebra), then closed under the x and xi actions with one echelon basis
-    per weight block.  Deterministic for a fixed input order.
+    algebra), then closed under the x and xi actions with one sparse
+    reduced echelon basis (``Echelon``) per weight block.  The basis depends
+    only on the submodule, not on the seeds or their order.
     """
     if mod.weights is None:
         raise DatumError("ambient basis is not weight-tagged; use as_weight_diagonal() first")
     datum = mod.datum
     dim = mod.dim
-    zero = datum.zero()
-    wrows: dict[Weight, list[list[CycScalar]]] = {}
-    wpivs: dict[Weight, list[int]] = {}
+    blocks: dict[Weight, Echelon] = {}
 
-    def split(v: Vec) -> list[tuple[Weight, list[CycScalar]]]:
-        comps: dict[Weight, list[CycScalar]] = {}
-        for k in range(dim):
-            if not v[k].is_zero():
-                w = mod.weights[k]
-                if w not in comps:
-                    comps[w] = [zero] * dim
-                comps[w][k] = v[k]
-        return sorted(comps.items(), key=lambda kv: kv[0].sort_key())
-
-    def add_vec(w: Weight, vec: list[CycScalar]) -> Vec | None:
-        rows = wrows.setdefault(w, [])
-        pivs = wpivs.setdefault(w, [])
-        for row, p in zip(rows, pivs):
-            c = vec[p]
-            if not c.is_zero():
-                for k in range(dim):
-                    vec[k] = vec[k] - c * row[k]
-        lead = next((k for k in range(dim) if not vec[k].is_zero()), None)
-        if lead is None:
-            return None
-        c = vec[lead]
-        vec = [x / c for x in vec]
-        for row in rows:
-            cr = row[lead]
-            if not cr.is_zero():
-                for k in range(dim):
-                    row[k] = row[k] - cr * vec[k]
-        at = next((idx for idx, p in enumerate(pivs) if p > lead), len(pivs))
-        rows.insert(at, vec)
-        pivs.insert(at, lead)
-        return tuple(vec)
+    def split(v: Vec) -> list[tuple[Weight, dict[int, CycScalar]]]:
+        comps: dict[Weight, dict[int, CycScalar]] = {}
+        for k, x in enumerate(v):
+            if x:
+                comps.setdefault(mod.weights[k], {})[k] = x
+        return list(comps.items())
 
     queue: deque[Vec] = deque()
+
+    def add(v: Vec) -> None:
+        for w, comp in split(v):
+            if w not in blocks:
+                blocks[w] = Echelon(datum.N, dim)
+            p = blocks[w].add(comp)
+            if p is not None:
+                queue.append(blocks[w].dense(p))
+
     for seed in seeds:
-        for w, comp in split(tuple(seed)):
-            nv = add_vec(w, comp)
-            if nv is not None:
-                queue.append(nv)
+        add(tuple(seed))
     while queue:
         v = queue.popleft()
-        for op in (mod.act_x, mod.act_xi):
-            img = op.matvec(v)
-            for w, comp in split(img):
-                nv = add_vec(w, comp)
-                if nv is not None:
-                    queue.append(nv)
+        add(mod.act_x.matvec(v))
+        add(mod.act_xi.matvec(v))
 
-    order_weights = sorted(wrows, key=Weight.sort_key)
     basis: list[Vec] = []
     pivots: list[int] = []
     sub_weights: list[Weight] = []
-    for w in order_weights:
-        for row, p in zip(wrows[w], wpivs[w]):
-            basis.append(tuple(row))
+    for w in sorted(blocks, key=Weight.sort_key):
+        for p in blocks[w].pivots:
+            basis.append(blocks[w].dense(p))
             pivots.append(p)
             sub_weights.append(w)
-    s = len(basis)
-    pos_of_weight: dict[Weight, list[int]] = {}
-    for idx, w in enumerate(sub_weights):
-        pos_of_weight.setdefault(w, []).append(idx)
+    at = {p: idx for idx, p in enumerate(pivots)}
 
-    def express(v: Vec) -> list[CycScalar]:
-        coeffs = [zero] * s
+    def express(v: Vec) -> dict[int, CycScalar]:
+        """Coordinates of v in the basis: in a reduced echelon basis, the
+        coefficient of a row is the value of v at its pivot."""
+        coeffs = {}
         for w, comp in split(v):
-            if w not in pos_of_weight:
+            if w not in blocks or blocks[w].reduce(comp):
                 raise DatumError("vector leaves the submodule span")
-            for idx in pos_of_weight[w]:
-                c = comp[pivots[idx]]
-                if not c.is_zero():
-                    coeffs[idx] = c
-                    for k in range(dim):
-                        comp[k] = comp[k] - c * basis[idx][k]
-            if any(not x.is_zero() for x in comp):
-                raise DatumError("vector leaves the submodule span")
+            coeffs.update((at[k], c) for k, c in comp.items() if k in at)
         return coeffs
 
     x_entries = {}
     xi_entries = {}
-    for j in range(s):
+    for j, b in enumerate(basis):
         for op, entries in ((mod.act_x, x_entries), (mod.act_xi, xi_entries)):
-            for i, c in enumerate(express(op.matvec(basis[j]))):
-                if not c.is_zero():
-                    entries[(i, j)] = c
+            for i, c in express(op.matvec(b)).items():
+                entries[(i, j)] = c
     labels = [mod.labels[p] for p in pivots]
     module = ModuleRep.from_weight_action(datum, sub_weights, x_entries, xi_entries, labels)
     inclusion = Mat.from_cols(datum.N, list(basis), nrows=dim)

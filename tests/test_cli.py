@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -305,6 +306,36 @@ def test_classify_deterministic_across_jobs(capsys, datum_file):
     code2, out2, _ = run(capsys, "classify", path, "--budget", "24", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2 and "TRUNCATED" in out1
+
+
+def test_classify_jobs_parses_only_modules_with_colliding_keys(capsys, datum_file,
+                                                              datum_b, monkeypatch):
+    parse = ModuleRep.from_json
+    parsed = []
+    monkeypatch.setattr(ModuleRep, "from_json",
+                        staticmethod(lambda obj: parsed.append(1) or parse(obj)))
+    code, out, _ = run(capsys, "classify", datum_file("B"), "--jobs", "2")
+    assert code == 0 and "manifest ok" in out
+    specs = cli._classify_specs(datum_b, 2, 2, cli.parse_etas("1,-1"))
+    keys = Counter(cli._invariant_key(cli._build_spec(datum_b, s)) for s in specs)
+    colliding = sum(c for c in keys.values() if c > 1)
+    assert 0 < colliding < len(specs)
+    assert len(parsed) == colliding
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("classify", "{B}", "--max-t", "-1"), "--max-t"),
+    (("classify", "{B}", "--max-s", "-1"), "--max-s"),
+    (("ar", "check", "{B}", "--lemma", "4.20", "--max-t", "0"), "--max-t"),
+    (("classify", "{B}", "--budget", "-1"), "--budget"),
+    (("classify", "{B}", "--jobs", "0"), "--jobs"),
+    (("classify", "{B}", "--jobs", "-2"), "--jobs"),
+])
+def test_malformed_numeric_bound_exits_2(capsys, datum_file, argv, flag):
+    code, out, err = run(capsys, *(a.format(B=datum_file("B")) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be at least") and err.count("\n") == 1
 
 
 def test_classify_budget_truncation(capsys, datum_file):

@@ -1,11 +1,17 @@
-"""Exact matrix algebra over cyclotomic fields."""
+"""Exact matrix algebra over cyclotomic fields.
+
+The sparse kernels (``Echelon`` and the products over ``Mat.nz_rows``) are
+also checked against dense reference loops on random sparse matrices.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublerep.cyclo import CycScalar, root_of_unity
-from doublerep.linalg import (Mat, block_diag, column_space_basis, frobenius_pair,
-                              hstack, in_span, inv, nullspace, rank, rref,
-                              solve_right, vstack)
+from doublerep.linalg import (Echelon, Mat, block_diag, column_space_basis,
+                              frobenius_pair, hstack, in_span, inv, nullspace,
+                              rank, rref, solve_right, vstack)
 
 
 def sc(v, order=4):
@@ -26,6 +32,8 @@ def test_construction_round_trips():
     assert m.transpose().transpose() == m
     assert Mat.diag(4, [sc(1), sc(5)])[1, 1] == sc(5)
     assert Mat.zeros(4, 2, 3).is_zero()
+    empty = Mat.from_cols(4, [(), ()], nrows=0)
+    assert (empty.nrows, empty.ncols) == (0, 2)
 
 
 def test_arithmetic():
@@ -91,3 +99,187 @@ def test_span_helpers():
     assert len(basis) == 2
     assert in_span(basis, [sc(3), sc(1), sc(3)], 4)
     assert not in_span(basis, [sc(0), sc(0), sc(1)], 4)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against dense references
+
+
+def _eliminate(rows: list[list[CycScalar]], ncols: int, reduce_up: bool = True) -> list[int]:
+    """Dense in-place RREF (or REF if reduce_up=False); returns pivot column list."""
+    pivots: list[int] = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if not pv.is_one():
+            ipv = pv.inv()
+            rows[r] = [ipv * v if v else v for v in rows[r]]
+        rng = range(nrows) if reduce_up else range(r + 1, nrows)
+        for i in rng:
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                ri, rr = rows[i], rows[r]
+                rows[i] = [a - f * b if b else a for a, b in zip(ri, rr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def ref_rref(m):
+    rows = [list(r) for r in m.rows]
+    pivots = _eliminate(rows, m.ncols)
+    return Mat.from_rows(m.order, rows, m.ncols), pivots
+
+
+def ref_rank(m):
+    return len(_eliminate([list(r) for r in m.rows], m.ncols, reduce_up=False))
+
+
+def ref_nullspace(m):
+    red, pivots = ref_rref(m)
+    z, o = CycScalar.zero(m.order), CycScalar.one(m.order)
+    basis = []
+    for fc in range(m.ncols):
+        if fc in pivots:
+            continue
+        v = [z] * m.ncols
+        v[fc] = o
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_solve_right(a, b):
+    rows = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
+    pivots = _eliminate(rows, a.ncols + b.ncols)
+    if any(pc >= a.ncols for pc in pivots):
+        return None
+    z = CycScalar.zero(a.order)
+    out = [[z] * b.ncols for _ in range(a.ncols)]
+    for r, pc in enumerate(pivots):
+        out[pc] = rows[r][a.ncols:]
+    return Mat.from_rows(a.order, out, b.ncols)
+
+
+def ref_mul(a, b):
+    z = CycScalar.zero(a.order)
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            s = z
+            for k in range(a.ncols):
+                s = s + a.rows[i][k] * b.rows[k][j]
+            row.append(s)
+        out.append(row)
+    return Mat.from_rows(a.order, out, b.ncols)
+
+
+ORDERS = (4, 9, 12)
+DIMS = st.integers(0, 6)
+
+
+def scalars(order):
+    """Nonzero a*z^i + b*z^j with small rational a, b: roots of unity and
+    their multiples, and sums of two of them."""
+    root = st.integers(0, order - 1).map(lambda k: root_of_unity(order, k))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.builds(lambda a, x, b, y: x * a + y * b, coeff, root, coeff, root).filter(bool)
+
+
+@st.composite
+def sparse_mats(draw, order, nrows, ncols):
+    """About one nonzero entry per row, with any rows or columns left zero."""
+    z = CycScalar.zero(order)
+    rows = [[z] * ncols for _ in range(nrows)]
+    if nrows and ncols:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        for i, j in draw(st.lists(cells, max_size=2 * max(nrows, ncols))):
+            rows[i][j] = draw(scalars(order))
+    return Mat.from_rows(order, rows, ncols)
+
+
+@st.composite
+def systems(draw):
+    """(order, m): sparse, or of rank at most r as a product through r columns."""
+    order = draw(st.sampled_from(ORDERS))
+    nrows, ncols = draw(DIMS), draw(DIMS)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 2))
+        m = draw(sparse_mats(order, nrows, r)) * draw(sparse_mats(order, r, ncols))
+    else:
+        m = draw(sparse_mats(order, nrows, ncols))
+    return order, m
+
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@SETTINGS
+@given(systems())
+def test_eliminations_match_dense_reference(om):
+    _, m = om
+    red, pivots = rref(m)
+    ref_red, ref_pivots = ref_rref(m)
+    assert pivots == ref_pivots
+    assert red.rows == ref_red.rows
+    assert rank(m) == ref_rank(m) == len(pivots)
+    assert nullspace(m) == ref_nullspace(m)
+
+
+@SETTINGS
+@given(systems(), st.data())
+def test_solve_right_matches_dense_reference(om, data):
+    order, a = om
+    k = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):  # consistent: b = a * x
+        b = a * data.draw(sparse_mats(order, a.ncols, k))
+    else:  # usually inconsistent when a is rank-deficient
+        b = data.draw(sparse_mats(order, a.nrows, k))
+    x = solve_right(a, b)
+    ref = ref_solve_right(a, b)
+    assert (x is None) == (ref is None)
+    if x is not None:
+        assert x.rows == ref.rows
+        assert a * x == b
+
+
+@SETTINGS
+@given(st.sampled_from(ORDERS), DIMS, DIMS, DIMS, st.data())
+def test_products_match_dense_loops(order, n, k, m, data):
+    a = data.draw(sparse_mats(order, n, k))
+    b = data.draw(sparse_mats(order, k, m))
+    c = data.draw(sparse_mats(order, k, n))
+    v = data.draw(sparse_mats(order, 1, k)).rows[0] if k else ()
+    assert (a * b).rows == ref_mul(a, b).rows
+    assert a.matvec(v) == ref_mul(a, Mat.from_rows(order, [[x] for x in v], 1)).col(0)
+    assert frobenius_pair(a, c) == ref_mul(a, c).trace()
+
+
+@SETTINGS
+@given(systems(), st.randoms(use_true_random=False))
+def test_echelon_rows_do_not_depend_on_row_order(om, rng):
+    order, m = om
+    shuffled = list(m.rows)
+    rng.shuffle(shuffled)
+    a, b = Echelon(order, m.ncols), Echelon(order, m.ncols)
+    for row in m.rows:
+        a.add(row)
+    for row in shuffled:
+        b.add(row)
+    assert a.pivots == b.pivots
+    assert a.rows == b.rows
+    assert [a.dense(p) for p in a.pivots] == list(rref(m)[0].rows[:len(a.pivots)])

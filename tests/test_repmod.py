@@ -1,5 +1,7 @@
 """ModuleRep mechanics: relation checking, serialization, spin, quotients."""
 
+import itertools
+
 import pytest
 
 from doublerep.constructors import projective, simple, verma
@@ -87,6 +89,19 @@ def test_spin_submodule_of_verma(datum_b):
     assert facts.dim == z.dim - 1
     assert facts.module.verify_relations().ok
     assert intertwines(z, facts.module, facts.inclusion)
+
+
+def test_spin_submodule_does_not_depend_on_seed_order(datum_e):
+    p = projective(datum_e, 1, first_weight(datum_e, 1))
+    kx, kxi = p.x_kernel(), p.xi_kernel()
+    # the last seed mixes weights, so it is split before it is echelonized
+    seeds = kx + kxi + [tuple(a + b for a, b in zip(kx[0], kxi[-1]))]
+    ref = spin_submodule(p, seeds)
+    assert ref.module.verify_relations().ok
+    for perm in itertools.permutations(seeds):
+        facts = spin_submodule(p, list(perm))
+        assert facts.rows == ref.rows
+        assert facts.pivots == ref.pivots
 
 
 def test_quotient_module(datum_b):
