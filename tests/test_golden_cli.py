@@ -77,7 +77,15 @@ CASES.update({
     "classify-C-json": ("classify", "{C}", "--max-t", "1", "--max-s", "1",
                         "--format", "json"),
     "classify-B-budget": ("classify", "{B}", "--budget", "24"),
+    "compare-A-t1-w1inf": ("module", "compare", "{mod:build-A-t1}",
+                           "{mod:build-A-w1-inf}"),
 })
+for _key, _band in (("A", "w_t"), ("B", "band_mt"), ("C", "band_mt")):
+    for _tok in ("projective", "string_tt", _band, "omega_power"):
+        CASES[f"verify-{_key}-{_tok}"] = ("module", "verify", f"{{mod:build-{_key}-{_tok}}}")
+        CASES[f"verify-{_key}-{_tok}-json"] = ("module", "verify",
+                                               f"{{mod:build-{_key}-{_tok}}}",
+                                               "--format", "json")
 
 
 def run_case(name: str, tmp: pathlib.Path) -> str:
