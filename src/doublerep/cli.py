@@ -210,7 +210,6 @@ def cmd_module_analyze(args) -> int:
         lines += [f"  FAIL {c.name}" for c in report.failures()]
         _emit(args, payload, lines)
         return EXIT_VERIFY
-    mod = mod.as_weight_diagonal()[0]
     el = homology.end_local_dim(mod)
     lt = homology.loewy_type(mod)
     soc = homology.socle_multiset(mod) if mod.dim else []
@@ -249,8 +248,8 @@ def cmd_module_analyze(args) -> int:
 
 
 def cmd_module_compare(args) -> int:
-    a = _load_module(args.file_a).as_weight_diagonal()[0]
-    b = _load_module(args.file_b).as_weight_diagonal()[0]
+    a = _load_module(args.file_a)
+    b = _load_module(args.file_b)
     verdict = homology.is_isomorphic(a, b, seed=args.seed)
     payload = verdict.to_json()
     lines = [f"verdict: {verdict.verdict}", f"reason: {verdict.reason}"]

@@ -31,7 +31,7 @@ from typing import Callable
 from .cyclo import CycScalar
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight
 from .linalg import Mat
-from .repmod import ModuleRep, spin_submodule
+from .repmod import ModuleRep, intertwines, spin_submodule
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +190,9 @@ def _assert_basis_change(datum: ValidatedDatum, l: int, lam: Weight,
         for k in range(i + 1, l):
             c = c * datum.alpha_value(k, lam)
         diag.append(c)
-    change = Mat(datum.N, [[diag[j] if i == j else datum.zero()
-                            for j in range(l)] for i in range(l)], l)
-    pairs = [(nat.act_x, std.act_x), (nat.act_xi, std.act_xi)]
-    pairs += list(zip(nat.act_group, std.act_group))
-    pairs += list(zip(nat.act_gamma, std.act_gamma))
-    for big, small in pairs:
-        if big * change != change * small:
-            raise DatumError("natural/standard bases of the simple module "
-                             "are not intertwined by the diagonal change")
+    if not intertwines(Mat.diag(datum.N, diag), std, nat):
+        raise DatumError("natural/standard bases of the simple module "
+                         "are not intertwined by the diagonal change")
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +521,9 @@ def _restricted_copy(p: ModuleRep, span_cols: list[list[tuple[int, CycScalar]]],
     if facts.module.dim != len(seeds):
         raise DatumError(f"{what}: the listed span inside the projective cover "
                          f"is not invariant (spins up to dim {facts.module.dim})")
-    incl = Mat.from_cols(datum.N, seeds, nrows=p.dim)
-    pairs = [(p.act_x, table.act_x), (p.act_xi, table.act_xi)]
-    pairs += list(zip(p.act_group, table.act_group))
-    pairs += list(zip(p.act_gamma, table.act_gamma))
-    for big, small in pairs:
-        if big * incl != incl * small:
-            raise DatumError(f"{what}: restriction of the projective cover "
-                             "does not reproduce the chain table")
+    if not intertwines(Mat.from_cols(datum.N, seeds, nrows=p.dim), table, p):
+        raise DatumError(f"{what}: restriction of the projective cover "
+                         "does not reproduce the chain table")
     return table
 
 

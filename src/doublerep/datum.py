@@ -54,6 +54,10 @@ class FinAbGroup:
     def identity(self) -> tuple[int, ...]:
         return tuple(0 for _ in self.orders)
 
+    def generators(self) -> list[tuple[int, ...]]:
+        """The standard generators, one per cyclic factor."""
+        return [tuple(int(k == i) for k in range(self.rank)) for i in range(self.rank)]
+
     def normalize(self, g) -> tuple[int, ...]:
         g = tuple(int(v) for v in g)
         if len(g) != self.rank:
@@ -77,6 +81,14 @@ class FinAbGroup:
         return itertools.product(*(range(d) for d in self.orders))
 
 
+def _char_value(group: FinAbGroup, exps: tuple[int, ...], g) -> CycScalar:
+    """Value at g of the character of ``group`` with exponents ``exps``
+    against the cyclic generators."""
+    n = group.exponent
+    k = sum(e * x * (n // d) for e, x, d in zip(exps, group.normalize(g), group.orders))
+    return root_of_unity(n, k % n)
+
+
 @dataclass(frozen=True)
 class GroupChar:
     """Character of a FinAbGroup, by exponents against the cyclic generators."""
@@ -88,10 +100,7 @@ class GroupChar:
         object.__setattr__(self, "exps", self.group.normalize(self.exps))
 
     def value(self, g) -> CycScalar:
-        g = self.group.normalize(g)
-        n = self.group.exponent
-        k = sum(e * x * (n // d) for e, x, d in zip(self.exps, g, self.group.orders))
-        return root_of_unity(n, k % n)
+        return _char_value(self.group, self.exps, g)
 
     def order(self) -> int:
         return self.group.element_order(self.exps)
@@ -117,7 +126,7 @@ class Weight:
         object.__setattr__(self, "hexps", self.group.normalize(self.hexps))
 
     def value_g(self, g) -> CycScalar:
-        return GroupChar(self.group, self.gexps).value(g)
+        return _char_value(self.group, self.gexps, g)
 
     def value_gamma_gen(self, i: int) -> CycScalar:
         # value at the i-th standard character generator gamma_i
@@ -127,15 +136,17 @@ class Weight:
 
     def value_gamma_exps(self, cexps) -> CycScalar:
         # value at prod_i gamma_i^{c_i}
-        n = self.group.exponent
-        k = sum(c * h * (n // d) for c, h, d in zip(self.group.normalize(cexps), self.hexps, self.group.orders))
-        return root_of_unity(n, k % n)
+        return _char_value(self.group, self.hexps, cexps)
+
+    # the exponent tuples are already reduced, so mul and power add and
+    # scale them directly; __post_init__ reduces the result
 
     def mul(self, other: Weight) -> Weight:
-        return Weight(self.group, self.group.mul(self.gexps, other.gexps), self.group.mul(self.hexps, other.hexps))
+        return Weight(self.group, tuple(x + y for x, y in zip(self.gexps, other.gexps)),
+                      tuple(x + y for x, y in zip(self.hexps, other.hexps)))
 
     def power(self, k: int) -> Weight:
-        return Weight(self.group, self.group.power(self.gexps, k), self.group.power(self.hexps, k))
+        return Weight(self.group, tuple(x * k for x in self.gexps), tuple(x * k for x in self.hexps))
 
     def order(self) -> int:
         return _lcm(self.group.element_order(self.gexps), self.group.element_order(self.hexps))

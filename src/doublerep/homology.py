@@ -16,7 +16,8 @@ from fractions import Fraction
 from .cyclo import CycScalar
 from .datum import DatumError, ValidatedDatum, Weight
 from .linalg import Echelon, Mat, Vec, frobenius_pair, hstack, nullspace, rank, solve_right, vstack
-from .repmod import ModuleRep, SubmoduleFacts, direct_sum, quotient_module, spin_submodule
+from .repmod import (ModuleRep, SubmoduleFacts, direct_sum, intertwines, quotient_module,
+                     spin_submodule)
 from . import constructors
 
 
@@ -38,12 +39,7 @@ class Morphism:
 
     def is_valid(self) -> bool:
         """Check that the matrix intertwines every generator action."""
-        f = self.matrix
-        pairs = [(self.source.act_x, self.target.act_x),
-                 (self.source.act_xi, self.target.act_xi)]
-        pairs += list(zip(self.source.act_group, self.target.act_group))
-        pairs += list(zip(self.source.act_gamma, self.target.act_gamma))
-        return all(f * s == t * f for s, t in pairs)
+        return intertwines(self.matrix, self.source, self.target)
 
     def rank(self) -> int:
         return rank(self.matrix)
@@ -80,12 +76,6 @@ def _require_same_datum(a: ModuleRep, b: ModuleRep) -> None:
         raise DatumError("modules live over different group data")
 
 
-def _require_weights(m: ModuleRep):
-    if m.weights is None:
-        raise DatumError("module basis is not weight-tagged; call as_weight_diagonal() first")
-    return m.weights
-
-
 # ---------------------------------------------------------------------------
 # Hom spaces
 
@@ -108,8 +98,7 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
     _require_same_datum(a, b)
     if a.dim == 0 or b.dim == 0:
         return []
-    wa = _require_weights(a)
-    wb = _require_weights(b)
+    wa, wb = a.weights, b.weights
     datum = a.datum
     pos = [(i, j) for i in range(b.dim) for j in range(a.dim) if wb[i] == wa[j]]
     if not pos:
@@ -214,7 +203,7 @@ def candidate_simples(m: ModuleRep) -> list[tuple[int, Weight]]:
     each weight mu in the support, with l its class index."""
     datum = m.datum
     seen = {}
-    for w in _require_weights(m):
+    for w in m.weights:
         if w not in seen:
             seen[w] = datum.classify_weight(w).l
     return sorted(((l, w) for w, l in seen.items()),

@@ -1,12 +1,13 @@
 """Finite-dimensional matrix modules over the rank-one double algebra.
 
-A module is stored as explicit matrices for the distinguished generators:
-one matrix per cyclic factor of the group G (the action of that factor's
-standard generator), one per factor of the dual group, and the two skew
-primitive generators x and xi.  Bases are tagged with the weight (joint
-character of G x G-hat) of each basis vector whenever the group part acts
-diagonally; every construction in this package preserves such tags, which
-keeps submodule and homomorphism computations block-local.
+The group-likes of G x G-hat act semisimply, so a module is its datum, the
+weight (joint character of G x G-hat) of each basis vector, and the
+matrices of the skew primitive generators x and xi.  The group and dual
+generators act by the diagonal matrices the weight tags determine; those
+matrices appear only in the JSON format, where ``to_json`` writes them and
+``from_json`` reads the tags back, changing to a weight basis when the file
+is written in another one.  Keeping every basis a weight basis keeps
+submodule and homomorphism computations block-local.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .cyclo import CycScalar, q_factorial, root_of_unity
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight, datum_from_json
-from .linalg import Echelon, Mat, Vec, block_diag, nullspace
+from .linalg import Echelon, Mat, Vec, block_diag, inv, nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -58,45 +59,33 @@ def _mat_pow(m: Mat, k: int) -> Mat:
     return out
 
 
-def _is_diagonal(m: Mat) -> bool:
-    return all(r.keys() <= {i} for i, r in enumerate(m.nz_rows()))
-
-
 # ---------------------------------------------------------------------------
 # the module class
 
 
 class ModuleRep:
-    """A module given by generator matrices over a fixed validated datum.
+    """A module over a fixed validated datum: weight tags plus x and xi.
 
     Matrices act on column vectors; the matrix of a product st of algebra
-    elements is S*T.  ``weights`` tags each basis vector with its joint
-    character when the basis diagonalizes the group actions.
+    elements is S*T.  The group-likes act on basis vector k through the
+    joint character ``weights[k]``.
     """
 
-    def __init__(self, datum: ValidatedDatum, act_group, act_gamma, act_x: Mat,
-                 act_xi: Mat, labels=None, weights=None):
+    def __init__(self, datum: ValidatedDatum, weights, act_x: Mat, act_xi: Mat,
+                 labels=None):
         self.datum = datum
-        self.act_group = tuple(act_group)
-        self.act_gamma = tuple(act_gamma)
+        self.weights = tuple(weights)
         self.act_x = act_x
         self.act_xi = act_xi
-        dim = act_x.nrows
-        self.dim = dim
-        rank = datum.group.rank
-        if len(self.act_group) != rank or len(self.act_gamma) != rank:
-            raise DatumError(
-                f"need one matrix per cyclic factor: got {len(self.act_group)} group"
-                f" and {len(self.act_gamma)} dual matrices for rank {rank}")
-        for m in (*self.act_group, *self.act_gamma, act_x, act_xi):
+        dim = self.dim = len(self.weights)
+        if any(w.group != datum.group for w in self.weights):
+            raise DatumError("weight tag over a different group than the datum")
+        for m in (act_x, act_xi):
             if m.nrows != dim or m.ncols != dim:
                 raise DatumError(f"generator matrix is {m.nrows}x{m.ncols}, expected {dim}x{dim}")
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(dim))
         if len(self.labels) != dim:
             raise DatumError(f"{len(self.labels)} labels for dimension {dim}")
-        self.weights = tuple(weights) if weights is not None else None
-        if self.weights is not None and len(self.weights) != dim:
-            raise DatumError(f"{len(self.weights)} weight tags for dimension {dim}")
 
     # -- construction -----------------------------------------------------
 
@@ -106,45 +95,32 @@ class ModuleRep:
         """Build a module from weight tags and sparse x / xi actions.
 
         ``x_entries[(i, j)]`` is the coefficient of basis vector i in the
-        image of basis vector j; group and dual generators act diagonally
-        through the weight tags.
+        image of basis vector j.
         """
         weights = tuple(weights)
         dim = len(weights)
-        N = datum.N
-        rank = datum.group.rank
-        act_group = []
-        act_gamma = []
-        for i in range(rank):
-            gen = tuple(1 if k == i else 0 for k in range(rank))
-            act_group.append(Mat.diag(N, [w.value_g(gen) for w in weights]) if dim
-                             else Mat.zeros(N, 0, 0))
-            act_gamma.append(Mat.diag(N, [w.value_gamma_gen(i) for w in weights]) if dim
-                             else Mat.zeros(N, 0, 0))
-        act_x = _mat_from_entries(datum, dim, x_entries)
-        act_xi = _mat_from_entries(datum, dim, xi_entries)
-        return ModuleRep(datum, act_group, act_gamma, act_x, act_xi, labels, weights)
+        return ModuleRep(datum, weights, _mat_from_entries(datum, dim, x_entries),
+                         _mat_from_entries(datum, dim, xi_entries), labels)
 
-    # -- generator words ----------------------------------------------------
+    # -- group-likes, from the weight tags -----------------------------------
 
     def group_element_matrix(self, g) -> Mat:
-        g = self.datum.group.normalize(g)
-        out = Mat.identity(self.datum.N, self.dim)
-        for m, e in zip(self.act_group, g):
-            out = out * _mat_pow(m, e)
-        return out
+        return Mat.diag(self.datum.N, [w.value_g(g) for w in self.weights])
 
     def char_matrix(self, cexps) -> Mat:
-        cexps = self.datum.group.normalize(cexps)
-        out = Mat.identity(self.datum.N, self.dim)
-        for m, e in zip(self.act_gamma, cexps):
-            out = out * _mat_pow(m, e)
-        return out
+        return Mat.diag(self.datum.N, [w.value_gamma_exps(cexps) for w in self.weights])
 
     # -- relation verification ----------------------------------------------
 
     def verify_relations(self) -> RelationReport:
-        """Check every defining relation of the double algebra on this module."""
+        """Check every defining relation of the double algebra on this module.
+
+        The group-likes act through the weight tags, so their order and
+        commutation relations hold by construction; ``from_json`` certifies
+        them for a file.  Moving x or xi past a group-like is tested entry by
+        entry on the nonzero entries of X and Xi.  The remaining relations
+        are matrix identities whose diagonal factors come from the tags.
+        """
         d = self.datum
         N, dim, rank = d.N, self.dim, d.group.rank
         I = Mat.identity(N, dim)
@@ -159,29 +135,35 @@ class ModuleRep:
                 detail = f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"
             checks.append(CheckResult(name, not bad, detail))
 
-        X, Xi = self.act_x, self.act_xi
-        gens, gams = self.act_group, self.act_gamma
-        for i in range(rank):
-            add(f"group_order[{i}]", _mat_pow(gens[i], d.group.orders[i]), I)
-            add(f"gamma_order[{i}]", _mat_pow(gams[i], d.group.orders[i]), I)
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                add(f"group_commute[{i},{j}]", gens[i] * gens[j], gens[j] * gens[i])
-                add(f"gamma_commute[{i},{j}]", gams[i] * gams[j], gams[j] * gams[i])
-        for i in range(rank):
-            for j in range(rank):
-                add(f"group_gamma_commute[{i},{j}]", gens[i] * gams[j], gams[j] * gens[i])
+        def add_entrywise(name: str, m: Mat, right: list, left: list) -> None:
+            # m * diag(right) == diag(left) * m, first failure in row-major order
+            for r, row in enumerate(m.nz_rows()):
+                for c in sorted(row):
+                    lhs, rhs = row[c] * right[c], left[r] * row[c]
+                    if lhs != rhs:
+                        checks.append(CheckResult(name, False, f"entry ({r},{c}): {lhs} != {rhs}"))
+                        return
+            checks.append(CheckResult(name, True))
 
+        names = [f"{k}_order[{i}]" for i in range(rank) for k in ("group", "gamma")]
+        names += [f"{k}_commute[{i},{j}]" for i in range(rank) for j in range(i + 1, rank)
+                  for k in ("group", "gamma")]
+        names += [f"group_gamma_commute[{i},{j}]" for i in range(rank) for j in range(rank)]
+        checks += [CheckResult(name, True) for name in names]
+
+        X, Xi = self.act_x, self.act_xi
         a_pow_n = self.group_element_matrix(d.group.power(d.a, d.n))
         add("x_power", _mat_pow(X, d.n), (a_pow_n - I).scale(d.alpha))
         add("xi_power", _mat_pow(Xi, d.n), Mat.zeros(N, dim, dim))
 
-        for i in range(rank):
-            gen = tuple(1 if k == i else 0 for k in range(rank))
+        gams = [[w.value_gamma_gen(i) for w in self.weights] for i in range(rank)]
+        for i, gen in enumerate(d.group.generators()):
+            gv = [w.value_g(gen) for w in self.weights]
             chi_gi = d.chi.value(gen)
-            add(f"x_group[{i}]", X * gens[i], (gens[i] * X).scale(chi_gi))
-            add(f"xi_group[{i}]", Xi * gens[i], (gens[i] * Xi).scale(chi_gi.inv()))
-            add(f"xi_gamma[{i}]", Xi * gams[i], (gams[i] * Xi).scale(d.gamma_gen_at_a(i)))
+            ga = d.gamma_gen_at_a(i)
+            add_entrywise(f"x_group[{i}]", X, gv, [chi_gi * v for v in gv])
+            add_entrywise(f"xi_group[{i}]", Xi, gv, [chi_gi.inv() * v for v in gv])
+            add_entrywise(f"xi_gamma[{i}]", Xi, gams[i], [ga * v for v in gams[i]])
 
         A = self.group_element_matrix(d.a)
         C = self.char_matrix(d.chi.exps)
@@ -189,16 +171,17 @@ class ModuleRep:
 
         if d.kind == NILPOTENT:
             for i in range(rank):
-                lhs = (X * gams[i]).scale(d.gamma_gen_at_a(i))
-                add(f"x_gamma[{i}]", lhs, gams[i] * X)
+                ga = d.gamma_gen_at_a(i)
+                add_entrywise(f"x_gamma[{i}]", X, [v * ga for v in gams[i]], gams[i])
         else:
             xi_top = _mat_pow(Xi, d.n - 1)
             fac = q_factorial(d.n - 1, d.rho)
             for i in range(rank):
+                gam = Mat.diag(N, gams[i])
                 ga = d.gamma_gen_at_a(i)
-                lhs = (X * gams[i]).scale(ga)
+                lhs = (X * gam).scale(ga)
                 ci = (ga ** d.n - d.one()) / fac
-                rhs = gams[i] * X + (gams[i] * (A.scale(d.rho) - C) * xi_top).scale(ci)
+                rhs = gam * X + (gam * (A.scale(d.rho) - C) * xi_top).scale(ci)
                 add(f"x_gamma[{i}]", lhs, rhs)
         return RelationReport(checks)
 
@@ -206,80 +189,13 @@ class ModuleRep:
 
     def weight_spaces(self) -> dict[Weight, list[int]]:
         """Basis indices grouped by weight tag, sorted by weight."""
-        if self.weights is None:
-            raise DatumError("basis is not weight-tagged; use as_weight_diagonal() first")
         out: dict[Weight, list[int]] = {}
         for idx, w in enumerate(self.weights):
             out.setdefault(w, []).append(idx)
         return dict(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
 
     def weight_multiset(self) -> tuple:
-        if self.weights is None:
-            raise DatumError("basis is not weight-tagged; use as_weight_diagonal() first")
         return tuple(sorted(w.sort_key() for w in self.weights))
-
-    def as_weight_diagonal(self) -> tuple[ModuleRep, Mat]:
-        """Return a weight-tagged isomorphic copy plus the change of basis.
-
-        The returned matrix has the new basis vectors as columns (written in
-        the old coordinates).  Requires the group and dual actions to be
-        simultaneously diagonalizable, which holds whenever the relations are
-        satisfied.
-        """
-        N, dim = self.datum.N, self.dim
-        if self.weights is not None:
-            return self, Mat.identity(N, dim)
-        group = self.datum.group
-        one = CycScalar.one(N)
-        zero = CycScalar.zero(N)
-        unit_rows = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
-        blocks: list[tuple[list[Vec], list[int], list[int]]] = [(unit_rows, [], [])]
-        for mats, which in ((self.act_group, 0), (self.act_gamma, 1)):
-            for i, M in enumerate(mats):
-                d_i = group.orders[i]
-                refined: list[tuple[list[Vec], list[int], list[int]]] = []
-                for rows, gex, hex_ in blocks:
-                    found = 0
-                    for e in range(d_i):
-                        ev = root_of_unity(N, (e * (N // d_i)) % N)
-                        cols = []
-                        for r in rows:
-                            img = M.matvec(r)
-                            cols.append(tuple(img[k] - ev * r[k] for k in range(dim)))
-                        ker = nullspace(Mat.from_cols(N, cols, nrows=dim))
-                        if not ker:
-                            continue
-                        span = Mat.from_cols(N, rows, nrows=dim)
-                        newrows = [span.matvec(t) for t in ker]
-                        found += len(newrows)
-                        if which == 0:
-                            refined.append((newrows, gex + [e], hex_))
-                        else:
-                            refined.append((newrows, gex, hex_ + [e]))
-                    if found != len(rows):
-                        raise DatumError("group action is not diagonalizable with the expected eigenvalues")
-                blocks = refined
-        tagged: list[tuple[Weight, Vec]] = []
-        for rows, gex, hex_ in blocks:
-            w = Weight(group, tuple(gex), tuple(hex_))
-            for r in rows:
-                tagged.append((w, r))
-        tagged.sort(key=lambda p: p[0].sort_key())
-        weights = [w for w, _ in tagged]
-        basis = [r for _, r in tagged]
-        from .linalg import inv as _inv
-        P = Mat.from_cols(N, basis, nrows=dim)
-        Pinv = _inv(P)
-        new = ModuleRep(
-            self.datum,
-            [Pinv * m * P for m in self.act_group],
-            [Pinv * m * P for m in self.act_gamma],
-            Pinv * self.act_x * P,
-            Pinv * self.act_xi * P,
-            None,
-            weights,
-        )
-        return new, P
 
     # -- kernels ---------------------------------------------------------
 
@@ -292,13 +208,14 @@ class ModuleRep:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        gens = self.datum.group.generators()
         return {
             "datum": self.datum.to_json(),
             "dim": self.dim,
             "labels": list(self.labels),
             "matrices": {
-                "group": [_mat_to_json(m) for m in self.act_group],
-                "gamma": [_mat_to_json(m) for m in self.act_gamma],
+                "group": [_mat_to_json(self.group_element_matrix(g)) for g in gens],
+                "gamma": [_mat_to_json(self.char_matrix(g)) for g in gens],
                 "x": _mat_to_json(self.act_x),
                 "xi": _mat_to_json(self.act_xi),
             },
@@ -306,52 +223,94 @@ class ModuleRep:
 
     @staticmethod
     def from_json(obj: dict) -> ModuleRep:
+        """Read a module file; its group and dual matrices become weight tags.
+
+        Diagonal group and dual matrices give the tags in the file's basis
+        order.  Otherwise the basis changes to a simultaneous eigenbasis,
+        sorted by weight, and x and xi are conjugated into it.  A group part
+        that is not a diagonalizable action by roots of unity of the factor
+        orders, so that some group-like relation fails, is rejected here.
+        """
         if not isinstance(obj, dict):
             raise DatumError("module JSON must be an object")
         for key in ("datum", "dim", "matrices"):
             if key not in obj:
                 raise DatumError(f"module JSON missing '{key}'")
         datum = datum_from_json(obj["datum"])
-        dim = int(obj["dim"])
+        dim = _parse("dim", int, obj["dim"])
         mats = obj["matrices"]
+        if not isinstance(mats, dict):
+            raise DatumError("module JSON 'matrices' must be an object")
         for key in ("group", "gamma", "x", "xi"):
             if key not in mats:
                 raise DatumError(f"module JSON missing matrix '{key}'")
-        rank = datum.group.rank
-        if len(mats["group"]) != rank or len(mats["gamma"]) != rank:
-            raise DatumError(f"need {rank} group and dual matrices")
-        act_group = [_mat_from_json(datum, dim, m) for m in mats["group"]]
-        act_gamma = [_mat_from_json(datum, dim, m) for m in mats["gamma"]]
-        act_x = _mat_from_json(datum, dim, mats["x"])
-        act_xi = _mat_from_json(datum, dim, mats["xi"])
-        labels = obj.get("labels")
-        mod = ModuleRep(datum, act_group, act_gamma, act_x, act_xi, labels, None)
-        mod._infer_weights()
-        return mod
 
-    def _infer_weights(self) -> None:
-        """Tag the basis with weights when the group actions are diagonal."""
-        for m in (*self.act_group, *self.act_gamma):
-            if not _is_diagonal(m):
-                return
-        group = self.datum.group
-        N = self.datum.N
-        weights = []
-        for j in range(self.dim):
-            gexps = []
-            hexps = []
-            for i in range(group.rank):
-                d_i = group.orders[i]
-                for mats, exps in ((self.act_group, gexps), (self.act_gamma, hexps)):
-                    v = mats[i][j, j]
-                    for e in range(d_i):
-                        if v == root_of_unity(N, (e * (N // d_i)) % N):
-                            exps.append(e)
-                            break
-                    else:
-                        return
-            weights.append(Weight(group, tuple(gexps), tuple(hexps)))
-        self.weights = tuple(weights)
+        def read(key: str, rows) -> Mat:
+            return _parse(f"matrices.{key}", _mat_from_json, datum, dim, rows)
+
+        group, gamma = ([read(key, m) for m in _parse(f"matrices.{key}", list, mats[key])]
+                        for key in ("group", "gamma"))
+        rank = datum.group.rank
+        if len(group) != rank or len(gamma) != rank:
+            raise DatumError(f"need {rank} group and dual matrices")
+        x, xi = read("x", mats["x"]), read("xi", mats["xi"])
+        labels = obj.get("labels")
+        if labels is not None:
+            labels = _parse("labels", tuple, labels)
+        weights, basis = _weight_basis(datum, dim, group, gamma)
+        if basis is None:
+            return ModuleRep(datum, weights, x, xi, labels)
+        back = inv(basis)
+        # the file's labels name its own basis vectors, not the weight basis
+        return ModuleRep(datum, weights, back * x * basis, back * xi * basis)
+
+
+def _weight_basis(datum: ValidatedDatum, dim: int, group: list[Mat],
+                  gamma: list[Mat]) -> tuple[list[Weight], Mat | None]:
+    """Weight tags of a simultaneous eigenbasis of the group and dual
+    generator matrices, and that basis as columns (None when the given basis
+    already is one)."""
+    N, G = datum.N, datum.group
+    roots = [{root_of_unity(N, e * (N // d)): e for e in range(d)} for d in G.orders]
+    bad = DatumError("group action is not diagonalizable with the expected eigenvalues")
+    if all(r.keys() <= {i} for m in group + gamma for i, r in enumerate(m.nz_rows())):
+        exps = [[roots[i].get(m[j, j]) for j in range(dim)] for mats in (group, gamma)
+                for i, m in enumerate(mats)]
+        if any(None in col for col in exps):
+            raise bad
+        rank = G.rank
+        return [Weight(G, e[:rank], e[rank:]) for e in zip(*exps)], None
+    one, zero = CycScalar.one(N), CycScalar.zero(N)
+    units = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
+    blocks: list[tuple[tuple[int, ...], list[Vec]]] = [((), units)]
+    for i, m in enumerate(group + gamma):
+        refined = []
+        for exps, rows in blocks:
+            span = Mat.from_cols(N, rows, nrows=dim)
+            imgs = [m.matvec(r) for r in rows]
+            found = 0
+            for ev, e in roots[i % G.rank].items():
+                shifted = [tuple(a - ev * b for a, b in zip(img, r)) for img, r in zip(imgs, rows)]
+                eig = [span.matvec(t) for t in nullspace(Mat.from_cols(N, shifted, nrows=dim))]
+                if eig:
+                    found += len(eig)
+                    refined.append((exps + (e,), eig))
+            if found != len(rows):
+                raise bad
+        blocks = refined
+    tagged = sorted(((Weight(G, exps[:G.rank], exps[G.rank:]), r) for exps, rows in blocks
+                     for r in rows), key=lambda p: p[0].sort_key())
+    return [w for w, _ in tagged], Mat.from_cols(N, [r for _, r in tagged], nrows=dim)
+
+
+def _parse(field: str, fn, *args):
+    """``fn(*args)``; a malformed value is a one-line DatumError naming the field."""
+    try:
+        return fn(*args)
+    except DatumError:
+        raise
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise DatumError(f"malformed module field '{field}': {exc}") from exc
 
 
 def _mat_from_entries(datum: ValidatedDatum, dim: int, entries: dict) -> Mat:
@@ -383,12 +342,20 @@ def _mat_from_json(datum: ValidatedDatum, dim: int, rows: list) -> Mat:
 
 
 def matrices_equal(a: ModuleRep, b: ModuleRep) -> bool:
-    """True when the two modules have identical generator matrices."""
-    if a.dim != b.dim or len(a.act_group) != len(b.act_group):
-        return False
-    return (all(x == y for x, y in zip(a.act_group, b.act_group))
-            and all(x == y for x, y in zip(a.act_gamma, b.act_gamma))
-            and a.act_x == b.act_x and a.act_xi == b.act_xi)
+    """True when the two modules have identical weight tags and x / xi matrices."""
+    return a.weights == b.weights and a.act_x == b.act_x and a.act_xi == b.act_xi
+
+
+def intertwines(f: Mat, source: ModuleRep, target: ModuleRep) -> bool:
+    """True when f (dim target x dim source) is a module map: it commutes
+    with x and xi and joins only basis vectors of equal weight, which is the
+    same as commuting with every group-like."""
+    ws, wt = source.weights, target.weights
+    return (all(wt[i] == ws[j] for i, row in enumerate(f.nz_rows()) for j in row)
+            and f * source.act_x == target.act_x * f
+            and f * source.act_xi == target.act_xi * f)
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +393,6 @@ def spin_submodule(mod: ModuleRep, seeds: list[Vec]) -> SubmoduleFacts:
     reduced echelon basis (``Echelon``) per weight block.  The basis depends
     only on the submodule, not on the seeds or their order.
     """
-    if mod.weights is None:
-        raise DatumError("ambient basis is not weight-tagged; use as_weight_diagonal() first")
     datum = mod.datum
     dim = mod.dim
     blocks: dict[Weight, Echelon] = {}
@@ -522,9 +487,7 @@ def quotient_module(mod: ModuleRep, sub: SubmoduleFacts) -> tuple[ModuleRep, Mat
             for i in range(q):
                 if not img[i].is_zero():
                     entries[(i, jq)] = img[i]
-    weights = [mod.weights[i] for i in comp] if mod.weights is not None else None
-    if weights is None:
-        raise DatumError("ambient basis is not weight-tagged; use as_weight_diagonal() first")
+    weights = [mod.weights[i] for i in comp]
     labels = [mod.labels[i] for i in comp]
     quot = ModuleRep.from_weight_action(datum, weights, x_entries, xi_entries, labels)
     return quot, projection
@@ -540,13 +503,7 @@ def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
         if m.datum.to_json() != ref:
             raise DatumError("direct sum of modules over different data")
     N = datum.N
-    rank = datum.group.rank
-    act_group = [block_diag(N, [m.act_group[i] for m in mods]) for i in range(rank)]
-    act_gamma = [block_diag(N, [m.act_gamma[i] for m in mods]) for i in range(rank)]
-    act_x = block_diag(N, [m.act_x for m in mods])
-    act_xi = block_diag(N, [m.act_xi for m in mods])
+    weights = [w for m in mods for w in m.weights]
     labels = [f"s{k}.{lab}" for k, m in enumerate(mods) for lab in m.labels]
-    weights = None
-    if all(m.weights is not None for m in mods):
-        weights = [w for m in mods for w in m.weights]
-    return ModuleRep(datum, act_group, act_gamma, act_x, act_xi, labels, weights)
+    return ModuleRep(datum, weights, block_diag(N, [m.act_x for m in mods]),
+                     block_diag(N, [m.act_xi for m in mods]), labels)

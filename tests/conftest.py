@@ -16,7 +16,9 @@ import json
 
 import pytest
 
+from doublerep.cyclo import CycScalar
 from doublerep.datum import datum_from_json
+from doublerep.linalg import Mat, inv
 
 DATUM_JSON = {
     "A": {"orders": [2], "chi": [1], "a": [1], "alpha": 0},
@@ -66,3 +68,29 @@ def write_json(tmp_path):
 
 def first_weight(datum, l):
     return datum.weights_in_class(l)[0]
+
+
+def upper_ones(datum, dim):
+    """The upper-triangular all-ones matrix: a change of basis that mixes
+    weight vectors of different weights."""
+    one, zero = datum.one(), datum.zero()
+    return Mat(datum.N, tuple(tuple(one if j >= i else zero for j in range(dim))
+                              for i in range(dim)), dim)
+
+
+def conjugated_json(mod, change):
+    """``mod.to_json()`` written in the basis given by the columns of
+    ``change``: every generator matrix M becomes change^-1 M change."""
+    back = inv(change)
+
+    def conj(rows):
+        m = Mat.from_rows(mod.datum.N, [[CycScalar.from_json(e) for e in r] for r in rows],
+                          ncols=mod.dim)
+        return [[v.to_json() for v in r] for r in (back * m * change).rows]
+
+    doc = mod.to_json()
+    mats = doc["matrices"]
+    doc["matrices"] = {"group": [conj(m) for m in mats["group"]],
+                       "gamma": [conj(m) for m in mats["gamma"]],
+                       "x": conj(mats["x"]), "xi": conj(mats["xi"])}
+    return doc

@@ -1,16 +1,18 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
 
 from doublerep import cli
-from doublerep.constructors import projective
-from doublerep.linalg import Mat, inv
+from doublerep.constructors import projective, simple
+from doublerep.linalg import Mat
 from doublerep.repmod import ModuleRep
 
-from .conftest import DATUM_JSON, INVALID_DATUM_JSON, first_weight
+from .conftest import (DATUM_JSON, INVALID_DATUM_JSON, conjugated_json,
+                       first_weight, upper_ones)
 
 
 def run(capsys, *argv):
@@ -215,24 +217,100 @@ def test_analyze_and_compare_accept_any_basis(capsys, tmp_path, datum_e):
     # P(1, lambda) conjugated by an upper-triangular change of basis: a valid
     # module whose basis vectors are not weight vectors
     p = projective(datum_e, 1, first_weight(datum_e, 1))
-    one, zero = datum_e.one(), datum_e.zero()
-    change = Mat(datum_e.N, [[one if j >= i else zero for j in range(p.dim)]
-                             for i in range(p.dim)], p.dim)
-    back = inv(change)
-    q = ModuleRep(datum_e, [back * g * change for g in p.act_group],
-                  [back * g * change for g in p.act_gamma],
-                  back * p.act_x * change, back * p.act_xi * change)
-    assert q.weights is None
+    docs = {"p": p.to_json(), "q": conjugated_json(p, upper_ones(datum_e, p.dim))}
+    assert docs["q"]["matrices"]["group"] != docs["p"]["matrices"]["group"]
     paths = []
-    for name, mod in (("p", p), ("q", q)):
+    for name, doc in docs.items():
         paths.append(str(tmp_path / f"{name}.json"))
-        (tmp_path / f"{name}.json").write_text(json.dumps(mod.to_json()))
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     code, out_p, _ = run(capsys, "module", "analyze", paths[0])
     assert code == 0 and "family: P(1,(0;0))" in out_p
     code, out_q, _ = run(capsys, "module", "analyze", paths[1])
     assert code == 0 and out_q == out_p
     code, out, _ = run(capsys, "module", "compare", *paths)
     assert code == 0 and "verdict: yes" in out
+    code, out, _ = run(capsys, "module", "verify", paths[1])
+    assert code == 0 and "relations: all hold" in out
+
+
+def test_relation_failure_detail_is_in_the_weight_basis(capsys, tmp_path, datum_e):
+    # V(n, lambda) has distinct weights, so its weight basis is unique up to
+    # scale; with one off-weight entry added to x, the failing entry is named
+    # at the same weight-basis position whichever basis the file is in
+    v = simple(datum_e, datum_e.n, first_weight(datum_e, datum_e.n))
+    rows = [list(r) for r in v.act_x.rows]
+    rows[0][1] = rows[0][1] + datum_e.one()
+    bad = ModuleRep(datum_e, v.weights, Mat.from_rows(datum_e.N, rows), v.act_xi)
+    docs = {"tags": bad.to_json(), "mixed": conjugated_json(bad, upper_ones(datum_e, v.dim))}
+    where = {}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "module", "verify", str(path))
+        assert code == 1
+        where[name] = re.search(r"FAIL x_group\[0\]: entry \((\d+),(\d+)\)", out).groups()
+    pos = sorted(range(v.dim), key=lambda k: v.weights[k].sort_key())
+    assert where["tags"] == ("0", "1")
+    assert where["mixed"] == (str(pos.index(0)), str(pos.index(1)))
+
+
+MALFORMED_MODULE = {
+    "dim": (("dim",), "abc", "dim"),
+    "group": (("matrices", "group"), 5, "matrices.group"),
+    "row": (("matrices", "x", 0), 7, "matrices.x"),
+    "coeff": (("matrices", "x", 0, 0), {"order": 9, "coeffs": ["x"]}, "matrices.x"),
+    "scalar": (("matrices", "xi", 0, 0), "zz", "matrices.xi"),
+    "order": (("matrices", "x", 0, 0), {"order": 0, "coeffs": []}, "matrices.x"),
+    "labels": (("labels",), 5, "labels"),
+}
+
+
+def _module_files(tmp_path, datum, edit):
+    """A good module file and a copy changed by ``edit(doc)``."""
+    doc = projective(datum, 1, first_weight(datum, 1)).to_json()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return str(good), str(bad)
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "compare"])
+@pytest.mark.parametrize("case", list(MALFORMED_MODULE))
+def test_malformed_module_field_exits_2(capsys, tmp_path, datum_b, command, case):
+    keys, value, field = MALFORMED_MODULE[case]
+
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+
+    good, bad = _module_files(tmp_path, datum_b, edit)
+    code, out, err = run(capsys, "module", command, bad, *([good] if command == "compare" else []))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: malformed module field '{field}': ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "compare"])
+@pytest.mark.parametrize("case", ["not_a_root", "jordan_block"])
+def test_group_part_not_acting_by_roots_of_unity_exits_2(capsys, tmp_path, datum_b,
+                                                         command, case):
+    one, two, zero = (datum_b.scalar(v).to_json() for v in (1, 2, 0))
+
+    def edit(doc):
+        group = doc["matrices"]["group"][0]
+        if case == "not_a_root":
+            group[0][0] = two
+        else:
+            dim = len(group)
+            doc["matrices"]["group"][0] = [[one if j in (i, i + 1) else zero for j in range(dim)]
+                                           for i in range(dim)]
+
+    good, bad = _module_files(tmp_path, datum_b, edit)
+    code, out, err = run(capsys, "module", command, bad, *([good] if command == "compare" else []))
+    assert code == 2 and out == ""
+    assert err == "error: group action is not diagonalizable with the expected eigenvalues\n"
 
 
 # ---------------------------------------------------------------------------

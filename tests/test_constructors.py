@@ -14,8 +14,8 @@ from doublerep.constructors import (EtaParam, band, build_family, projective,
 from doublerep.cyclo import q_factorial
 from doublerep.datum import NON_NILPOTENT, DatumError
 from doublerep.linalg import Mat, in_span
-from doublerep.repmod import (ModuleRep, matrices_equal, quotient_module,
-                              spin_submodule)
+from doublerep.repmod import (ModuleRep, intertwines, matrices_equal,
+                              quotient_module, spin_submodule)
 
 from .conftest import first_weight, make_datum
 
@@ -35,10 +35,7 @@ def restriction_is_matrix_identical(big, small, window):
     """True when the coordinate window of big carries exactly small's action."""
     incl = Mat.from_cols(big.datum.N, unit_cols(big.datum, big.dim, window),
                          nrows=big.dim)
-    pairs = [(big.act_x, small.act_x), (big.act_xi, small.act_xi)]
-    pairs += list(zip(big.act_group, small.act_group))
-    pairs += list(zip(big.act_gamma, small.act_gamma))
-    return all(b * incl == incl * s for b, s in pairs)
+    return intertwines(incl, small, big)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +253,7 @@ def literal_closing_misread(d, l, lam):
     col[0] = y_lit
     x_cols[d.n - 1] = col
     bad_x = Mat.from_cols(d.N, x_cols, nrows=p.dim)
-    return ModuleRep(d, p.act_group, p.act_gamma, bad_x, p.act_xi,
-                     p.labels, p.weights), y_lit
+    return ModuleRep(d, p.weights, bad_x, p.act_xi, p.labels), y_lit
 
 
 def test_literal_subscript_misread_fails_where_visible(datum_c, datum_e):

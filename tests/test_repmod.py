@@ -4,20 +4,14 @@ import itertools
 
 import pytest
 
+from doublerep import homology
 from doublerep.constructors import projective, simple, verma
 from doublerep.datum import DatumError
 from doublerep.linalg import Mat
-from doublerep.repmod import (ModuleRep, direct_sum, matrices_equal,
+from doublerep.repmod import (ModuleRep, direct_sum, intertwines, matrices_equal,
                               quotient_module, spin_submodule)
 
-from .conftest import first_weight
-
-
-def intertwines(big: ModuleRep, small: ModuleRep, incl: Mat) -> bool:
-    pairs = [(big.act_x, small.act_x), (big.act_xi, small.act_xi)]
-    pairs += list(zip(big.act_group, small.act_group))
-    pairs += list(zip(big.act_gamma, small.act_gamma))
-    return all(b * incl == incl * s for b, s in pairs)
+from .conftest import conjugated_json, first_weight, upper_ones
 
 
 def test_relations_hold_and_report_shape(datum_b):
@@ -33,8 +27,7 @@ def test_relation_failure_detected(datum_b):
     lam = first_weight(datum_b, 1)
     p = projective(datum_b, 1, lam)
     bad_x = p.act_x + Mat.identity(datum_b.N, p.dim)
-    bad = ModuleRep(datum_b, p.act_group, p.act_gamma, bad_x, p.act_xi,
-                    p.labels, p.weights)
+    bad = ModuleRep(datum_b, p.weights, bad_x, p.act_xi, p.labels)
     report = bad.verify_relations()
     assert not report.ok
     assert report.failures()
@@ -57,15 +50,13 @@ def test_weight_bookkeeping(datum_b):
     assert len(p.weight_multiset()) == p.dim
     spaces = p.weight_spaces()
     assert sum(len(ix) for ix in spaces.values()) == p.dim
-    diag, change = p.as_weight_diagonal()
-    assert matrices_equal(diag, p)
-    assert change == Mat.identity(datum_b.N, p.dim)
-    # strip the weight tags and re-derive them from the group action
-    untagged = ModuleRep(datum_b, p.act_group, p.act_gamma, p.act_x, p.act_xi)
-    rediag, basis = untagged.as_weight_diagonal()
-    assert rediag.weights is not None
-    assert sorted(rediag.weight_multiset()) == sorted(p.weight_multiset())
-    assert p.act_x * basis == basis * rediag.act_x
+    # a file in a basis of non-weight vectors: the loader re-derives the
+    # tags from the group action and changes to a weight basis
+    q = ModuleRep.from_json(conjugated_json(p, upper_ones(datum_b, p.dim)))
+    assert q.weight_multiset() == p.weight_multiset()
+    assert list(q.weights) == sorted(q.weights, key=lambda w: w.sort_key())
+    assert q.verify_relations().ok
+    assert homology.is_isomorphic(p, q).verdict == "yes"
 
 
 def test_json_round_trip(datum_c):
@@ -88,7 +79,7 @@ def test_spin_submodule_of_verma(datum_b):
     facts = spin_submodule(z, [seed])
     assert facts.dim == z.dim - 1
     assert facts.module.verify_relations().ok
-    assert intertwines(z, facts.module, facts.inclusion)
+    assert intertwines(facts.inclusion, facts.module, z)
 
 
 def test_spin_submodule_does_not_depend_on_seed_order(datum_e):
@@ -115,10 +106,7 @@ def test_quotient_module(datum_b):
     q, proj = quotient_module(z, facts)
     assert q.dim == z.dim - facts.dim
     assert q.verify_relations().ok
-    pairs = [(z.act_x, q.act_x), (z.act_xi, q.act_xi)]
-    pairs += list(zip(z.act_group, q.act_group))
-    pairs += list(zip(z.act_gamma, q.act_gamma))
-    assert all(proj * b == s * proj for b, s in pairs)
+    assert intertwines(proj, z, q)
 
 
 def test_direct_sum(datum_b):
@@ -145,5 +133,4 @@ def test_dimension_mismatch_rejected(datum_b):
     lam = first_weight(datum_b, 1)
     v = simple(datum_b, 1, lam)
     with pytest.raises(DatumError):
-        ModuleRep(datum_b, v.act_group, v.act_gamma,
-                  Mat.zeros(datum_b.N, 2, 2), v.act_xi)
+        ModuleRep(datum_b, v.weights, Mat.zeros(datum_b.N, 2, 2), v.act_xi)
