@@ -78,8 +78,6 @@ class ModuleRep:
         self.act_x = act_x
         self.act_xi = act_xi
         dim = self.dim = len(self.weights)
-        if any(w.group != datum.group for w in self.weights):
-            raise DatumError("weight tag over a different group than the datum")
         for m in (act_x, act_xi):
             if m.nrows != dim or m.ncols != dim:
                 raise DatumError(f"generator matrix is {m.nrows}x{m.ncols}, expected {dim}x{dim}")
