@@ -371,9 +371,18 @@ def _invariant_key(mod: ModuleRep) -> tuple:
     return (mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
 
 
-def _classify_worker(payload: tuple[dict, dict]) -> tuple[dict, tuple, dict]:
-    datum_json, spec = payload
-    datum = datum_from_json(datum_json)
+# The datum of a classify pool worker, built once by the pool initializer so
+# that its caches outlive each task; set only inside worker processes.
+_worker_datum: ValidatedDatum | None = None
+
+
+def _init_classify_worker(datum_json: dict) -> None:
+    global _worker_datum
+    _worker_datum = datum_from_json(datum_json)
+
+
+def _classify_worker(spec: dict) -> tuple[dict, tuple, dict]:
+    datum = _worker_datum
     mod = _build_spec(datum, spec)
     return _classify_entry(datum, spec, mod), _invariant_key(mod), mod.to_json()
 
@@ -388,10 +397,9 @@ def cmd_classify(args) -> int:
         dims = (fam.dim(datum, s["l"], **params)
                 for s, (fam, params) in zip(specs, map(_spec_family, specs)))
         todo = specs[:sum(1 for total in accumulate(dims) if total <= args.budget)]
-        dj = datum.to_json()
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_classify_worker, [(dj, s) for s in todo],
-                                    chunksize=4))
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_classify_worker,
+                                 initargs=(datum.to_json(),)) as pool:
+            results = list(pool.map(_classify_worker, todo, chunksize=4))
         # only a module whose key collides takes part in a Hom solve: parse just those
         seen = Counter(key for _, key, _ in results)
         built = ((entry, key, ModuleRep.from_json(mod_json) if seen[key] > 1 else None)

@@ -145,7 +145,14 @@ def verma(datum: ValidatedDatum, lam: Weight) -> ModuleRep:
 
 
 def simple(datum: ValidatedDatum, l: int, lam: Weight, basis: str = "natural") -> ModuleRep:
-    """The simple module V(l, lambda); requires lambda in class l."""
+    """The simple module V(l, lambda); requires lambda in class l.
+
+    Built once per (l, lambda, basis) and datum; the module is shared, so
+    callers must not change it."""
+    return datum.cached(("simple", l, lam, basis), lambda: _simple(datum, l, lam, basis))
+
+
+def _simple(datum: ValidatedDatum, l: int, lam: Weight, basis: str) -> ModuleRep:
     n = datum.n
     if not 1 <= l <= n:
         raise DatumError(f"l={l} outside 1..{n}")

@@ -189,7 +189,14 @@ NON_NILPOTENT = "non-nilpotent"
 
 
 class ValidatedDatum:
-    """A validated datum with its derived constants and weight machinery."""
+    """A validated datum with its derived constants and weight machinery.
+
+    The datum memoizes what is derived from it alone (``cached``): its weight
+    list and classes, the class of each weight, and, for the constructors and
+    the homology layer, its simple modules, their End dimensions and their
+    projective covers.  Cached modules are shared by every caller and must
+    not be changed.
+    """
 
     def __init__(self, group: FinAbGroup, chi: GroupChar, a: tuple[int, ...], alpha: CycScalar,
                  kind: str, rho: CycScalar, n: int, m: int, alpha_normalized: bool):
@@ -206,6 +213,15 @@ class ValidatedDatum:
         # phi = chi^{-1} (x) a-hat as a weight
         self.phi_weight = Weight(group, group.inverse(chi.exps), a)
         self._cache: dict = {}
+
+    def cached(self, key, build):
+        """The value stored under ``key``, computed by ``build()`` on first
+        use.  A ``build`` that raises stores nothing."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build()
+            return value
 
     # -- scalars --------------------------------------------------------
 
@@ -229,18 +245,19 @@ class ValidatedDatum:
         return Weight(self.group, tuple(gexps), tuple(hexps))
 
     def enumerate_weights(self) -> list[Weight]:
-        if "weights" not in self._cache:
-            ws = [Weight(self.group, g, h)
-                  for g in self.group.elements() for h in self.group.elements()]
-            ws.sort(key=Weight.sort_key)
-            self._cache["weights"] = ws
-        return self._cache["weights"]
+        elements = self.group.elements
+        return self.cached("weights", lambda: sorted(
+            (Weight(self.group, g, h) for g in elements() for h in elements()),
+            key=Weight.sort_key))
 
     def _eval_ratio(self, lam: Weight) -> CycScalar:
         # lambda(a) / lambda(chi)
         return lam.value_g(self.a) * lam.value_gamma_exps(self.chi.exps).inv()
 
     def classify_weight(self, lam: Weight) -> WeightClass:
+        return self.cached(("weight class", lam), lambda: self._classify_weight(lam))
+
+    def _classify_weight(self, lam: Weight) -> WeightClass:
         e = self._eval_ratio(lam)
         p = self.one()
         for d in range(self.n):
@@ -252,10 +269,8 @@ class ValidatedDatum:
         return WeightClass(self.n, None, "n_generic")
 
     def weights_in_class(self, l: int) -> list[Weight]:
-        key = ("class", l)
-        if key not in self._cache:
-            self._cache[key] = [w for w in self.enumerate_weights() if self.classify_weight(w).l == l]
-        return self._cache[key]
+        return self.cached(("weights in class", l), lambda: [
+            w for w in self.enumerate_weights() if self.classify_weight(w).l == l])
 
     def kernel_K(self) -> list[Weight]:
         # weights with lambda(a) = lambda(chi)

@@ -245,7 +245,7 @@ def semisimple_factors(h: ModuleRep) -> list[tuple[tuple[int, Weight], int]]:
     total = 0
     for l, w in candidate_simples(h):
         s = constructors.simple(h.datum, l, w)
-        es = len(hom_space(s, s))
+        es = h.datum.cached(("end dim", l, w), lambda: len(hom_space(s, s)))
         d = len(hom_space(s, h))
         if d == 0:
             continue
@@ -330,10 +330,11 @@ def composition_factors(m: ModuleRep) -> list[dict]:
 
 
 def projective_of_simple(datum: ValidatedDatum, l: int, w: Weight) -> ModuleRep:
-    """Projective cover (= injective hull) of the simple V(l, w)."""
+    """Projective cover (= injective hull) of the simple V(l, w), built once
+    per (l, w) and datum; the module is shared, so callers must not change it."""
     if l == datum.n:
         return constructors.simple(datum, l, w)
-    return constructors.projective(datum, l, w)
+    return datum.cached(("projective cover", l, w), lambda: constructors.projective(datum, l, w))
 
 
 def projective_cover_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:

@@ -53,8 +53,10 @@ class RelationReport:
 
 
 def _mat_pow(m: Mat, k: int) -> Mat:
-    out = Mat.identity(m.order, m.nrows)
-    for _ in range(k):
+    if k == 0:
+        return Mat.identity(m.order, m.nrows)
+    out = m
+    for _ in range(k - 1):
         out = out * m
     return out
 
@@ -227,7 +229,8 @@ class ModuleRep:
         order.  Otherwise the basis changes to a simultaneous eigenbasis,
         sorted by weight, and x and xi are conjugated into it.  A group part
         that is not a diagonalizable action by roots of unity of the factor
-        orders, so that some group-like relation fails, is rejected here.
+        orders, or whose matrices do not commute, so that some group-like
+        relation fails, is rejected here.
         """
         if not isinstance(obj, dict):
             raise DatumError("module JSON must be an object")
@@ -235,7 +238,10 @@ class ModuleRep:
             if key not in obj:
                 raise DatumError(f"module JSON missing '{key}'")
         datum = datum_from_json(obj["datum"])
-        dim = _parse("dim", int, obj["dim"])
+        dim = obj["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise DatumError(f"malformed module field 'dim': expected a non-negative "
+                             f"integer, got {dim!r}")
         mats = obj["matrices"]
         if not isinstance(mats, dict):
             raise DatumError("module JSON 'matrices' must be an object")
@@ -281,7 +287,8 @@ def _weight_basis(datum: ValidatedDatum, dim: int, group: list[Mat],
     one, zero = CycScalar.one(N), CycScalar.zero(N)
     units = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
     blocks: list[tuple[tuple[int, ...], list[Vec]]] = [((), units)]
-    for i, m in enumerate(group + gamma):
+    mats = group + gamma
+    for i, m in enumerate(mats):
         refined = []
         for exps, rows in blocks:
             span = Mat.from_cols(N, rows, nrows=dim)
@@ -294,11 +301,27 @@ def _weight_basis(datum: ValidatedDatum, dim: int, group: list[Mat],
                     found += len(eig)
                     refined.append((exps + (e,), eig))
             if found != len(rows):
-                raise bad
+                raise _commute_error(mats, i) or bad
         blocks = refined
     tagged = sorted(((Weight(G, exps[:G.rank], exps[G.rank:]), r) for exps, rows in blocks
                      for r in rows), key=lambda p: p[0].sort_key())
     return [w for w, _ in tagged], Mat.from_cols(N, [r for _, r in tagged], nrows=dim)
+
+
+def _commute_error(mats: list[Mat], i: int) -> DatumError | None:
+    """The error naming an earlier group or dual generator matrix that
+    ``mats[i]`` does not commute with, if there is one.  When ``mats[i]``
+    fails to diagonalize on the joint eigenspaces of the matrices before it,
+    either it does not commute with one of them or it is not diagonalizable."""
+    rank = len(mats) // 2
+
+    def name(k: int) -> str:
+        return f"{'group' if k < rank else 'gamma'}[{k % rank}]"
+
+    for j in range(i):
+        if mats[j] * mats[i] != mats[i] * mats[j]:
+            return DatumError(f"group action matrices {name(j)} and {name(i)} do not commute")
+    return None
 
 
 def _parse(field: str, fn, *args):

@@ -256,6 +256,8 @@ def test_relation_failure_detail_is_in_the_weight_basis(capsys, tmp_path, datum_
 
 MALFORMED_MODULE = {
     "dim": (("dim",), "abc", "dim"),
+    "dim_float": (("dim",), 4.7, "dim"),
+    "dim_bool": (("dim",), True, "dim"),
     "group": (("matrices", "group"), 5, "matrices.group"),
     "row": (("matrices", "x", 0), 7, "matrices.x"),
     "coeff": (("matrices", "x", 0, 0), {"order": 9, "coeffs": ["x"]}, "matrices.x"),
@@ -293,7 +295,7 @@ def test_malformed_module_field_exits_2(capsys, tmp_path, datum_b, command, case
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "compare"])
-@pytest.mark.parametrize("case", ["not_a_root", "jordan_block"])
+@pytest.mark.parametrize("case", ["not_a_root", "jordan_block", "not_commuting"])
 def test_group_part_not_acting_by_roots_of_unity_exits_2(capsys, tmp_path, datum_b,
                                                          command, case):
     one, two, zero = (datum_b.scalar(v).to_json() for v in (1, 2, 0))
@@ -302,15 +304,23 @@ def test_group_part_not_acting_by_roots_of_unity_exits_2(capsys, tmp_path, datum
         group = doc["matrices"]["group"][0]
         if case == "not_a_root":
             group[0][0] = two
-        else:
+        elif case == "jordan_block":
             dim = len(group)
             doc["matrices"]["group"][0] = [[one if j in (i, i + 1) else zero for j in range(dim)]
                                            for i in range(dim)]
+        else:
+            # basis vectors 0 and 1 differ in both their group and their dual
+            # eigenvalue: the group matrix stays diagonalizable, but no longer
+            # commutes with the dual one
+            group[0][1] = one
 
     good, bad = _module_files(tmp_path, datum_b, edit)
     code, out, err = run(capsys, "module", command, bad, *([good] if command == "compare" else []))
     assert code == 2 and out == ""
-    assert err == "error: group action is not diagonalizable with the expected eigenvalues\n"
+    if case == "not_commuting":
+        assert err == "error: group action matrices group[0] and gamma[0] do not commute\n"
+    else:
+        assert err == "error: group action is not diagonalizable with the expected eigenvalues\n"
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +385,11 @@ def test_classify_summary(capsys, datum_file):
 
 def test_classify_deterministic_across_jobs(capsys, datum_file):
     path = datum_file("B")
-    code1, out1, _ = classify_json(capsys, path, "--seed", "5")
-    code2, out2, _ = classify_json(capsys, path, "--seed", "5", "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    for key in ("B", "C"):
+        code1, out1, _ = classify_json(capsys, datum_file(key), "--seed", "5")
+        code2, out2, _ = classify_json(capsys, datum_file(key), "--seed", "5", "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
     # under a budget, the pre-dispatch cut truncates where --jobs 1 does
     code1, out1, _ = run(capsys, "classify", path, "--budget", "24")
     code2, out2, _ = run(capsys, "classify", path, "--budget", "24", "--jobs", "2")

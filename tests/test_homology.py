@@ -3,14 +3,14 @@ certification, and almost-split sequence candidates."""
 
 import pytest
 
-from doublerep import homology
+from doublerep import cli, homology
 from doublerep.constructors import (band, projective, simple, t1, t1bar,
                                     t_chain, t_chain_bar, verma, w_band)
 from doublerep.datum import DatumError
 from doublerep.linalg import Mat, column_space_basis, in_span, solve_right
 from doublerep.repmod import direct_sum, quotient_module, spin_submodule
 
-from .conftest import first_weight
+from .conftest import first_weight, make_datum
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,61 @@ def test_semisimple_factor_exhaustiveness_guard(datum_b):
     p = projective(datum_b, 1, lam)
     with pytest.raises(DatumError):
         homology.semisimple_factors(p)  # P is not semisimple
+
+
+# ---------------------------------------------------------------------------
+# the per-datum caches: simples, their End dimensions, projective covers
+
+
+def test_simple_is_built_once_per_datum():
+    datum = make_datum("B")
+    lam = first_weight(datum, 1)
+    v = simple(datum, 1, lam)
+    assert simple(datum, 1, lam) is v
+    assert simple(datum, 1, lam, "standard") is not v
+    cover = homology.projective_of_simple(datum, 1, lam)
+    assert homology.projective_of_simple(datum, 1, lam) is cover
+    outside = first_weight(datum, 2)
+    for _ in range(2):  # a weight that fails the class check is never cached
+        with pytest.raises(DatumError):
+            simple(datum, 1, outside)
+
+
+def test_end_dim_of_a_simple_is_solved_once(monkeypatch):
+    datum = make_datum("B")
+    lam = first_weight(datum, 1)
+    v = simple(datum, 1, lam)
+    solves = []
+    hom = homology.hom_space
+    monkeypatch.setattr(homology, "hom_space", lambda a, b: solves.append((a, b)) or hom(a, b))
+    for _ in range(2):
+        assert homology.semisimple_factors(direct_sum([v, v])) == [((1, lam), 2)]
+    assert sum(1 for a, b in solves if a is v and b is v) == 1
+
+
+def test_cached_modules_are_unchanged_by_classify(capsys, monkeypatch):
+    # a datum of its own: the session fixtures share their caches across tests
+    datum = make_datum("E")
+    n = datum.n
+    keys = [(l, w) for l in range(1, n + 1) for w in datum.weights_in_class(l)]
+    simples = {(l, w): simple(datum, l, w) for l, w in keys}
+    covers = {(l, w): homology.projective_of_simple(datum, l, w) for l, w in keys if l < n}
+    monkeypatch.setattr(cli, "_load_datum", lambda path: datum)
+    assert cli.main(["classify", "E.json", "--max-t", "1", "--max-s", "1", "--etas", "1"]) == 0
+    assert capsys.readouterr().out.endswith("manifest ok\n")
+    fresh = make_datum("E")
+    for (l, w), mod in simples.items():
+        assert simple(datum, l, w) is mod
+        _assert_same_module(mod, simple(fresh, l, w))
+    for (l, w), mod in covers.items():
+        assert homology.projective_of_simple(datum, l, w) is mod
+        _assert_same_module(mod, projective(fresh, l, w))
+
+
+def _assert_same_module(mod, ref):
+    assert mod.weights == ref.weights and mod.labels == ref.labels
+    for m, r in ((mod.act_x, ref.act_x), (mod.act_xi, ref.act_xi)):
+        assert m.rows == r.rows and m.nz_rows() == r.nz_rows()
 
 
 # ---------------------------------------------------------------------------
