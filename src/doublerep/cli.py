@@ -214,9 +214,9 @@ def cmd_module_analyze(args) -> int:
     lt = homology.loewy_type(mod)
     soc = homology.socle_multiset(mod) if mod.dim else []
     hd = homology.head_multiset(mod) if mod.dim else []
-    layers = ([homology._factors_as_json(homology.semisimple_factors(layer))
-               for layer in homology.radical_series(mod)] if mod.dim else [])
-    comp = homology.composition_factors(mod) if mod.dim else []
+    series = [homology.semisimple_factors(layer) for layer in homology.radical_series(mod)]
+    layers = [homology._factors_as_json(factors) for factors in series]
+    comp = homology.composition_factors(mod, series)
     fam = homology.match_family(mod, max_t=args.max_t, max_s=args.max_s,
                                 etas=parse_etas(args.etas), seed=args.seed)
     payload = {

@@ -118,15 +118,15 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
                 accum((opname, i, c), p, val)
             for r, val in cols_b[i]:
                 accum((opname, r, j), p, -val)
-    system = Mat.from_sparse(datum.N, [{p: v for p, v in eqs[key].items() if v}
-                                     for key in sorted(eqs)], len(pos))
+    system = Mat(datum.N, [{p: v for p, v in eqs[key].items() if v}
+                           for key in sorted(eqs)], len(pos))
     out = []
     for v in nullspace(system):
         rows = [{} for _ in range(b.dim)]
         for k, (i, j) in enumerate(pos):
             if v[k]:
                 rows[i][j] = v[k]
-        out.append(Morphism(a, b, Mat.from_sparse(datum.N, rows, a.dim)))
+        out.append(Morphism(a, b, Mat(datum.N, rows, a.dim)))
     return out
 
 
@@ -140,15 +140,12 @@ def hom_dim(a: ModuleRep, b: ModuleRep) -> int:
 
 def _gram_rank(mats: list[Mat], order: int) -> int:
     k = len(mats)
-    if k == 0:
-        return 0
-    zero = CycScalar.zero(order)
-    g = [[zero] * k for _ in range(k)]
+    g = [{} for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
             v = frobenius_pair(mats[i], mats[j])
-            g[i][j] = v
-            g[j][i] = v
+            if v:
+                g[i][j] = g[j][i] = v
     return rank(Mat(order, g, k))
 
 
@@ -191,7 +188,7 @@ def end_local_dim_of_sum(a: ModuleRep, b: ModuleRep,
     if not homs_ab or not homs_ba:
         return el_a + el_b
     t = [[frobenius_pair(f.matrix, g.matrix) for g in homs_ba] for f in homs_ab]
-    return el_a + el_b + 2 * rank(Mat(order, t, len(homs_ba)))
+    return el_a + el_b + 2 * rank(Mat.from_rows(order, t, len(homs_ba)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,54 +207,76 @@ def candidate_simples(m: ModuleRep) -> list[tuple[int, Weight]]:
                   key=lambda lw: (lw[0], lw[1].sort_key()))
 
 
+def _socle(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
+    """The socle, and (key, S, dim Hom(S, m)) for each candidate simple S."""
+    seeds: list[Vec] = []
+    dims = []
+    for l, w in candidate_simples(m):
+        s = constructors.simple(m.datum, l, w)
+        homs = hom_space(s, m)
+        dims.append(((l, w), s, len(homs)))
+        for f in homs:
+            seeds.extend(f.matrix.cols())
+    return spin_submodule(m, seeds), dims
+
+
+def _radical(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
+    """The radical, and (key, S, dim Hom(m, S)) for each candidate simple S."""
+    mats = []
+    dims = []
+    for l, w in candidate_simples(m):
+        s = constructors.simple(m.datum, l, w)
+        homs = hom_space(m, s)
+        dims.append(((l, w), s, len(homs)))
+        mats.extend(f.matrix for f in homs)
+    if not mats and m.dim > 0:
+        raise DatumError("module has no simple quotients; inconsistent input")
+    return spin_submodule(m, nullspace(vstack(mats)) if mats else []), dims
+
+
 def socle(m: ModuleRep) -> SubmoduleFacts:
     """Largest semisimple submodule: the sum of all images of maps from
     candidate simples."""
-    seeds: list[Vec] = []
-    for l, w in candidate_simples(m):
-        s = constructors.simple(m.datum, l, w)
-        for f in hom_space(s, m):
-            seeds.extend(f.matrix.cols())
-    return spin_submodule(m, seeds)
+    return _socle(m)[0]
 
 
 def radical(m: ModuleRep) -> SubmoduleFacts:
     """Intersection of the kernels of all maps onto candidate simples."""
-    mats = []
-    for l, w in candidate_simples(m):
-        s = constructors.simple(m.datum, l, w)
-        mats.extend(f.matrix for f in hom_space(m, s))
-    if not mats:
-        if m.dim > 0:
-            raise DatumError("module has no simple quotients; inconsistent input")
-        return spin_submodule(m, [])
-    vecs = nullspace(vstack(mats))
-    return spin_submodule(m, list(vecs))
+    return _radical(m)[0]
 
 
 def head(m: ModuleRep) -> tuple[ModuleRep, Mat]:
     return quotient_module(m, radical(m))
 
 
-def semisimple_factors(h: ModuleRep) -> list[tuple[tuple[int, Weight], int]]:
-    """Multiplicities of the simples in a semisimple module, exactly."""
+def _multiplicities(datum: ValidatedDatum, dims,
+                    total: int) -> list[tuple[tuple[int, Weight], int]]:
+    """Multiplicities of the simples in a semisimple module of dimension
+    ``total``, from dim Hom(S, -) or dim Hom(-, S) for each candidate S: each
+    is the multiplicity times dim End(S), and the simples must exhaust it."""
     out = []
-    total = 0
-    for l, w in candidate_simples(h):
-        s = constructors.simple(h.datum, l, w)
-        es = h.datum.cached(("end dim", l, w), lambda: len(hom_space(s, s)))
-        d = len(hom_space(s, h))
+    covered = 0
+    for (l, w), s, d in dims:
         if d == 0:
             continue
+        es = datum.cached(("end dim", l, w), lambda: len(hom_space(s, s)))
         if d % es != 0:
             raise DatumError("inconsistent Hom dimensions in semisimple decomposition")
-        mult = d // es
-        out.append(((l, w), mult))
-        total += mult * s.dim
-    if total != h.dim:
+        out.append(((l, w), d // es))
+        covered += d // es * s.dim
+    if covered != total:
         raise DatumError("semisimple decomposition does not exhaust the module; "
                          "input is not semisimple or candidate set is incomplete")
     return out
+
+
+def semisimple_factors(h: ModuleRep) -> list[tuple[tuple[int, Weight], int]]:
+    """Multiplicities of the simples in a semisimple module, exactly."""
+    dims = []
+    for l, w in candidate_simples(h):
+        s = constructors.simple(h.datum, l, w)
+        dims.append(((l, w), s, len(hom_space(s, h))))
+    return _multiplicities(h.datum, dims, h.dim)
 
 
 def _factors_as_json(factors) -> list[dict]:
@@ -265,11 +284,13 @@ def _factors_as_json(factors) -> list[dict]:
 
 
 def socle_multiset(m: ModuleRep) -> list[dict]:
-    return _factors_as_json(semisimple_factors(socle(m).module))
+    soc, dims = _socle(m)
+    return _factors_as_json(_multiplicities(m.datum, dims, soc.dim))
 
 
 def head_multiset(m: ModuleRep) -> list[dict]:
-    return _factors_as_json(semisimple_factors(head(m)[0]))
+    rad, dims = _radical(m)
+    return _factors_as_json(_multiplicities(m.datum, dims, m.dim - rad.dim))
 
 
 @dataclass(frozen=True)
@@ -284,29 +305,35 @@ class LoewyType:
         return {"s": self.s, "t": self.t, "rl": self.rl}
 
 
+def _radical_steps(m: ModuleRep):
+    """(rad^k m, rad^(k+1) m as its submodule) for k = 0, 1, ... while
+    rad^k m is nonzero."""
+    cur = m
+    for _ in range(m.dim + 1):
+        if cur.dim == 0:
+            return
+        facts = radical(cur)
+        yield cur, facts
+        cur = facts.module
+    raise DatumError("radical series fails to terminate")
+
+
 def radical_series(m: ModuleRep) -> list[ModuleRep]:
     """Successive semisimple layers M/rad M, rad M/rad^2 M, ..."""
-    layers = []
-    cur = m
-    steps = 0
-    while cur.dim > 0:
-        facts = radical(cur)
-        layer, _ = quotient_module(cur, facts)
-        layers.append(layer)
-        cur = facts.module
-        steps += 1
-        if steps > m.dim + 1:
-            raise DatumError("radical series fails to terminate")
-    return layers
+    return [quotient_module(cur, facts)[0] for cur, facts in _radical_steps(m)]
 
 
 def loewy_type(m: ModuleRep) -> LoewyType:
+    """Head and socle lengths from the Hom solves that find the radical and
+    the socle (Hom(m, S) = Hom(m / rad m, S), Hom(S, m) = Hom(S, soc m)), and
+    the radical length from the chain rad^k m, without its quotient layers."""
     if m.dim == 0:
         return LoewyType(0, 0, 0)
-    layers = radical_series(m)
-    s = sum(mult for _, mult in semisimple_factors(layers[0]))
-    t = sum(mult for _, mult in semisimple_factors(socle(m).module))
-    return LoewyType(s, t, len(layers))
+    rad, dims = _radical(m)
+    s = sum(mult for _, mult in _multiplicities(m.datum, dims, m.dim - rad.dim))
+    soc, dims = _socle(m)
+    t = sum(mult for _, mult in _multiplicities(m.datum, dims, soc.dim))
+    return LoewyType(s, t, 1 + sum(1 for _ in _radical_steps(rad.module)))
 
 
 def type_of(m: ModuleRep) -> tuple[int, int]:
@@ -315,11 +342,14 @@ def type_of(m: ModuleRep) -> tuple[int, int]:
     return (lt.s, lt.t)
 
 
-def composition_factors(m: ModuleRep) -> list[dict]:
-    """Multiset of simple factors over the radical series, sorted."""
+def composition_factors(m: ModuleRep, layers=None) -> list[dict]:
+    """Multiset of simple factors over the radical series, sorted;
+    ``layers`` are the ``semisimple_factors`` of its layers when known."""
+    if layers is None:
+        layers = [semisimple_factors(layer) for layer in radical_series(m)]
     counts: dict[tuple[int, Weight], int] = {}
-    for layer in radical_series(m):
-        for key, mult in semisimple_factors(layer):
+    for factors in layers:
+        for key, mult in factors:
             counts[key] = counts.get(key, 0) + mult
     keys = sorted(counts, key=lambda lw: (lw[0], lw[1].sort_key()))
     return [{"l": l, "lambda": w.label(), "mult": counts[(l, w)]} for l, w in keys]
@@ -600,8 +630,11 @@ class SesReport:
         return out
 
 
-def _flatten(m: Mat) -> list[CycScalar]:
-    return [v for row in m.rows for v in row]
+def _flattened(order: int, mats: list[Mat]) -> Mat:
+    """The matrix whose k-th column lists the entries of mats[k], row by row."""
+    return Mat(order, ({i * m.ncols + j: x for i, r in enumerate(m.nz_rows())
+                        for j, x in r.items()} for m in mats),
+               mats[0].nrows * mats[0].ncols).transpose()
 
 
 def ses_check(f: Morphism, g: Morphism) -> SesReport:
@@ -620,14 +653,11 @@ def ses_check(f: Morphism, g: Morphism) -> SesReport:
         return rep
     homs_cb = hom_space(c, b)
     datum = a.datum
-    ident = Mat.identity(datum.N, c.dim)
     if not homs_cb:
         rep.split = c.dim == 0
         return rep
-    cols = [_flatten(g.matrix * h.matrix) for h in homs_cb]
-    sys = Mat.from_cols(datum.N, cols, nrows=c.dim * c.dim)
-    rhs = Mat.from_cols(datum.N, [_flatten(ident)], nrows=c.dim * c.dim)
-    sol = solve_right(sys, rhs)
+    sys = _flattened(datum.N, [g.matrix * h.matrix for h in homs_cb])
+    sol = solve_right(sys, _flattened(datum.N, [Mat.identity(datum.N, c.dim)]))
     if sol is None:
         rep.split = False
     else:
@@ -709,8 +739,7 @@ def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
         tried += 1
         if tried > max_f_trials:
             break
-        cols = [_flatten(h.matrix * f_mat) for h in homs_bc]
-        sys = Mat.from_cols(datum.N, cols, nrows=c.dim * a.dim)
+        sys = _flattened(datum.N, [h.matrix * f_mat for h in homs_bc])
         sub = []
         for v in nullspace(sys):
             mat = None

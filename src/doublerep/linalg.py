@@ -1,13 +1,14 @@
 """Sparse exact linear algebra over a cyclotomic field.
 
-Matrices are immutable row-major grids of CycScalar, all at one field
-order.  Each caches its nonzero pattern on first use (``Mat.nz_rows``), and
-products, matrix-vector products and the trace pairing visit only nonzero
-entries.  Every elimination is a sparse reduced row echelon form built row
-by row in ``Echelon``: the pivot of a row is its first nonzero column,
-scaled to one, and every other row is zero there.  The reduced row echelon
-form of a row space is unique, so ranks, pivots, kernel bases and solutions
-do not depend on the order in which rows are added.
+A matrix is its nonzero pattern: one ``{column: nonzero value}`` dict per
+row (``Mat.nz_rows``), all at one field order, with no stored zero.  Sums,
+products, matrix-vector products, stacking and the trace pairing visit only
+nonzero entries; the dense grid ``Mat.rows`` is built only when it is read.
+Every elimination is a sparse reduced row echelon form built row by row in
+``Echelon``: the pivot of a row is its first nonzero column, scaled to one,
+and every other row is zero there.  The reduced row echelon form of a row
+space is unique, so ranks, pivots, kernel bases and solutions do not depend
+on the order in which rows are added.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from bisect import insort
 from .cyclo import CycScalar
 
 Vec = tuple[CycScalar, ...]
+Row = dict[int, CycScalar]
 
 
-def _dense(r: dict[int, CycScalar], ncols: int, zero: CycScalar) -> Vec:
+def _dense(r: Row, ncols: int, zero: CycScalar) -> Vec:
     out = [zero] * ncols
     for j, x in r.items():
         out[j] = x
@@ -27,96 +29,90 @@ def _dense(r: dict[int, CycScalar], ncols: int, zero: CycScalar) -> Vec:
 
 
 class Mat:
-    """Immutable exact matrix over Q(zeta_order)."""
+    """Immutable exact matrix over Q(zeta_order), stored as its nonzero
+    pattern: ``Mat(order, nz, ncols)`` keeps the row dicts ``nz``, which
+    must hold no zero value and must not be changed afterwards."""
 
-    __slots__ = ("order", "nrows", "ncols", "rows", "_nz")
+    __slots__ = ("order", "nrows", "ncols", "_nz")
 
-    def __init__(self, order: int, rows: tuple[tuple[CycScalar, ...], ...], ncols: int | None = None):
+    def __init__(self, order: int, nz, ncols: int):
         self.order = order
-        self.rows = rows
-        self._nz = None
-        self.nrows = len(rows)
-        if rows:
-            self.ncols = len(rows[0])
-            for r in rows:
-                if len(r) != self.ncols:
-                    raise ValueError("ragged rows")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs explicit ncols")
-            self.ncols = ncols
+        self._nz = tuple(nz)
+        self.nrows = len(self._nz)
+        self.ncols = ncols
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rows(order: int, rows, ncols: int | None = None) -> Mat:
-        return Mat(order, tuple(tuple(r) for r in rows), ncols)
+        """The matrix with the given dense rows, all ``ncols`` long; ``ncols``
+        may be left out when there is a row."""
+        rows = [tuple(r) for r in rows]
+        if ncols is None and rows:
+            ncols = len(rows[0])
+        if ncols is None or any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows, or no rows and no ncols")
+        return Mat(order, ({j: x for j, x in enumerate(r) if x} for r in rows), ncols)
 
     @staticmethod
     def from_cols(order: int, cols, nrows: int | None = None) -> Mat:
-        cols = [tuple(c) for c in cols]
-        if not cols:
-            if nrows is None:
-                raise ValueError("empty column list needs explicit nrows")
-            return Mat.zeros(order, nrows, 0)
-        n = len(cols[0])
-        return Mat.from_rows(order, [[c[i] for c in cols] for i in range(n)], len(cols))
+        return Mat.from_rows(order, cols, nrows).transpose()
 
     @staticmethod
     def zeros(order: int, r: int, c: int) -> Mat:
-        z = CycScalar.zero(order)
-        return Mat(order, tuple(tuple(z for _ in range(c)) for _ in range(r)), c)
+        return Mat(order, ({} for _ in range(r)), c)
 
     @staticmethod
     def identity(order: int, n: int) -> Mat:
-        z = CycScalar.zero(order)
         o = CycScalar.one(order)
-        return Mat(order, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
+        return Mat(order, ({i: o} for i in range(n)), n)
 
     @staticmethod
     def diag(order: int, entries) -> Mat:
         entries = list(entries)
-        z = CycScalar.zero(order)
-        n = len(entries)
-        return Mat(order, tuple(tuple(entries[i] if i == j else z for j in range(n)) for i in range(n)), n)
-
-    @staticmethod
-    def from_sparse(order: int, nz: list[dict[int, CycScalar]], ncols: int) -> Mat:
-        """Matrix with the given nonzero pattern, which it keeps as its own."""
-        z = CycScalar.zero(order)
-        m = Mat(order, tuple(_dense(r, ncols, z) for r in nz), ncols)
-        m._nz = tuple(nz)
-        return m
+        return Mat(order, ({i: x} if x else {} for i, x in enumerate(entries)), len(entries))
 
     # -- structure ---------------------------------------------------------
 
-    def nz_rows(self) -> tuple[dict[int, CycScalar], ...]:
+    def nz_rows(self) -> tuple[Row, ...]:
         """The nonzero entries of each row as {column: value}; read-only."""
-        if self._nz is None:
-            self._nz = tuple({j: x for j, x in enumerate(r) if x} for r in self.rows)
         return self._nz
 
+    @property
+    def rows(self) -> tuple[Vec, ...]:
+        """The dense rows, built on each read."""
+        z = CycScalar.zero(self.order)
+        return tuple(_dense(r, self.ncols, z) for r in self._nz)
+
     def __getitem__(self, ij: tuple[int, int]) -> CycScalar:
-        return self.rows[ij[0]][ij[1]]
+        i, j = ij
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} outside {self.ncols}")
+        x = self._nz[i].get(j)
+        return CycScalar.zero(self.order) if x is None else x
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
+        return tuple(self[i, j] for i in range(self.nrows))
 
     def cols(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.ncols)]
+        return list(self.transpose().rows)
 
     def transpose(self) -> Mat:
-        return Mat.from_rows(self.order, [self.col(j) for j in range(self.ncols)], self.nrows)
+        out = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self._nz):
+            for j, x in r.items():
+                out[j][i] = x
+        return Mat(self.order, out, self.nrows)
 
     def is_zero(self) -> bool:
-        return not any(self.nz_rows())
+        return not any(self._nz)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
-        return self.nz_rows() == other.nz_rows()
+        return self._nz == other._nz
 
     def __hash__(self):
         raise TypeError("Mat is not hashable")
@@ -128,39 +124,43 @@ class Mat:
 
     def __add__(self, other: Mat) -> Mat:
         self._shape_match(other)
-        return Mat.from_rows(
-            self.order,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        out = []
+        for ra, rb in zip(self._nz, other._nz):
+            r = dict(ra)
+            for j, y in rb.items():
+                if j not in r:
+                    r[j] = y
+                elif s := r[j] + y:
+                    r[j] = s
+                else:
+                    del r[j]
+            out.append(r)
+        return Mat(self.order, out, self.ncols)
 
     def __sub__(self, other: Mat) -> Mat:
-        self._shape_match(other)
-        return Mat.from_rows(
-            self.order,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        return self + -other
 
     def __neg__(self) -> Mat:
-        return Mat.from_rows(self.order, [[-a for a in r] for r in self.rows], self.ncols)
+        return Mat(self.order, ({j: -x for j, x in r.items()} for r in self._nz), self.ncols)
 
     def scale(self, c: CycScalar) -> Mat:
-        return Mat.from_rows(self.order, [[c * a for a in r] for r in self.rows], self.ncols)
+        if not c:
+            return Mat.zeros(self.order, self.nrows, self.ncols)
+        return Mat(self.order, ({j: c * x for j, x in r.items()} for r in self._nz), self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-            b = other.nz_rows()
+            b = other._nz
             out = []
-            for ra in self.nz_rows():
+            for ra in self._nz:
                 acc = {}
                 for k, x in ra.items():
                     for j, y in b[k].items():
                         acc[j] = acc[j] + x * y if j in acc else x * y
                 out.append({j: s for j, s in acc.items() if s})
-            return Mat.from_sparse(self.order, out, other.ncols)
+            return Mat(self.order, out, other.ncols)
         if isinstance(other, CycScalar):
             return self.scale(other)
         return NotImplemented
@@ -171,7 +171,7 @@ class Mat:
         vs = {k: x for k, x in enumerate(v) if x}
         z = CycScalar.zero(self.order)
         out = []
-        for r in self.nz_rows():
+        for r in self._nz:
             s = None
             for k, a in r.items():
                 b = vs.get(k)
@@ -183,10 +183,7 @@ class Mat:
     def trace(self) -> CycScalar:
         if self.nrows != self.ncols:
             raise ValueError("trace of non-square matrix")
-        s = CycScalar.zero(self.order)
-        for i in range(self.nrows):
-            s = s + self.rows[i][i]
-        return s
+        return sum((r[i] for i, r in enumerate(self._nz) if i in r), CycScalar.zero(self.order))
 
     def _shape_match(self, other: Mat) -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -208,39 +205,24 @@ def frobenius_pair(a: Mat, b: Mat) -> CycScalar:
 
 
 def hstack(mats: list[Mat]) -> Mat:
-    if not mats:
-        raise ValueError("hstack of nothing")
-    n = mats[0].nrows
-    rows = [sum((list(m.rows[i]) for m in mats), []) for i in range(n)]
-    return Mat.from_rows(mats[0].order, rows, sum(m.ncols for m in mats))
+    return vstack([m.transpose() for m in mats]).transpose()
 
 
 def vstack(mats: list[Mat]) -> Mat:
     if not mats:
-        raise ValueError("vstack of nothing")
+        raise ValueError("stack of nothing")
     c = mats[0].ncols
-    rows = []
-    for m in mats:
-        if m.ncols != c:
-            raise ValueError("vstack column mismatch")
-        rows.extend(m.rows)
-    return Mat.from_rows(mats[0].order, rows, c)
+    if any(m.ncols != c for m in mats):
+        raise ValueError("stacked matrices do not match in shape")
+    return Mat(mats[0].order, (r for m in mats for r in m.nz_rows()), c)
 
 
 def block_diag(order: int, mats: list[Mat]) -> Mat:
-    r = sum(m.nrows for m in mats)
-    c = sum(m.ncols for m in mats)
-    z = CycScalar.zero(order)
-    grid = [[z] * c for _ in range(r)]
-    ro = co = 0
+    out, c = [], 0
     for m in mats:
-        for i in range(m.nrows):
-            row = m.rows[i]
-            for j in range(m.ncols):
-                grid[ro + i][co + j] = row[j]
-        ro += m.nrows
-        co += m.ncols
-    return Mat.from_rows(order, grid, c)
+        out.extend({j + c: x for j, x in r.items()} for r in m.nz_rows())
+        c += m.ncols
+    return Mat(order, out, c)
 
 
 def _clear(v: dict[int, CycScalar], p: int, row: dict[int, CycScalar]) -> None:
@@ -319,7 +301,7 @@ def _echelon(order: int, ncols: int, rows) -> Echelon:
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     e = _echelon(m.order, m.ncols, m.nz_rows())
     nz = [e.rows[p] for p in e.pivots] + [{} for _ in range(m.nrows - len(e.pivots))]
-    return Mat.from_sparse(m.order, nz, m.ncols), e.pivots
+    return Mat(m.order, nz, m.ncols), e.pivots
 
 
 def rank(m: Mat) -> int:
@@ -357,7 +339,7 @@ def solve_right(a: Mat, b: Mat) -> Mat | None:
         return None
     out = [{j - n: x for j, x in e.rows[c].items() if j >= n} if c in e.rows else {}
            for c in range(n)]
-    return Mat.from_sparse(a.order, out, b.ncols)
+    return Mat(a.order, out, b.ncols)
 
 
 def inv(m: Mat) -> Mat:

@@ -335,16 +335,18 @@ def _parse(field: str, fn, *args):
 
 
 def _mat_from_entries(datum: ValidatedDatum, dim: int, entries: dict) -> Mat:
-    rows = [[datum.zero() for _ in range(dim)] for _ in range(dim)]
+    rows = [{} for _ in range(dim)]
     for (i, j), val in entries.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise DatumError(f"entry ({i},{j}) outside dimension {dim}")
-        rows[i][j] = datum.scalar(val)
-    return Mat.from_rows(datum.N, rows, ncols=dim)
+        x = datum.scalar(val)
+        if x:
+            rows[i][j] = x
+    return Mat(datum.N, rows, dim)
 
 
 def _mat_to_json(m: Mat) -> list:
-    return [[m[i, j].to_json() for j in range(m.ncols)] for i in range(m.nrows)]
+    return [[x.to_json() for x in r] for r in m.rows]
 
 
 def _mat_from_json(datum: ValidatedDatum, dim: int, rows: list) -> Mat:
@@ -445,11 +447,13 @@ def spin_submodule(mod: ModuleRep, seeds: list[Vec]) -> SubmoduleFacts:
     basis: list[Vec] = []
     pivots: list[int] = []
     sub_weights: list[Weight] = []
+    sub_rows = []
     for w in sorted(blocks, key=Weight.sort_key):
         for p in blocks[w].pivots:
             basis.append(blocks[w].dense(p))
             pivots.append(p)
             sub_weights.append(w)
+            sub_rows.append(blocks[w].rows[p])
     at = {p: idx for idx, p in enumerate(pivots)}
 
     def express(v: Vec) -> dict[int, CycScalar]:
@@ -470,7 +474,7 @@ def spin_submodule(mod: ModuleRep, seeds: list[Vec]) -> SubmoduleFacts:
                 entries[(i, j)] = c
     labels = [mod.labels[p] for p in pivots]
     module = ModuleRep.from_weight_action(datum, sub_weights, x_entries, xi_entries, labels)
-    inclusion = Mat.from_cols(datum.N, list(basis), nrows=dim)
+    inclusion = Mat(datum.N, sub_rows, dim).transpose()
     return SubmoduleFacts(mod, basis, pivots, module, inclusion)
 
 
@@ -484,30 +488,24 @@ def quotient_module(mod: ModuleRep, sub: SubmoduleFacts) -> tuple[ModuleRep, Mat
     if sub.ambient is not mod:
         raise DatumError("submodule was computed in a different ambient module")
     datum = mod.datum
-    dim = mod.dim
-    zero = datum.zero()
     pivset = {p: idx for idx, p in enumerate(sub.pivots)}
-    comp = [i for i in range(dim) if i not in pivset]
+    comp = [i for i in range(mod.dim) if i not in pivset]
+    one = datum.one()
     proj_rows = []
     for c in comp:
-        row = [zero] * dim
-        row[c] = datum.one()
+        row = {c: one}
         for p, idx in pivset.items():
             coeff = sub.rows[idx][c]
-            if not coeff.is_zero():
-                row[p] = row[p] - coeff
+            if coeff:
+                row[p] = -coeff
         proj_rows.append(row)
-    projection = Mat.from_rows(datum.N, proj_rows, ncols=dim)
-    q = len(comp)
+    projection = Mat(datum.N, proj_rows, mod.dim)
+    at = {j: jq for jq, j in enumerate(comp)}
     x_entries = {}
     xi_entries = {}
-    for jq, j in enumerate(comp):
-        for op, entries in ((mod.act_x, x_entries), (mod.act_xi, xi_entries)):
-            col = op.col(j)
-            img = projection.matvec(col)
-            for i in range(q):
-                if not img[i].is_zero():
-                    entries[(i, jq)] = img[i]
+    for op, entries in ((mod.act_x, x_entries), (mod.act_xi, xi_entries)):
+        for i, row in enumerate((projection * op).nz_rows()):
+            entries.update(((i, at[j]), x) for j, x in row.items() if j in at)
     weights = [mod.weights[i] for i in comp]
     labels = [mod.labels[i] for i in comp]
     quot = ModuleRep.from_weight_action(datum, weights, x_entries, xi_entries, labels)

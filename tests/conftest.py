@@ -73,9 +73,8 @@ def first_weight(datum, l):
 def upper_ones(datum, dim):
     """The upper-triangular all-ones matrix: a change of basis that mixes
     weight vectors of different weights."""
-    one, zero = datum.one(), datum.zero()
-    return Mat(datum.N, tuple(tuple(one if j >= i else zero for j in range(dim))
-                              for i in range(dim)), dim)
+    one = datum.one()
+    return Mat(datum.N, ({j: one for j in range(i, dim)} for i in range(dim)), dim)
 
 
 def conjugated_json(mod, change):

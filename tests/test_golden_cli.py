@@ -4,8 +4,10 @@ compared byte for byte with ``tests/golden/<case>.txt``.
 Each case runs ``cli.main`` in-process.  A file records the exit code, the
 one-line stderr error when the exit code is 2, and the stdout verbatim.  An
 argument ``{X}`` is the path of standing datum X; ``{mod:case}`` is a file
-holding the stdout of the named ``module build`` case.  To re-record every
-file after an intended change of output:
+holding the stdout of the named ``module build`` case, and
+``{sum:case1+case2}`` a file holding the direct sum of the modules those
+build cases print, in that order.  To re-record every file after an
+intended change of output:
 
     PYTHONPATH=src python -m tests.test_golden_cli
 """
@@ -21,6 +23,7 @@ import tempfile
 import pytest
 
 from doublerep import cli
+from doublerep.repmod import ModuleRep, direct_sum
 
 from .conftest import DATUM_JSON
 
@@ -80,6 +83,14 @@ CASES.update({
     "compare-A-t1-w1inf": ("module", "compare", "{mod:build-A-t1}",
                            "{mod:build-A-w1-inf}"),
 })
+# V(1,(0;0)) (+) P(1,(0;0)) over A: End is not local, so compare reaches the
+# witness search and analyze reports layers of a decomposable module
+_VP = "{sum:build-A-simple+build-A-projective}"
+_PV = "{sum:build-A-projective+build-A-simple}"
+for _fmt in ((), ("--format", "json")):
+    _sfx = "-json" if _fmt else ""
+    CASES[f"analyze-A-V+P{_sfx}"] = ("module", "analyze", _VP, *_fmt)
+    CASES[f"compare-A-V+P-P+V{_sfx}"] = ("module", "compare", _VP, _PV, *_fmt)
 for _key, _band in (("A", "w_t"), ("B", "band_mt"), ("C", "band_mt")):
     for _tok in ("projective", "string_tt", _band, "omega_power"):
         CASES[f"verify-{_key}-{_tok}"] = ("module", "verify", f"{{mod:build-{_key}-{_tok}}}")
@@ -92,12 +103,15 @@ def run_case(name: str, tmp: pathlib.Path) -> str:
     """Run one case and render what the golden file records."""
     argv = []
     for arg in CASES[name]:
-        if arg.startswith("{mod:"):
-            ref = arg[5:-1]
-            path = tmp / f"{ref}.json"
-            code, out, _ = _invoke(_resolve(CASES[ref], tmp))
-            assert code == 0, ref
-            path.write_text(out)
+        if arg.startswith(("{mod:", "{sum:")):
+            refs = arg[5:-1].split("+")
+            if arg.startswith("{mod:"):
+                text = _build_out(refs[0], tmp)
+            else:
+                mods = [ModuleRep.from_json(json.loads(_build_out(ref, tmp))) for ref in refs]
+                text = json.dumps(direct_sum(mods).to_json(), indent=2) + "\n"
+            path = tmp / f"{arg[1:4]}-{arg[5:-1]}.json"
+            path.write_text(text)
             argv.append(str(path))
         else:
             argv.append(arg)
@@ -106,6 +120,12 @@ def run_case(name: str, tmp: pathlib.Path) -> str:
     if code == 2:
         head += f"stderr: {err}"
     return head + "stdout:\n" + out
+
+
+def _build_out(ref: str, tmp: pathlib.Path) -> str:
+    code, out, _ = _invoke(_resolve(CASES[ref], tmp))
+    assert code == 0, ref
+    return out
 
 
 def _resolve(argv, tmp: pathlib.Path) -> list[str]:

@@ -11,6 +11,7 @@ from doublerep.linalg import Mat, column_space_basis, in_span, solve_right
 from doublerep.repmod import direct_sum, quotient_module, spin_submodule
 
 from .conftest import first_weight, make_datum
+from .test_registry import members
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,48 @@ def test_semisimple_factor_exhaustiveness_guard(datum_b):
     p = projective(datum_b, 1, lam)
     with pytest.raises(DatumError):
         homology.semisimple_factors(p)  # P is not semisimple
+
+
+def _layered_loewy_type(m):
+    """Loewy type layer by layer: the radical series as quotient modules,
+    then the simples of its top layer and of the socle module counted with
+    ``semisimple_factors``."""
+    if m.dim == 0:
+        return homology.LoewyType(0, 0, 0)
+    layers = homology.radical_series(m)
+    s = sum(mult for _, mult in homology.semisimple_factors(layers[0]))
+    t = sum(mult for _, mult in homology.semisimple_factors(homology.socle(m).module))
+    return homology.LoewyType(s, t, len(layers))
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "E"])
+def test_loewy_type_matches_layered_reference(key):
+    mods = [fam.build(datum, l, lam, **params) for datum, fam, l, lam, params in members(key)]
+    sums = ([direct_sum([a, b]) for a, b in zip(mods, mods[1:] + mods[:1])]
+            + [direct_sum([a, a]) for a in mods])
+    for m in mods + sums:
+        assert homology.loewy_type(m) == _layered_loewy_type(m), m.labels
+
+
+@pytest.mark.parametrize("side", ["socle", "head"])
+@pytest.mark.parametrize("copies,message", [(1, "inconsistent Hom dimensions"),
+                                            (2, "does not exhaust")])
+def test_loewy_type_keeps_the_multiplicity_checks(side, copies, message):
+    # T_1(1, lam) over E has one simple S in its socle and another in its
+    # head.  On a fresh datum whose cached dim End(S) is 2 instead of 1 for
+    # the simple at `side`, dim Hom = 1 (one copy of T_1) is not divisible by
+    # it, and dim Hom = 2 (two copies) counts one S, which does not exhaust
+    # the socle or the head.
+    probe = make_datum("E")
+    t = t_chain(probe, 1, first_weight(probe, 1), 1)
+    [lab] = (homology.socle_multiset if side == "socle" else homology.head_multiset)(t)
+    for loewy in (homology.loewy_type, _layered_loewy_type):
+        datum = make_datum("E")
+        w = next(w for w in datum.weights_in_class(lab["l"]) if w.label() == lab["lambda"])
+        assert datum.cached(("end dim", lab["l"], w), lambda: 2) == 2
+        m = direct_sum([t_chain(datum, 1, first_weight(datum, 1), 1)] * copies)
+        with pytest.raises(DatumError, match=message):
+            loewy(m)
 
 
 # ---------------------------------------------------------------------------

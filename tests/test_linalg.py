@@ -1,7 +1,8 @@
 """Exact matrix algebra over cyclotomic fields.
 
-The sparse kernels (``Echelon`` and the products over ``Mat.nz_rows``) are
-also checked against dense reference loops on random sparse matrices.
+A ``Mat`` stores only its nonzero pattern.  Its operations and the sparse
+kernels (``Echelon`` and the products over ``Mat.nz_rows``) are also checked
+against dense reference loops on random sparse matrices.
 """
 
 import pytest
@@ -34,6 +35,9 @@ def test_construction_round_trips():
     assert Mat.zeros(4, 2, 3).is_zero()
     empty = Mat.from_cols(4, [(), ()], nrows=0)
     assert (empty.nrows, empty.ncols) == (0, 2)
+    for bad in ([[1, 2], [3]], [[1, 2, 3]]):
+        with pytest.raises(ValueError):
+            Mat.from_rows(4, [[sc(v) for v in r] for r in bad], 2)
 
 
 def test_arithmetic():
@@ -157,7 +161,7 @@ def ref_nullspace(m):
         v = [z] * m.ncols
         v[fc] = o
         for r, pc in enumerate(pivots):
-            v[pc] = -red.rows[r][fc]
+            v[pc] = -red[r, fc]
         basis.append(tuple(v))
     return basis
 
@@ -176,13 +180,14 @@ def ref_solve_right(a, b):
 
 def ref_mul(a, b):
     z = CycScalar.zero(a.order)
+    ga, gb = a.rows, b.rows
     out = []
     for i in range(a.nrows):
         row = []
         for j in range(b.ncols):
             s = z
             for k in range(a.ncols):
-                s = s + a.rows[i][k] * b.rows[k][j]
+                s = s + ga[i][k] * gb[k][j]
             row.append(s)
         out.append(row)
     return Mat.from_rows(a.order, out, b.ncols)
@@ -201,15 +206,20 @@ def scalars(order):
 
 
 @st.composite
-def sparse_mats(draw, order, nrows, ncols):
-    """About one nonzero entry per row, with any rows or columns left zero."""
+def grids(draw, order, nrows, ncols):
+    """Dense rows with about one nonzero entry per row, with any rows or
+    columns left zero."""
     z = CycScalar.zero(order)
     rows = [[z] * ncols for _ in range(nrows)]
     if nrows and ncols:
         cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
         for i, j in draw(st.lists(cells, max_size=2 * max(nrows, ncols))):
             rows[i][j] = draw(scalars(order))
-    return Mat.from_rows(order, rows, ncols)
+    return rows
+
+
+def sparse_mats(order, nrows, ncols):
+    return grids(order, nrows, ncols).map(lambda g: Mat.from_rows(order, g, ncols))
 
 
 @st.composite
@@ -283,3 +293,54 @@ def test_echelon_rows_do_not_depend_on_row_order(om, rng):
     assert a.pivots == b.pivots
     assert a.rows == b.rows
     assert [a.dense(p) for p in a.pivots] == list(rref(m)[0].rows[:len(a.pivots)])
+
+
+def assert_dense(m, grid, ncols):
+    """m has the dense rows ``grid`` and stores neither a zero nor a column
+    outside its shape; ``Mat.__eq__`` compares the stored patterns."""
+    assert (m.nrows, m.ncols) == (len(grid), ncols)
+    assert [list(r) for r in m.rows] == [list(r) for r in grid]
+    assert all(x and 0 <= j < ncols for r in m.nz_rows() for j, x in r.items())
+
+
+@SETTINGS
+@given(st.sampled_from(ORDERS), DIMS, DIMS, DIMS, st.data())
+def test_mat_operations_match_dense_loops(order, n, k, m, data):
+    z = CycScalar.zero(order)
+    ga = data.draw(grids(order, n, k))
+    a = Mat.from_rows(order, ga, k)
+    # b is a with some rows negated, so a + b cancels there, elsewhere random
+    flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    gb = [[-x for x in ra] if f else rb
+          for ra, rb, f in zip(ga, data.draw(grids(order, n, k)), flips)]
+    b = Mat.from_rows(order, gb, k)
+    gc = data.draw(grids(order, n, m))
+    gd = data.draw(grids(order, m, k))
+    c, d = Mat.from_rows(order, gc, m), Mat.from_rows(order, gd, k)
+
+    assert_dense(a, ga, k)
+    assert all(a[i, j] == ga[i][j] for i in range(n) for j in range(k))
+    assert all(a.col(j) == tuple(r[j] for r in ga) for j in range(k))
+    assert_dense(a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)], k)
+    assert_dense(a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)], k)
+    assert_dense(-a, [[-x for x in r] for r in ga], k)
+    assert_dense(a - a, [[z] * k for _ in range(n)], k)
+    for s in (z, data.draw(scalars(order))):
+        assert_dense(a.scale(s), [[s * x for x in r] for r in ga], k)
+    assert_dense(a.transpose(), [[r[j] for r in ga] for j in range(k)], n)
+    assert_dense(Mat.from_cols(order, [[r[j] for r in ga] for j in range(k)], nrows=n), ga, k)
+    assert_dense(hstack([a, c]), [ra + rc for ra, rc in zip(ga, gc)], k + m)
+    assert_dense(vstack([a, d]), ga + gd, k)
+    assert_dense(block_diag(order, [a, c]),
+                 [ra + [z] * m for ra in ga] + [[z] * k + rc for rc in gc], k + m)
+    o = CycScalar.one(order)
+    assert_dense(Mat.identity(order, n), [[o if i == j else z for j in range(n)]
+                                          for i in range(n)], n)
+    entries = [x if keep else z for x, keep in zip(
+        data.draw(st.lists(scalars(order), min_size=n, max_size=n)),
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))]
+    assert_dense(Mat.diag(order, entries), [[entries[i] if i == j else z for j in range(n)]
+                                            for i in range(n)], n)
+    assert_dense(Mat.zeros(order, n, k), [[z] * k for _ in range(n)], k)
+    sq = data.draw(grids(order, n, n))
+    assert Mat.from_rows(order, sq, n).trace() == sum((sq[i][i] for i in range(n)), z)
