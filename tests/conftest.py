@@ -1,4 +1,4 @@
-"""Shared fixtures: the four standing test datums and JSON file helpers.
+"""Shared fixtures: the standing test datums and JSON file helpers.
 
 Datum overview (all on cyclic groups, generator written g):
 
@@ -8,6 +8,10 @@ Datum overview (all on cyclic groups, generator written g):
 * ``datum_e`` -- Z_9, chi(g) = zeta_3, a = g, alpha = 1: non-nilpotent, n = 3,
   m = 3.  Used where n = 2 is too small to expose an error (the closing-edge
   coefficient misread is invisible when l = n - 1).
+* ``D`` -- Z_6, chi(g) = zeta_3, a = g, alpha = 0: nilpotent, n = 3, m = 2.
+* ``F`` -- Z_3, chi(g) = zeta_3, a = g, alpha = 0: nilpotent, n = 3, m = 1.
+  D and F (JSON only, no fixture) pin the chain and band builders at l = 2,
+  where l differs from n - l.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ DATUM_JSON = {
     "B": {"orders": [4], "chi": [2], "a": [1], "alpha": 0},
     "C": {"orders": [4], "chi": [2], "a": [1], "alpha": 1},
     "E": {"orders": [9], "chi": [3], "a": [1], "alpha": 1},
+    "D": {"orders": [6], "chi": [2], "a": [1], "alpha": 0},
+    "F": {"orders": [3], "chi": [1], "a": [1], "alpha": 0},
 }
 
 INVALID_DATUM_JSON = {"orders": [8], "chi": [2], "a": [2], "alpha": 1}

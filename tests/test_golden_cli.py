@@ -83,6 +83,18 @@ CASES.update({
     "compare-A-t1-w1inf": ("module", "compare", "{mod:build-A-t1}",
                            "{mod:build-A-w1-inf}"),
 })
+# n = 3 at l = 2, where l differs from n - l: the chain and band builders'
+# l-dependent indices show here and not over A, B or C (n = 2)
+L2 = ("--l", "2", "--lambda", "0;2")
+for _key, _tok, _sfx, _args in (("D", "string_tt", "", ("--t", "2")),
+                                ("D", "string_ttbar", "", ("--t", "2")),
+                                ("D", "band_mt", "", ("--t", "1", "--eta", "-1")),
+                                ("F", "w_t", "", ("--t", "2", "--eta", "2")),
+                                ("F", "w_t", "-inf", ("--t", "2", "--eta", "inf")),
+                                ("E", "string_tt", "", ("--t", "2")),
+                                ("E", "string_ttbar", "", ("--t", "2"))):
+    CASES[f"build-{_key}-{_tok}{_sfx}-l2"] = ("module", "build", f"{{{_key}}}",
+                                              "--family", _tok, *L2, *_args)
 # V(1,(0;0)) (+) P(1,(0;0)) over A: End is not local, so compare reaches the
 # witness search and analyze reports layers of a decomposable module
 _VP = "{sum:build-A-simple+build-A-projective}"
