@@ -211,10 +211,11 @@ def cmd_module_analyze(args) -> int:
         _emit(args, payload, lines)
         return EXIT_VERIFY
     el = homology.end_local_dim(mod)
-    lt = homology.loewy_type(mod)
-    soc = homology.socle_multiset(mod) if mod.dim else []
-    hd = homology.head_multiset(mod) if mod.dim else []
-    series = [homology.semisimple_factors(layer) for layer in homology.radical_series(mod)]
+    loewy = homology.loewy_structure(mod)
+    lt = loewy.type
+    soc = homology._factors_as_json(loewy.socle)
+    hd = homology._factors_as_json(loewy.head)
+    series = [homology.semisimple_factors(layer) for layer in loewy.layers()]
     layers = [homology._factors_as_json(factors) for factors in series]
     comp = homology.composition_factors(mod, series)
     fam = homology.match_family(mod, max_t=args.max_t, max_s=args.max_s,

@@ -14,6 +14,11 @@ Each function emits a ModuleRep on an explicit weight-tagged basis:
 * ``w_band``       -- the one-parameter family W_t(l, lambda, eta) that
                       replaces the bands when m = 1 (eta may be infinite).
 
+The last four glue copies of the T_1 or Tbar_1 string end to end with one
+builder: open strings for the chains, closed ones with eta on the closing
+edge for the bands.  ``t1``, ``t1bar`` and ``w1`` check the t = 1 members
+against restrictions of the projective cover.
+
 ``FAMILIES`` is the one registry of the classified families (V, P, Omega,
 T, Tbar, M, W): parameters, builder, dimension formula, predicted Loewy type
 and tag, read by ``classify``, ``match_family`` and the almost-split
@@ -52,10 +57,6 @@ class EtaParam:
         raise AttributeError("EtaParam is immutable")
 
     @staticmethod
-    def infinite() -> EtaParam:
-        return EtaParam(None)
-
-    @staticmethod
     def of(v) -> EtaParam:
         if isinstance(v, EtaParam):
             return v
@@ -84,9 +85,6 @@ class EtaParam:
 
     def is_unit(self, datum: ValidatedDatum) -> bool:
         return not self.is_inf and not self.scalar(datum).is_zero()
-
-    def neg(self) -> EtaParam:
-        return self if self.value is None else EtaParam(-self.value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EtaParam):
@@ -264,151 +262,104 @@ def projective(datum: ValidatedDatum, l: int, lam: Weight) -> ModuleRep:
 
 
 # ---------------------------------------------------------------------------
-# chain modules
+# chain and band modules: strings of segments glued end to end
 
 
-def _t_table(datum: ValidatedDatum, l: int, lam: Weight, t: int):
-    """Table for the chain T_t: segments c = 0..t-1 with base weights
-    tau^(c-(t-1))(lambda), x linking segment c into segment c+1."""
+def _segment(datum: ValidatedDatum, l: int, lam: Weight, dual: bool):
+    """The string of T_1(l, lambda), or of Tbar_1(l, lambda) if ``dual``, as a
+    segment to glue: the phi-shifts of its n basis vectors off the segment's
+    base weight, its entries ``(act, i, j, coeff)`` (coeff times vector i in
+    the image of vector j under act) and its link, the entries a glue edge
+    lays from this segment's vector j to another segment's vector i."""
     n = datum.n
     one = datum.one()
-    slam = datum.sigma(lam)
-    mus = [datum.tau(lam, c - (t - 1)) for c in range(t)]
 
-    def idx(c: int, j: int) -> int:
-        return c * n + j
+    def edges(p: int, q: int, mu_p: Weight, mu_q: Weight, gap=None) -> list:
+        # coefficients of the edges j -- j+1: alpha_(j+1)(mu_p) before j = p-1,
+        # ``gap`` at it (None: no edge), alpha_(j+1-p)(mu_q) after it
+        return [datum.alpha_coeff(j + 1, p, mu_p) if j < p - 1 else gap if j == p - 1
+                else datum.alpha_coeff(j + 1 - p, q, mu_q) for j in range(n - 1)]
 
-    weights = []
-    x: dict = {}
-    xi: dict = {}
-    if datum.kind == NILPOTENT:
-        for c in range(t):
-            for j in range(n):
-                shift = j + l if j <= n - l - 1 else j - n + l
-                weights.append(datum.phi_shift(mus[c], shift))
-        for c in range(t):
-            for j in range(n):
-                if j <= n - l - 2:
-                    _put(x, idx(c, j + 1), idx(c, j), one)
-                elif j == n - l - 1:
-                    if c < t - 1:
-                        _put(x, idx(c + 1, n - l), idx(c, j), one)
-                elif j <= n - 2:
-                    _put(x, idx(c, j + 1), idx(c, j), one)
-                if j == 0:
-                    _put(xi, idx(c, n - 1), idx(c, 0), one)
-                elif j <= n - l - 1:
-                    _put(xi, idx(c, j - 1), idx(c, j), datum.alpha_coeff(j, n - l, slam))
-                elif j >= n - l + 1:
-                    _put(xi, idx(c, j - 1), idx(c, j), datum.alpha_coeff(j - n + l, l, lam))
+    ones = [one] * (n - 1)
+    open_mid = [None if j == n - l - 1 else one for j in range(n - 1)]  # no edge n-l-1 -- n-l
+    extra: list = []
+    if datum.kind == NILPOTENT and not dual:
+        shifts = [j + l if j < n - l else j - n + l for j in range(n)]
+        down, up = open_mid, edges(n - l, l, datum.sigma(lam), lam)
+        extra = [("xi", n - 1, 0, one)]
+        link = [("x", n - l, n - l - 1, one)]
+    elif not dual:
+        shifts = list(range(n))
+        down, up = edges(l, n - l, lam, datum.sigma(lam)), ones
+        extra = [("x", 0, n - 1, datum.yz_coeff(l, lam)[1])]
+        link = [("x", 0, n - 1, one)]
     else:
-        z = datum.yz_coeff(l, lam)[1]
-        for c in range(t):
-            for j in range(n):
-                weights.append(datum.phi_shift(mus[c], j))
-        for c in range(t):
-            for j in range(n):
-                if j <= l - 2:
-                    _put(x, idx(c, j + 1), idx(c, j), datum.alpha_coeff(j + 1, l, lam))
-                elif l <= j <= n - 2:
-                    _put(x, idx(c, j + 1), idx(c, j), datum.alpha_coeff(j + 1 - l, n - l, slam))
-                elif j == n - 1:
-                    _put(x, idx(c, 0), idx(c, j), z)
-                    if c < t - 1:
-                        _put(x, idx(c + 1, 0), idx(c, j), one)
-                if j >= 1:
-                    _put(xi, idx(c, j - 1), idx(c, j), one)
-    return weights, x, xi
+        shifts = [j - n + l for j in range(n)]
+        silam = datum.sigma_inv(lam)
+        link = [("xi", n - 1, 0, one)]
+        if datum.kind == NILPOTENT:
+            down, up = ones, edges(n - l, l, silam, lam)
+        else:
+            down, up = edges(n - l, l, silam, lam, one), open_mid
+            link.append(("x", n - l, n - l - 1, datum.yz_coeff(l, lam)[1]))
+    entries = ([("x", j + 1, j, v) for j, v in enumerate(down) if v is not None]
+               + [("xi", j, j + 1, v) for j, v in enumerate(up) if v is not None] + extra)
+    return shifts, entries, link
+
+
+def _glued(datum: ValidatedDatum, l: int, lam: Weight, dual: bool, bases: list[Weight],
+           glue: list, labels: list[str] | None = None) -> ModuleRep:
+    """Segments c = 0..len(bases)-1 of the T_1 string (Tbar_1 if ``dual``),
+    segment c at base weight bases[c], glued by the edges ``(c, d, v)``: v
+    times the link from segment c into segment d.  A chain link is the x-edge
+    from the exit of c to the entry of d; a dual link is a xi-edge and, on a
+    non-nilpotent datum, an x-edge scaled by z.  Labels default to w (z if
+    ``dual``) with the position and the segment."""
+    n = datum.n
+    shifts, entries, link = _segment(datum, l, lam, dual)
+    acts: dict = {"x": {}, "xi": {}}
+    for c in range(len(bases)):
+        for act, i, j, v in entries:
+            _put(acts[act], c * n + i, c * n + j, v)
+    for c, d, v in glue:
+        for act, i, j, w in link:
+            _put(acts[act], d * n + i, c * n + j, v * w)
+    weights = [datum.phi_shift(mu, k) for mu in bases for k in shifts]
+    if labels is None:
+        labels = [f"{'z' if dual else 'w'}{j}^{c}" for c in range(len(bases)) for j in range(n)]
+    return ModuleRep.from_weight_action(datum, weights, acts["x"], acts["xi"], labels)
 
 
 def t_chain(datum: ValidatedDatum, l: int, lam: Weight, t: int = 1) -> ModuleRep:
-    """The chain module T_t(l, lambda) of (t, t)-type, dimension nt."""
+    """The chain module T_t(l, lambda) of (t, t)-type, dimension nt: t
+    segments at base weights tau^(c-(t-1))(lambda), each linked into the next."""
     _require_regular(datum, l, lam)
     if t < 1:
         raise DatumError(f"chain length t={t} must be >= 1")
-    weights, x, xi = _t_table(datum, l, lam, t)
-    labels = [f"w{j}^{c}" for c in range(t) for j in range(datum.n)]
-    return ModuleRep.from_weight_action(datum, weights, x, xi, labels)
-
-
-def _tbar_table(datum: ValidatedDatum, l: int, lam: Weight, t: int,
-                eta: CycScalar | None):
-    """Table for the dual chain Tbar_t: segments c = 0..t-1 with base
-    weights tau^c(lambda), xi linking segment c into segment c-1.  When
-    ``eta`` is given (only meaningful at m = 1) the xi-edge also closes each
-    segment onto itself with coefficient eta, giving the W family."""
-    n = datum.n
     one = datum.one()
-    silam = datum.sigma_inv(lam)
-    nus = [datum.tau(lam, c) for c in range(t)]
-
-    def idx(c: int, j: int) -> int:
-        return c * n + j
-
-    weights = []
-    x: dict = {}
-    xi: dict = {}
-    if datum.kind == NILPOTENT:
-        for c in range(t):
-            for j in range(n):
-                weights.append(datum.phi_shift(nus[c], j - n + l))
-        for c in range(t):
-            for j in range(n):
-                if j <= n - 2:
-                    _put(x, idx(c, j + 1), idx(c, j), one)
-                if j == 0:
-                    if eta is not None:
-                        _put(xi, idx(c, n - 1), idx(c, 0), eta)
-                    if c >= 1:
-                        _put(xi, idx(c - 1, n - 1), idx(c, 0), one)
-                elif j <= n - l - 1:
-                    _put(xi, idx(c, j - 1), idx(c, j), datum.alpha_coeff(j, n - l, silam))
-                elif j >= n - l + 1:
-                    _put(xi, idx(c, j - 1), idx(c, j), datum.alpha_coeff(j - n + l, l, lam))
-    else:
-        z = datum.yz_coeff(l, lam)[1]
-        slam = datum.sigma(lam)
-        for c in range(t):
-            for j in range(n):
-                weights.append(datum.phi_shift(nus[c], j - n + l))
-        for c in range(t):
-            for j in range(n):
-                if j <= n - l - 2:
-                    _put(x, idx(c, j + 1), idx(c, j), datum.alpha_coeff(j + 1, n - l, silam))
-                elif j == n - l - 1:
-                    _put(x, idx(c, n - l), idx(c, j), one)
-                    if c >= 1:
-                        _put(x, idx(c - 1, n - l), idx(c, j), z)
-                elif j <= n - 2:
-                    _put(x, idx(c, j + 1), idx(c, j), datum.alpha_coeff(j + 1 - n + l, l, lam))
-                if j == 0:
-                    if c >= 1:
-                        _put(xi, idx(c - 1, n - 1), idx(c, 0), one)
-                elif j != n - l:
-                    _put(xi, idx(c, j - 1), idx(c, j), one)
-    return weights, x, xi
+    return _glued(datum, l, lam, False, [datum.tau(lam, c - (t - 1)) for c in range(t)],
+                  [(c, c + 1, one) for c in range(t - 1)])
 
 
 def t_chain_bar(datum: ValidatedDatum, l: int, lam: Weight, t: int = 1) -> ModuleRep:
-    """The dual chain module Tbar_t(l, lambda) of (t, t)-type, dimension nt."""
+    """The dual chain module Tbar_t(l, lambda) of (t, t)-type, dimension nt:
+    t dual segments at base weights tau^c(lambda), each linked into the one
+    before."""
     _require_regular(datum, l, lam)
     if t < 1:
         raise DatumError(f"chain length t={t} must be >= 1")
-    weights, x, xi = _tbar_table(datum, l, lam, t, None)
-    labels = [f"z{j}^{c}" for c in range(t) for j in range(datum.n)]
-    return ModuleRep.from_weight_action(datum, weights, x, xi, labels)
-
-
-# ---------------------------------------------------------------------------
-# band modules
+    one = datum.one()
+    return _glued(datum, l, lam, True, [datum.tau(lam, c) for c in range(t)],
+                  [(c, c - 1, one) for c in range(1, t)])
 
 
 def band(datum: ValidatedDatum, l: int, lam: Weight, eta, t: int = 1) -> ModuleRep:
     """The band module M_t(l, lambda, eta) of (tm, tm)-type, dimension nmt.
 
-    ``eta`` must be a nonzero finite scalar.  The t copies are glued by a
-    Jordan closing edge: the wrap-around of copy i adds eta times the head
-    of copy i plus (for i >= 1) the head of copy i-1.
+    ``eta`` must be a nonzero finite scalar.  Each of the t copies is a chain
+    of m segments at base weights tau^k(lambda), closed from its last segment
+    onto its first with eta; that edge also links (for i >= 1) copy i into
+    copy i-1, a Jordan block across the copies.
     """
     _require_regular(datum, l, lam)
     if datum.m == 1:
@@ -418,78 +369,25 @@ def band(datum: ValidatedDatum, l: int, lam: Weight, eta, t: int = 1) -> ModuleR
     eta = EtaParam.of(eta)
     if not eta.is_unit(datum):
         raise DatumError("band modules need a finite nonzero eta")
-    eta_s = eta.scalar(datum)
     n, m = datum.n, datum.m
-    one = datum.one()
-    slam = datum.sigma(lam)
-
-    def idx(i: int, k: int, j: int) -> int:
-        return (i * m + k) * n + j
-
-    weights = []
-    x: dict = {}
-    xi: dict = {}
-    if datum.kind == NILPOTENT:
-        for i in range(t):
-            for k in range(m):
-                base = datum.tau(lam, k)
-                for j in range(n):
-                    shift = j + l if j <= n - l - 1 else j - n + l
-                    weights.append(datum.phi_shift(base, shift))
-        for i in range(t):
-            for k in range(m):
-                for j in range(n):
-                    if j <= n - l - 2:
-                        _put(x, idx(i, k, j + 1), idx(i, k, j), one)
-                    elif j == n - l - 1:
-                        if k < m - 1:
-                            _put(x, idx(i, k + 1, n - l), idx(i, k, j), one)
-                        else:
-                            _put(x, idx(i, 0, n - l), idx(i, k, j), eta_s)
-                            if i >= 1:
-                                _put(x, idx(i - 1, 0, n - l), idx(i, k, j), one)
-                    elif j <= n - 2:
-                        _put(x, idx(i, k, j + 1), idx(i, k, j), one)
-                    if j == 0:
-                        _put(xi, idx(i, k, n - 1), idx(i, k, 0), one)
-                    elif j <= n - l - 1:
-                        _put(xi, idx(i, k, j - 1), idx(i, k, j), datum.alpha_coeff(j, n - l, slam))
-                    elif j >= n - l + 1:
-                        _put(xi, idx(i, k, j - 1), idx(i, k, j), datum.alpha_coeff(j - n + l, l, lam))
-    else:
-        z = datum.yz_coeff(l, lam)[1]
-        for i in range(t):
-            for k in range(m):
-                base = datum.tau(lam, k)
-                for j in range(n):
-                    weights.append(datum.phi_shift(base, j))
-        for i in range(t):
-            for k in range(m):
-                for j in range(n):
-                    if j <= l - 2:
-                        _put(x, idx(i, k, j + 1), idx(i, k, j), datum.alpha_coeff(j + 1, l, lam))
-                    elif l <= j <= n - 2:
-                        _put(x, idx(i, k, j + 1), idx(i, k, j), datum.alpha_coeff(j + 1 - l, n - l, slam))
-                    elif j == n - 1:
-                        _put(x, idx(i, k, 0), idx(i, k, j), z)
-                        if k < m - 1:
-                            _put(x, idx(i, k + 1, 0), idx(i, k, j), one)
-                        else:
-                            _put(x, idx(i, 0, 0), idx(i, k, j), eta_s)
-                            if i >= 1:
-                                _put(x, idx(i - 1, 0, 0), idx(i, k, j), one)
-                    if j >= 1:
-                        _put(xi, idx(i, k, j - 1), idx(i, k, j), one)
-    labels = [f"b{j}^{k}.{i}" for i in range(t) for k in range(m) for j in range(n)]
-    return ModuleRep.from_weight_action(datum, weights, x, xi, labels)
+    one, eta_s = datum.one(), eta.scalar(datum)
+    glue = []
+    for i in range(t):
+        first, last = i * m, i * m + m - 1
+        glue += [(k, k + 1, one) for k in range(first, last)]
+        glue.append((last, first, eta_s))
+        if i >= 1:
+            glue.append((last, first - m, one))
+    return _glued(datum, l, lam, False, [datum.tau(lam, k) for _ in range(t) for k in range(m)],
+                  glue, [f"b{j}^{k}.{i}" for i in range(t) for k in range(m) for j in range(n)])
 
 
 def w_band(datum: ValidatedDatum, l: int, lam: Weight, eta, t: int = 1) -> ModuleRep:
     """The family W_t(l, lambda, eta) of (t, t)-type at m = 1 (nilpotent).
 
-    ``eta`` ranges over all scalars plus infinity.  Finite eta closes the
-    xi-edge of the dual chain shape; eta = infinity is the chain shape with
-    an open xi-edge and a Jordan x-edge instead.
+    ``eta`` ranges over all scalars plus infinity.  Finite eta is the dual
+    chain with each segment also linked into itself by eta; eta = infinity
+    is the chain T_t.
     """
     _require_regular(datum, l, lam)
     if datum.m != 1:
@@ -497,14 +395,15 @@ def w_band(datum: ValidatedDatum, l: int, lam: Weight, eta, t: int = 1) -> Modul
     if t < 1:
         raise DatumError(f"band length t={t} must be >= 1")
     eta = EtaParam.of(eta)
-    n = datum.n
     if eta.is_inf:
-        weights, x, xi = _t_table(datum, l, lam, t)
-        labels = [f"w{j}^{c}" for c in range(t) for j in range(n)]
-    else:
-        weights, x, xi = _tbar_table(datum, l, lam, t, eta.scalar(datum))
-        labels = [f"z{j}^{c}" for c in range(t) for j in range(n)]
-    return ModuleRep.from_weight_action(datum, weights, x, xi, labels)
+        return t_chain(datum, l, lam, t)
+    one, eta_s = datum.one(), eta.scalar(datum)
+    glue = []
+    for c in range(t):
+        glue.append((c, c, eta_s))
+        if c >= 1:
+            glue.append((c, c - 1, one))
+    return _glued(datum, l, lam, True, [datum.tau(lam, c) for c in range(t)], glue)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import CycScalar
 from .datum import DatumError, ValidatedDatum, Weight
@@ -323,17 +322,41 @@ def radical_series(m: ModuleRep) -> list[ModuleRep]:
     return [quotient_module(cur, facts)[0] for cur, facts in _radical_steps(m)]
 
 
-def loewy_type(m: ModuleRep) -> LoewyType:
-    """Head and socle lengths from the Hom solves that find the radical and
+@dataclass(frozen=True)
+class LoewyStructure:
+    """The simples of the head and of the socle with their multiplicities,
+    and the radical chain: (rad^k m, rad^(k+1) m as its submodule) for
+    k = 0, 1, ... while rad^k m is nonzero."""
+
+    head: list
+    socle: list
+    steps: list
+
+    @property
+    def type(self) -> LoewyType:
+        return LoewyType(sum(mult for _, mult in self.head),
+                         sum(mult for _, mult in self.socle), len(self.steps))
+
+    def layers(self) -> list[ModuleRep]:
+        """The semisimple layers rad^k m / rad^(k+1) m, built on request."""
+        return [quotient_module(cur, facts)[0] for cur, facts in self.steps]
+
+
+def loewy_structure(m: ModuleRep) -> LoewyStructure:
+    """Head and socle from the one Hom solve each that finds the radical and
     the socle (Hom(m, S) = Hom(m / rad m, S), Hom(S, m) = Hom(S, soc m)), and
-    the radical length from the chain rad^k m, without its quotient layers."""
+    the radical chain, without its quotient layers."""
     if m.dim == 0:
-        return LoewyType(0, 0, 0)
+        return LoewyStructure([], [], [])
     rad, dims = _radical(m)
-    s = sum(mult for _, mult in _multiplicities(m.datum, dims, m.dim - rad.dim))
+    head = _multiplicities(m.datum, dims, m.dim - rad.dim)
     soc, dims = _socle(m)
-    t = sum(mult for _, mult in _multiplicities(m.datum, dims, soc.dim))
-    return LoewyType(s, t, 1 + sum(1 for _ in _radical_steps(rad.module)))
+    return LoewyStructure(head, _multiplicities(m.datum, dims, soc.dim),
+                          [(m, rad), *_radical_steps(rad.module)])
+
+
+def loewy_type(m: ModuleRep) -> LoewyType:
+    return loewy_structure(m).type
 
 
 def type_of(m: ModuleRep) -> tuple[int, int]:
@@ -547,13 +570,15 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
                     return IsoVerdict("yes", "invertible intertwiner (trace pairing)", f)
         return _no("trace pairing of Hom(a,b) with Hom(b,a) vanishes; "
                    "both endomorphism algebras are local, so no map is invertible")
-    if loewy_type(a) != loewy_type(b):
+    la, lb = loewy_structure(a), loewy_structure(b)
+    if la.type != lb.type:
         return _no("Loewy types differ")
-    if composition_factors(a) != composition_factors(b):
+    if (composition_factors(a, map(semisimple_factors, la.layers()))
+            != composition_factors(b, map(semisimple_factors, lb.layers()))):
         return _no("composition factor multisets differ")
-    if socle_multiset(a) != socle_multiset(b):
+    if la.socle != lb.socle:
         return _no("socle multisets differ")
-    if head_multiset(a) != head_multiset(b):
+    if la.head != lb.head:
         return _no("head multisets differ")
     trials = 0
     for f in homs_ab:
@@ -561,19 +586,13 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
         if rank(f.matrix) == a.dim:
             return IsoVerdict("yes", "invertible intertwiner (basis scan)", f, trials)
     rng = random.Random(seed)
-    one = a.datum.one()
     for _ in range(64):
         trials += 1
         coeffs = [rng.randint(-3, 3) for _ in homs_ab]
         if all(c == 0 for c in coeffs):
             continue
-        mat = None
-        for c, f in zip(coeffs, homs_ab):
-            if c == 0:
-                continue
-            term = f.matrix.scale(a.datum.scalar(Fraction(c)))
-            mat = term if mat is None else mat + term
-        if mat is not None and rank(mat) == a.dim:
+        mat = _combination(a.datum, coeffs, [f.matrix for f in homs_ab])
+        if rank(mat) == a.dim:
             w = Morphism(a, b, mat)
             if w.is_valid():
                 return IsoVerdict("yes", "invertible intertwiner (seeded combination)", w, trials)
@@ -637,6 +656,17 @@ def _flattened(order: int, mats: list[Mat]) -> Mat:
                mats[0].nrows * mats[0].ncols).transpose()
 
 
+def _combination(datum: ValidatedDatum, coeffs, mats: list[Mat]) -> Mat | None:
+    """The sum of c * mat over the nonzero coefficients c (scalars or
+    integers), or None when every coefficient is zero."""
+    mat = None
+    for c, m in zip(coeffs, mats):
+        if c:
+            term = m.scale(datum.scalar(c))
+            mat = term if mat is None else mat + term
+    return mat
+
+
 def ses_check(f: Morphism, g: Morphism) -> SesReport:
     """Exactness and splitness of 0 -> A -f-> B -g-> C -> 0."""
     if f.target.dim != g.source.dim:
@@ -662,13 +692,8 @@ def ses_check(f: Morphism, g: Morphism) -> SesReport:
         rep.split = False
     else:
         rep.split = True
-        mat = None
-        for k, h in enumerate(homs_cb):
-            coeff = sol[(k, 0)]
-            if coeff.is_zero():
-                continue
-            term = h.matrix.scale(coeff)
-            mat = term if mat is None else mat + term
+        mat = _combination(datum, [sol[(k, 0)] for k in range(len(homs_cb))],
+                           [h.matrix for h in homs_cb])
         if mat is None:
             mat = Mat.zeros(datum.N, b.dim, c.dim)
         rep.section = Morphism(c, b, mat)
@@ -695,24 +720,13 @@ def _span_candidates(mats: list[Mat], datum: ValidatedDatum, seed: int,
     combination, each basis element, then seeded small-integer combinations."""
     if not mats:
         return
-    total = None
-    for m in mats:
-        total = m if total is None else total + m
-    yield total
+    yield sum(mats[1:], mats[0])
     yield from mats
     rng = random.Random(seed)
     for _ in range(max_random):
         coeffs = [rng.randint(-3, 3) for _ in mats]
-        if all(c == 0 for c in coeffs):
-            continue
-        acc = None
-        for cf, m in zip(coeffs, mats):
-            if cf == 0:
-                continue
-            term = m.scale(datum.scalar(Fraction(cf)))
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            yield acc
+        if any(coeffs):
+            yield _combination(datum, coeffs, mats)
 
 
 def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
@@ -740,16 +754,8 @@ def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
         if tried > max_f_trials:
             break
         sys = _flattened(datum.N, [h.matrix * f_mat for h in homs_bc])
-        sub = []
-        for v in nullspace(sys):
-            mat = None
-            for k, h in enumerate(homs_bc):
-                if v[k].is_zero():
-                    continue
-                term = h.matrix.scale(v[k])
-                mat = term if mat is None else mat + term
-            if mat is not None:
-                sub.append(mat)
+        # a nullspace basis vector is nonzero, so each combination is a matrix
+        sub = [_combination(datum, v, [h.matrix for h in homs_bc]) for v in nullspace(sys)]
         for g_mat in _span_candidates(sub, datum, seed + 1):
             if rank(g_mat) == c.dim:
                 return b, Morphism(a, b, f_mat), Morphism(b, c, g_mat)

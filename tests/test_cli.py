@@ -6,13 +6,13 @@ from collections import Counter
 
 import pytest
 
-from doublerep import cli
+from doublerep import cli, homology
 from doublerep.constructors import projective, simple
 from doublerep.linalg import Mat
-from doublerep.repmod import ModuleRep
+from doublerep.repmod import ModuleRep, direct_sum
 
 from .conftest import (DATUM_JSON, INVALID_DATUM_JSON, conjugated_json,
-                       first_weight, upper_ones)
+                       first_weight, make_datum, upper_ones)
 
 
 def run(capsys, *argv):
@@ -211,6 +211,28 @@ def test_module_compare(capsys, tmp_path, datum_file):
     assert code == 0 and "yes" in out
     code, out, _ = run(capsys, "module", "compare", a, c)
     assert code == 0 and "no" in out
+
+
+@pytest.mark.parametrize("command, solves", [("analyze", 1), ("compare", 2)])
+def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatch,
+                                                  command, solves):
+    # V(1,(0;0)) (+) P(1,(0;0)) over A: End is not local, so compare reaches
+    # the Loewy invariants and the witness search
+    datum = make_datum("A")
+    lam = first_weight(datum, 1)
+    v, p = simple(datum, 1, lam), projective(datum, 1, lam)
+    paths = [write_json(f"{name}.json", direct_sum(mods).to_json())
+             for name, mods in (("vp", [v, p]), ("pv", [p, v]))]
+    calls = Counter()
+    for name in ("_radical", "_socle"):
+        def counted(m, name=name, solve=getattr(homology, name)):
+            calls[name, m.dim] += 1
+            return solve(m)
+        monkeypatch.setattr(homology, name, counted)
+    code, out, _ = run(capsys, "module", command, *paths[:solves])
+    assert code == 0
+    assert "seeded combination" in out if command == "compare" else cli.OUTSIDE in out
+    assert (calls["_radical", 5], calls["_socle", 5]) == (solves, solves)
 
 
 def test_analyze_and_compare_accept_any_basis(capsys, tmp_path, datum_e):

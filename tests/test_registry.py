@@ -20,7 +20,7 @@ def members(key):
                 yield datum, fam, l, first_weight(datum, l), params
 
 
-@pytest.mark.parametrize("key", ["A", "B", "C", "E"])
+@pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F"])
 def test_registry_predictions(key):
     seen = set()
     for datum, fam, l, lam, params in members(key):
