@@ -95,6 +95,16 @@ for _key, _tok, _sfx, _args in (("D", "string_tt", "", ("--t", "2")),
                                 ("E", "string_ttbar", "", ("--t", "2"))):
     CASES[f"build-{_key}-{_tok}{_sfx}-l2"] = ("module", "build", f"{{{_key}}}",
                                               "--family", _tok, *L2, *_args)
+# projective covers, injective hulls and radical layers at n = 3: the
+# syzygy and cosyzygy chains of lemma 4.5, and the layers of P and T_2 at l = 2
+CASES.update({
+    "build-D-projective-l2": ("module", "build", "{D}", "--family", "projective", *L2),
+    "analyze-D-projective-l2": ("module", "analyze", "{mod:build-D-projective-l2}"),
+    "analyze-D-string_tt-l2": ("module", "analyze", "{mod:build-D-string_tt-l2}",
+                               "--format", "json"),
+    "ar-D-4.5": ("ar", "check", "{D}", "--lemma", "4.5", "--max-t", "1"),
+    "ar-F-4.5": ("ar", "check", "{F}", "--lemma", "4.5", "--max-t", "1"),
+})
 # V(1,(0;0)) (+) P(1,(0;0)) over A: End is not local, so compare reaches the
 # witness search and analyze reports layers of a decomposable module
 _VP = "{sum:build-A-simple+build-A-projective}"
