@@ -114,29 +114,15 @@ def _factor_str(factors: list[dict]) -> str:
 
 
 def cmd_datum_check(args) -> int:
-    datum = _load_datum(args.file)
-    counts = datum.simple_counts()
-    k = len(datum.kernel_K())
-    payload = {
-        "kind": datum.kind,
-        "orders": list(datum.group.orders),
-        "exponent": datum.N,
-        "rho": str(datum.rho),
-        "n": datum.n,
-        "m": datum.m,
-        "alpha": str(datum.alpha),
-        "alpha_normalized": datum.alpha_normalized,
-        "K": k,
-        "simple_counts": {str(l): c for l, c in sorted(counts.items())},
-    }
+    payload = _load_datum(args.file).describe()
     lines = [
-        f"kind: {datum.kind}",
-        f"group orders: {list(datum.group.orders)} (exponent {datum.N})",
-        f"rho = {datum.rho}, n = {datum.n}, m = {datum.m}",
-        f"alpha = {datum.alpha}" + (" (normalized)" if datum.alpha_normalized else ""),
-        f"|K| = {k}",
+        f"kind: {payload['kind']}",
+        f"group orders: {payload['orders']} (exponent {payload['exponent']})",
+        f"rho = {payload['rho']}, n = {payload['n']}, m = {payload['m']}",
+        f"alpha = {payload['alpha']}" + (" (normalized)" if payload["alpha_normalized"] else ""),
+        f"|K| = {payload['K']}",
         "simple counts by dimension: "
-        + ", ".join(f"{l}: {c}" for l, c in sorted(counts.items())),
+        + ", ".join(f"{l}: {c}" for l, c in payload["simple_counts"].items()),
     ]
     _emit(args, payload, lines)
     return EXIT_OK
@@ -215,9 +201,8 @@ def cmd_module_analyze(args) -> int:
     lt = loewy.type
     soc = homology._factors_as_json(loewy.socle)
     hd = homology._factors_as_json(loewy.head)
-    series = [homology.semisimple_factors(layer) for layer in loewy.layers()]
-    layers = [homology._factors_as_json(factors) for factors in series]
-    comp = homology.composition_factors(mod, series)
+    layers = [homology._factors_as_json(factors) for factors in loewy.layers]
+    comp = homology.composition_factors(mod, loewy.layers)
     fam = homology.match_family(mod, max_t=args.max_t, max_s=args.max_s,
                                 etas=parse_etas(args.etas), seed=args.seed)
     payload = {
@@ -366,12 +351,6 @@ def _classify_entry(datum: ValidatedDatum, spec: dict, mod: ModuleRep) -> dict:
     }
 
 
-def _invariant_key(mod: ModuleRep) -> tuple:
-    """Invariants compared before a Hom solve: modules with different keys
-    are not isomorphic."""
-    return (mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
-
-
 # The datum of a classify pool worker, built once by the pool initializer so
 # that its caches outlive each task; set only inside worker processes.
 _worker_datum: ValidatedDatum | None = None
@@ -385,7 +364,7 @@ def _init_classify_worker(datum_json: dict) -> None:
 def _classify_worker(spec: dict) -> tuple[dict, tuple, dict]:
     datum = _worker_datum
     mod = _build_spec(datum, spec)
-    return _classify_entry(datum, spec, mod), _invariant_key(mod), mod.to_json()
+    return _classify_entry(datum, spec, mod), homology.invariant_key(mod), mod.to_json()
 
 
 def cmd_classify(args) -> int:
@@ -412,7 +391,7 @@ def cmd_classify(args) -> int:
     modules: list[ModuleRep | None] = []
     total_dim = 0
     for spec, (entry, key, mod) in zip(specs, built):
-        key = key or _invariant_key(mod)
+        key = key or homology.invariant_key(mod)
         if total_dim + key[0] > args.budget:
             break
         total_dim += key[0]

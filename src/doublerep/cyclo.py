@@ -15,8 +15,11 @@ A product is an integer convolution whose terms z^k, k >= phi, are folded
 back with the power-basis rows of z^k (reduction modulo the N-th cyclotomic
 polynomial), followed by one gcd.  The inverse of an irrational x is the
 product of its Galois conjugates sigma_k(x), z -> z^k for the units k != 1
-mod N, divided by the rational norm x * prod sigma_k(x).  Arithmetic coerces
-mixed orders to the lcm.  No floating point anywhere.
+mod N, divided by the rational norm x * prod sigma_k(x).  Arithmetic and
+equality coerce mixed orders to the lcm.  A scalar hashes as its normalized
+trace Tr(x)/phi(N), a rational that is the same in every field holding x and
+is x itself when x is rational, so equal scalars hash alike whatever their
+orders, and alike with an equal int or Fraction.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-ZERO = Fraction(0)
 
 
 def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -89,6 +90,17 @@ def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _unit_traces(n: int) -> tuple[Fraction, ...]:
+    """Tr(z^k) / phi(n) for 0 <= k < phi(n): mu(d) / phi(d), where z^k has
+    order d = n / gcd(n, k) and mu(d) = -Phi_d[phi(d) - 1]."""
+    out = []
+    for k in range(euler_phi(n)):
+        d = n // gcd(n, k)
+        out.append(Fraction(-cyclotomic_poly(d)[-2], euler_phi(d)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _units(n: int) -> tuple[int, ...]:
     """The units k != 1 modulo n: sigma_k, z -> z^k, are the nontrivial automorphisms."""
     return tuple(k for k in range(2, n) if gcd(k, n) == 1)
@@ -130,7 +142,6 @@ def _make(order: int, num: tuple[int, ...], den: int) -> CycScalar:
     _set_order(x, order)
     _set_num(x, num)
     _set_den(x, den)
-    _set_min(x, None)
     return x
 
 
@@ -145,7 +156,7 @@ def _canon(order: int, num: list[int], den: int) -> CycScalar:
 class CycScalar:
     """Immutable exact element of Q(zeta_order)."""
 
-    __slots__ = ("order", "num", "den", "_min")
+    __slots__ = ("order", "num", "den")
 
     def __new__(cls, order: int, coeffs: tuple[Fraction, ...]):
         phi = euler_phi(order)
@@ -315,25 +326,7 @@ class CycScalar:
             k >>= 1
         return result
 
-    # -- canonical form, equality, hashing ------------------------------
-
-    def reduced(self) -> CycScalar:
-        """Equal scalar rewritten at the smallest possible order dividing order."""
-        if self._min is not None:
-            return self._min
-        best = self
-        if self.is_rational():
-            best = _make(1, self.num[:1], self.den)
-        else:
-            for d in sorted(_divisors(self.order)):
-                if d == self.order:
-                    break
-                cand = _try_descend(self, d)
-                if cand is not None:
-                    best = cand
-                    break
-        _set_min(self, best)
-        return best
+    # -- equality, hashing ------------------------------------------------
 
     def __eq__(self, other) -> bool:
         o = other if type(other) is CycScalar else CycScalar._co(other)
@@ -347,8 +340,10 @@ class CycScalar:
         return NotImplemented if r is NotImplemented else not r
 
     def __hash__(self) -> int:
-        r = self.reduced()
-        return hash((r.order, r.coeffs))
+        # Tr(x) / phi(order) does not depend on the field x is written in, and
+        # it is x itself for a rational x, so it hashes like the int or Fraction
+        return hash(Fraction(sum(c * t for c, t in zip(self.num, _unit_traces(self.order))),
+                             self.den))
 
     # -- presentation ---------------------------------------------------
 
@@ -397,60 +392,11 @@ class CycScalar:
 
 
 # slot setters: the one way to write a CycScalar's fields past __setattr__
-_set_order, _set_num, _set_den, _set_min = (vars(CycScalar)[f].__set__ for f in CycScalar.__slots__)
+_set_order, _set_num, _set_den = (vars(CycScalar)[f].__set__ for f in CycScalar.__slots__)
 
 
 def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
-def _try_descend(x: CycScalar, d: int) -> CycScalar | None:
-    """Rewrite x in Q(zeta_d) if possible, else None."""
-    n = x.order
-    phid = euler_phi(d)
-    phin = euler_phi(n)
-    step = n // d
-    rows = _power_rows(n)
-    # columns: embedding of z_d^k, solve small rational system by elimination
-    cols = [rows[(k * step)] for k in range(phid)]
-    coeffs = x.coeffs
-    aug = [[Fraction(cols[k][j]) for k in range(phid)] + [coeffs[j]] for j in range(phin)]
-    sol = _solve_rational(aug, phid)
-    if sol is None:
-        return None
-    return CycScalar(d, tuple(sol))
-
-
-def _solve_rational(aug: list[list[Fraction]], ncols: int) -> list[Fraction] | None:
-    """Solve the overdetermined system given as [A | b] rows; None if inconsistent."""
-    rows = [r[:] for r in aug]
-    piv: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv.append((r, c))
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
-    sol = [ZERO] * ncols
-    for pr, pc in piv:
-        sol[pc] = rows[pr][ncols]
-    return sol
 
 
 def root_of_unity(order: int, k: int = 1) -> CycScalar:

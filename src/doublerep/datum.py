@@ -241,9 +241,6 @@ class ValidatedDatum:
 
     # -- weights ----------------------------------------------------------
 
-    def weight(self, gexps, hexps) -> Weight:
-        return Weight(self.group, tuple(gexps), tuple(hexps))
-
     def enumerate_weights(self) -> list[Weight]:
         elements = self.group.elements
         return self.cached("weights", lambda: sorted(
@@ -371,18 +368,17 @@ class ValidatedDatum:
         }
 
     def describe(self) -> dict:
-        counts = self.simple_counts()
         return {
-            "orders": list(self.group.orders),
             "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
+            "orders": list(self.group.orders),
             "exponent": self.N,
             "rho": str(self.rho),
+            "n": self.n,
+            "m": self.m,
             "alpha": str(self.alpha),
             "alpha_normalized": self.alpha_normalized,
-            "simple_counts": {str(k): v for k, v in sorted(counts.items())},
-            "kernel_size": len(self.kernel_K()),
+            "K": len(self.kernel_K()),
+            "simple_counts": {str(k): v for k, v in sorted(self.simple_counts().items())},
         }
 
 

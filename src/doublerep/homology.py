@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cyclo import CycScalar
 from .datum import DatumError, ValidatedDatum, Weight
-from .linalg import Echelon, Mat, Vec, frobenius_pair, hstack, nullspace, rank, solve_right, vstack
+from .linalg import Echelon, Mat, frobenius_pair, hstack, nullspace, rank, solve_right, vstack
 from .repmod import (ModuleRep, SubmoduleFacts, direct_sum, intertwines, quotient_module,
                      spin_submodule)
 from . import constructors
@@ -161,33 +161,19 @@ def end_local_dim(m: ModuleRep) -> int:
     return _gram_rank([f.matrix for f in ends], m.datum.N)
 
 
-def end_local_dim_of_sum(a: ModuleRep, b: ModuleRep,
-                         el_a: int | None = None, el_b: int | None = None,
-                         homs_ab: list[Morphism] | None = None,
-                         homs_ba: list[Morphism] | None = None) -> int:
-    """end_local_dim(a (+) b) without building the sum.
+def end_local_dim_of_sum(a: ModuleRep, b: ModuleRep, el_a: int, el_b: int,
+                         homs_ab: list[Morphism], homs_ba: list[Morphism]) -> int:
+    """end_local_dim(a (+) b) without building the sum, from the
+    end_local_dim of a and b and the Hom bases between them.
 
     In a basis of End(a (+) b) split into the four blocks, the trace Gram
     matrix is block-diagonal: the End(a) and End(b) Grams plus the pairing
     block between Hom(a,b) and Hom(b,a), whose rank counts twice.
     """
-    if a.dim == 0:
-        return end_local_dim(b) if el_b is None else el_b
-    if b.dim == 0:
-        return end_local_dim(a) if el_a is None else el_a
-    if el_a is None:
-        el_a = end_local_dim(a)
-    if el_b is None:
-        el_b = end_local_dim(b)
-    if homs_ab is None:
-        homs_ab = hom_space(a, b)
-    if homs_ba is None:
-        homs_ba = hom_space(b, a)
-    order = a.datum.N
     if not homs_ab or not homs_ba:
         return el_a + el_b
     t = [[frobenius_pair(f.matrix, g.matrix) for g in homs_ba] for f in homs_ab]
-    return el_a + el_b + 2 * rank(Mat.from_rows(order, t, len(homs_ba)))
+    return el_a + el_b + 2 * rank(Mat.from_rows(a.datum.N, t, len(homs_ba)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,31 +192,30 @@ def candidate_simples(m: ModuleRep) -> list[tuple[int, Weight]]:
                   key=lambda lw: (lw[0], lw[1].sort_key()))
 
 
-def _socle(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
-    """The socle, and (key, S, dim Hom(S, m)) for each candidate simple S."""
-    seeds: list[Vec] = []
-    dims = []
+def _simple_homs(m: ModuleRep, into: bool) -> list:
+    """(key, S, basis of Hom(S, m) if ``into`` else of Hom(m, S)) for each
+    candidate simple S: the one Hom pass that the socle, the radical and the
+    multiplicities of their simples are read from."""
+    out = []
     for l, w in candidate_simples(m):
         s = constructors.simple(m.datum, l, w)
-        homs = hom_space(s, m)
-        dims.append(((l, w), s, len(homs)))
-        for f in homs:
-            seeds.extend(f.matrix.cols())
-    return spin_submodule(m, seeds), dims
+        out.append(((l, w), s, hom_space(s, m) if into else hom_space(m, s)))
+    return out
+
+
+def _socle(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
+    """The socle, and the Hom(S, m) of each candidate simple S."""
+    homs = _simple_homs(m, True)
+    return spin_submodule(m, [c for _, _, fs in homs for f in fs for c in f.matrix.cols()]), homs
 
 
 def _radical(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
-    """The radical, and (key, S, dim Hom(m, S)) for each candidate simple S."""
-    mats = []
-    dims = []
-    for l, w in candidate_simples(m):
-        s = constructors.simple(m.datum, l, w)
-        homs = hom_space(m, s)
-        dims.append(((l, w), s, len(homs)))
-        mats.extend(f.matrix for f in homs)
+    """The radical, and the Hom(m, S) of each candidate simple S."""
+    homs = _simple_homs(m, False)
+    mats = [f.matrix for _, _, fs in homs for f in fs]
     if not mats and m.dim > 0:
         raise DatumError("module has no simple quotients; inconsistent input")
-    return spin_submodule(m, nullspace(vstack(mats)) if mats else []), dims
+    return spin_submodule(m, nullspace(vstack(mats)) if mats else []), homs
 
 
 def socle(m: ModuleRep) -> SubmoduleFacts:
@@ -248,14 +233,15 @@ def head(m: ModuleRep) -> tuple[ModuleRep, Mat]:
     return quotient_module(m, radical(m))
 
 
-def _multiplicities(datum: ValidatedDatum, dims,
+def _multiplicities(datum: ValidatedDatum, homs,
                     total: int) -> list[tuple[tuple[int, Weight], int]]:
     """Multiplicities of the simples in a semisimple module of dimension
-    ``total``, from dim Hom(S, -) or dim Hom(-, S) for each candidate S: each
+    ``total``, from Hom(S, -) or Hom(-, S) for each candidate S: each dimension
     is the multiplicity times dim End(S), and the simples must exhaust it."""
     out = []
     covered = 0
-    for (l, w), s, d in dims:
+    for (l, w), s, fs in homs:
+        d = len(fs)
         if d == 0:
             continue
         es = datum.cached(("end dim", l, w), lambda: len(hom_space(s, s)))
@@ -271,11 +257,7 @@ def _multiplicities(datum: ValidatedDatum, dims,
 
 def semisimple_factors(h: ModuleRep) -> list[tuple[tuple[int, Weight], int]]:
     """Multiplicities of the simples in a semisimple module, exactly."""
-    dims = []
-    for l, w in candidate_simples(h):
-        s = constructors.simple(h.datum, l, w)
-        dims.append(((l, w), s, len(hom_space(s, h))))
-    return _multiplicities(h.datum, dims, h.dim)
+    return _multiplicities(h.datum, _simple_homs(h, True), h.dim)
 
 
 def _factors_as_json(factors) -> list[dict]:
@@ -283,13 +265,13 @@ def _factors_as_json(factors) -> list[dict]:
 
 
 def socle_multiset(m: ModuleRep) -> list[dict]:
-    soc, dims = _socle(m)
-    return _factors_as_json(_multiplicities(m.datum, dims, soc.dim))
+    soc, homs = _socle(m)
+    return _factors_as_json(_multiplicities(m.datum, homs, soc.dim))
 
 
 def head_multiset(m: ModuleRep) -> list[dict]:
-    rad, dims = _radical(m)
-    return _factors_as_json(_multiplicities(m.datum, dims, m.dim - rad.dim))
+    rad, homs = _radical(m)
+    return _factors_as_json(_multiplicities(m.datum, homs, m.dim - rad.dim))
 
 
 @dataclass(frozen=True)
@@ -304,55 +286,47 @@ class LoewyType:
         return {"s": self.s, "t": self.t, "rl": self.rl}
 
 
-def _radical_steps(m: ModuleRep):
-    """(rad^k m, rad^(k+1) m as its submodule) for k = 0, 1, ... while
-    rad^k m is nonzero."""
-    cur = m
-    for _ in range(m.dim + 1):
-        if cur.dim == 0:
-            return
-        facts = radical(cur)
-        yield cur, facts
-        cur = facts.module
-    raise DatumError("radical series fails to terminate")
-
-
 def radical_series(m: ModuleRep) -> list[ModuleRep]:
-    """Successive semisimple layers M/rad M, rad M/rad^2 M, ..."""
-    return [quotient_module(cur, facts)[0] for cur, facts in _radical_steps(m)]
+    """Successive semisimple layers M/rad M, rad M/rad^2 M, ... as modules;
+    ``loewy_structure`` gives their simples without building them."""
+    out = []
+    while m.dim:
+        rad = radical(m)
+        out.append(quotient_module(m, rad)[0])
+        m = rad.module
+    return out
 
 
 @dataclass(frozen=True)
 class LoewyStructure:
-    """The simples of the head and of the socle with their multiplicities,
-    and the radical chain: (rad^k m, rad^(k+1) m as its submodule) for
-    k = 0, 1, ... while rad^k m is nonzero."""
+    """The simples of the socle and of each radical layer
+    rad^k m / rad^(k+1) m, k = 0, 1, ..., with their multiplicities."""
 
-    head: list
     socle: list
-    steps: list
+    layers: list
+
+    @property
+    def head(self) -> list:
+        return self.layers[0] if self.layers else []
 
     @property
     def type(self) -> LoewyType:
         return LoewyType(sum(mult for _, mult in self.head),
-                         sum(mult for _, mult in self.socle), len(self.steps))
-
-    def layers(self) -> list[ModuleRep]:
-        """The semisimple layers rad^k m / rad^(k+1) m, built on request."""
-        return [quotient_module(cur, facts)[0] for cur, facts in self.steps]
+                         sum(mult for _, mult in self.socle), len(self.layers))
 
 
 def loewy_structure(m: ModuleRep) -> LoewyStructure:
-    """Head and socle from the one Hom solve each that finds the radical and
-    the socle (Hom(m, S) = Hom(m / rad m, S), Hom(S, m) = Hom(S, soc m)), and
-    the radical chain, without its quotient layers."""
-    if m.dim == 0:
-        return LoewyStructure([], [], [])
-    rad, dims = _radical(m)
-    head = _multiplicities(m.datum, dims, m.dim - rad.dim)
-    soc, dims = _socle(m)
-    return LoewyStructure(head, _multiplicities(m.datum, dims, soc.dim),
-                          [(m, rad), *_radical_steps(rad.module)])
+    """The socle from the Hom solve that finds it (Hom(S, m) = Hom(S, soc m)),
+    and layer k from the one that finds rad^(k+1) m as the radical of rad^k m
+    (Hom(rad^k m, S) = Hom(rad^k m / rad^(k+1) m, S)); no layer is built."""
+    layers = []
+    cur = m
+    while cur.dim:
+        rad, homs = _radical(cur)
+        layers.append(_multiplicities(m.datum, homs, cur.dim - rad.dim))
+        cur = rad.module
+    soc, homs = _socle(m)
+    return LoewyStructure(_multiplicities(m.datum, homs, soc.dim), layers)
 
 
 def loewy_type(m: ModuleRep) -> LoewyType:
@@ -367,9 +341,9 @@ def type_of(m: ModuleRep) -> tuple[int, int]:
 
 def composition_factors(m: ModuleRep, layers=None) -> list[dict]:
     """Multiset of simple factors over the radical series, sorted;
-    ``layers`` are the ``semisimple_factors`` of its layers when known."""
+    ``layers`` are the ``loewy_structure`` layers of m when known."""
     if layers is None:
-        layers = [semisimple_factors(layer) for layer in radical_series(m)]
+        layers = loewy_structure(m).layers
     counts: dict[tuple[int, Weight], int] = {}
     for factors in layers:
         for key, mult in factors:
@@ -390,33 +364,49 @@ def projective_of_simple(datum: ValidatedDatum, l: int, w: Weight) -> ModuleRep:
     return datum.cached(("projective cover", l, w), lambda: constructors.projective(datum, l, w))
 
 
-def projective_cover_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
-    """Minimal projective P with a surjection P -> m, selected greedily from
-    exact Hom bases so that the induced map on heads is bijective."""
+def _cover_summands(m: ModuleRep, cover: bool) -> tuple[ModuleRep, list[Mat]]:
+    """The projective P(S) summands of a minimal projective cover P -> m
+    (``cover``) or injective hull m -> P, with the map of each.
+
+    The simples S of the head (socle) of m and their multiplicities come from
+    the Hom solve that finds the radical (socle).  For each S, maps f in
+    Hom(P(S), m) (in Hom(m, P(S))) are taken greedily while the image of f on
+    the head, the columns of pi f (on the socle, the rows of f iota), leaves
+    the span of the images taken so far.
+    """
     datum = m.datum
-    if m.dim == 0:
-        z = zero_module(datum)
-        return z, Morphism(z, m, Mat.zeros(datum.N, 0, 0))
-    h, pi = head(m)
+    name = "projective cover" if cover else "injective hull"
+    facts, homs = _radical(m) if cover else _socle(m)
+    total = m.dim - facts.dim if cover else facts.dim
+    pi = quotient_module(m, facts)[1] if cover else None
+    span = Echelon(datum.N, total)
     chosen: list[tuple[ModuleRep, Mat]] = []
-    span = Echelon(datum.N, h.dim)
-    for key, mult in semisimple_factors(h):
-        l, w = key
+    for (l, w), mult in _multiplicities(datum, homs, total):
         ps = projective_of_simple(datum, l, w)
         taken = 0
-        for f in hom_space(ps, m):
+        for f in hom_space(ps, m) if cover else hom_space(m, ps):
             if taken == mult:
                 break
-            grown = [p for p in map(span.add, (pi * f.matrix).cols()) if p is not None]
-            if grown:
+            image = (pi * f.matrix).transpose() if cover else f.matrix * facts.inclusion
+            if [p for p in map(span.add, image.nz_rows()) if p is not None]:
                 chosen.append((ps, f.matrix))
                 taken += 1
         if taken != mult:
-            raise DatumError("projective cover selection failed; inconsistent input")
-    if len(span.pivots) != h.dim:
-        raise DatumError("projective cover does not fill the head")
-    p = direct_sum([ps for ps, _ in chosen])
-    f = hstack([mat for _, mat in chosen])
+            raise DatumError(f"{name} selection failed; inconsistent input")
+    if len(span.pivots) != total:
+        raise DatumError(f"{name} does not fill the head" if cover
+                         else f"{name} does not embed the socle")
+    return direct_sum([ps for ps, _ in chosen]), [mat for _, mat in chosen]
+
+
+def projective_cover_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
+    """Minimal projective P with a surjection P -> m, selected greedily from
+    exact Hom bases so that the induced map on heads is bijective."""
+    if m.dim == 0:
+        z = zero_module(m.datum)
+        return z, Morphism(z, m, Mat.zeros(m.datum.N, 0, 0))
+    p, mats = _cover_summands(m, True)
+    f = hstack(mats)
     if rank(f) != m.dim:
         raise DatumError("projective cover map is not surjective")
     return p, Morphism(p, m, f)
@@ -425,35 +415,11 @@ def projective_cover_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
 def injective_hull_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
     """Minimal injective (= projective) E with an embedding m -> E, selected
     greedily so the restriction to the socle is bijective."""
-    datum = m.datum
     if m.dim == 0:
-        z = zero_module(datum)
-        return z, Morphism(m, z, Mat.zeros(datum.N, 0, 0))
-    soc_facts = socle(m)
-    soc_inc = soc_facts.inclusion
-    chosen: list[tuple[ModuleRep, Mat]] = []
-    soc_stack: list[Mat] = []
-    soc_rank = 0
-    for key, mult in semisimple_factors(soc_facts.module):
-        l, w = key
-        ps = projective_of_simple(datum, l, w)
-        taken = 0
-        for g in hom_space(m, ps):
-            if taken == mult:
-                break
-            cand = g.matrix * soc_inc
-            r = rank(vstack(soc_stack + [cand]))
-            if r > soc_rank:
-                soc_stack.append(cand)
-                soc_rank = r
-                chosen.append((ps, g.matrix))
-                taken += 1
-        if taken != mult:
-            raise DatumError("injective hull selection failed; inconsistent input")
-    if soc_rank != soc_facts.module.dim:
-        raise DatumError("injective hull does not embed the socle")
-    e = direct_sum([ps for ps, _ in chosen])
-    f = vstack([mat for _, mat in chosen])
+        z = zero_module(m.datum)
+        return z, Morphism(m, z, Mat.zeros(m.datum.N, 0, 0))
+    e, mats = _cover_summands(m, False)
+    f = vstack(mats)
     if rank(f) != m.dim:
         raise DatumError("injective hull map is not injective")
     return e, Morphism(m, e, f)
@@ -512,15 +478,18 @@ class IsoVerdict:
     def is_yes(self) -> bool:
         return self.verdict == "yes"
 
-    def to_json(self, include_witness: bool = False) -> dict:
-        out = {"verdict": self.verdict, "reason": self.reason, "trials": self.trials}
-        if include_witness and self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        return out
+    def to_json(self) -> dict:
+        return {"verdict": self.verdict, "reason": self.reason, "trials": self.trials}
 
 
 def _no(reason: str) -> IsoVerdict:
     return IsoVerdict("no", reason)
+
+
+def invariant_key(mod: ModuleRep) -> tuple:
+    """Invariants compared before a Hom solve: modules with different keys
+    are not isomorphic."""
+    return (mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
 
 
 def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
@@ -538,12 +507,10 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     if a.dim == 0:
         return IsoVerdict("yes", "both modules are zero",
                           Morphism(a, b, Mat.zeros(a.datum.N, 0, 0)))
-    if a.weight_multiset() != b.weight_multiset():
-        return _no("weight multisets differ")
-    if len(a.x_kernel()) != len(b.x_kernel()):
-        return _no("dim ker(x) differs")
-    if len(a.xi_kernel()) != len(b.xi_kernel()):
-        return _no("dim ker(xi) differs")
+    for reason, ka, kb in zip(("weight multisets differ", "dim ker(x) differs",
+                               "dim ker(xi) differs"), invariant_key(a)[1:], invariant_key(b)[1:]):
+        if ka != kb:
+            return _no(reason)
     homs_ab = hom_space(a, b)
     homs_ba = hom_space(b, a)
     ends_a = hom_space(a, a)
@@ -573,8 +540,7 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     la, lb = loewy_structure(a), loewy_structure(b)
     if la.type != lb.type:
         return _no("Loewy types differ")
-    if (composition_factors(a, map(semisimple_factors, la.layers()))
-            != composition_factors(b, map(semisimple_factors, lb.layers()))):
+    if composition_factors(a, la.layers) != composition_factors(b, lb.layers):
         return _no("composition factor multisets differ")
     if la.socle != lb.socle:
         return _no("socle multisets differ")

@@ -428,7 +428,7 @@ def test_classify_jobs_parses_only_modules_with_colliding_keys(capsys, datum_fil
     code, out, _ = run(capsys, "classify", datum_file("B"), "--jobs", "2")
     assert code == 0 and "manifest ok" in out
     specs = cli._classify_specs(datum_b, 2, 2, cli.parse_etas("1,-1"))
-    keys = Counter(cli._invariant_key(cli._build_spec(datum_b, s)) for s in specs)
+    keys = Counter(homology.invariant_key(cli._build_spec(datum_b, s)) for s in specs)
     colliding = sum(c for c in keys.values() if c > 1)
     assert 0 < colliding < len(specs)
     assert len(parsed) == colliding

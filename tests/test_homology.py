@@ -7,7 +7,8 @@ from doublerep import cli, homology
 from doublerep.constructors import (band, projective, simple, t1, t1bar,
                                     t_chain, t_chain_bar, verma, w_band)
 from doublerep.datum import DatumError
-from doublerep.linalg import Mat, column_space_basis, in_span, solve_right
+from doublerep.linalg import (Echelon, Mat, column_space_basis, hstack, in_span, rank,
+                              solve_right, vstack)
 from doublerep.repmod import direct_sum, quotient_module, spin_submodule
 
 from .conftest import first_weight, make_datum
@@ -176,13 +177,18 @@ def _layered_loewy_type(m):
     return homology.LoewyType(s, t, len(layers))
 
 
-@pytest.mark.parametrize("key", ["A", "B", "C", "E"])
-def test_loewy_type_matches_layered_reference(key):
+def _members_and_sums(key):
     mods = [fam.build(datum, l, lam, **params) for datum, fam, l, lam, params in members(key)]
-    sums = ([direct_sum([a, b]) for a, b in zip(mods, mods[1:] + mods[:1])]
+    return (mods + [direct_sum([a, b]) for a, b in zip(mods, mods[1:] + mods[:1])]
             + [direct_sum([a, a]) for a in mods])
-    for m in mods + sums:
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F"])
+def test_loewy_type_matches_layered_reference(key):
+    for m in _members_and_sums(key):
         assert homology.loewy_type(m) == _layered_loewy_type(m), m.labels
+        layers = [homology.semisimple_factors(q) for q in homology.radical_series(m)]
+        assert homology.loewy_structure(m).layers == layers, m.labels
 
 
 @pytest.mark.parametrize("side", ["socle", "head"])
@@ -263,6 +269,78 @@ def _assert_same_module(mod, ref):
 
 # ---------------------------------------------------------------------------
 # projective covers, injective hulls, syzygies
+
+
+def _reference_cover(m):
+    """Projective cover selected over the head built as a quotient module,
+    its simples counted by ``semisimple_factors``."""
+    datum = m.datum
+    h, pi = homology.head(m)
+    chosen = []
+    span = Echelon(datum.N, h.dim)
+    for (l, w), mult in homology.semisimple_factors(h):
+        ps = homology.projective_of_simple(datum, l, w)
+        taken = 0
+        for f in homology.hom_space(ps, m):
+            if taken == mult:
+                break
+            if [p for p in map(span.add, (pi * f.matrix).cols()) if p is not None]:
+                chosen.append((ps, f.matrix))
+                taken += 1
+        assert taken == mult
+    assert len(span.pivots) == h.dim
+    return direct_sum([ps for ps, _ in chosen]), hstack([mat for _, mat in chosen])
+
+
+def _reference_hull(m):
+    """Injective hull selected by the rank of the stacked socle images."""
+    datum = m.datum
+    soc = homology.socle(m)
+    chosen, stack, soc_rank = [], [], 0
+    for (l, w), mult in homology.semisimple_factors(soc.module):
+        ps = homology.projective_of_simple(datum, l, w)
+        taken = 0
+        for g in homology.hom_space(m, ps):
+            if taken == mult:
+                break
+            cand = g.matrix * soc.inclusion
+            r = rank(vstack(stack + [cand]))
+            if r > soc_rank:
+                stack.append(cand)
+                soc_rank = r
+                chosen.append((ps, g.matrix))
+                taken += 1
+        assert taken == mult
+    assert soc_rank == soc.dim
+    return direct_sum([ps for ps, _ in chosen]), vstack([mat for _, mat in chosen])
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F"])
+def test_cover_and_hull_match_reference(key):
+    for m in _members_and_sums(key):
+        for got, (ref, ref_map) in ((homology.projective_cover_map(m), _reference_cover(m)),
+                                    (homology.injective_hull_map(m), _reference_hull(m))):
+            p, f = got
+            assert p.labels == ref.labels and p.weights == ref.weights, m.labels
+            assert p.act_x == ref.act_x and p.act_xi == ref.act_xi, m.labels
+            assert f.matrix == ref_map, m.labels
+
+
+def test_syzygies_read_the_one_radical_or_socle_solve(monkeypatch):
+    datum = make_datum("D")
+    lam = first_weight(datum, 2)
+    mods = [simple(datum, 2, lam), t_chain(datum, 2, lam, 2)]
+    calls = []
+    for name in ("_radical", "_socle", "semisimple_factors"):
+        def counted(m, name=name, solve=getattr(homology, name)):
+            calls.append(name)
+            return solve(m)
+        monkeypatch.setattr(homology, name, counted)
+    for m in mods:
+        for omega, solve in ((homology.syzygy, "_radical"), (homology.cosyzygy, "_socle")):
+            calls.clear()
+            assert omega(m).dim
+            assert calls == [solve], (omega.__name__, m.labels)
 
 
 def test_cover_and_hull_of_simple(datum_b):
