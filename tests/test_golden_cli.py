@@ -92,7 +92,9 @@ for _key, _tok, _sfx, _args in (("D", "string_tt", "", ("--t", "2")),
                                 ("F", "w_t", "", ("--t", "2", "--eta", "2")),
                                 ("F", "w_t", "-inf", ("--t", "2", "--eta", "inf")),
                                 ("E", "string_tt", "", ("--t", "2")),
-                                ("E", "string_ttbar", "", ("--t", "2"))):
+                                ("E", "string_ttbar", "", ("--t", "2")),
+                                ("E", "band_mt", "", ("--t", "2", "--eta", "2")),
+                                ("E", "band_mt", "-eta3", ("--t", "1", "--eta", "3"))):
     CASES[f"build-{_key}-{_tok}{_sfx}-l2"] = ("module", "build", f"{{{_key}}}",
                                               "--family", _tok, *L2, *_args)
 # projective covers, injective hulls and radical layers at n = 3: the
@@ -105,6 +107,11 @@ CASES.update({
     "ar-D-4.5": ("ar", "check", "{D}", "--lemma", "4.5", "--max-t", "1"),
     "ar-F-4.5": ("ar", "check", "{F}", "--lemma", "4.5", "--max-t", "1"),
 })
+# analyze over E: M_2 at eta = 2 is matched in the registry; M_1 at eta = 3
+# lies outside the default eta grid
+for _sfx in ("", "-eta3"):
+    CASES[f"analyze-E-band_mt{_sfx}-l2"] = ("module", "analyze",
+                                            f"{{mod:build-E-band_mt{_sfx}-l2}}")
 # V(1,(0;0)) (+) P(1,(0;0)) over A: End is not local, so compare reaches the
 # witness search and analyze reports layers of a decomposable module
 _VP = "{sum:build-A-simple+build-A-projective}"
