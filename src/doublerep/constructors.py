@@ -416,18 +416,12 @@ def _restricted_copy(p: ModuleRep, span_cols: list[list[tuple[int, CycScalar]]],
     assert that the restricted action in the listed basis is matrix-identical
     to ``table``; returns ``table``."""
     datum = p.datum
-    zero = datum.zero()
-    seeds = []
-    for col in span_cols:
-        v = [zero] * p.dim
-        for r, c in col:
-            v[r] = c
-        seeds.append(tuple(v))
+    seeds = [dict(col) for col in span_cols]
     facts = spin_submodule(p, seeds)
     if facts.module.dim != len(seeds):
         raise DatumError(f"{what}: the listed span inside the projective cover "
                          f"is not invariant (spins up to dim {facts.module.dim})")
-    if not intertwines(Mat.from_cols(datum.N, seeds, nrows=p.dim), table, p):
+    if not intertwines(Mat.from_cols(datum.N, seeds, p.dim), table, p):
         raise DatumError(f"{what}: restriction of the projective cover "
                          "does not reproduce the chain table")
     return table

@@ -79,14 +79,6 @@ def _require_same_datum(a: ModuleRep, b: ModuleRep) -> None:
 # Hom spaces
 
 
-def _col_entries(m: Mat):
-    cols = [[] for _ in range(m.ncols)]
-    for r, row in enumerate(m.nz_rows()):
-        for c, v in row.items():
-            cols[c].append((r, v))
-    return cols
-
-
 def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
     """Echelonized basis of the space of module maps a -> b.
 
@@ -102,7 +94,6 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
     pos = [(i, j) for i in range(b.dim) for j in range(a.dim) if wb[i] == wa[j]]
     if not pos:
         return []
-    pidx = {p: k for k, p in enumerate(pos)}
     eqs: dict[tuple, dict[int, CycScalar]] = {}
 
     def accum(key, p, val):
@@ -111,20 +102,20 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
 
     for opname, opa, opb in (("x", a.act_x, b.act_x), ("xi", a.act_xi, b.act_xi)):
         rows_a = opa.nz_rows()
-        cols_b = _col_entries(opb)
-        for (i, j), p in pidx.items():
+        cols_b = opb.cols()
+        for p, (i, j) in enumerate(pos):
             for c, val in rows_a[j].items():
                 accum((opname, i, c), p, val)
-            for r, val in cols_b[i]:
+            for r, val in cols_b[i].items():
                 accum((opname, r, j), p, -val)
     system = Mat(datum.N, [{p: v for p, v in eqs[key].items() if v}
                            for key in sorted(eqs)], len(pos))
     out = []
     for v in nullspace(system):
         rows = [{} for _ in range(b.dim)]
-        for k, (i, j) in enumerate(pos):
-            if v[k]:
-                rows[i][j] = v[k]
+        for k, x in v.items():
+            i, j = pos[k]
+            rows[i][j] = x
         out.append(Morphism(a, b, Mat(datum.N, rows, a.dim)))
     return out
 
@@ -137,15 +128,19 @@ def hom_dim(a: ModuleRep, b: ModuleRep) -> int:
 # endomorphism algebra and indecomposability
 
 
-def _gram_rank(mats: list[Mat], order: int) -> int:
-    k = len(mats)
-    g = [{} for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            v = frobenius_pair(mats[i], mats[j])
+def _pairing_rank(order: int, fs: list[Morphism], gs: list[Morphism]) -> int:
+    """Rank of the matrix of traces tr(f g), f in fs, g in gs.  When gs is
+    fs the matrix is symmetric and each trace is taken once."""
+    sym = gs is fs
+    t = [{} for _ in fs]
+    for i, f in enumerate(fs):
+        for j in range(i if sym else 0, len(gs)):
+            v = frobenius_pair(f.matrix, gs[j].matrix)
             if v:
-                g[i][j] = g[j][i] = v
-    return rank(Mat(order, g, k))
+                t[i][j] = v
+                if sym:
+                    t[j][i] = v
+    return rank(Mat(order, t, len(gs)))
 
 
 def end_local_dim(m: ModuleRep) -> int:
@@ -158,7 +153,7 @@ def end_local_dim(m: ModuleRep) -> int:
     if m.dim == 0:
         return 0
     ends = hom_space(m, m)
-    return _gram_rank([f.matrix for f in ends], m.datum.N)
+    return _pairing_rank(m.datum.N, ends, ends)
 
 
 def end_local_dim_of_sum(a: ModuleRep, b: ModuleRep, el_a: int, el_b: int,
@@ -172,8 +167,7 @@ def end_local_dim_of_sum(a: ModuleRep, b: ModuleRep, el_a: int, el_b: int,
     """
     if not homs_ab or not homs_ba:
         return el_a + el_b
-    t = [[frobenius_pair(f.matrix, g.matrix) for g in homs_ba] for f in homs_ab]
-    return el_a + el_b + 2 * rank(Mat.from_rows(a.datum.N, t, len(homs_ba)))
+    return el_a + el_b + 2 * _pairing_rank(a.datum.N, homs_ab, homs_ba)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +373,7 @@ def _cover_summands(m: ModuleRep, cover: bool) -> tuple[ModuleRep, list[Mat]]:
     facts, homs = _radical(m) if cover else _socle(m)
     total = m.dim - facts.dim if cover else facts.dim
     pi = quotient_module(m, facts)[1] if cover else None
-    span = Echelon(datum.N, total)
+    span = Echelon(datum.N)
     chosen: list[tuple[ModuleRep, Mat]] = []
     for (l, w), mult in _multiplicities(datum, homs, total):
         ps = projective_of_simple(datum, l, w)
@@ -430,10 +424,7 @@ def syzygy(m: ModuleRep) -> ModuleRep:
     if m.dim == 0:
         return zero_module(m.datum)
     p, f = projective_cover_map(m)
-    vecs = nullspace(f.matrix)
-    if not vecs:
-        return zero_module(m.datum)
-    return spin_submodule(p, list(vecs)).module
+    return spin_submodule(p, nullspace(f.matrix)).module
 
 
 def cosyzygy(m: ModuleRep) -> ModuleRep:
@@ -492,6 +483,26 @@ def invariant_key(mod: ModuleRep) -> tuple:
     return (mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
 
 
+def _local_iso(a: ModuleRep, homs_ab: list[Morphism],
+               homs_ba: list[Morphism]) -> Morphism | None:
+    """An isomorphism a -> b from the basis of Hom(a, b), or None when there
+    is none, for a with end_local_dim(a) = 1 and b of the same dimension.
+
+    Every endomorphism of such an a is a scalar plus a nilpotent, so g f is
+    invertible exactly when tr(g f) != 0, and the non-invertible ones form an
+    ideal: a is isomorphic to b exactly when tr(g f) != 0 for basis elements
+    f and g, and that f is then the isomorphism.
+    """
+    for f in homs_ab:
+        for g in homs_ba:
+            if not frobenius_pair(f.matrix, g.matrix).is_zero():
+                if rank(f.matrix) != a.dim or not f.is_valid():
+                    raise DatumError("trace-pairing witness failed re-verification; "
+                                     "endomorphism algebra is not local")
+                return f
+    return None
+
+
 def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     """Three-valued isomorphism test.
 
@@ -523,18 +534,14 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     if not homs_ab:
         return _no("Hom(a,b) = 0")
     order = a.datum.N
-    el_a = _gram_rank([f.matrix for f in ends_a], order)
-    el_b = _gram_rank([f.matrix for f in ends_b], order)
+    el_a = _pairing_rank(order, ends_a, ends_a)
+    el_b = _pairing_rank(order, ends_b, ends_b)
     if el_a != el_b:
         return _no(f"end_local_dim {el_a} != {el_b}")
     if el_a == 1:
-        for f in homs_ab:
-            for g in homs_ba:
-                if not frobenius_pair(f.matrix, g.matrix).is_zero():
-                    if rank(f.matrix) != a.dim or not f.is_valid():
-                        raise DatumError("trace-pairing witness failed re-verification; "
-                                         "endomorphism algebra is not local")
-                    return IsoVerdict("yes", "invertible intertwiner (trace pairing)", f)
+        f = _local_iso(a, homs_ab, homs_ba)
+        if f is not None:
+            return IsoVerdict("yes", "invertible intertwiner (trace pairing)", f)
         return _no("trace pairing of Hom(a,b) with Hom(b,a) vanishes; "
                    "both endomorphism algebras are local, so no map is invertible")
     la, lb = loewy_structure(a), loewy_structure(b)
@@ -557,7 +564,7 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
         coeffs = [rng.randint(-3, 3) for _ in homs_ab]
         if all(c == 0 for c in coeffs):
             continue
-        mat = _combination(a.datum, coeffs, [f.matrix for f in homs_ab])
+        mat = _combination(a.datum, dict(enumerate(coeffs)), [f.matrix for f in homs_ab])
         if rank(mat) == a.dim:
             w = Morphism(a, b, mat)
             if w.is_valid():
@@ -622,13 +629,13 @@ def _flattened(order: int, mats: list[Mat]) -> Mat:
                mats[0].nrows * mats[0].ncols).transpose()
 
 
-def _combination(datum: ValidatedDatum, coeffs, mats: list[Mat]) -> Mat | None:
-    """The sum of c * mat over the nonzero coefficients c (scalars or
-    integers), or None when every coefficient is zero."""
+def _combination(datum: ValidatedDatum, coeffs: dict, mats: list[Mat]) -> Mat | None:
+    """The sum of c * mats[k] over the nonzero coefficients c = coeffs[k]
+    (scalars or integers), or None when every coefficient is zero."""
     mat = None
-    for c, m in zip(coeffs, mats):
+    for k, c in coeffs.items():
         if c:
-            term = m.scale(datum.scalar(c))
+            term = mats[k].scale(datum.scalar(c))
             mat = term if mat is None else mat + term
     return mat
 
@@ -658,8 +665,7 @@ def ses_check(f: Morphism, g: Morphism) -> SesReport:
         rep.split = False
     else:
         rep.split = True
-        mat = _combination(datum, [sol[(k, 0)] for k in range(len(homs_cb))],
-                           [h.matrix for h in homs_cb])
+        mat = _combination(datum, sol.cols()[0], [h.matrix for h in homs_cb])
         if mat is None:
             mat = Mat.zeros(datum.N, b.dim, c.dim)
         rep.section = Morphism(c, b, mat)
@@ -692,7 +698,7 @@ def _span_candidates(mats: list[Mat], datum: ValidatedDatum, seed: int,
     for _ in range(max_random):
         coeffs = [rng.randint(-3, 3) for _ in mats]
         if any(coeffs):
-            yield _combination(datum, coeffs, mats)
+            yield _combination(datum, dict(enumerate(coeffs)), mats)
 
 
 def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
@@ -792,16 +798,21 @@ def ar_sequences_for_lemma(datum: ValidatedDatum, lemma: str, max_t: int = 1,
 
 
 def match_family(m: ModuleRep, max_t: int = 4, max_s: int = 4,
-                 etas=(0, 1, -1, 2, "inf"), seed: int = 0) -> str | None:
+                 etas=(0, 1, -1, 2, "inf")) -> str | None:
     """Name a classified-family member isomorphic to m, or None.
 
     Candidates are the registry members at m's own support weights whose
     predicted dimension is dim m: every family but Omega at each weight in
-    turn, then Omega.  Matching is certified by is_isomorphic.
+    turn, then Omega.  Every member is absolutely indecomposable, so only an
+    m with end_local_dim 1 can match one; a candidate N with m's invariants
+    is then decided by the trace pairing of Hom(m, N) with Hom(N, m).
     """
     if m.dim == 0:
         return "zero"
+    if end_local_dim(m) != 1:
+        return None
     datum = m.datum
+    key = invariant_key(m)
     fams = constructors.FAMILIES
     for group in ([f for c, f in fams.items() if c != "Omega"], [fams["Omega"]]):
         for l, w in candidate_simples(m):
@@ -809,7 +820,10 @@ def match_family(m: ModuleRep, max_t: int = 4, max_s: int = 4,
                 if l not in fam.l_range(datum):
                     continue
                 for params in fam.grid(datum, max_t, max_s, etas):
-                    if (fam.dim(datum, l, **params) == m.dim and is_isomorphic(
-                            m, fam.build(datum, l, w, **params), seed).is_yes):
+                    if fam.dim(datum, l, **params) != m.dim:
+                        continue
+                    cand = fam.build(datum, l, w, **params)
+                    if invariant_key(cand) == key and _local_iso(
+                            m, hom_space(m, cand), hom_space(cand, m)) is not None:
                         return fam.tag.format(l=l, lam=w.label(), **params)
     return None

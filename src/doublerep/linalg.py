@@ -1,9 +1,11 @@
 """Sparse exact linear algebra over a cyclotomic field.
 
-A matrix is its nonzero pattern: one ``{column: nonzero value}`` dict per
-row (``Mat.nz_rows``), all at one field order, with no stored zero.  Sums,
-products, matrix-vector products, stacking and the trace pairing visit only
-nonzero entries; the dense grid ``Mat.rows`` is built only when it is read.
+A vector is a ``{index: nonzero value}`` dict (``Row``) with no stored zero.
+A matrix is its nonzero pattern: one such dict per row (``Mat.nz_rows``),
+all at one field order.  Sums, products, matrix-vector products, stacking
+and the trace pairing visit only nonzero entries; kernel bases, sparse
+columns and span bases are dicts too.  The dense grids ``Mat.rows`` and
+``Mat.col`` are built only when read, for JSON, printing and tests.
 Every elimination is a sparse reduced row echelon form built row by row in
 ``Echelon``: the pivot of a row is its first nonzero column, scaled to one,
 and every other row is zero there.  The reduced row echelon form of a row
@@ -17,15 +19,7 @@ from bisect import insort
 
 from .cyclo import CycScalar
 
-Vec = tuple[CycScalar, ...]
 Row = dict[int, CycScalar]
-
-
-def _dense(r: Row, ncols: int, zero: CycScalar) -> Vec:
-    out = [zero] * ncols
-    for j, x in r.items():
-        out[j] = x
-    return tuple(out)
 
 
 class Mat:
@@ -55,8 +49,9 @@ class Mat:
         return Mat(order, ({j: x for j, x in enumerate(r) if x} for r in rows), ncols)
 
     @staticmethod
-    def from_cols(order: int, cols, nrows: int | None = None) -> Mat:
-        return Mat.from_rows(order, cols, nrows).transpose()
+    def from_cols(order: int, cols, nrows: int) -> Mat:
+        """The matrix with the given sparse columns, each ``nrows`` long."""
+        return Mat(order, cols, nrows).transpose()
 
     @staticmethod
     def zeros(order: int, r: int, c: int) -> Mat:
@@ -79,10 +74,10 @@ class Mat:
         return self._nz
 
     @property
-    def rows(self) -> tuple[Vec, ...]:
+    def rows(self) -> tuple[tuple[CycScalar, ...], ...]:
         """The dense rows, built on each read."""
         z = CycScalar.zero(self.order)
-        return tuple(_dense(r, self.ncols, z) for r in self._nz)
+        return tuple(tuple(r.get(j, z) for j in range(self.ncols)) for r in self._nz)
 
     def __getitem__(self, ij: tuple[int, int]) -> CycScalar:
         i, j = ij
@@ -91,11 +86,13 @@ class Mat:
         x = self._nz[i].get(j)
         return CycScalar.zero(self.order) if x is None else x
 
-    def col(self, j: int) -> Vec:
+    def col(self, j: int) -> tuple[CycScalar, ...]:
+        """Column j as a dense tuple."""
         return tuple(self[i, j] for i in range(self.nrows))
 
-    def cols(self) -> list[Vec]:
-        return list(self.transpose().rows)
+    def cols(self) -> list[Row]:
+        """The sparse columns."""
+        return list(self.transpose().nz_rows())
 
     def transpose(self) -> Mat:
         out = [{} for _ in range(self.ncols)]
@@ -165,20 +162,19 @@ class Mat:
             return self.scale(other)
         return NotImplemented
 
-    def matvec(self, v: Vec) -> Vec:
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        vs = {k: x for k, x in enumerate(v) if x}
-        z = CycScalar.zero(self.order)
-        out = []
-        for r in self._nz:
+    def matvec(self, v: Row) -> Row:
+        if v and not 0 <= min(v) <= max(v) < self.ncols:
+            raise ValueError(f"vector index outside {self.ncols} columns")
+        out = {}
+        for i, r in enumerate(self._nz):
             s = None
             for k, a in r.items():
-                b = vs.get(k)
+                b = v.get(k)
                 if b is not None:
                     s = a * b if s is None else s + a * b
-            out.append(z if s is None else s)
-        return tuple(out)
+            if s:
+                out[i] = s
+        return out
 
     def trace(self) -> CycScalar:
         if self.nrows != self.ncols:
@@ -225,7 +221,7 @@ def block_diag(order: int, mats: list[Mat]) -> Mat:
     return Mat(order, out, c)
 
 
-def _clear(v: dict[int, CycScalar], p: int, row: dict[int, CycScalar]) -> None:
+def _clear(v: Row, p: int, row: Row) -> None:
     """v -= v[p] * row, in place, for a row with entry one at column p."""
     c = -v.pop(p)
     for k, b in row.items():
@@ -243,32 +239,29 @@ def _clear(v: dict[int, CycScalar], p: int, row: dict[int, CycScalar]) -> None:
 class Echelon:
     """Reduced row echelon basis of a growing row space over Q(zeta_order).
 
-    ``rows[p]`` is the basis row whose pivot is column p, stored as a
-    ``{column: nonzero value}`` dict with value one at p and no entry at any
-    other pivot; ``pivots`` lists the pivot columns in increasing order.
-    Vectors passed in are dense sequences or ``{column: nonzero value}``
-    dicts, and are not modified.
+    ``rows[p]`` is the basis row whose pivot is column p, with value one at p
+    and no entry at any other pivot; ``pivots`` lists the pivot columns in
+    increasing order.  Vectors passed in are not modified.
     """
 
-    __slots__ = ("order", "ncols", "pivots", "rows")
+    __slots__ = ("order", "pivots", "rows")
 
-    def __init__(self, order: int, ncols: int):
+    def __init__(self, order: int):
         self.order = order
-        self.ncols = ncols
         self.pivots: list[int] = []
-        self.rows: dict[int, dict[int, CycScalar]] = {}
+        self.rows: dict[int, Row] = {}
 
-    def reduce(self, v) -> dict[int, CycScalar]:
+    def reduce(self, v: Row) -> Row:
         """The residue of v modulo the span, zero at every pivot: empty
         exactly when v lies in the span."""
-        v = dict(v) if isinstance(v, dict) else {k: x for k, x in enumerate(v) if x}
+        v = dict(v)
         rows = self.rows
         # a row has no entry at another row's pivot, so one pass suffices
         for p in [p for p in v if p in rows]:
             _clear(v, p, rows[p])
         return v
 
-    def add(self, v) -> int | None:
+    def add(self, v: Row) -> int | None:
         """Extend the span by v; return the new pivot, or None if v was in it."""
         v = self.reduce(v)
         if not v:
@@ -286,44 +279,36 @@ class Echelon:
         self.rows[p] = v
         return p
 
-    def dense(self, p: int) -> Vec:
-        """The row with pivot p as a dense vector."""
-        return _dense(self.rows[p], self.ncols, CycScalar.zero(self.order))
 
-
-def _echelon(order: int, ncols: int, rows) -> Echelon:
-    e = Echelon(order, ncols)
+def _echelon(order: int, rows) -> Echelon:
+    e = Echelon(order)
     for r in rows:
         e.add(r)
     return e
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    e = _echelon(m.order, m.ncols, m.nz_rows())
+    e = _echelon(m.order, m.nz_rows())
     nz = [e.rows[p] for p in e.pivots] + [{} for _ in range(m.nrows - len(e.pivots))]
     return Mat(m.order, nz, m.ncols), e.pivots
 
 
 def rank(m: Mat) -> int:
-    return len(_echelon(m.order, m.ncols, m.nz_rows()).pivots)
+    return len(_echelon(m.order, m.nz_rows()).pivots)
 
 
-def nullspace(m: Mat) -> list[Vec]:
-    """Echelonized basis of the right kernel, one vector per free column."""
-    e = _echelon(m.order, m.ncols, m.nz_rows())
-    z = CycScalar.zero(m.order)
+def nullspace(m: Mat) -> list[Row]:
+    """Echelonized basis of the right kernel, one vector per free column,
+    with its indices in increasing order."""
+    e = _echelon(m.order, m.nz_rows())
     o = CycScalar.one(m.order)
     basis = []
     for fc in range(m.ncols):
-        if fc in e.rows:
-            continue
-        v = [z] * m.ncols
-        v[fc] = o
-        for pc in e.pivots:
-            x = e.rows[pc].get(fc)
-            if x is not None:
-                v[pc] = -x
-        basis.append(tuple(v))
+        if fc not in e.rows:
+            # a row has entries only at and after its pivot
+            v = {pc: -x for pc in e.pivots if (x := e.rows[pc].get(fc)) is not None}
+            v[fc] = o
+            basis.append(v)
     return basis
 
 
@@ -332,7 +317,7 @@ def solve_right(a: Mat, b: Mat) -> Mat | None:
     if a.nrows != b.nrows:
         raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} \\ {b.nrows}x{b.ncols}")
     n = a.ncols
-    e = _echelon(a.order, n + b.ncols,
+    e = _echelon(a.order,
                  ({**ra, **{n + j: x for j, x in rb.items()}}
                   for ra, rb in zip(a.nz_rows(), b.nz_rows())))
     if e.pivots and e.pivots[-1] >= n:
@@ -351,14 +336,12 @@ def inv(m: Mat) -> Mat:
     return x
 
 
-def column_space_basis(vectors: list[Vec], order: int) -> list[Vec]:
-    """Echelonized basis of the span of the given vectors (as columns)."""
-    if not vectors:
-        return []
-    e = _echelon(order, len(vectors[0]), vectors)
-    return [e.dense(p) for p in e.pivots]
+def column_space_basis(vectors: list[Row], order: int) -> list[Row]:
+    """Echelonized basis of the span of the given vectors."""
+    e = _echelon(order, vectors)
+    return [e.rows[p] for p in e.pivots]
 
 
-def in_span(basis_rows: list[Vec], v: Vec, order: int) -> bool:
-    """Is v in the row span of basis_rows?"""
-    return not _echelon(order, len(v), basis_rows).reduce(v)
+def in_span(basis_rows: list[Row], v: Row, order: int) -> bool:
+    """Is v in the span of basis_rows?"""
+    return not _echelon(order, basis_rows).reduce(v)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cyclo import CycScalar, q_factorial, root_of_unity
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight, datum_from_json
-from .linalg import Echelon, Mat, Vec, block_diag, inv, nullspace
+from .linalg import Echelon, Mat, Row, block_diag, inv, nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +199,10 @@ class ModuleRep:
 
     # -- kernels ---------------------------------------------------------
 
-    def x_kernel(self) -> list[Vec]:
+    def x_kernel(self) -> list[Row]:
         return nullspace(self.act_x)
 
-    def xi_kernel(self) -> list[Vec]:
+    def xi_kernel(self) -> list[Row]:
         return nullspace(self.act_xi)
 
     # -- serialization -----------------------------------------------------
@@ -284,19 +284,17 @@ def _weight_basis(datum: ValidatedDatum, dim: int, group: list[Mat],
             raise bad
         rank = G.rank
         return [Weight(G, e[:rank], e[rank:]) for e in zip(*exps)], None
-    one, zero = CycScalar.one(N), CycScalar.zero(N)
-    units = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
-    blocks: list[tuple[tuple[int, ...], list[Vec]]] = [((), units)]
+    one = CycScalar.one(N)
+    blocks: list[tuple[tuple[int, ...], list[Row]]] = [((), [{i: one} for i in range(dim)])]
     mats = group + gamma
     for i, m in enumerate(mats):
         refined = []
         for exps, rows in blocks:
-            span = Mat.from_cols(N, rows, nrows=dim)
-            imgs = [m.matvec(r) for r in rows]
+            span = Mat.from_cols(N, rows, dim)
+            image = m * span
             found = 0
             for ev, e in roots[i % G.rank].items():
-                shifted = [tuple(a - ev * b for a, b in zip(img, r)) for img, r in zip(imgs, rows)]
-                eig = [span.matvec(t) for t in nullspace(Mat.from_cols(N, shifted, nrows=dim))]
+                eig = [span.matvec(t) for t in nullspace(image - span.scale(ev))]
                 if eig:
                     found += len(eig)
                     refined.append((exps + (e,), eig))
@@ -305,7 +303,7 @@ def _weight_basis(datum: ValidatedDatum, dim: int, group: list[Mat],
         blocks = refined
     tagged = sorted(((Weight(G, exps[:G.rank], exps[G.rank:]), r) for exps, rows in blocks
                      for r in rows), key=lambda p: p[0].sort_key())
-    return [w for w, _ in tagged], Mat.from_cols(N, [r for _, r in tagged], nrows=dim)
+    return [w for w, _ in tagged], Mat.from_cols(N, [r for _, r in tagged], dim)
 
 
 def _commute_error(mats: list[Mat], i: int) -> DatumError | None:
@@ -385,29 +383,28 @@ def intertwines(f: Mat, source: ModuleRep, target: ModuleRep) -> bool:
 # submodules and quotients
 
 
+@dataclass
 class SubmoduleFacts:
     """A submodule in echelonized form together with its induced module.
 
     ``rows`` hold the basis of the submodule in ambient coordinates, one
     weight-pure vector per row, with unit leading entry at ``pivots[k]`` and
-    zeros at every other row's pivot.  ``module`` is the induced module on
+    no entry at any other row's pivot.  ``module`` is the induced module on
     that basis and ``inclusion`` the ambient-by-sub matrix of the embedding.
     """
 
-    def __init__(self, ambient: ModuleRep, rows: list[Vec], pivots: list[int],
-                 module: ModuleRep, inclusion: Mat):
-        self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
-        self.module = module
-        self.inclusion = inclusion
+    ambient: ModuleRep
+    rows: list[Row]
+    pivots: list[int]
+    module: ModuleRep
+    inclusion: Mat
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
 
-def spin_submodule(mod: ModuleRep, seeds: list[Vec]) -> SubmoduleFacts:
+def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
     """Smallest submodule containing the seed vectors.
 
     Seeds are split into weight-pure components (legitimate because every
@@ -417,50 +414,42 @@ def spin_submodule(mod: ModuleRep, seeds: list[Vec]) -> SubmoduleFacts:
     only on the submodule, not on the seeds or their order.
     """
     datum = mod.datum
-    dim = mod.dim
     blocks: dict[Weight, Echelon] = {}
 
-    def split(v: Vec) -> list[tuple[Weight, dict[int, CycScalar]]]:
-        comps: dict[Weight, dict[int, CycScalar]] = {}
-        for k, x in enumerate(v):
-            if x:
-                comps.setdefault(mod.weights[k], {})[k] = x
-        return list(comps.items())
+    def split(v: Row) -> dict[Weight, Row]:
+        comps: dict[Weight, Row] = {}
+        for k, x in v.items():
+            comps.setdefault(mod.weights[k], {})[k] = x
+        return comps
 
-    queue: deque[Vec] = deque()
+    queue: deque[Row] = deque()
 
-    def add(v: Vec) -> None:
-        for w, comp in split(v):
+    def add(v: Row) -> None:
+        for w, comp in split(v).items():
             if w not in blocks:
-                blocks[w] = Echelon(datum.N, dim)
+                blocks[w] = Echelon(datum.N)
             p = blocks[w].add(comp)
             if p is not None:
-                queue.append(blocks[w].dense(p))
+                # a copy: later rows clear their pivots in the stored row
+                queue.append(dict(blocks[w].rows[p]))
 
     for seed in seeds:
-        add(tuple(seed))
+        add(seed)
     while queue:
         v = queue.popleft()
         add(mod.act_x.matvec(v))
         add(mod.act_xi.matvec(v))
 
-    basis: list[Vec] = []
-    pivots: list[int] = []
-    sub_weights: list[Weight] = []
-    sub_rows = []
-    for w in sorted(blocks, key=Weight.sort_key):
-        for p in blocks[w].pivots:
-            basis.append(blocks[w].dense(p))
-            pivots.append(p)
-            sub_weights.append(w)
-            sub_rows.append(blocks[w].rows[p])
+    basis = [(w, p) for w in sorted(blocks, key=Weight.sort_key) for p in blocks[w].pivots]
+    rows = [blocks[w].rows[p] for w, p in basis]
+    pivots = [p for _, p in basis]
     at = {p: idx for idx, p in enumerate(pivots)}
 
-    def express(v: Vec) -> dict[int, CycScalar]:
+    def express(v: Row) -> Row:
         """Coordinates of v in the basis: in a reduced echelon basis, the
         coefficient of a row is the value of v at its pivot."""
         coeffs = {}
-        for w, comp in split(v):
+        for w, comp in split(v).items():
             if w not in blocks or blocks[w].reduce(comp):
                 raise DatumError("vector leaves the submodule span")
             coeffs.update((at[k], c) for k, c in comp.items() if k in at)
@@ -468,14 +457,15 @@ def spin_submodule(mod: ModuleRep, seeds: list[Vec]) -> SubmoduleFacts:
 
     x_entries = {}
     xi_entries = {}
-    for j, b in enumerate(basis):
+    for j, b in enumerate(rows):
         for op, entries in ((mod.act_x, x_entries), (mod.act_xi, xi_entries)):
             for i, c in express(op.matvec(b)).items():
                 entries[(i, j)] = c
     labels = [mod.labels[p] for p in pivots]
-    module = ModuleRep.from_weight_action(datum, sub_weights, x_entries, xi_entries, labels)
-    inclusion = Mat(datum.N, sub_rows, dim).transpose()
-    return SubmoduleFacts(mod, basis, pivots, module, inclusion)
+    module = ModuleRep.from_weight_action(datum, [w for w, _ in basis], x_entries, xi_entries,
+                                          labels)
+    inclusion = Mat.from_cols(datum.N, rows, mod.dim)
+    return SubmoduleFacts(mod, rows, pivots, module, inclusion)
 
 
 def quotient_module(mod: ModuleRep, sub: SubmoduleFacts) -> tuple[ModuleRep, Mat]:
@@ -488,16 +478,14 @@ def quotient_module(mod: ModuleRep, sub: SubmoduleFacts) -> tuple[ModuleRep, Mat
     if sub.ambient is not mod:
         raise DatumError("submodule was computed in a different ambient module")
     datum = mod.datum
-    pivset = {p: idx for idx, p in enumerate(sub.pivots)}
-    comp = [i for i in range(mod.dim) if i not in pivset]
+    pivots = set(sub.pivots)
+    comp = [i for i in range(mod.dim) if i not in pivots]
     one = datum.one()
     proj_rows = []
     for c in comp:
         row = {c: one}
-        for p, idx in pivset.items():
-            coeff = sub.rows[idx][c]
-            if coeff:
-                row[p] = -coeff
+        row.update((p, -x) for p, r in zip(sub.pivots, sub.rows)
+                   if (x := r.get(c)) is not None)
         proj_rows.append(row)
     projection = Mat(datum.N, proj_rows, mod.dim)
     at = {j: jq for jq, j in enumerate(comp)}

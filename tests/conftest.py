@@ -72,6 +72,11 @@ def write_json(tmp_path):
     return _write
 
 
+def sparse(v):
+    """The ``{index: nonzero value}`` vector of a dense sequence."""
+    return {k: x for k, x in enumerate(v) if x}
+
+
 def first_weight(datum, l):
     return datum.weights_in_class(l)[0]
 

@@ -174,11 +174,11 @@ def test_criterion_03_projective_structure():
                     if lift is None:
                         ok_lift = False
                         break
-                    soc2_rows.append(tuple(lift.col(0)))
+                    soc2_rows.append(lift.cols()[0])
                 if not ok_lift or not _same_span(soc2_rows, rad.rows, d.N):
                     failures.append(f"{name}: rad != soc^2")
                 rad2 = homology.radical(rad.module)
-                rad2_rows = [tuple(rad.inclusion.matvec(r)) for r in rad2.rows]
+                rad2_rows = [rad.inclusion.matvec(r) for r in rad2.rows]
                 if not _same_span(rad2_rows, soc.rows, d.N):
                     failures.append(f"{name}: rad^2 != soc")
     record(3, "projective cover structure", failures, t0, count)
@@ -203,9 +203,7 @@ def test_criterion_04_verma_dichotomy():
             if expect_simple:
                 continue
             s = cls.d  # lambda(a chi^{-1}) = rho^s
-            seed = [d.zero()] * z.dim
-            seed[s + 1] = d.one()
-            facts = spin_submodule(z, [seed])
+            facts = spin_submodule(z, [{s + 1: d.one()}])
             if facts.dim != d.n - cls.l:
                 failures.append(f"{name}: spin dim {facts.dim} != {d.n - cls.l}")
             # uniqueness: socle is exactly this submodule and the length is 2,

@@ -235,6 +235,31 @@ def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatc
     assert (calls["_radical", 5], calls["_socle", 5]) == (solves, solves)
 
 
+def test_analyze_solves_end_of_its_input_at_most_twice(capsys, tmp_path, datum_file,
+                                                       monkeypatch):
+    # the E band M_2(2,(0;2),eta=2): End(m) is local, so each candidate of
+    # its dimension is decided by the trace pairing, without End(candidate)
+    path = build_module(capsys, tmp_path, datum_file("E"),
+                        "--family", "band_mt", "--l", "2", "--lambda", "0;2",
+                        "--t", "2", "--eta", "2")
+    loaded, ends = [], []
+    load, solve = cli._load_module, homology.hom_space
+    monkeypatch.setattr(cli, "_load_module", lambda p: loaded.append(load(p)) or loaded[-1])
+
+    def counted(a, b):
+        if a is b:
+            ends.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(homology, "hom_space", counted)
+    code, out, _ = run(capsys, "module", "analyze", path)
+    assert code == 0
+    assert out.splitlines()[-1] == "family: M_2(2,(0;2),eta=2)"
+    (mod,) = loaded
+    assert sum(e is mod for e in ends) <= 2
+    assert [e for e in ends if e is not mod and e.dim == mod.dim] == []
+
+
 def test_analyze_and_compare_accept_any_basis(capsys, tmp_path, datum_e):
     # P(1, lambda) conjugated by an upper-triangular change of basis: a valid
     # module whose basis vectors are not weight vectors

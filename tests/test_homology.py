@@ -90,7 +90,7 @@ def test_end_local_dim_of_direct_sums(datum_b):
 
 def ambient_rows_of_inner(outer_facts, inner_facts):
     """Rows of a submodule-of-a-submodule written in ambient coordinates."""
-    return [tuple(outer_facts.inclusion.matvec(row)) for row in inner_facts.rows]
+    return [outer_facts.inclusion.matvec(row) for row in inner_facts.rows]
 
 
 def same_span(rows_a, rows_b, order):
@@ -108,7 +108,7 @@ def second_socle_rows(mod, soc_facts):
     for w in socq.rows:
         lift = solve_right(proj, Mat.from_cols(mod.datum.N, [w], nrows=q.dim))
         assert lift is not None
-        rows.append(tuple(lift.col(0)))
+        rows.append(lift.cols()[0])
     return rows
 
 
@@ -277,7 +277,7 @@ def _reference_cover(m):
     datum = m.datum
     h, pi = homology.head(m)
     chosen = []
-    span = Echelon(datum.N, h.dim)
+    span = Echelon(datum.N)
     for (l, w), mult in homology.semisimple_factors(h):
         ps = homology.projective_of_simple(datum, l, w)
         taken = 0
@@ -389,12 +389,7 @@ def test_is_isomorphic_yes_with_witness(datum_b):
     # spin the u-block of the nilpotent P: a copy of Tbar_1 whose
     # weight-sorted basis differs from the table's ordering
     one = datum_b.one()
-    zero = datum_b.zero()
-    seeds = []
-    for j in range(datum_b.n):
-        vcol = [zero] * p.dim
-        vcol[datum_b.n + j] = one
-        seeds.append(vcol)
+    seeds = [{datum_b.n + j: one} for j in range(datum_b.n)]
     facts = spin_submodule(p, seeds)
     verdict = homology.is_isomorphic(a, facts.module)
     assert verdict.verdict == "yes"
@@ -444,19 +439,9 @@ def test_split_sequence_detected(datum_b):
     s = direct_sum([v, p])
     N = datum_b.N
     one = datum_b.one()
-    zero = datum_b.zero()
-    inc_cols = []
-    for j in range(v.dim):
-        col = [zero] * s.dim
-        col[j] = one
-        inc_cols.append(col)
+    inc_cols = [{j: one} for j in range(v.dim)]
     f = homology.Morphism(v, s, Mat.from_cols(N, inc_cols, nrows=s.dim))
-    proj_cols = []
-    for j in range(s.dim):
-        col = [zero] * p.dim
-        if j >= v.dim:
-            col[j - v.dim] = one
-        proj_cols.append(col)
+    proj_cols = [{j - v.dim: one} if j >= v.dim else {} for j in range(s.dim)]
     g = homology.Morphism(s, p, Mat.from_cols(N, proj_cols, nrows=p.dim))
     report = homology.ses_check(f, g)
     assert report.exact

@@ -1,8 +1,9 @@
 """Exact matrix algebra over cyclotomic fields.
 
-A ``Mat`` stores only its nonzero pattern.  Its operations and the sparse
-kernels (``Echelon`` and the products over ``Mat.nz_rows``) are also checked
-against dense reference loops on random sparse matrices.
+A ``Mat`` stores only its nonzero pattern, and a vector is a
+``{index: nonzero value}`` dict.  Its operations and the sparse kernels
+(``Echelon`` and the products over ``Mat.nz_rows``) are also checked against
+dense reference loops on random sparse matrices.
 """
 
 import pytest
@@ -10,9 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublerep.cyclo import CycScalar, root_of_unity
+from doublerep.datum import datum_from_json
 from doublerep.linalg import (Echelon, Mat, block_diag, column_space_basis,
                               frobenius_pair, hstack, in_span, inv, nullspace,
                               rank, rref, solve_right, vstack)
+from doublerep.repmod import ModuleRep, spin_submodule
+
+from .conftest import DATUM_JSON, sparse
 
 
 def sc(v, order=4):
@@ -28,12 +33,13 @@ def test_construction_round_trips():
     assert m.nrows == 2 and m.ncols == 2
     assert m[0, 1] == sc(2)
     cols = m.cols()
-    again = Mat.from_cols(4, cols)
+    assert cols == [{0: sc(1), 1: sc(3)}, {0: sc(2), 1: sc(4)}]
+    again = Mat.from_cols(4, cols, nrows=2)
     assert again == m
     assert m.transpose().transpose() == m
     assert Mat.diag(4, [sc(1), sc(5)])[1, 1] == sc(5)
     assert Mat.zeros(4, 2, 3).is_zero()
-    empty = Mat.from_cols(4, [(), ()], nrows=0)
+    empty = Mat.from_cols(4, [{}, {}], nrows=0)
     assert (empty.nrows, empty.ncols) == (0, 2)
     for bad in ([[1, 2], [3]], [[1, 2, 3]]):
         with pytest.raises(ValueError):
@@ -49,10 +55,18 @@ def test_arithmetic():
     assert a * b == mat([[2, 1], [4, 3]])
     assert a.scale(sc(2)) == a + a
     assert a.trace() == sc(5)
-    v = [sc(1), sc(0)]
-    assert tuple(a.matvec(v)) == (sc(1), sc(3))
+    assert a.matvec({0: sc(1)}) == {0: sc(1), 1: sc(3)}
+    assert mat([[1, 1], [0, 0]]).matvec({0: sc(1), 1: sc(-1)}) == {}
     with pytest.raises(Exception):
         a + mat([[1, 2, 3]])
+
+
+def test_matvec_rejects_an_index_outside_the_columns():
+    a = mat([[1, 2], [3, 4]])
+    for v in ({2: sc(1)}, {0: sc(1), 5: sc(1)}, {-1: sc(1)}):
+        with pytest.raises(ValueError):
+            a.matvec(v)
+    assert Mat.zeros(4, 2, 0).matvec({}) == {}
 
 
 def test_rank_rref_nullspace():
@@ -62,7 +76,7 @@ def test_rank_rref_nullspace():
     assert pivots == [0, 1]
     ns = nullspace(m)
     assert len(ns) == 1
-    assert all(c.is_zero() for c in m.matvec(ns[0]))
+    assert m.matvec(ns[0]) == {}
     assert nullspace(Mat.identity(4, 3)) == []
 
 
@@ -98,11 +112,12 @@ def test_stacking():
 
 
 def test_span_helpers():
-    vecs = [[sc(1), sc(0), sc(1)], [sc(2), sc(0), sc(2)], [sc(0), sc(1), sc(0)]]
+    vecs = [{0: sc(1), 2: sc(1)}, {0: sc(2), 2: sc(2)}, {1: sc(1)}]
     basis = column_space_basis(vecs, 4)
-    assert len(basis) == 2
-    assert in_span(basis, [sc(3), sc(1), sc(3)], 4)
-    assert not in_span(basis, [sc(0), sc(0), sc(1)], 4)
+    assert basis == [{0: sc(1), 2: sc(1)}, {1: sc(1)}]
+    assert in_span(basis, {0: sc(3), 1: sc(1), 2: sc(3)}, 4)
+    assert not in_span(basis, {2: sc(1)}, 4)
+    assert column_space_basis([], 4) == []
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +262,7 @@ def test_eliminations_match_dense_reference(om):
     assert pivots == ref_pivots
     assert red.rows == ref_red.rows
     assert rank(m) == ref_rank(m) == len(pivots)
-    assert nullspace(m) == ref_nullspace(m)
+    assert nullspace(m) == [sparse(v) for v in ref_nullspace(m)]
 
 
 @SETTINGS
@@ -275,7 +290,8 @@ def test_products_match_dense_loops(order, n, k, m, data):
     c = data.draw(sparse_mats(order, k, n))
     v = data.draw(sparse_mats(order, 1, k)).rows[0] if k else ()
     assert (a * b).rows == ref_mul(a, b).rows
-    assert a.matvec(v) == ref_mul(a, Mat.from_rows(order, [[x] for x in v], 1)).col(0)
+    ref = ref_mul(a, Mat.from_rows(order, [[x] for x in v], 1))
+    assert a.matvec(sparse(v)) == sparse(ref.col(0))
     assert frobenius_pair(a, c) == ref_mul(a, c).trace()
 
 
@@ -283,16 +299,16 @@ def test_products_match_dense_loops(order, n, k, m, data):
 @given(systems(), st.randoms(use_true_random=False))
 def test_echelon_rows_do_not_depend_on_row_order(om, rng):
     order, m = om
-    shuffled = list(m.rows)
+    shuffled = list(m.nz_rows())
     rng.shuffle(shuffled)
-    a, b = Echelon(order, m.ncols), Echelon(order, m.ncols)
-    for row in m.rows:
+    a, b = Echelon(order), Echelon(order)
+    for row in m.nz_rows():
         a.add(row)
     for row in shuffled:
         b.add(row)
     assert a.pivots == b.pivots
     assert a.rows == b.rows
-    assert [a.dense(p) for p in a.pivots] == list(rref(m)[0].rows[:len(a.pivots)])
+    assert [a.rows[p] for p in a.pivots] == list(rref(m)[0].nz_rows()[:len(a.pivots)])
 
 
 def assert_dense(m, grid, ncols):
@@ -321,6 +337,7 @@ def test_mat_operations_match_dense_loops(order, n, k, m, data):
     assert_dense(a, ga, k)
     assert all(a[i, j] == ga[i][j] for i in range(n) for j in range(k))
     assert all(a.col(j) == tuple(r[j] for r in ga) for j in range(k))
+    assert a.cols() == [sparse(r[j] for r in ga) for j in range(k)]
     assert_dense(a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)], k)
     assert_dense(a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)], k)
     assert_dense(-a, [[-x for x in r] for r in ga], k)
@@ -328,7 +345,8 @@ def test_mat_operations_match_dense_loops(order, n, k, m, data):
     for s in (z, data.draw(scalars(order))):
         assert_dense(a.scale(s), [[s * x for x in r] for r in ga], k)
     assert_dense(a.transpose(), [[r[j] for r in ga] for j in range(k)], n)
-    assert_dense(Mat.from_cols(order, [[r[j] for r in ga] for j in range(k)], nrows=n), ga, k)
+    assert_dense(Mat.from_cols(order, [sparse(r[j] for r in ga) for j in range(k)], nrows=n),
+                 ga, k)
     assert_dense(hstack([a, c]), [ra + rc for ra, rc in zip(ga, gc)], k + m)
     assert_dense(vstack([a, d]), ga + gd, k)
     assert_dense(block_diag(order, [a, c]),
@@ -344,3 +362,37 @@ def test_mat_operations_match_dense_loops(order, n, k, m, data):
     assert_dense(Mat.zeros(order, n, k), [[z] * k for _ in range(n)], k)
     sq = data.draw(grids(order, n, n))
     assert Mat.from_rows(order, sq, n).trace() == sum((sq[i][i] for i in range(n)), z)
+
+
+# ---------------------------------------------------------------------------
+# one vector type: every vector handed out is a sparse dict
+
+
+ORDER_DATUMS = {4: DATUM_JSON["B"], 9: DATUM_JSON["E"],
+                12: {"orders": [12], "chi": [4], "a": [1], "alpha": 0}}
+
+
+def assert_sparse(vectors, length):
+    for v in vectors:
+        assert type(v) is dict
+        assert all(0 <= k < length and isinstance(x, CycScalar) and x for k, x in v.items())
+
+
+@SETTINGS
+@given(systems(), st.data())
+def test_vectors_are_sparse_dicts(om, data):
+    order, m = om
+    k = m.ncols
+    kernel = nullspace(m)
+    assert_sparse(kernel, k)
+    assert_sparse([m.matvec(v) for v in kernel + list(m.nz_rows())], m.nrows)
+    assert_sparse(m.cols(), m.nrows)
+    assert_sparse(column_space_basis(list(m.nz_rows()), order), k)
+    # x and xi of a module need not satisfy the relations to be spun
+    datum = datum_from_json(ORDER_DATUMS[order])
+    weights = datum.enumerate_weights()
+    tags = data.draw(st.lists(st.sampled_from(weights[:3]), min_size=k, max_size=k))
+    square = m.transpose() * m
+    mod = ModuleRep(datum, tags, square, square.transpose())
+    assert_sparse(mod.x_kernel(), k)
+    assert_sparse(spin_submodule(mod, list(m.nz_rows()) + kernel).rows, k)
