@@ -263,7 +263,6 @@ def test_criterion_05_syzygy_identities():
 def test_criterion_06_isomorphism_grid():
     t0 = time.monotonic()
     failures, count = [], 0
-    undecided = 0
 
     def tau_orbit_labels(d, lam):
         return {w.label() for w in d.tau_orbit(lam)}
@@ -302,15 +301,10 @@ def test_criterion_06_isomorphism_grid():
                           and same_weight)
                 v = homology.is_isomorphic(ma, mb)
                 count += 1
-                if v.verdict == "undecided":
-                    undecided += 1
-                    failures.append(f"{key} {entries[i][:5]} vs {entries[j][:5]}: undecided")
-                elif (v.verdict == "yes") != expect:
-                    failures.append(
-                        f"{key} {entries[i][:5]} vs {entries[j][:5]}: "
-                        f"{v.verdict}, expected {'yes' if expect else 'no'}")
-    if undecided:
-        failures.append(f"{undecided} undecided verdicts")
+                want = "yes" if expect else "no"
+                if v.verdict != want:
+                    failures.append(f"{key} {entries[i][:5]} vs {entries[j][:5]}: "
+                                    f"{v.verdict}, expected {want}")
     record(6, "isomorphism grid", failures, t0, count)
 
 
@@ -354,7 +348,8 @@ def test_criterion_08_omega_types():
             for s in range(1, MAX_S + 1):
                 mod = homology.omega(mod, sign)
                 count += 1
-                got = homology.type_of(mod)
+                lt = homology.loewy_type(mod)
+                got = (lt.s, lt.t)
                 want = (s + 1, s) if sign == 1 else (s, s + 1)
                 if got != want:
                     failures.append(
@@ -409,7 +404,8 @@ def test_criterion_10_band_family_at_fixed_dimension():
     mods = {eta: band(d, 1, lam, eta, 1) for eta in (1, 2, 3, 4, 5)}
     for eta, mod in mods.items():
         count += 1
-        if homology.type_of(mod) != (d.m, d.m):
+        lt = homology.loewy_type(mod)
+        if (lt.s, lt.t) != (d.m, d.m):
             failures.append(f"M_1(eta={eta}) is not ({d.m},{d.m})-type")
         if mod.dim != d.m * d.n:
             failures.append(f"M_1(eta={eta}) has dim {mod.dim}")

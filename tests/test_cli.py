@@ -213,11 +213,13 @@ def test_module_compare(capsys, tmp_path, datum_file):
     assert code == 0 and "no" in out
 
 
-@pytest.mark.parametrize("command, solves", [("analyze", 1), ("compare", 2)])
+@pytest.mark.parametrize("command, files", [("analyze", 1), ("compare", 2)])
 def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatch,
-                                                  command, solves):
+                                                  command, files):
     # V(1,(0;0)) (+) P(1,(0;0)) over A: End is not local, so compare reaches
-    # the Loewy invariants and the witness search
+    # the trace-pairing identity and the witness search, and solves neither
+    # the radical nor the socle; analyze solves each once
+    solves = 1 if command == "analyze" else 0
     datum = make_datum("A")
     lam = first_weight(datum, 1)
     v, p = simple(datum, 1, lam), projective(datum, 1, lam)
@@ -229,7 +231,7 @@ def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatc
             calls[name, m.dim] += 1
             return solve(m)
         monkeypatch.setattr(homology, name, counted)
-    code, out, _ = run(capsys, "module", command, *paths[:solves])
+    code, out, _ = run(capsys, "module", command, *paths[:files])
     assert code == 0
     assert "seeded combination" in out if command == "compare" else cli.OUTSIDE in out
     assert (calls["_radical", 5], calls["_socle", 5]) == (solves, solves)
@@ -238,17 +240,22 @@ def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatc
 def test_analyze_solves_end_of_its_input_at_most_twice(capsys, tmp_path, datum_file,
                                                        monkeypatch):
     # the E band M_2(2,(0;2),eta=2): End(m) is local, so each candidate of
-    # its dimension is decided by the trace pairing, without End(candidate)
+    # its dimension is decided by the trace pairing, without End(candidate).
+    # Of the 12 candidates with its invariants, Hom(m, N) has dimension 12
+    # for nine, 0 for two and dim End(m) = 2 only for the match, so Hom(N, m)
+    # is solved once
     path = build_module(capsys, tmp_path, datum_file("E"),
                         "--family", "band_mt", "--l", "2", "--lambda", "0;2",
                         "--t", "2", "--eta", "2")
-    loaded, ends = [], []
+    loaded, ends, solves = [], [], Counter()
     load, solve = cli._load_module, homology.hom_space
     monkeypatch.setattr(cli, "_load_module", lambda p: loaded.append(load(p)) or loaded[-1])
 
     def counted(a, b):
         if a is b:
             ends.append(a)
+        elif (a is loaded[0] or b is loaded[0]) and a.dim == b.dim:
+            solves["into" if a is loaded[0] else "from"] += 1
         return solve(a, b)
 
     monkeypatch.setattr(homology, "hom_space", counted)
@@ -258,6 +265,7 @@ def test_analyze_solves_end_of_its_input_at_most_twice(capsys, tmp_path, datum_f
     (mod,) = loaded
     assert sum(e is mod for e in ends) <= 2
     assert [e for e in ends if e is not mod and e.dim == mod.dim] == []
+    assert solves == {"into": 12, "from": 1}
 
 
 def test_analyze_and_compare_accept_any_basis(capsys, tmp_path, datum_e):

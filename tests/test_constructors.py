@@ -355,7 +355,8 @@ def test_band_unique_inner_band(datum_b):
     assert homology.is_isomorphic(facts.module, m1).verdict == "yes"
     q, _ = quotient_module(m2, facts)
     assert homology.is_isomorphic(q, m1).verdict == "yes"
-    assert homology.type_of(facts.module) == (datum_b.m, datum_b.m)
+    lt = homology.loewy_type(facts.module)
+    assert (lt.s, lt.t) == (datum_b.m, datum_b.m)
 
 
 def test_w_band_submodule_chain(datum_a):
@@ -402,7 +403,8 @@ def test_soc_and_head_formulas(datum_b):
     m1 = band(datum_b, 1, lam, 2, 1)
     assert as_triples(homology.socle_multiset(m1)) == ms(
         [(1, datum_b.tau(lam, k)) for k in range(datum_b.m)])
-    assert homology.type_of(m1) == (datum_b.m, datum_b.m)
+    lt = homology.loewy_type(m1)
+    assert (lt.s, lt.t) == (datum_b.m, datum_b.m)
 
 
 def test_w_band_soc_head(datum_a):
@@ -418,7 +420,8 @@ def test_w_band_soc_head(datum_a):
         assert as_triples(homology.socle_multiset(w2)) == [(1, lam.label(), 2)]
         assert as_triples(homology.head_multiset(w2)) == [
             (datum_a.n - 1, slam.label(), 2)]
-        assert homology.type_of(w2) == (2, 2)
+        lt = homology.loewy_type(w2)
+        assert (lt.s, lt.t) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
