@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate
 
 from .datum import DatumError, ValidatedDatum, Weight, datum_from_json
@@ -377,6 +376,8 @@ def cmd_classify(args) -> int:
         dims = (fam.dim(datum, s["l"], **params)
                 for s, (fam, params) in zip(specs, map(_spec_family, specs)))
         todo = specs[:sum(1 for total in accumulate(dims) if total <= args.budget)]
+        # imported here: concurrent.futures pulls in multiprocessing at import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_classify_worker,
                                  initargs=(datum.to_json(),)) as pool:
             results = list(pool.map(_classify_worker, todo, chunksize=4))

@@ -15,8 +15,11 @@ A product is an integer convolution whose terms z^k, k >= phi, are folded
 back with the power-basis rows of z^k (reduction modulo the N-th cyclotomic
 polynomial), followed by one gcd.  The inverse of an irrational x is the
 product of its Galois conjugates sigma_k(x), z -> z^k for the units k != 1
-mod N, divided by the rational norm x * prod sigma_k(x).  Arithmetic and
-equality coerce mixed orders to the lcm.  A scalar hashes as its normalized
+mod N, divided by the rational norm x * prod sigma_k(x).  The matrices of a
+module are built from a few structure constants, so the same products and
+inverses recur: both are memoized by their canonical numerators, in caches
+bounded by the one size ``MEMO_SIZE``.  Arithmetic and equality coerce mixed
+orders to the lcm before the lookup.  A scalar hashes as its normalized
 trace Tr(x)/phi(N), a rational that is the same in every field holding x and
 is x itself when x is rational, so equal scalars hash alike whatever their
 orders, and alike with an equal int or Fraction.  No floating point anywhere.
@@ -153,6 +156,36 @@ def _canon(order: int, num: list[int], den: int) -> CycScalar:
     return _make(order, tuple(num), den)
 
 
+# Entries kept by each of the product and inverse memos.  Keys are canonical
+# forms at one order, so equal values always hit; the bound keeps memory flat
+# when coefficients grow.
+MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _product(n: int, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -> CycScalar:
+    """The scalar (a/da) * (b/db) of Q(zeta_n), for canonical numerators and denominators."""
+    return _canon(n, _mul_num(n, a, b), da * db)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _inverse(n: int, num: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(conj, r) with num * conj = r > 0 in Q(zeta_n), for an irrational num:
+    conj is the product of the Galois conjugates of num, negated when the norm is
+    negative."""
+    units = _units(n)
+    conj = _substitute(n, num, units[0])
+    for k in units[1:]:
+        conj = _mul_num(n, conj, _substitute(n, num, k))
+    # num * conj is the norm of num: a nonzero rational integer
+    norm = _mul_num(n, num, conj)
+    assert not any(norm[1:]), "norm is not rational"
+    r = norm[0]
+    if r < 0:
+        return tuple([-v for v in conj]), -r
+    return tuple(conj), r
+
+
 class CycScalar:
     """Immutable exact element of Q(zeta_order)."""
 
@@ -277,7 +310,7 @@ class CycScalar:
         if o is None:
             return NotImplemented
         a, b = (self, o) if self.order == o.order else CycScalar._common(self, o)
-        return _canon(a.order, _mul_num(a.order, a.num, b.num), a.den * b.den)
+        return _product(a.order, a.num, a.den, b.num, b.den)
 
     __rmul__ = __mul__
 
@@ -288,16 +321,7 @@ class CycScalar:
         c = num[0]
         if not any(num[1:]):
             return _make(n, (den if c > 0 else -den,) + num[1:], abs(c))
-        units = _units(n)
-        conj = _substitute(n, num, units[0])
-        for k in units[1:]:
-            conj = _mul_num(n, conj, _substitute(n, num, k))
-        # num * conj is the norm of num: a nonzero rational integer
-        norm = _mul_num(n, num, conj)
-        assert not any(norm[1:]), "norm is not rational"
-        r = norm[0]
-        if r < 0:
-            r, den = -r, -den
+        conj, r = _inverse(n, num)
         return _canon(n, [den * v for v in conj], r)
 
     def __truediv__(self, other) -> CycScalar:

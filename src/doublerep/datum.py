@@ -345,9 +345,9 @@ class ValidatedDatum:
         self._check_in_class(l, lam)
         la = lam.value_g(self.a)
         lchi = lam.value_gamma_exps(self.chi.exps)
-        denom = q_factorial(self.n - 1, self.rho)
-        y = (self.rho_power(1 - l) * la - self.rho_power(l) * lchi) * denom.inv()
-        z = (self.rho * la - lchi) * denom.inv()
+        denom_inv = q_factorial(self.n - 1, self.rho).inv()
+        y = (self.rho_power(1 - l) * la - self.rho_power(l) * lchi) * denom_inv
+        z = (self.rho * la - lchi) * denom_inv
         return y, z
 
     # -- element/character values used by module relations ------------------

@@ -160,9 +160,10 @@ class ModuleRep:
         for i, gen in enumerate(d.group.generators()):
             gv = [w.value_g(gen) for w in self.weights]
             chi_gi = d.chi.value(gen)
+            chi_gi_inv = chi_gi.inv()
             ga = d.gamma_gen_at_a(i)
             add_entrywise(f"x_group[{i}]", X, gv, [chi_gi * v for v in gv])
-            add_entrywise(f"xi_group[{i}]", Xi, gv, [chi_gi.inv() * v for v in gv])
+            add_entrywise(f"xi_group[{i}]", Xi, gv, [chi_gi_inv * v for v in gv])
             add_entrywise(f"xi_gamma[{i}]", Xi, gams[i], [ga * v for v in gams[i]])
 
         A = self.group_element_matrix(d.a)
@@ -175,13 +176,17 @@ class ModuleRep:
                 add_entrywise(f"x_gamma[{i}]", X, [v * ga for v in gams[i]], gams[i])
         else:
             xi_top = _mat_pow(Xi, d.n - 1)
-            fac = q_factorial(d.n - 1, d.rho)
+
+            def coeffs() -> list[CycScalar]:
+                fac = q_factorial(d.n - 1, d.rho)
+                return [(d.gamma_gen_at_a(i) ** d.n - d.one()) / fac for i in range(rank)]
+
+            cis = d.cached("x gamma coeffs", coeffs)
             for i in range(rank):
                 gam = Mat.diag(N, gams[i])
                 ga = d.gamma_gen_at_a(i)
                 lhs = (X * gam).scale(ga)
-                ci = (ga ** d.n - d.one()) / fac
-                rhs = gam * X + (gam * (A.scale(d.rho) - C) * xi_top).scale(ci)
+                rhs = gam * X + (gam * (A.scale(d.rho) - C) * xi_top).scale(cis[i])
                 add(f"x_gamma[{i}]", lhs, rhs)
         return RelationReport(checks)
 
@@ -249,8 +254,10 @@ class ModuleRep:
             if key not in mats:
                 raise DatumError(f"module JSON missing matrix '{key}'")
 
+        parsed: dict[str, CycScalar] = {}
+
         def read(key: str, rows) -> Mat:
-            return _parse(f"matrices.{key}", _mat_from_json, datum, dim, rows)
+            return _parse(f"matrices.{key}", _mat_from_json, datum, dim, rows, parsed)
 
         group, gamma = ([read(key, m) for m in _parse(f"matrices.{key}", list, mats[key])]
                         for key in ("group", "gamma"))
@@ -347,19 +354,26 @@ def _mat_to_json(m: Mat) -> list:
     return [[x.to_json() for x in r] for r in m.rows]
 
 
-def _mat_from_json(datum: ValidatedDatum, dim: int, rows: list) -> Mat:
+def _mat_from_json(datum: ValidatedDatum, dim: int, rows: list,
+                   parsed: dict[str, CycScalar]) -> Mat:
+    """The matrix of JSON scalars ``rows``.  ``parsed`` maps the repr of each
+    entry read so far to its scalar: a module file repeats a few structure
+    constants, so each distinct entry is parsed once."""
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise DatumError(f"matrix JSON is not {dim}x{dim}")
-    out = []
-    for r in rows:
-        row = []
-        for e in r:
+    N = datum.N
+
+    def scalar(e) -> CycScalar:
+        key = repr(e)
+        x = parsed.get(key)
+        if x is None:
             s = CycScalar.from_json(e)
-            if datum.N % s.order != 0:
-                raise DatumError(f"scalar order {s.order} does not divide group exponent {datum.N}")
-            row.append(s.to_order(datum.N))
-        out.append(row)
-    return Mat.from_rows(datum.N, out, ncols=dim)
+            if N % s.order != 0:
+                raise DatumError(f"scalar order {s.order} does not divide group exponent {N}")
+            x = parsed[key] = s.to_order(N)
+        return x
+
+    return Mat.from_rows(N, [[scalar(e) for e in r] for r in rows], ncols=dim)
 
 
 def matrices_equal(a: ModuleRep, b: ModuleRep) -> bool:

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import doublerep
 from doublerep import cli, homology
 from doublerep.constructors import projective, simple
 from doublerep.linalg import Mat
@@ -318,6 +322,12 @@ MALFORMED_MODULE = {
     "coeff": (("matrices", "x", 0, 0), {"order": 9, "coeffs": ["x"]}, "matrices.x"),
     "scalar": (("matrices", "xi", 0, 0), "zz", "matrices.xi"),
     "order": (("matrices", "x", 0, 0), {"order": 0, "coeffs": []}, "matrices.x"),
+    # last entry of the file, after every other entry has been parsed once
+    "coeff_last": (("matrices", "xi", -1, -1), {"order": 4, "coeffs": ["x", "0"]},
+                   "matrices.xi"),
+    # equal to a zero read before, but its order is not an integer
+    "order_last": (("matrices", "xi", -1, -1), {"order": 4.0, "coeffs": ["0", "0"]},
+                   "matrices.xi"),
     "labels": (("labels",), 5, "labels"),
 }
 
@@ -465,6 +475,16 @@ def test_classify_jobs_parses_only_modules_with_colliding_keys(capsys, datum_fil
     colliding = sum(c for c in keys.values() if c > 1)
     assert 0 < colliding < len(specs)
     assert len(parsed) == colliding
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only classify --jobs > 1 needs concurrent.futures (and multiprocessing)
+    src = str(pathlib.Path(doublerep.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import doublerep.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublerep.cyclo import CycScalar, cyclotomic_poly, euler_phi
+from doublerep import cyclo
+from doublerep.cyclo import MEMO_SIZE, CycScalar, cyclotomic_poly, euler_phi
 
 ORDERS = (1, 2, 3, 4, 6, 8, 9, 12, 18)
 
@@ -157,6 +158,73 @@ def test_constructors_canonical(order):
         assert_canonical(x)
     assert CycScalar.zero(order) is CycScalar.zero(order)
     assert CycScalar(order, (Fraction(0),) * euler_phi(order)) == CycScalar.zero(order)
+
+
+# -- the product and inverse memos --------------------------------------------------
+
+MEMOS = (cyclo._product, cyclo._inverse)
+
+
+def assert_memo_results(order, a, b) -> None:
+    """x * y and x.inv() match the reference on a call that misses its memo
+    and on a repeated call that hits it; a repeated product is the same object."""
+    x, y = CycScalar(order, a), CycScalar(order, b)
+    want = ref_mul(order, a, b)
+    one = (Fraction(1),) + (Fraction(0),) * (euler_phi(order) - 1)
+    for memo, call, check in (
+            (cyclo._product, lambda: x * y, lambda got: got.coeffs == want),
+            (cyclo._inverse, x.inv, lambda got: ref_mul(order, a, got.coeffs) == one)):
+        if memo is cyclo._inverse and x.is_rational():
+            continue  # a rational inverse takes no memo
+        results = []
+        for hit in (0, 1):
+            before = memo.cache_info()
+            got = call()
+            after = memo.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (hit, 1 - hit)
+            assert_canonical(got)
+            assert check(got)
+            results.append(got)
+        assert results[0] == results[1]
+    assert x * y is x * y
+
+
+@settings(max_examples=100, deadline=None)
+@given(order_and_coeffs(count=2))
+def test_memo_miss_and_hit_match_reference(case):
+    order, (a, b) = case
+    if not any(a):
+        return
+    for memo in MEMOS:
+        memo.cache_clear()
+    assert_memo_results(order, a, b)
+
+
+@settings(max_examples=3, deadline=None)
+@given(order_and_coeffs(count=2))
+def test_memo_evicts_and_stays_bounded(case):
+    order, (a, b) = case
+    if not any(a):
+        return
+    x, y = CycScalar(order, a), CycScalar(order, b)
+    x * y
+    if not x.is_rational():
+        x.inv()
+    # more than MEMO_SIZE distinct products and inverses of Q(zeta_3), none of
+    # them a drawn one: a drawn numerator is at most 6 * lcm(1, ..., 12) < 10**6
+    z = cyclo.root_of_unity(3)
+    for k in range(10**6, 10**6 + MEMO_SIZE + 1):
+        u = z + k
+        u * z
+        u.inv()
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE
+    # the entries of x are gone: the next calls miss, then hit
+    assert_memo_results(order, a, b)
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_SIZE and info.currsize <= info.maxsize
 
 
 # -- sympy oracle for the inverse -------------------------------------------------

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from doublerep import homology
+from doublerep.cyclo import CycScalar
 from doublerep.constructors import projective, simple, verma
 from doublerep.datum import DatumError
 from doublerep.linalg import Mat
@@ -67,6 +68,22 @@ def test_json_round_trip(datum_c):
     assert back.labels == p.labels
     assert back.weights == p.weights
     assert back.verify_relations().ok
+
+
+def test_json_parses_each_distinct_entry_once(datum_e, monkeypatch):
+    m = projective(datum_e, 1, first_weight(datum_e, 1))
+    doc = m.to_json()
+    mats = doc["matrices"]
+    entries = [e for mat in (*mats["group"], *mats["gamma"], mats["x"], mats["xi"])
+               for row in mat for e in row]
+    parse = CycScalar.from_json
+    parsed = []
+    monkeypatch.setattr(CycScalar, "from_json",
+                        staticmethod(lambda obj: parsed.append(1) or parse(obj)))
+    back = ModuleRep.from_json(doc)
+    assert matrices_equal(back, m)
+    # one more parse reads the datum's alpha
+    assert len(parsed) - 1 == len({repr(e) for e in entries}) < len(entries) // 10
 
 
 def test_spin_submodule_of_verma(datum_b):
