@@ -2,9 +2,9 @@
 serialization, structural analysis, almost-split-sequence checks, and the
 classification-enumeration harness.
 
-Determinism contract: with a fixed --seed (and any --jobs), stdout is
-byte-identical across runs for identical inputs.  Timing statistics go to
-stderr only.  Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Determinism contract: with a fixed --seed, stdout is byte-identical across
+runs for identical inputs.  Timing statistics go to stderr only.  Exit codes:
+0 success, 1 verification failure, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from collections import Counter
-from itertools import accumulate
 
 from .datum import DatumError, ValidatedDatum, Weight, datum_from_json
 from .linalg import rank  # noqa: F401  (perfbench's tracer test patches cli.rank)
@@ -304,8 +303,9 @@ def cmd_ar_check(args) -> int:
 
 
 def _classify_specs(datum: ValidatedDatum, max_t: int, max_s: int,
-                    etas: list[constructors.EtaParam]) -> list[dict]:
-    """Deterministic enumeration plan for the classification manifest.
+                    etas: list[constructors.EtaParam]) -> list[tuple]:
+    """Deterministic enumeration plan for the classification manifest: one
+    ``(family, l, weight, params)`` per member.
 
     Each round lists its families at every l, weight and parameter value in
     turn, so T and Tbar interleave.  At m = 1 the W family stands in for the
@@ -318,52 +318,25 @@ def _classify_specs(datum: ValidatedDatum, max_t: int, max_s: int,
         for l in lead.l_range(datum):
             for w in lead.weights(datum, l):
                 for params in lead.grid(datum, max_t, max_s, etas):
-                    specs += [{"family": c, "l": l, "lambda": w.label(),
-                               "weight": w.to_json(), **params} for c in letters]
+                    specs += [(constructors.FAMILIES[c], l, w, params) for c in letters]
     return specs
 
 
-def _spec_family(spec: dict) -> tuple[constructors.Family, dict]:
-    fam = constructors.FAMILIES[spec["family"]]
-    return fam, {p: spec[p] for p in fam.params}
-
-
-def _build_spec(datum: ValidatedDatum, spec: dict) -> ModuleRep:
-    fam, params = _spec_family(spec)
-    return fam.build(datum, spec["l"], Weight.from_json(datum.group, spec["weight"]), **params)
-
-
-def _classify_entry(datum: ValidatedDatum, spec: dict, mod: ModuleRep) -> dict:
-    fam, params = _spec_family(spec)
+def _classify_entry(datum: ValidatedDatum, fam: constructors.Family, l: int, w: Weight,
+                    params: dict, mod: ModuleRep) -> dict:
     rel = mod.verify_relations()
     el = homology.end_local_dim(mod)
     lt = homology.loewy_type(mod)
     return {
-        "tag": f"{fam.letter}(l={spec['l']}, lam={spec['lambda']}"
+        "tag": f"{fam.letter}(l={l}, lam={w.label()}"
                + "".join(f", {p}={v}" for p, v in params.items()) + ")",
-        **{k: v for k, v in spec.items() if k != "weight"},
+        "family": fam.letter, "l": l, "lambda": w.label(), **params,
         "dim": mod.dim,
         "relations_ok": rel.ok,
         "end_local_dim": el,
         "type": lt.to_json(),
-        "type_ok": (lt.s, lt.t, lt.rl) == fam.loewy(datum, spec["l"], **params),
+        "type_ok": (lt.s, lt.t, lt.rl) == fam.loewy(datum, l, **params),
     }
-
-
-# The datum of a classify pool worker, built once by the pool initializer so
-# that its caches outlive each task; set only inside worker processes.
-_worker_datum: ValidatedDatum | None = None
-
-
-def _init_classify_worker(datum_json: dict) -> None:
-    global _worker_datum
-    _worker_datum = datum_from_json(datum_json)
-
-
-def _classify_worker(spec: dict) -> tuple[dict, tuple, dict]:
-    datum = _worker_datum
-    mod = _build_spec(datum, spec)
-    return _classify_entry(datum, spec, mod), homology.invariant_key(mod), mod.to_json()
 
 
 def cmd_classify(args) -> int:
@@ -371,33 +344,17 @@ def cmd_classify(args) -> int:
     etas = parse_etas(args.etas)
     t0 = time.monotonic()
     specs = _classify_specs(datum, args.max_t, args.max_s, etas)
-    if args.jobs > 1:
-        # dispatch only the specs whose predicted dimensions fit the budget
-        dims = (fam.dim(datum, s["l"], **params)
-                for s, (fam, params) in zip(specs, map(_spec_family, specs)))
-        todo = specs[:sum(1 for total in accumulate(dims) if total <= args.budget)]
-        # imported here: concurrent.futures pulls in multiprocessing at import
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_classify_worker,
-                                 initargs=(datum.to_json(),)) as pool:
-            results = list(pool.map(_classify_worker, todo, chunksize=4))
-        # only a module whose key collides takes part in a Hom solve: parse just those
-        seen = Counter(key for _, key, _ in results)
-        built = ((entry, key, ModuleRep.from_json(mod_json) if seen[key] > 1 else None)
-                 for entry, key, mod_json in results)
-    else:
-        built = ((None, None, _build_spec(datum, s)) for s in specs)
     entries: list[dict] = []
     keys: list[tuple] = []
-    modules: list[ModuleRep | None] = []
+    modules: list[ModuleRep] = []
     total_dim = 0
-    for spec, (entry, key, mod) in zip(specs, built):
-        key = key or homology.invariant_key(mod)
-        if total_dim + key[0] > args.budget:
+    for fam, l, w, params in specs:
+        mod = fam.build(datum, l, w, **params)
+        if total_dim + mod.dim > args.budget:
             break
-        total_dim += key[0]
-        entries.append(entry or _classify_entry(datum, spec, mod))
-        keys.append(key)
+        total_dim += mod.dim
+        entries.append(_classify_entry(datum, fam, l, w, params, mod))
+        keys.append(homology.invariant_key(mod))
         modules.append(mod)
     truncated = len(entries) < len(specs)
     # pairwise distinctness across the manifest
@@ -479,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for witness searches (default 0)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for enumeration commands")
+                        help="accepted for compatibility and ignored; every command "
+                             "runs in one process")
 
     top = argparse.ArgumentParser(
         prog="doublerep",

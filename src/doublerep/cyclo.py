@@ -409,7 +409,7 @@ class CycScalar:
         if not isinstance(obj, dict) or "order" not in obj or "coeffs" not in obj:
             raise ValueError("scalar JSON needs 'order' and 'coeffs'")
         order = obj["order"]
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise ValueError(f"bad scalar order: {order!r}")
         coeffs = tuple(Fraction(str(c)) for c in obj["coeffs"])
         return CycScalar(order, coeffs)

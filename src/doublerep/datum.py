@@ -165,7 +165,10 @@ class Weight:
         if not isinstance(obj, dict) or "gpart" not in obj or "h" not in obj:
             raise DatumError("weight JSON needs 'gpart' and 'h'")
         try:
-            return Weight(group, tuple(obj["gpart"]), tuple(obj["h"]))
+            parts = tuple(obj["gpart"]), tuple(obj["h"])
+            if any(type(x) is not int for part in parts for x in part):
+                raise TypeError("exponents must be integers")
+            return Weight(group, *parts)
         except (ValueError, TypeError) as exc:
             raise DatumError(f"malformed weight {obj!r}: {exc}") from exc
 
@@ -456,9 +459,9 @@ def _parse_field(key: str, v):
         if key == "alpha":
             return CycScalar.from_json(v) if isinstance(v, dict) \
                 else CycScalar.rational(Fraction(str(v)))
-        if not isinstance(v, (list, tuple)):
+        if not isinstance(v, (list, tuple)) or any(type(x) is not int for x in v):
             raise TypeError("expected a list of integers")
-        return tuple(int(x) for x in v)
+        return tuple(v)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
         raise DatumError(f"malformed datum field '{key}' = {v!r}: {reason}") from exc

@@ -42,15 +42,6 @@ class RelationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.ok]
 
-    def summary(self) -> str:
-        bad = self.failures()
-        if not bad:
-            return f"ok ({len(self.checks)} relation checks)"
-        lines = [f"FAILED {len(bad)}/{len(self.checks)} relation checks"]
-        for c in bad:
-            lines.append(f"  {c.name}: {c.detail}")
-        return "\n".join(lines)
-
 
 def _mat_pow(m: Mat, k: int) -> Mat:
     if k == 0:

@@ -80,6 +80,9 @@ def test_datum_check_rejects_n_equal_1(capsys, write_json):
     ("alpha", "1/0"),
     ("chi", "x"),
     ("orders", 4),
+    ("orders", [9.5]),
+    ("chi", [True]),
+    ("a", [1.5]),
 ])
 def test_malformed_datum_field_exits_2(capsys, write_json, field, value):
     path = write_json("malformed.json", {**DATUM_JSON["B"], field: value})
@@ -158,9 +161,10 @@ def test_module_build_rejects_parameter_the_token_does_not_take(capsys, datum_fi
     assert err.count("\n") == 1 and f"takes no {flag[2:]}" in err
 
 
-def test_module_build_malformed_weight_json_exits_2(capsys, datum_file):
+@pytest.mark.parametrize("gpart", ['["a"]', "[0.9]", "[true]"], ids=["str", "float", "bool"])
+def test_module_build_malformed_weight_json_exits_2(capsys, datum_file, gpart):
     code, _, err = run(capsys, "module", "build", datum_file("B"), "--family", "simple",
-                       "--l", "1", "--lambda", '{"gpart":["a"],"h":[0]}')
+                       "--l", "1", "--lambda", f'{{"gpart":{gpart},"h":[0]}}')
     assert code == 2
     assert err.count("\n") == 1 and "malformed weight" in err
 
@@ -322,6 +326,7 @@ MALFORMED_MODULE = {
     "coeff": (("matrices", "x", 0, 0), {"order": 9, "coeffs": ["x"]}, "matrices.x"),
     "scalar": (("matrices", "xi", 0, 0), "zz", "matrices.xi"),
     "order": (("matrices", "x", 0, 0), {"order": 0, "coeffs": []}, "matrices.x"),
+    "order_bool": (("matrices", "x", 0, 0), {"order": True, "coeffs": ["1"]}, "matrices.x"),
     # last entry of the file, after every other entry has been parsed once
     "coeff_last": (("matrices", "xi", -1, -1), {"order": 4, "coeffs": ["x", "0"]},
                    "matrices.xi"),
@@ -455,36 +460,23 @@ def test_classify_deterministic_across_jobs(capsys, datum_file):
         code2, out2, _ = classify_json(capsys, datum_file(key), "--seed", "5", "--jobs", "2")
         assert code1 == code2 == 0
         assert out1 == out2
-    # under a budget, the pre-dispatch cut truncates where --jobs 1 does
+    # --jobs is accepted and ignored: the budget truncates at the same entry
     code1, out1, _ = run(capsys, "classify", path, "--budget", "24")
     code2, out2, _ = run(capsys, "classify", path, "--budget", "24", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2 and "TRUNCATED" in out1
 
 
-def test_classify_jobs_parses_only_modules_with_colliding_keys(capsys, datum_file,
-                                                              datum_b, monkeypatch):
-    parse = ModuleRep.from_json
-    parsed = []
-    monkeypatch.setattr(ModuleRep, "from_json",
-                        staticmethod(lambda obj: parsed.append(1) or parse(obj)))
-    code, out, _ = run(capsys, "classify", datum_file("B"), "--jobs", "2")
-    assert code == 0 and "manifest ok" in out
-    specs = cli._classify_specs(datum_b, 2, 2, cli.parse_etas("1,-1"))
-    keys = Counter(homology.invariant_key(cli._build_spec(datum_b, s)) for s in specs)
-    colliding = sum(c for c in keys.values() if c > 1)
-    assert 0 < colliding < len(specs)
-    assert len(parsed) == colliding
-
-
-def test_cli_import_leaves_process_pool_out():
-    # only classify --jobs > 1 needs concurrent.futures (and multiprocessing)
+def test_cli_import_leaves_process_pool_out(datum_file):
+    # classify runs in one process at any --jobs: no concurrent.futures (or multiprocessing)
     src = str(pathlib.Path(doublerep.__file__).resolve().parents[1])
+    argv = ["classify", datum_file("B"), "--jobs", "2", "--budget", "24"]
     code = (f"import sys; sys.path.insert(0, {src!r}); import doublerep.cli; "
-            "print('concurrent.futures' in sys.modules)")
+            f"rc = doublerep.cli.main({argv!r}); "
+            "print(rc, 'concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "False"
+    assert out.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("argv, flag", [
