@@ -28,10 +28,8 @@ sequence tables.  ``FAMILY_TOKENS`` maps the ``module build`` tokens onto it.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 from .cyclo import CycScalar
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight
@@ -500,8 +498,8 @@ def w1(datum: ValidatedDatum, l: int, lam: Weight, eta) -> ModuleRep:
 # family registry
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "letter params build dim loewy tag regular on_m unit_eta "
+                                   "per_orbit", defaults=(True, lambda m: True, False, False))):
     """One classified family, keyed in ``FAMILIES`` by its manifest letter.
 
     ``params`` names the parameters beyond (l, lambda), in tag order.
@@ -513,16 +511,7 @@ class Family:
     ``per_orbit`` member depends on lambda only through its tau-orbit.
     """
 
-    letter: str
-    params: tuple[str, ...]
-    build: Callable[..., ModuleRep]
-    dim: Callable[..., int]
-    loewy: Callable[..., tuple[int, int, int]]
-    tag: str
-    regular: bool = True
-    on_m: Callable[[int], bool] = lambda m: True
-    unit_eta: bool = False
-    per_orbit: bool = False
+    __slots__ = ()
 
     def l_range(self, datum: ValidatedDatum) -> range:
         return range(1, datum.n if self.regular else datum.n + 1)

@@ -10,7 +10,7 @@ recorded as a group element h via double duality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -26,15 +26,15 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(namedtuple("FinAbGroup", "orders")):
     """Finite abelian group as a product of cyclic factors."""
 
-    orders: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.orders or any(d < 1 for d in self.orders):
-            raise DatumError(f"cyclic factor orders must be positive: {self.orders}")
+    def __new__(cls, orders: tuple[int, ...]):
+        if not orders or any(d < 1 for d in orders):
+            raise DatumError(f"cyclic factor orders must be positive: {orders}")
+        return tuple.__new__(cls, (orders,))
 
     @property
     def rank(self) -> int:
@@ -89,15 +89,13 @@ def _char_value(group: FinAbGroup, exps: tuple[int, ...], g) -> CycScalar:
     return root_of_unity(n, k % n)
 
 
-@dataclass(frozen=True)
-class GroupChar:
+class GroupChar(namedtuple("GroupChar", "group exps")):
     """Character of a FinAbGroup, by exponents against the cyclic generators."""
 
-    group: FinAbGroup
-    exps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "exps", self.group.normalize(self.exps))
+    def __new__(cls, group: FinAbGroup, exps):
+        return tuple.__new__(cls, (group, group.normalize(exps)))
 
     def value(self, g) -> CycScalar:
         return _char_value(self.group, self.exps, g)
@@ -112,18 +110,14 @@ class GroupChar:
         return GroupChar(self.group, self.group.power(self.exps, k))
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(namedtuple("Weight", "group gexps hexps")):
     """Character of G x G-hat: gexps define a character of G, h is the
     group element representing the G-hat part by double duality."""
 
-    group: FinAbGroup
-    gexps: tuple[int, ...]
-    hexps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gexps", self.group.normalize(self.gexps))
-        object.__setattr__(self, "hexps", self.group.normalize(self.hexps))
+    def __new__(cls, group: FinAbGroup, gexps, hexps):
+        return tuple.__new__(cls, (group, group.normalize(gexps), group.normalize(hexps)))
 
     def value_g(self, g) -> CycScalar:
         return _char_value(self.group, self.gexps, g)
@@ -139,7 +133,7 @@ class Weight:
         return _char_value(self.group, self.hexps, cexps)
 
     # the exponent tuples are already reduced, so mul and power add and
-    # scale them directly; __post_init__ reduces the result
+    # scale them directly; __new__ reduces the result
 
     def mul(self, other: Weight) -> Weight:
         return Weight(self.group, tuple(x + y for x, y in zip(self.gexps, other.gexps)),
@@ -173,14 +167,12 @@ class Weight:
             raise DatumError(f"malformed weight {obj!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class WeightClass:
-    """Classification of a weight: l in 1..n, d = l-1 for regular weights,
-    branch is 'regular' (l <= n-1), 'n_generic', or 'n_boundary'."""
+class WeightClass(namedtuple("WeightClass", "l d branch")):
+    """Classification of a weight: l in 1..n, d = l-1 for regular weights
+    (None otherwise), branch is 'regular' (l <= n-1), 'n_generic', or
+    'n_boundary'."""
 
-    l: int
-    d: int | None
-    branch: str
+    __slots__ = ()
 
     @property
     def regular(self) -> bool:
@@ -195,10 +187,10 @@ class ValidatedDatum:
     """A validated datum with its derived constants and weight machinery.
 
     The datum memoizes what is derived from it alone (``cached``): its weight
-    list and classes, the class of each weight, and, for the constructors and
-    the homology layer, its simple modules, their End dimensions and their
-    projective covers.  Cached modules are shared by every caller and must
-    not be changed.
+    list and classes, the class of each weight, the kernel K, and, for the
+    constructors and the homology layer, its simple modules, their End
+    dimensions and their projective covers.  Cached lists and modules are
+    shared by every caller and must not be changed.
     """
 
     def __init__(self, group: FinAbGroup, chi: GroupChar, a: tuple[int, ...], alpha: CycScalar,
@@ -274,7 +266,8 @@ class ValidatedDatum:
 
     def kernel_K(self) -> list[Weight]:
         # weights with lambda(a) = lambda(chi)
-        return [w for w in self.enumerate_weights() if self._eval_ratio(w).is_one()]
+        return self.cached("kernel K", lambda: [
+            w for w in self.enumerate_weights() if self._eval_ratio(w).is_one()])
 
     def simple_counts(self) -> dict[int, int]:
         counts = {l: len(self.weights_in_class(l)) for l in range(1, self.n + 1)}

@@ -10,7 +10,7 @@ only after the trace-pairing identity has decided that an isomorphism exists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclo import CycScalar
 from .datum import DatumError, ValidatedDatum, Weight
@@ -24,17 +24,15 @@ from . import constructors
 # morphisms
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(namedtuple("Morphism", "source target matrix")):
     """A module map, stored as a dim(target) x dim(source) matrix."""
 
-    source: ModuleRep
-    target: ModuleRep
-    matrix: Mat
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.matrix.nrows != self.target.dim or self.matrix.ncols != self.source.dim:
+    def __new__(cls, source: ModuleRep, target: ModuleRep, matrix: Mat):
+        if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise DatumError("morphism matrix shape does not match source/target")
+        return tuple.__new__(cls, (source, target, matrix))
 
     def is_valid(self) -> bool:
         """Check that the matrix intertwines every generator action."""
@@ -78,9 +76,9 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
     _require_same_datum(a, b)
     if a.dim == 0 or b.dim == 0:
         return []
-    wa, wb = a.weights, b.weights
     datum = a.datum
-    pos = [(i, j) for i in range(b.dim) for j in range(a.dim) if wb[i] == wa[j]]
+    spaces_a = a.weight_spaces()
+    pos = [(i, j) for i, w in enumerate(b.weights) for j in spaces_a.get(w, ())]
     if not pos:
         return []
     eqs: dict[tuple, dict[int, CycScalar]] = {}
@@ -91,12 +89,12 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
 
     for opname, opa, opb in (("x", a.act_x, b.act_x), ("xi", a.act_xi, b.act_xi)):
         rows_a = opa.nz_rows()
-        cols_b = opb.cols()
+        neg_cols_b = (-opb).cols()
         for p, (i, j) in enumerate(pos):
             for c, val in rows_a[j].items():
                 accum((opname, i, c), p, val)
-            for r, val in cols_b[i].items():
-                accum((opname, r, j), p, -val)
+            for r, val in neg_cols_b[i].items():
+                accum((opname, r, j), p, val)
     system = Mat(datum.N, [{p: v for p, v in eqs[key].items() if v}
                            for key in sorted(eqs)], len(pos))
     out = []
@@ -253,13 +251,10 @@ def head_multiset(m: ModuleRep) -> list[dict]:
     return _factors_as_json(_multiplicities(m.datum, homs, m.dim - rad.dim))
 
 
-@dataclass(frozen=True)
-class LoewyType:
+class LoewyType(namedtuple("LoewyType", "s t rl")):
     """s = head length, t = socle length, rl = radical series length."""
 
-    s: int
-    t: int
-    rl: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"s": self.s, "t": self.t, "rl": self.rl}
@@ -276,13 +271,12 @@ def radical_series(m: ModuleRep) -> list[ModuleRep]:
     return out
 
 
-@dataclass(frozen=True)
-class LoewyStructure:
+class LoewyStructure(namedtuple("LoewyStructure", "socle layers")):
     """The simples of the socle and of each radical layer
-    rad^k m / rad^(k+1) m, k = 0, 1, ..., with their multiplicities."""
+    rad^k m / rad^(k+1) m, k = 0, 1, ..., with their multiplicities (lists
+    of (simple, multiplicity) pairs)."""
 
-    socle: list
-    layers: list
+    __slots__ = ()
 
     @property
     def head(self) -> list:
@@ -437,12 +431,11 @@ def omega_power(datum: ValidatedDatum, l: int, lam: Weight, s: int) -> ModuleRep
 # isomorphism testing
 
 
-@dataclass
-class IsoVerdict:
-    verdict: str  # "yes" | "no"
-    reason: str
-    witness: Morphism | None = None
-    trials: int = 0
+class IsoVerdict(namedtuple("IsoVerdict", "verdict reason witness trials", defaults=(None, 0))):
+    """``verdict`` is "yes" or "no"; a yes carries its ``witness`` Morphism
+    and the number of combinations ``trials`` tried to find it."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict, "reason": self.reason, "trials": self.trials}
@@ -560,18 +553,22 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
 # short exact sequences
 
 
-@dataclass
 class SesReport:
-    maps_ok: bool
-    f_injective: bool
-    g_surjective: bool
-    composite_zero: bool
-    dims_match: bool
-    split: bool | None = None
-    section: Morphism | None = None
-    left_end_local: int | None = None
-    right_end_local: int | None = None
-    translate_verdict: str | None = None
+    """Exactness facts of a sequence; ``ses_check`` fills in ``split`` (and a
+    ``section``) for exact ones, ``ar_candidate_check`` the AR conditions."""
+
+    __slots__ = ("maps_ok", "f_injective", "g_surjective", "composite_zero", "dims_match",
+                 "split", "section", "left_end_local", "right_end_local", "translate_verdict")
+
+    def __init__(self, maps_ok: bool, f_injective: bool, g_surjective: bool,
+                 composite_zero: bool, dims_match: bool):
+        self.maps_ok = maps_ok
+        self.f_injective = f_injective
+        self.g_surjective = g_surjective
+        self.composite_zero = composite_zero
+        self.dims_match = dims_match
+        self.split = self.section = None
+        self.left_end_local = self.right_end_local = self.translate_verdict = None
 
     @property
     def exact(self) -> bool:

@@ -12,8 +12,7 @@ submodule and homomorphism computations block-local.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .cyclo import CycScalar, q_factorial, root_of_unity
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight, datum_from_json
@@ -24,16 +23,14 @@ from .linalg import Echelon, Mat, Row, block_diag, inv, nullspace
 # relation checking results
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str | None = None
+# One named relation check; ``detail`` locates the first failing entry.
+CheckResult = namedtuple("CheckResult", "name ok detail", defaults=(None,))
 
 
-@dataclass
-class RelationReport:
-    checks: list[CheckResult]
+class RelationReport(namedtuple("RelationReport", "checks")):
+    """The list of CheckResults of ``ModuleRep.verify_relations``."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -144,8 +141,9 @@ class ModuleRep:
 
         X, Xi = self.act_x, self.act_xi
         a_pow_n = self.group_element_matrix(d.group.power(d.a, d.n))
+        xi_top = _mat_pow(Xi, d.n - 1)
         add("x_power", _mat_pow(X, d.n), (a_pow_n - I).scale(d.alpha))
-        add("xi_power", _mat_pow(Xi, d.n), Mat.zeros(N, dim, dim))
+        add("xi_power", xi_top * Xi, Mat.zeros(N, dim, dim))
 
         gams = [[w.value_gamma_gen(i) for w in self.weights] for i in range(rank)]
         for i, gen in enumerate(d.group.generators()):
@@ -166,8 +164,6 @@ class ModuleRep:
                 ga = d.gamma_gen_at_a(i)
                 add_entrywise(f"x_gamma[{i}]", X, [v * ga for v in gams[i]], gams[i])
         else:
-            xi_top = _mat_pow(Xi, d.n - 1)
-
             def coeffs() -> list[CycScalar]:
                 fac = q_factorial(d.n - 1, d.rho)
                 return [(d.gamma_gen_at_a(i) ** d.n - d.one()) / fac for i in range(rank)]
@@ -388,8 +384,7 @@ def intertwines(f: Mat, source: ModuleRep, target: ModuleRep) -> bool:
 # submodules and quotients
 
 
-@dataclass
-class SubmoduleFacts:
+class SubmoduleFacts(namedtuple("SubmoduleFacts", "ambient rows pivots module inclusion")):
     """A submodule in echelonized form together with its induced module.
 
     ``rows`` hold the basis of the submodule in ambient coordinates, one
@@ -398,11 +393,7 @@ class SubmoduleFacts:
     that basis and ``inclusion`` the ambient-by-sub matrix of the embedding.
     """
 
-    ambient: ModuleRep
-    rows: list[Row]
-    pivots: list[int]
-    module: ModuleRep
-    inclusion: Mat
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

@@ -93,6 +93,16 @@ def test_malformed_datum_field_exits_2(capsys, write_json, field, value):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("orders", [[], [0], [-3]])
+def test_nonpositive_orders_exit_2(capsys, write_json, orders):
+    path = write_json("orders.json", {**DATUM_JSON["B"], "orders": orders})
+    code, out, err = run(capsys, "datum", "check", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cyclic factor orders must be positive")
+    assert err.count("\n") == 1
+
+
 def test_weights_list(capsys, datum_file):
     code, out, _ = run(capsys, "weights", "list", datum_file("B"), "--format", "json")
     assert code == 0
@@ -468,15 +478,18 @@ def test_classify_deterministic_across_jobs(capsys, datum_file):
 
 
 def test_cli_import_leaves_process_pool_out(datum_file):
-    # classify runs in one process at any --jobs: no concurrent.futures (or multiprocessing)
+    # classify runs in one process at any --jobs: no concurrent.futures (or
+    # multiprocessing); records are namedtuples, so no dataclasses (or the
+    # inspect it imports) either
     src = str(pathlib.Path(doublerep.__file__).resolve().parents[1])
     argv = ["classify", datum_file("B"), "--jobs", "2", "--budget", "24"]
     code = (f"import sys; sys.path.insert(0, {src!r}); import doublerep.cli; "
             f"rc = doublerep.cli.main({argv!r}); "
-            "print(rc, 'concurrent.futures' in sys.modules)")
+            "print(rc, [m for m in ('concurrent.futures', 'dataclasses', 'inspect') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out.splitlines()[-1] == "0 False"
+    assert out.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -130,6 +130,15 @@ def test_weight_serialization():
     assert datum_from_json(dj).describe() == d.describe()
 
 
+def test_weight_normalizes_and_hashes_as_its_fields():
+    g = FinAbGroup((9,))
+    w, v = Weight(g, (10,), (-1,)), Weight(g, (1,), (8,))
+    assert w == v
+    assert hash(w) == hash(v) == hash((g, (1,), (8,)))
+    with pytest.raises(AttributeError):
+        w.gexps = (2,)
+
+
 def test_kernel_definition():
     d = make_datum("B")
     for w in d.kernel_K():

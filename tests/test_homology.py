@@ -37,6 +37,12 @@ def test_hom_space_members_are_morphisms(datum_b):
         assert f.is_valid()
 
 
+def test_morphism_rejects_wrong_shape(datum_b):
+    v = simple(datum_b, 1, first_weight(datum_b, 1))
+    with pytest.raises(DatumError, match="shape does not match"):
+        homology.Morphism(v, v, Mat.zeros(datum_b.N, v.dim + 1, v.dim))
+
+
 def test_hom_vanishes_off_tau_orbit_step(datum_b):
     # Hom(T_1(l, lam), T_1(l, tau^k lam)) = 0 unless m | k
     lam = first_weight(datum_b, 1)
