@@ -14,10 +14,12 @@ Each function emits a ModuleRep on an explicit weight-tagged basis:
 * ``w_band``       -- the one-parameter family W_t(l, lambda, eta) that
                       replaces the bands when m = 1 (eta may be infinite).
 
-The last four glue copies of the T_1 or Tbar_1 string end to end with one
-builder: open strings for the chains, closed ones with eta on the closing
+The first two are one string builder (the Verma module is the natural
+string at l = n).  The last four glue copies of the T_1 or Tbar_1 string end
+to end with one builder: open strings for the chains, closed ones with eta on the closing
 edge for the bands.  ``t1``, ``t1bar`` and ``w1`` check the t = 1 members
-against restrictions of the projective cover.
+against restrictions of the projective cover.  Every builder writes x and
+xi as row dicts and hands them to ``ModuleRep`` as ``Mat``s.
 
 ``FAMILIES`` is the one registry of the classified families (V, P, Omega,
 T, Tbar, M, W): parameters, builder, dimension formula, predicted Loewy type
@@ -33,7 +35,7 @@ from itertools import product
 
 from .cyclo import CycScalar
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight
-from .linalg import Mat
+from .linalg import Mat, Row
 from .repmod import ModuleRep, intertwines, spin_submodule
 
 
@@ -41,18 +43,15 @@ from .repmod import ModuleRep, intertwines, spin_submodule
 # band parameter
 
 
-class EtaParam:
-    """Band parameter: an exact scalar or the symbol for infinity."""
+class EtaParam(namedtuple("EtaParam", "value")):
+    """Band parameter: an exact scalar, or None for the symbol infinity."""
 
-    __slots__ = ("value",)
+    __slots__ = ()
 
-    def __init__(self, value):
+    def __new__(cls, value):
         if value is not None and not isinstance(value, CycScalar):
             value = CycScalar.rational(Fraction(value))
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("EtaParam is immutable")
+        return super().__new__(cls, value)
 
     @staticmethod
     def of(v) -> EtaParam:
@@ -84,21 +83,8 @@ class EtaParam:
     def is_unit(self, datum: ValidatedDatum) -> bool:
         return not self.is_inf and not self.scalar(datum).is_zero()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EtaParam):
-            other = EtaParam.of(other)
-        if self.value is None or other.value is None:
-            return self.value is None and other.value is None
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(None) if self.value is None else hash(self.value)
-
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)
-
-    def __repr__(self) -> str:
-        return f"EtaParam({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -111,33 +97,45 @@ def _require_regular(datum: ValidatedDatum, l: int, lam: Weight) -> None:
     datum._check_in_class(l, lam)
 
 
-def _put(entries: dict, i: int, j: int, val: CycScalar) -> None:
-    if not val.is_zero():
-        entries[(i, j)] = val
+def _put(rows: list[Row], i: int, j: int, val: CycScalar) -> None:
+    """Set entry (i, j) of the matrix with row dicts ``rows``; a zero is not
+    stored, and an entry outside the square matrix is an error."""
+    if not (0 <= i < len(rows) and 0 <= j < len(rows)):
+        raise DatumError(f"entry ({i},{j}) outside dimension {len(rows)}")
+    if val:
+        rows[i][j] = val
 
 
 # ---------------------------------------------------------------------------
 # simple and induced modules
 
 
-def verma(datum: ValidatedDatum, lam: Weight) -> ModuleRep:
-    """The n-dimensional induced module at an arbitrary weight.
+def _string(datum: ValidatedDatum, l: int, lam: Weight, standard: bool = False) -> ModuleRep:
+    """The string of l vectors at weights phi^i(lambda), i = 0..l-1: x sends
+    vector i to vector i+1 and xi sends vector i to vector i-1, one of them
+    with coefficient alpha_i(lambda) and the other with one.  The natural
+    basis v_i puts alpha_i on xi, the standard basis m_i on x.  At l = n, x
+    also closes vector n-1 onto vector 0 with alpha * (lambda(a)^n - 1)
+    (divided by alpha_1...alpha_(n-1) in the standard basis); it vanishes
+    except at generic weights over a non-nilpotent datum."""
+    n, one = datum.n, datum.one()
+    x, xi = [{} for _ in range(l)], [{} for _ in range(l)]
+    for i in range(1, l):
+        a = datum.alpha_value(i, lam)
+        _put(x, i, i - 1, a if standard else one)
+        _put(xi, i - 1, i, one if standard else a)
+    if l == n:
+        closing = datum.alpha * (lam.value_g(datum.a) ** n - one)
+        _put(x, 0, n - 1, closing / datum.beta_coeff(n, lam) if standard else closing)
+    weights = [datum.phi_shift(lam, i) for i in range(l)]
+    labels = [f"{'m' if standard else 'v'}{i}" for i in range(l)]
+    return ModuleRep(datum, weights, Mat(datum.N, x, l), Mat(datum.N, xi, l), labels)
 
-    The closing coefficient alpha * (lambda(a)^n - 1) vanishes automatically
-    except at generic weights over a non-nilpotent datum.
-    """
-    n = datum.n
-    weights = [datum.phi_shift(lam, i) for i in range(n)]
-    closing = datum.alpha * (lam.value_g(datum.a) ** n - datum.one())
-    x: dict = {}
-    xi: dict = {}
-    for i in range(n - 1):
-        _put(x, i + 1, i, datum.one())
-    _put(x, 0, n - 1, closing)
-    for i in range(1, n):
-        _put(xi, i - 1, i, datum.alpha_value(i, lam))
-    labels = [f"v{i}" for i in range(n)]
-    return ModuleRep.from_weight_action(datum, weights, x, xi, labels)
+
+def verma(datum: ValidatedDatum, lam: Weight) -> ModuleRep:
+    """The n-dimensional induced module at an arbitrary weight: the natural
+    string at l = n."""
+    return _string(datum, datum.n, lam)
 
 
 def simple(datum: ValidatedDatum, l: int, lam: Weight, basis: str = "natural") -> ModuleRep:
@@ -153,30 +151,9 @@ def _simple(datum: ValidatedDatum, l: int, lam: Weight, basis: str) -> ModuleRep
     if not 1 <= l <= n:
         raise DatumError(f"l={l} outside 1..{n}")
     datum._check_in_class(l, lam)
-    if l == n:
-        closing = datum.alpha * (lam.value_g(datum.a) ** n - datum.one())
-    else:
-        closing = datum.zero()
-    weights = [datum.phi_shift(lam, i) for i in range(l)]
-    x: dict = {}
-    xi: dict = {}
-    if basis == "natural":
-        for i in range(l - 1):
-            _put(x, i + 1, i, datum.one())
-        _put(x, 0, l - 1, closing)
-        for i in range(1, l):
-            _put(xi, i - 1, i, datum.alpha_value(i, lam))
-        labels = [f"v{i}" for i in range(l)]
-    elif basis == "standard":
-        for i in range(l - 1):
-            _put(x, i + 1, i, datum.alpha_value(i + 1, lam))
-        _put(x, 0, l - 1, closing / datum.beta_coeff(l, lam))
-        for i in range(1, l):
-            _put(xi, i - 1, i, datum.one())
-        labels = [f"m{i}" for i in range(l)]
-    else:
+    if basis not in ("natural", "standard"):
         raise DatumError(f"unknown basis {basis!r}; use 'natural' or 'standard'")
-    mod = ModuleRep.from_weight_action(datum, weights, x, xi, labels)
+    mod = _string(datum, l, lam, basis == "standard")
     if basis == "standard":
         _assert_basis_change(datum, l, lam, mod)
     return mod
@@ -216,8 +193,7 @@ def projective(datum: ValidatedDatum, l: int, lam: Weight) -> ModuleRep:
 
     slam = datum.sigma(lam)
     silam = datum.sigma_inv(lam)
-    x: dict = {}
-    xi: dict = {}
+    x, xi = [{} for _ in range(2 * n)], [{} for _ in range(2 * n)]
     if datum.kind == NILPOTENT:
         weights = ([datum.phi_shift(lam, i) for i in range(n)]
                    + [datum.phi_shift(lam, i - n + l) for i in range(n)])
@@ -256,7 +232,7 @@ def projective(datum: ValidatedDatum, l: int, lam: Weight) -> ModuleRep:
             _put(xi, V(i - 1), V(i), one)
             _put(xi, U(i - 1), U(i), one)
     labels = [f"v{i}" for i in range(n)] + [f"u{i}" for i in range(n)]
-    return ModuleRep.from_weight_action(datum, weights, x, xi, labels)
+    return ModuleRep(datum, weights, Mat(datum.N, x, 2 * n), Mat(datum.N, xi, 2 * n), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +289,9 @@ def _glued(datum: ValidatedDatum, l: int, lam: Weight, dual: bool, bases: list[W
     from the exit of c to the entry of d; a dual link is a xi-edge and, on a
     non-nilpotent datum, an x-edge scaled by z.  Labels default to w (z if
     ``dual``) with the position and the segment."""
-    n = datum.n
+    n, dim = datum.n, len(bases) * datum.n
     shifts, entries, link = _segment(datum, l, lam, dual)
-    acts: dict = {"x": {}, "xi": {}}
+    acts = {act: [{} for _ in range(dim)] for act in ("x", "xi")}
     for c in range(len(bases)):
         for act, i, j, v in entries:
             _put(acts[act], c * n + i, c * n + j, v)
@@ -325,7 +301,8 @@ def _glued(datum: ValidatedDatum, l: int, lam: Weight, dual: bool, bases: list[W
     weights = [datum.phi_shift(mu, k) for mu in bases for k in shifts]
     if labels is None:
         labels = [f"{'z' if dual else 'w'}{j}^{c}" for c in range(len(bases)) for j in range(n)]
-    return ModuleRep.from_weight_action(datum, weights, acts["x"], acts["xi"], labels)
+    return ModuleRep(datum, weights, Mat(datum.N, acts["x"], dim), Mat(datum.N, acts["xi"], dim),
+                     labels)
 
 
 def t_chain(datum: ValidatedDatum, l: int, lam: Weight, t: int = 1) -> ModuleRep:
@@ -408,13 +385,12 @@ def w_band(datum: ValidatedDatum, l: int, lam: Weight, eta, t: int = 1) -> Modul
 # verified restrictions of the projective cover (t = 1 families)
 
 
-def _restricted_copy(p: ModuleRep, span_cols: list[list[tuple[int, CycScalar]]],
-                     table: ModuleRep, what: str) -> ModuleRep:
-    """Spin the listed span inside ``p``, assert it was already invariant, and
-    assert that the restricted action in the listed basis is matrix-identical
-    to ``table``; returns ``table``."""
+def _restricted_copy(p: ModuleRep, seeds: list[Row], table: ModuleRep,
+                     what: str) -> ModuleRep:
+    """Spin the span of the vectors ``seeds`` inside ``p``, assert it was
+    already invariant, and assert that the restricted action in the basis
+    ``seeds`` is matrix-identical to ``table``; returns ``table``."""
     datum = p.datum
-    seeds = [dict(col) for col in span_cols]
     facts = spin_submodule(p, seeds)
     if facts.module.dim != len(seeds):
         raise DatumError(f"{what}: the listed span inside the projective cover "
@@ -445,11 +421,10 @@ def t1(datum: ValidatedDatum, l: int, lam: Weight) -> ModuleRep:
     n = datum.n
     one = datum.one()
     if datum.kind == NILPOTENT:
-        cols = ([[(j + l, one)] for j in range(n - l)]
-                + [[(n + j, one)] for j in range(n - l, n)])
+        seeds = [{j + l: one} for j in range(n - l)] + [{n + j: one} for j in range(n - l, n)]
     else:
-        cols = [[(n + j, one)] for j in range(n)]
-    mod = _restricted_copy(p, cols, table, "t1")
+        seeds = [{n + j: one} for j in range(n)]
+    mod = _restricted_copy(p, seeds, table, "t1")
     _assert_chain_ends(datum, mod, l, lam, datum.sigma(lam), "t1")
     return mod
 
@@ -462,11 +437,10 @@ def t1bar(datum: ValidatedDatum, l: int, lam: Weight) -> ModuleRep:
     n = datum.n
     one = datum.one()
     if datum.kind == NILPOTENT:
-        cols = [[(n + j, one)] for j in range(n)]
+        seeds = [{n + j: one} for j in range(n)]
     else:
-        cols = ([[(j, one)] for j in range(n - l)]
-                + [[(j + l, one)] for j in range(n - l, n)])
-    mod = _restricted_copy(p, cols, table, "t1bar")
+        seeds = [{j: one} for j in range(n - l)] + [{j + l: one} for j in range(n - l, n)]
+    mod = _restricted_copy(p, seeds, table, "t1bar")
     _assert_chain_ends(datum, mod, l, lam, datum.sigma_inv(lam), "t1bar")
     return mod
 
@@ -480,18 +454,12 @@ def w1(datum: ValidatedDatum, l: int, lam: Weight, eta) -> ModuleRep:
     n = datum.n
     one = datum.one()
     if eta.is_inf:
-        cols = ([[(j + l, one)] for j in range(n - l)]
-                + [[(n + j, one)] for j in range(n - l, n)])
+        seeds = [{j + l: one} for j in range(n - l)]
     else:
         ev = eta.scalar(datum)
-        cols = []
-        for j in range(n - l):
-            col = [(n + j, one)]
-            if not ev.is_zero():
-                col.append((j + l, ev))
-            cols.append(col)
-        cols += [[(n + j, one)] for j in range(n - l, n)]
-    return _restricted_copy(p, cols, table, "w1")
+        seeds = [{n + j: one, j + l: ev} if ev else {n + j: one} for j in range(n - l)]
+    seeds += [{n + j: one} for j in range(n - l, n)]
+    return _restricted_copy(p, seeds, table, "w1")
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ class Morphism(namedtuple("Morphism", "source target matrix")):
 
 
 def zero_module(datum: ValidatedDatum) -> ModuleRep:
-    return ModuleRep.from_weight_action(datum, [], {}, {}, [])
+    return ModuleRep(datum, [], Mat.zeros(datum.N, 0, 0), Mat.zeros(datum.N, 0, 0), [])
 
 
 def _require_same_datum(a: ModuleRep, b: ModuleRep) -> None:

@@ -145,22 +145,20 @@ class Mat:
             return Mat.zeros(self.order, self.nrows, self.ncols)
         return Mat(self.order, ({j: c * x for j, x in r.items()} for r in self._nz), self.ncols)
 
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.ncols != other.nrows:
-                raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-            b = other._nz
-            out = []
-            for ra in self._nz:
-                acc = {}
-                for k, x in ra.items():
-                    for j, y in b[k].items():
-                        acc[j] = acc[j] + x * y if j in acc else x * y
-                out.append({j: s for j, s in acc.items() if s})
-            return Mat(self.order, out, other.ncols)
-        if isinstance(other, CycScalar):
-            return self.scale(other)
-        return NotImplemented
+    def __mul__(self, other: Mat) -> Mat:
+        if not isinstance(other, Mat):
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
+        b = other._nz
+        out = []
+        for ra in self._nz:
+            acc = {}
+            for k, x in ra.items():
+                for j, y in b[k].items():
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            out.append({j: s for j, s in acc.items() if s})
+        return Mat(self.order, out, other.ncols)
 
     def matvec(self, v: Row) -> Row:
         if v and not 0 <= min(v) <= max(v) < self.ncols:

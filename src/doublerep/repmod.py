@@ -75,21 +75,6 @@ class ModuleRep:
         if len(self.labels) != dim:
             raise DatumError(f"{len(self.labels)} labels for dimension {dim}")
 
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def from_weight_action(datum: ValidatedDatum, weights, x_entries: dict,
-                           xi_entries: dict, labels=None) -> ModuleRep:
-        """Build a module from weight tags and sparse x / xi actions.
-
-        ``x_entries[(i, j)]`` is the coefficient of basis vector i in the
-        image of basis vector j.
-        """
-        weights = tuple(weights)
-        dim = len(weights)
-        return ModuleRep(datum, weights, _mat_from_entries(datum, dim, x_entries),
-                         _mat_from_entries(datum, dim, xi_entries), labels)
-
     # -- group-likes, from the weight tags -----------------------------------
 
     def group_element_matrix(self, g) -> Mat:
@@ -326,17 +311,6 @@ def _parse(field: str, fn, *args):
         raise DatumError(f"malformed module field '{field}': {exc}") from exc
 
 
-def _mat_from_entries(datum: ValidatedDatum, dim: int, entries: dict) -> Mat:
-    rows = [{} for _ in range(dim)]
-    for (i, j), val in entries.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise DatumError(f"entry ({i},{j}) outside dimension {dim}")
-        x = datum.scalar(val)
-        if x:
-            rows[i][j] = x
-    return Mat(datum.N, rows, dim)
-
-
 def _mat_to_json(m: Mat) -> list:
     return [[x.to_json() for x in r] for r in m.rows]
 
@@ -451,15 +425,12 @@ def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
             coeffs.update((at[k], c) for k, c in comp.items() if k in at)
         return coeffs
 
-    x_entries = {}
-    xi_entries = {}
-    for j, b in enumerate(rows):
-        for op, entries in ((mod.act_x, x_entries), (mod.act_xi, xi_entries)):
-            for i, c in express(op.matvec(b)).items():
-                entries[(i, j)] = c
+    def restrict(op: Mat) -> Mat:
+        return Mat.from_cols(datum.N, [express(op.matvec(b)) for b in rows], len(rows))
+
     labels = [mod.labels[p] for p in pivots]
-    module = ModuleRep.from_weight_action(datum, [w for w, _ in basis], x_entries, xi_entries,
-                                          labels)
+    module = ModuleRep(datum, [w for w, _ in basis], restrict(mod.act_x), restrict(mod.act_xi),
+                       labels)
     inclusion = Mat.from_cols(datum.N, rows, mod.dim)
     return SubmoduleFacts(mod, rows, pivots, module, inclusion)
 
@@ -485,14 +456,14 @@ def quotient_module(mod: ModuleRep, sub: SubmoduleFacts) -> tuple[ModuleRep, Mat
         proj_rows.append(row)
     projection = Mat(datum.N, proj_rows, mod.dim)
     at = {j: jq for jq, j in enumerate(comp)}
-    x_entries = {}
-    xi_entries = {}
-    for op, entries in ((mod.act_x, x_entries), (mod.act_xi, xi_entries)):
-        for i, row in enumerate((projection * op).nz_rows()):
-            entries.update(((i, at[j]), x) for j, x in row.items() if j in at)
+
+    def restrict(op: Mat) -> Mat:
+        return Mat(datum.N, ({at[j]: x for j, x in row.items() if j in at}
+                             for row in (projection * op).nz_rows()), len(comp))
+
     weights = [mod.weights[i] for i in comp]
     labels = [mod.labels[i] for i in comp]
-    quot = ModuleRep.from_weight_action(datum, weights, x_entries, xi_entries, labels)
+    quot = ModuleRep(datum, weights, restrict(mod.act_x), restrict(mod.act_xi), labels)
     return quot, projection
 
 

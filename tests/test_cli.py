@@ -204,6 +204,26 @@ def test_module_analyze(capsys, tmp_path, datum_file):
     assert payload["family"].startswith("T_2(")
 
 
+def test_module_analyze_skips_a_module_whose_relations_fail(capsys, tmp_path, datum_file):
+    path = build_module(capsys, tmp_path, datum_file("B"),
+                        "--family", "t1", "--l", "1", "--lambda", "0;0")
+    obj = json.loads(open(path).read())
+    obj["matrices"]["x"][0][1] = {"order": 1, "coeffs": ["7"]}
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    failures = ModuleRep.from_json(obj).verify_relations().failures()
+    assert failures
+    code, out, _ = run(capsys, "module", "analyze", str(bad))
+    assert code == 1
+    assert out.splitlines() == (["relations: FAILED — analysis skipped"]
+                                + [f"  FAIL {c.name}" for c in failures])
+    code, out, _ = run(capsys, "module", "analyze", str(bad), "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"relations_ok": False,
+                               "failures": [{"name": c.name, "detail": c.detail}
+                                            for c in failures]}
+
+
 def test_module_analyze_outside_grid(capsys, tmp_path, datum_file):
     datum_path = datum_file("B")
     path = build_module(capsys, tmp_path, datum_path,

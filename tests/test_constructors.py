@@ -8,9 +8,9 @@ negative control, chain/band submodule structure, and family dispatch.
 
 import pytest
 
-from doublerep.constructors import (EtaParam, band, build_family, projective,
-                                    simple, t1, t1bar, t_chain, t_chain_bar,
-                                    verma, w1, w_band)
+from doublerep.constructors import (FAMILIES, EtaParam, _put, band, build_family,
+                                    projective, simple, t1, t1bar, t_chain,
+                                    t_chain_bar, verma, w1, w_band)
 from doublerep.cyclo import q_factorial
 from doublerep.datum import NON_NILPOTENT, DatumError
 from doublerep.linalg import Mat, in_span
@@ -42,6 +42,10 @@ def test_eta_param():
     assert EtaParam.of(two) is two
     assert EtaParam.parse("inf").is_inf
     assert not EtaParam.parse("-1").is_inf
+    assert EtaParam.of("2") == two and hash(EtaParam.of("2")) == hash(two)
+    assert [str(e) for e in (inf, two, EtaParam.of("-1/2"))] == ["inf", "2", "-1/2"]
+    with pytest.raises(AttributeError):
+        two.value = None
 
 
 def test_eta_domain_errors():
@@ -447,3 +451,51 @@ def test_build_family_dispatch(datum_b, datum_a):
         build_family(datum_b, "verma", 2, lam)  # class mismatch
     with pytest.raises(DatumError):
         build_family(datum_b, "omega", 1, lam)
+
+
+# ---------------------------------------------------------------------------
+# stored matrices: what every builder, spin and quotient hands to ModuleRep
+
+
+def _assert_stored_entries(mod, what):
+    """x and xi are dim x dim and store only nonzero scalars at the datum's
+    order, each inside the matrix."""
+    dim, N = mod.dim, mod.datum.N
+    for m in (mod.act_x, mod.act_xi):
+        assert (m.nrows, m.ncols) == (dim, dim), what
+        for row in m.nz_rows():
+            for j, x in row.items():
+                assert 0 <= j < dim and x and x.order == N, what
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "D", "E", "F"])
+def test_builders_store_nonzero_entries_at_the_datum_order(key):
+    datum = make_datum(key)
+    one = datum.one()
+    built = [(f"verma {l}", verma(datum, first_weight(datum, l)))
+             for l in range(1, datum.n + 1)]
+    built += [(f"standard V {l}", simple(datum, l, first_weight(datum, l), "standard"))
+              for l in range(1, datum.n + 1)]
+    for fam in FAMILIES.values():
+        for l in fam.l_range(datum):
+            for params in fam.grid(datum, 2, 1, ("1", "-1", "0", "inf")):
+                built.append((f"{fam.letter} {l} {params}",
+                              fam.build(datum, l, first_weight(datum, l), **params)))
+    proper = 0
+    for what, mod in built:
+        # the spin of the last basis vector, and the quotient by it
+        sub = spin_submodule(mod, [{mod.dim - 1: one}])
+        quot, _ = quotient_module(mod, sub)
+        for m, part in ((mod, ""), (sub.module, " spin"), (quot, " quotient")):
+            _assert_stored_entries(m, what + part)
+        proper += 0 < sub.dim < mod.dim
+    assert proper > len(built) // 2
+
+
+def test_entry_outside_the_matrix_is_an_error(datum_b):
+    rows = [{}, {}]
+    for i, j in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(DatumError, match=rf"entry \({i},{j}\) outside dimension 2"):
+            _put(rows, i, j, datum_b.one())
+    _put(rows, 1, 0, datum_b.zero())
+    assert rows == [{}, {}]
