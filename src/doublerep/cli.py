@@ -365,15 +365,16 @@ def cmd_classify(args) -> int:
         for j in range(i + 1, len(modules)):
             a, b = modules[i], modules[j]
             ela, elb = entries[i]["end_local_dim"], entries[j]["end_local_dim"]
-            if keys[i] != keys[j]:  # invariants differ: no Hom solve needed
-                pair_el = ela + elb
-            else:
+            r = 0  # r(a, b): 0 when the invariants differ, with no Hom solve
+            if keys[i] == keys[j]:
                 hom_pairs += 1
-                pair_el = homology.end_local_dim_of_sum(
-                    a, b, ela, elb, homology.hom_space(a, b), homology.hom_space(b, a))
-                # pair_el - ela - elb is twice the trace pairing rank r(a, b)
-                if pair_el - ela - elb == ela + elb:
+                r = homology.pairing_rank(homology.hom_space(a, b), homology.hom_space(b, a))
+                # r(a, a) + r(b, b) = 2 r(a, b) exactly when a and b are isomorphic
+                if 2 * r == ela + elb:
                     iso_pairs.append([entries[i]["tag"], entries[j]["tag"]])
+            # the trace Gram matrix of End(a (+) b) is block-diagonal, and the
+            # pairing block of Hom(a, b) with Hom(b, a) counts twice
+            pair_el = ela + elb + 2 * r
             min_sum_el = pair_el if min_sum_el is None else min(min_sum_el, pair_el)
     counts = Counter(e["family"] for e in entries)
     n_pairs = len(modules) * (len(modules) - 1) // 2

@@ -405,11 +405,10 @@ def _assert_chain_ends(datum: ValidatedDatum, mod: ModuleRep, l: int,
                        lam: Weight, head_lam: Weight, what: str) -> None:
     from . import homology
     n = datum.n
-    soc = homology.socle_multiset(mod)
-    if soc != [{"l": l, "lambda": lam.label(), "mult": 1}]:
+    loewy = homology.loewy_structure(mod)
+    if loewy.socle != [((l, lam), 1)]:
         raise DatumError(f"{what}: socle is not V({l},{lam.label()})")
-    hd = homology.head_multiset(mod)
-    if hd != [{"l": n - l, "lambda": head_lam.label(), "mult": 1}]:
+    if loewy.head != [((n - l, head_lam), 1)]:
         raise DatumError(f"{what}: head is not V({n - l},{head_lam.label()})")
 
 

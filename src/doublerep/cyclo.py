@@ -235,14 +235,6 @@ class CycScalar:
         num = self.num
         return self.den == 1 and num[0] == 1 and not any(num[1:])
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def __bool__(self) -> bool:
         return any(self.num)
 

@@ -38,12 +38,6 @@ class Morphism(namedtuple("Morphism", "source target matrix")):
         """Check that the matrix intertwines every generator action."""
         return intertwines(self.matrix, self.source, self.target)
 
-    def rank(self) -> int:
-        return rank(self.matrix)
-
-    def is_injective(self) -> bool:
-        return self.rank() == self.source.dim
-
     def to_json(self) -> dict:
         return {
             "shape": [self.matrix.nrows, self.matrix.ncols],
@@ -111,9 +105,12 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
 # endomorphism algebra and indecomposability
 
 
-def _pairing_rank(order: int, fs: list[Morphism], gs: list[Morphism]) -> int:
-    """Rank of the matrix of traces tr(f g), f in fs, g in gs.  When gs is
-    fs the matrix is symmetric and each trace is taken once."""
+def pairing_rank(fs: list[Morphism], gs: list[Morphism]) -> int:
+    """Rank of the matrix of traces tr(f g), f in fs, g in gs; 0 when either
+    list is empty.  When gs is fs the matrix is symmetric and each trace is
+    taken once."""
+    if not fs or not gs:
+        return 0
     sym = gs is fs
     t = [{} for _ in fs]
     for i, f in enumerate(fs):
@@ -123,7 +120,7 @@ def _pairing_rank(order: int, fs: list[Morphism], gs: list[Morphism]) -> int:
                 t[i][j] = v
                 if sym:
                     t[j][i] = v
-    return rank(Mat(order, t, len(gs)))
+    return rank(Mat(fs[0].matrix.order, t, len(gs)))
 
 
 def end_local_dim(m: ModuleRep) -> int:
@@ -133,24 +130,8 @@ def end_local_dim(m: ModuleRep) -> int:
     bilinear form (f, g) -> trace(fg), so this is one Gram-matrix rank.
     Value 1 certifies that M is absolutely indecomposable.
     """
-    if m.dim == 0:
-        return 0
     ends = hom_space(m, m)
-    return _pairing_rank(m.datum.N, ends, ends)
-
-
-def end_local_dim_of_sum(a: ModuleRep, b: ModuleRep, el_a: int, el_b: int,
-                         homs_ab: list[Morphism], homs_ba: list[Morphism]) -> int:
-    """end_local_dim(a (+) b) without building the sum, from the
-    end_local_dim of a and b and the Hom bases between them.
-
-    In a basis of End(a (+) b) split into the four blocks, the trace Gram
-    matrix is block-diagonal: the End(a) and End(b) Grams plus the pairing
-    block between Hom(a,b) and Hom(b,a), whose rank counts twice.
-    """
-    if not homs_ab or not homs_ba:
-        return el_a + el_b
-    return el_a + el_b + 2 * _pairing_rank(a.datum.N, homs_ab, homs_ba)
+    return pairing_rank(ends, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +213,8 @@ def _multiplicities(datum: ValidatedDatum, homs,
     return out
 
 
-def semisimple_factors(h: ModuleRep) -> list[tuple[tuple[int, Weight], int]]:
-    """Multiplicities of the simples in a semisimple module, exactly."""
-    return _multiplicities(h.datum, _simple_homs(h, True), h.dim)
-
-
 def _factors_as_json(factors) -> list[dict]:
     return [{"l": l, "lambda": w.label(), "mult": mult} for (l, w), mult in factors]
-
-
-def socle_multiset(m: ModuleRep) -> list[dict]:
-    soc, homs = _socle(m)
-    return _factors_as_json(_multiplicities(m.datum, homs, soc.dim))
-
-
-def head_multiset(m: ModuleRep) -> list[dict]:
-    rad, homs = _radical(m)
-    return _factors_as_json(_multiplicities(m.datum, homs, m.dim - rad.dim))
 
 
 class LoewyType(namedtuple("LoewyType", "s t rl")):
@@ -258,17 +224,6 @@ class LoewyType(namedtuple("LoewyType", "s t rl")):
 
     def to_json(self) -> dict:
         return {"s": self.s, "t": self.t, "rl": self.rl}
-
-
-def radical_series(m: ModuleRep) -> list[ModuleRep]:
-    """Successive semisimple layers M/rad M, rad M/rad^2 M, ... as modules;
-    ``loewy_structure`` gives their simples without building them."""
-    out = []
-    while m.dim:
-        rad = radical(m)
-        out.append(quotient_module(m, rad)[0])
-        m = rad.module
-    return out
 
 
 class LoewyStructure(namedtuple("LoewyStructure", "socle layers")):
@@ -345,7 +300,8 @@ def _cover_summands(m: ModuleRep, cover: bool) -> tuple[ModuleRep, list[Mat]]:
     name = "projective cover" if cover else "injective hull"
     facts, homs = _radical(m) if cover else _socle(m)
     total = m.dim - facts.dim if cover else facts.dim
-    pi = quotient_module(m, facts)[1] if cover else None
+    # pi, the projection onto the head, or iota, the inclusion of the socle
+    edge = quotient_module(m, facts)[1] if cover else facts.inclusion
     span = Echelon(datum.N)
     chosen: list[tuple[ModuleRep, Mat]] = []
     for (l, w), mult in _multiplicities(datum, homs, total):
@@ -354,7 +310,7 @@ def _cover_summands(m: ModuleRep, cover: bool) -> tuple[ModuleRep, list[Mat]]:
         for f in hom_space(ps, m) if cover else hom_space(m, ps):
             if taken == mult:
                 break
-            image = (pi * f.matrix).transpose() if cover else f.matrix * facts.inclusion
+            image = (edge * f.matrix).transpose() if cover else f.matrix * edge
             if [p for p in map(span.add, image.nz_rows()) if p is not None]:
                 chosen.append((ps, f.matrix))
                 taken += 1
@@ -394,28 +350,20 @@ def injective_hull_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
 
 def syzygy(m: ModuleRep) -> ModuleRep:
     """Kernel of a projective cover."""
-    if m.dim == 0:
-        return zero_module(m.datum)
     p, f = projective_cover_map(m)
     return spin_submodule(p, nullspace(f.matrix)).module
 
 
 def cosyzygy(m: ModuleRep) -> ModuleRep:
     """Cokernel of an injective hull."""
-    if m.dim == 0:
-        return zero_module(m.datum)
     e, f = injective_hull_map(m)
-    facts = spin_submodule(e, f.matrix.cols())
-    q, _ = quotient_module(e, facts)
-    return q
+    return quotient_module(e, spin_submodule(e, f.matrix.cols()))[0]
 
 
 def omega(m: ModuleRep, s: int) -> ModuleRep:
     """Iterated syzygy (s > 0) or cosyzygy (s < 0); s = 0 returns m."""
     cur = m
     for _ in range(abs(s)):
-        if cur.dim == 0:
-            return cur
         cur = syzygy(cur) if s > 0 else cosyzygy(cur)
     return cur
 
@@ -504,9 +452,8 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
                    f"end(a)={len(ends_a)}, end(b)={len(ends_b)}")
     if not homs_ab:
         return _no("Hom(a,b) = 0")
-    order = a.datum.N
-    el_a = _pairing_rank(order, ends_a, ends_a)
-    el_b = _pairing_rank(order, ends_b, ends_b)
+    el_a = pairing_rank(ends_a, ends_a)
+    el_b = pairing_rank(ends_b, ends_b)
     if el_a == el_b == 1:
         # r(a, b) is 0 or 1 here, and 1 as soon as one pairing is nonzero
         f = _local_iso(a, homs_ab, homs_ba)
@@ -514,7 +461,7 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
             return IsoVerdict("yes", "invertible intertwiner (trace pairing)", f)
         return _no("trace pairing of Hom(a,b) with Hom(b,a) vanishes; "
                    "both endomorphism algebras are local, so no map is invertible")
-    r = _pairing_rank(order, homs_ab, homs_ba)
+    r = pairing_rank(homs_ab, homs_ba)
     if el_a + el_b != 2 * r:
         return _no(f"trace pairing ranks: r(a,a) + r(b,b) = {el_a + el_b} "
                    f"!= 2 r(a,b) = {2 * r}")
@@ -792,7 +739,7 @@ def match_family(m: ModuleRep, max_t: int = 4, max_s: int = 4,
     if m.dim == 0:
         return "zero"
     ends = hom_space(m, m)
-    if _pairing_rank(m.datum.N, ends, ends) != 1:
+    if pairing_rank(ends, ends) != 1:
         return None
     datum = m.datum
     key = invariant_key(m)

@@ -4,8 +4,8 @@ A vector is a ``{index: nonzero value}`` dict (``Row``) with no stored zero.
 A matrix is its nonzero pattern: one such dict per row (``Mat.nz_rows``),
 all at one field order.  Sums, products, matrix-vector products, stacking
 and the trace pairing visit only nonzero entries; kernel bases, sparse
-columns and span bases are dicts too.  The dense grids ``Mat.rows`` and
-``Mat.col`` are built only when read, for JSON, printing and tests.
+columns and span bases are dicts too.  The dense grid ``Mat.rows`` is built
+only when read, for JSON, printing and tests.
 Every elimination is a sparse reduced row echelon form built row by row in
 ``Echelon``: the pivot of a row is its first nonzero column, scaled to one,
 and every other row is zero there.  The reduced row echelon form of a row
@@ -81,14 +81,10 @@ class Mat:
 
     def __getitem__(self, ij: tuple[int, int]) -> CycScalar:
         i, j = ij
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} outside {self.ncols}")
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry ({i},{j}) outside {self.nrows}x{self.ncols}")
         x = self._nz[i].get(j)
         return CycScalar.zero(self.order) if x is None else x
-
-    def col(self, j: int) -> tuple[CycScalar, ...]:
-        """Column j as a dense tuple."""
-        return tuple(self[i, j] for i in range(self.nrows))
 
     def cols(self) -> list[Row]:
         """The sparse columns."""
@@ -173,11 +169,6 @@ class Mat:
             if s:
                 out[i] = s
         return out
-
-    def trace(self) -> CycScalar:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of non-square matrix")
-        return sum((r[i] for i, r in enumerate(self._nz) if i in r), CycScalar.zero(self.order))
 
     def _shape_match(self, other: Mat) -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -285,12 +276,6 @@ def _echelon(order: int, rows) -> Echelon:
     return e
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    e = _echelon(m.order, m.nz_rows())
-    nz = [e.rows[p] for p in e.pivots] + [{} for _ in range(m.nrows - len(e.pivots))]
-    return Mat(m.order, nz, m.ncols), e.pivots
-
-
 def rank(m: Mat) -> int:
     return len(_echelon(m.order, m.nz_rows()).pivots)
 
@@ -328,18 +313,8 @@ def solve_right(a: Mat, b: Mat) -> Mat | None:
 def inv(m: Mat) -> Mat:
     if m.nrows != m.ncols:
         raise ValueError("inverse of non-square matrix")
+    # a singular m leaves a pivot in the identity block of [m | I]
     x = solve_right(m, Mat.identity(m.order, m.nrows))
-    if x is None or rank(m) != m.nrows:
+    if x is None:
         raise ValueError("matrix is singular")
     return x
-
-
-def column_space_basis(vectors: list[Row], order: int) -> list[Row]:
-    """Echelonized basis of the span of the given vectors."""
-    e = _echelon(order, vectors)
-    return [e.rows[p] for p in e.pivots]
-
-
-def in_span(basis_rows: list[Row], v: Row, order: int) -> bool:
-    """Is v in the span of basis_rows?"""
-    return not _echelon(order, basis_rows).reduce(v)

@@ -337,11 +337,6 @@ def _mat_from_json(datum: ValidatedDatum, dim: int, rows: list,
     return Mat.from_rows(N, [[scalar(e) for e in r] for r in rows], ncols=dim)
 
 
-def matrices_equal(a: ModuleRep, b: ModuleRep) -> bool:
-    """True when the two modules have identical weight tags and x / xi matrices."""
-    return a.weights == b.weights and a.act_x == b.act_x and a.act_xi == b.act_xi
-
-
 def intertwines(f: Mat, source: ModuleRep, target: ModuleRep) -> bool:
     """True when f (dim target x dim source) is a module map: it commutes
     with x and xi and joins only basis vectors of equal weight, which is the
@@ -352,19 +347,17 @@ def intertwines(f: Mat, source: ModuleRep, target: ModuleRep) -> bool:
             and f * source.act_xi == target.act_xi * f)
 
 
-
-
 # ---------------------------------------------------------------------------
 # submodules and quotients
 
 
-class SubmoduleFacts(namedtuple("SubmoduleFacts", "ambient rows pivots module inclusion")):
+class SubmoduleFacts(namedtuple("SubmoduleFacts", "ambient rows pivots module")):
     """A submodule in echelonized form together with its induced module.
 
     ``rows`` hold the basis of the submodule in ambient coordinates, one
     weight-pure vector per row, with unit leading entry at ``pivots[k]`` and
     no entry at any other row's pivot.  ``module`` is the induced module on
-    that basis and ``inclusion`` the ambient-by-sub matrix of the embedding.
+    that basis.
     """
 
     __slots__ = ()
@@ -372,6 +365,11 @@ class SubmoduleFacts(namedtuple("SubmoduleFacts", "ambient rows pivots module in
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def inclusion(self) -> Mat:
+        """The ambient-by-sub matrix of the embedding, whose columns are ``rows``."""
+        return Mat.from_cols(self.ambient.datum.N, self.rows, self.ambient.dim)
 
 
 def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
@@ -431,8 +429,7 @@ def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
     labels = [mod.labels[p] for p in pivots]
     module = ModuleRep(datum, [w for w, _ in basis], restrict(mod.act_x), restrict(mod.act_xi),
                        labels)
-    inclusion = Mat.from_cols(datum.N, rows, mod.dim)
-    return SubmoduleFacts(mod, rows, pivots, module, inclusion)
+    return SubmoduleFacts(mod, rows, pivots, module)
 
 
 def quotient_module(mod: ModuleRep, sub: SubmoduleFacts) -> tuple[ModuleRep, Mat]:

@@ -1,0 +1,65 @@
+"""Slow, direct references that tests compare the package against.
+
+The package reaches each of these results one way: ``loewy_structure`` reads
+the simples of every radical layer from the Hom solves that find the radicals,
+and ``linalg.Echelon`` is its one elimination.  The references below build the
+intermediate modules and spans that the package skips, so that tests can
+check its answers against a second, independent route.
+"""
+
+from fractions import Fraction
+
+from doublerep import homology
+from doublerep.linalg import Echelon
+from doublerep.repmod import quotient_module
+
+
+def semisimple_factors(h):
+    """Multiplicities ``[((l, weight), mult), ...]`` of the simples in a
+    semisimple module, from Hom(S, h) for each candidate simple S; a module
+    that is not semisimple raises ``DatumError``."""
+    return homology._multiplicities(h.datum, homology._simple_homs(h, True), h.dim)
+
+
+def radical_series(m):
+    """The successive semisimple layers M/rad M, rad M/rad^2 M, ..., each
+    built as a quotient module."""
+    out = []
+    while m.dim:
+        rad = homology.radical(m)
+        out.append(quotient_module(m, rad)[0])
+        m = rad.module
+    return out
+
+
+def echelon(vectors, order):
+    """The ``Echelon`` of the span of the given ``{index: value}`` vectors."""
+    e = Echelon(order)
+    for v in vectors:
+        e.add(v)
+    return e
+
+
+def span_basis(vectors, order):
+    """The reduced echelon basis of the span, in pivot order; two lists of
+    vectors span the same space exactly when their bases are equal."""
+    e = echelon(vectors, order)
+    return [e.rows[p] for p in e.pivots]
+
+
+def same_span(rows_a, rows_b, order):
+    return span_basis(rows_a, order) == span_basis(rows_b, order)
+
+
+def in_span(vectors, v, order):
+    return not echelon(vectors, order).reduce(v)
+
+
+def rational_value(x):
+    """The Fraction a cyclotomic scalar equals, or None when it is irrational."""
+    return None if any(x.num[1:]) else Fraction(x.num[0], x.den)
+
+
+def action(m):
+    """What identifies a module's matrices: weight tags, x and xi."""
+    return m.weights, m.act_x, m.act_xi

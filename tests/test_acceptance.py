@@ -12,10 +12,11 @@ import time
 from doublerep import cli, homology
 from doublerep.constructors import (band, projective, simple, t1, t1bar,
                                     t_chain, t_chain_bar, verma, w1, w_band)
-from doublerep.linalg import Mat, column_space_basis, in_span, solve_right
+from doublerep.linalg import Mat, solve_right
 from doublerep.repmod import direct_sum, quotient_module, spin_submodule
 
 from .conftest import make_datum
+from .reference import same_span
 from .test_constructors import literal_closing_misread
 
 M_ETAS = (1, -1, 2)
@@ -121,16 +122,6 @@ def test_criterion_02_relation_soundness():
     record(2, "relation soundness with negative control", failures, t0, count)
 
 
-def _span_rows(rows, order):
-    return column_space_basis(list(rows), order)
-
-
-def _same_span(rows_a, rows_b, order):
-    ba = _span_rows(rows_a, order)
-    bb = _span_rows(rows_b, order)
-    return len(ba) == len(bb) and all(in_span(ba, v, order) for v in bb)
-
-
 def test_criterion_03_projective_structure():
     t0 = time.monotonic()
     failures, count = [], 0
@@ -156,13 +147,13 @@ def test_criterion_03_projective_structure():
                     failures.append(f"{name}: soc is not V({l})")
                 # soc^2/soc multiset
                 q, proj = quotient_module(p, soc)
-                mid = homology.socle_multiset(q)
+                mid = homology.loewy_structure(q).socle
                 slam = d.sigma(lam).label()
                 silam = d.sigma_inv(lam).label()
                 want: dict = {}
                 for w in (slam, silam):
                     want[(n - l, w)] = want.get((n - l, w), 0) + 1
-                got = {(e["l"], e["lambda"]): e["mult"] for e in mid}
+                got = {(l, w.label()): mult for (l, w), mult in mid}
                 if got != want:
                     failures.append(f"{name}: soc^2/soc {got} != {want}")
                 # rad = soc^2 and rad^2 = soc as subspaces
@@ -175,11 +166,11 @@ def test_criterion_03_projective_structure():
                         ok_lift = False
                         break
                     soc2_rows.append(lift.cols()[0])
-                if not ok_lift or not _same_span(soc2_rows, rad.rows, d.N):
+                if not ok_lift or not same_span(soc2_rows, rad.rows, d.N):
                     failures.append(f"{name}: rad != soc^2")
                 rad2 = homology.radical(rad.module)
                 rad2_rows = [rad.inclusion.matvec(r) for r in rad2.rows]
-                if not _same_span(rad2_rows, soc.rows, d.N):
+                if not same_span(rad2_rows, soc.rows, d.N):
                     failures.append(f"{name}: rad^2 != soc")
     record(3, "projective cover structure", failures, t0, count)
 

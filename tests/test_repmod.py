@@ -9,10 +9,11 @@ from doublerep.cyclo import CycScalar
 from doublerep.constructors import projective, simple, verma
 from doublerep.datum import DatumError
 from doublerep.linalg import Mat
-from doublerep.repmod import (ModuleRep, direct_sum, intertwines, matrices_equal,
-                              quotient_module, spin_submodule)
+from doublerep.repmod import (ModuleRep, direct_sum, intertwines, quotient_module,
+                              spin_submodule)
 
 from .conftest import conjugated_json, first_weight, upper_ones
+from .reference import action
 
 
 def test_relations_hold_and_report_shape(datum_b):
@@ -63,7 +64,7 @@ def test_json_round_trip(datum_c):
     lam = first_weight(datum_c, 1)
     p = projective(datum_c, 1, lam)
     back = ModuleRep.from_json(p.to_json())
-    assert matrices_equal(back, p)
+    assert action(back) == action(p)
     assert back.labels == p.labels
     assert back.weights == p.weights
     assert back.verify_relations().ok
@@ -80,7 +81,7 @@ def test_json_parses_each_distinct_entry_once(datum_e, monkeypatch):
     monkeypatch.setattr(CycScalar, "from_json",
                         staticmethod(lambda obj: parsed.append(1) or parse(obj)))
     back = ModuleRep.from_json(doc)
-    assert matrices_equal(back, m)
+    assert action(back) == action(m)
     # one more parse reads the datum's alpha
     assert len(parsed) - 1 == len({repr(e) for e in entries}) < len(entries) // 10
 
@@ -92,6 +93,9 @@ def test_spin_submodule_of_verma(datum_b):
     assert facts.dim == z.dim - 1
     assert facts.module.verify_relations().ok
     assert intertwines(facts.inclusion, facts.module, z)
+    # the inclusion is read off the one stored basis, ``rows``
+    assert (facts.inclusion.nrows, facts.inclusion.ncols) == (z.dim, facts.dim)
+    assert facts.inclusion.cols() == list(facts.rows)
 
 
 def test_spin_submodule_does_not_depend_on_seed_order(datum_e):
