@@ -16,7 +16,7 @@ from .cyclo import CycScalar
 from .datum import DatumError, ValidatedDatum, Weight
 from .linalg import Echelon, Mat, frobenius_pair, hstack, nullspace, rank, solve_right, vstack
 from .repmod import (ModuleRep, SubmoduleFacts, direct_sum, intertwines, quotient_module,
-                     spin_submodule)
+                     require_same_datum, spin_submodule)
 from . import constructors
 
 
@@ -25,7 +25,9 @@ from . import constructors
 
 
 class Morphism(namedtuple("Morphism", "source target matrix")):
-    """A module map, stored as a dim(target) x dim(source) matrix."""
+    """A module map handed out with its endpoints (cover and hull maps,
+    isomorphism witnesses, sequence maps), stored as a dim(target) x
+    dim(source) matrix."""
 
     __slots__ = ()
 
@@ -49,27 +51,19 @@ def zero_module(datum: ValidatedDatum) -> ModuleRep:
     return ModuleRep(datum, [], Mat.zeros(datum.N, 0, 0), Mat.zeros(datum.N, 0, 0), [])
 
 
-def _require_same_datum(a: ModuleRep, b: ModuleRep) -> None:
-    if a.datum is b.datum:
-        return
-    if a.datum.to_json() != b.datum.to_json():
-        raise DatumError("modules live over different group data")
-
-
 # ---------------------------------------------------------------------------
 # Hom spaces
 
 
-def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
-    """Echelonized basis of the space of module maps a -> b.
+def hom_space(a: ModuleRep, b: ModuleRep) -> list[Mat]:
+    """Echelonized basis of the space of module maps a -> b, each a
+    dim(b) x dim(a) matrix.
 
     Unknown matrix entries live only on equal-weight index pairs, which makes
     the group-part intertwining automatic; the x and xi intertwining
     conditions become one sparse exact linear system.
     """
-    _require_same_datum(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return []
+    require_same_datum(a, b)
     datum = a.datum
     spaces_a = a.weight_spaces()
     pos = [(i, j) for i, w in enumerate(b.weights) for j in spaces_a.get(w, ())]
@@ -97,7 +91,7 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
         for k, x in v.items():
             i, j = pos[k]
             rows[i][j] = x
-        out.append(Morphism(a, b, Mat(datum.N, rows, a.dim)))
+        out.append(Mat(datum.N, rows, a.dim))
     return out
 
 
@@ -105,7 +99,7 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Morphism]:
 # endomorphism algebra and indecomposability
 
 
-def pairing_rank(fs: list[Morphism], gs: list[Morphism]) -> int:
+def pairing_rank(fs: list[Mat], gs: list[Mat]) -> int:
     """Rank of the matrix of traces tr(f g), f in fs, g in gs; 0 when either
     list is empty.  When gs is fs the matrix is symmetric and each trace is
     taken once."""
@@ -115,12 +109,12 @@ def pairing_rank(fs: list[Morphism], gs: list[Morphism]) -> int:
     t = [{} for _ in fs]
     for i, f in enumerate(fs):
         for j in range(i if sym else 0, len(gs)):
-            v = frobenius_pair(f.matrix, gs[j].matrix)
+            v = frobenius_pair(f, gs[j])
             if v:
                 t[i][j] = v
                 if sym:
                     t[j][i] = v
-    return rank(Mat(fs[0].matrix.order, t, len(gs)))
+    return rank(Mat(fs[0].order, t, len(gs)))
 
 
 def end_local_dim(m: ModuleRep) -> int:
@@ -164,13 +158,13 @@ def _simple_homs(m: ModuleRep, into: bool) -> list:
 def _socle(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
     """The socle, and the Hom(S, m) of each candidate simple S."""
     homs = _simple_homs(m, True)
-    return spin_submodule(m, [c for _, _, fs in homs for f in fs for c in f.matrix.cols()]), homs
+    return spin_submodule(m, [c for _, _, fs in homs for f in fs for c in f.cols()]), homs
 
 
 def _radical(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
     """The radical, and the Hom(m, S) of each candidate simple S."""
     homs = _simple_homs(m, False)
-    mats = [f.matrix for _, _, fs in homs for f in fs]
+    mats = [f for _, _, fs in homs for f in fs]
     if not mats and m.dim > 0:
         raise DatumError("module has no simple quotients; inconsistent input")
     return spin_submodule(m, nullspace(vstack(mats)) if mats else []), homs
@@ -310,9 +304,9 @@ def _cover_summands(m: ModuleRep, cover: bool) -> tuple[ModuleRep, list[Mat]]:
         for f in hom_space(ps, m) if cover else hom_space(m, ps):
             if taken == mult:
                 break
-            image = (edge * f.matrix).transpose() if cover else f.matrix * edge
+            image = (edge * f).transpose() if cover else f * edge
             if [p for p in map(span.add, image.nz_rows()) if p is not None]:
-                chosen.append((ps, f.matrix))
+                chosen.append((ps, f))
                 taken += 1
         if taken != mult:
             raise DatumError(f"{name} selection failed; inconsistent input")
@@ -399,8 +393,8 @@ def invariant_key(mod: ModuleRep) -> tuple:
     return (mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
 
 
-def _local_iso(a: ModuleRep, homs_ab: list[Morphism],
-               homs_ba: list[Morphism]) -> Morphism | None:
+def _local_iso(a: ModuleRep, b: ModuleRep, homs_ab: list[Mat],
+               homs_ba: list[Mat]) -> Morphism | None:
     """An isomorphism a -> b from the basis of Hom(a, b), or None when there
     is none, for a with end_local_dim(a) = 1 and b of the same dimension.
 
@@ -411,11 +405,11 @@ def _local_iso(a: ModuleRep, homs_ab: list[Morphism],
     """
     for f in homs_ab:
         for g in homs_ba:
-            if not frobenius_pair(f.matrix, g.matrix).is_zero():
-                if rank(f.matrix) != a.dim or not f.is_valid():
+            if not frobenius_pair(f, g).is_zero():
+                if rank(f) != a.dim or not intertwines(f, a, b):
                     raise DatumError("trace-pairing witness failed re-verification; "
                                      "endomorphism algebra is not local")
-                return f
+                return Morphism(a, b, f)
     return None
 
 
@@ -431,7 +425,7 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     dimension, or the failed identity.  YES verdicts carry a re-verified
     invertible intertwiner.
     """
-    _require_same_datum(a, b)
+    require_same_datum(a, b)
     if a.dim != b.dim:
         return _no(f"dimension {a.dim} != {b.dim}")
     if a.dim == 0:
@@ -450,13 +444,11 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
         return _no("Hom-space dimensions are asymmetric: "
                    f"hom(a,b)={len(homs_ab)}, hom(b,a)={len(homs_ba)}, "
                    f"end(a)={len(ends_a)}, end(b)={len(ends_b)}")
-    if not homs_ab:
-        return _no("Hom(a,b) = 0")
     el_a = pairing_rank(ends_a, ends_a)
     el_b = pairing_rank(ends_b, ends_b)
     if el_a == el_b == 1:
         # r(a, b) is 0 or 1 here, and 1 as soon as one pairing is nonzero
-        f = _local_iso(a, homs_ab, homs_ba)
+        f = _local_iso(a, b, homs_ab, homs_ba)
         if f is not None:
             return IsoVerdict("yes", "invertible intertwiner (trace pairing)", f)
         return _no("trace pairing of Hom(a,b) with Hom(b,a) vanishes; "
@@ -468,14 +460,14 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     trials = 0
     for f in homs_ab:
         trials += 1
-        if rank(f.matrix) == a.dim:
-            return IsoVerdict("yes", "invertible intertwiner (basis scan)", f, trials)
+        if rank(f) == a.dim:
+            return IsoVerdict("yes", "invertible intertwiner (basis scan)",
+                              Morphism(a, b, f), trials)
     # An isomorphism exists, so the determinant of a combination is a nonzero
     # polynomial of degree dim a in its coefficients: drawn from s values, a
     # combination is singular with probability at most dim a / s
     # (Schwartz-Zippel).  Each round of 64 draws doubles the range.
     rng = random.Random(seed)
-    mats = [f.matrix for f in homs_ab]
     bound = 3
     while True:
         for _ in range(64):
@@ -483,7 +475,7 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
             coeffs = [rng.randint(-bound, bound) for _ in homs_ab]
             if all(c == 0 for c in coeffs):
                 continue
-            mat = _combination(a.datum, dict(enumerate(coeffs)), mats)
+            mat = _combination(a.datum, dict(enumerate(coeffs)), homs_ab)
             if rank(mat) == a.dim:
                 w = Morphism(a, b, mat)
                 if w.is_valid():
@@ -500,22 +492,13 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
 # short exact sequences
 
 
-class SesReport:
-    """Exactness facts of a sequence; ``ses_check`` fills in ``split`` (and a
+class SesReport(namedtuple("SesReport", "maps_ok f_injective g_surjective composite_zero "
+                           "dims_match split section left_end_local right_end_local "
+                           "translate_verdict", defaults=(None,) * 5)):
+    """Exactness facts of a sequence; ``ses_check`` adds ``split`` (and a
     ``section``) for exact ones, ``ar_candidate_check`` the AR conditions."""
 
-    __slots__ = ("maps_ok", "f_injective", "g_surjective", "composite_zero", "dims_match",
-                 "split", "section", "left_end_local", "right_end_local", "translate_verdict")
-
-    def __init__(self, maps_ok: bool, f_injective: bool, g_surjective: bool,
-                 composite_zero: bool, dims_match: bool):
-        self.maps_ok = maps_ok
-        self.f_injective = f_injective
-        self.g_surjective = g_surjective
-        self.composite_zero = composite_zero
-        self.dims_match = dims_match
-        self.split = self.section = None
-        self.left_end_local = self.right_end_local = self.translate_verdict = None
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
@@ -571,7 +554,7 @@ def ses_check(f: Morphism, g: Morphism) -> SesReport:
     """Exactness and splitness of 0 -> A -f-> B -g-> C -> 0."""
     if f.target.dim != g.source.dim:
         raise DatumError("morphisms are not composable")
-    _require_same_datum(f.source, g.target)
+    require_same_datum(f.source, g.target)
     a, b, c = f.source, f.target, g.target
     maps_ok = f.is_valid() and g.is_valid()
     f_inj = rank(f.matrix) == a.dim
@@ -582,21 +565,15 @@ def ses_check(f: Morphism, g: Morphism) -> SesReport:
     if not rep.exact:
         return rep
     homs_cb = hom_space(c, b)
-    datum = a.datum
     if not homs_cb:
-        rep.split = c.dim == 0
-        return rep
-    sys = _flattened(datum.N, [g.matrix * h.matrix for h in homs_cb])
+        return rep._replace(split=c.dim == 0)
+    datum = a.datum
+    sys = _flattened(datum.N, [g.matrix * h for h in homs_cb])
     sol = solve_right(sys, _flattened(datum.N, [Mat.identity(datum.N, c.dim)]))
-    if sol is None:
-        rep.split = False
-    else:
-        rep.split = True
-        mat = _combination(datum, sol.cols()[0], [h.matrix for h in homs_cb])
-        if mat is None:
-            mat = Mat.zeros(datum.N, b.dim, c.dim)
-        rep.section = Morphism(c, b, mat)
-    return rep
+    # a section s has g s = 1 on C != 0, so it is not zero
+    section = None if sol is None else Morphism(
+        c, b, _combination(datum, sol.cols()[0], homs_cb))
+    return rep._replace(split=sol is not None, section=section)
 
 
 def ar_candidate_check(f: Morphism, g: Morphism, seed: int = 0) -> SesReport:
@@ -606,15 +583,18 @@ def ar_candidate_check(f: Morphism, g: Morphism, seed: int = 0) -> SesReport:
     rep = ses_check(f, g)
     if not rep.exact:
         return rep
-    rep.left_end_local = end_local_dim(f.source)
-    rep.right_end_local = end_local_dim(g.target)
-    om2 = omega(g.target, 2)
-    rep.translate_verdict = is_isomorphic(f.source, om2, seed).verdict
-    return rep
+    return rep._replace(left_end_local=end_local_dim(f.source),
+                        right_end_local=end_local_dim(g.target),
+                        translate_verdict=is_isomorphic(f.source, omega(g.target, 2), seed).verdict)
 
 
-def _span_candidates(mats: list[Mat], datum: ValidatedDatum, seed: int,
-                     max_random: int = 48):
+# The seeded search for sequence maps: random combinations drawn per span,
+# and injective f tried before ``ses_candidate`` gives up.
+SPAN_RANDOM_DRAWS = 48
+MAX_F_TRIALS = 24
+
+
+def _span_candidates(mats: list[Mat], datum: ValidatedDatum, seed: int):
     """Deterministic stream of nonzero elements of the span: the all-ones
     combination, each basis element, then seeded small-integer combinations."""
     if not mats:
@@ -622,15 +602,14 @@ def _span_candidates(mats: list[Mat], datum: ValidatedDatum, seed: int,
     yield sum(mats[1:], mats[0])
     yield from mats
     rng = random.Random(seed)
-    for _ in range(max_random):
+    for _ in range(SPAN_RANDOM_DRAWS):
         coeffs = [rng.randint(-3, 3) for _ in mats]
         if any(coeffs):
             yield _combination(datum, dict(enumerate(coeffs)), mats)
 
 
 def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
-                  seed: int = 0, max_f_trials: int = 24
-                  ) -> tuple[ModuleRep, Morphism, Morphism] | None:
+                  seed: int = 0) -> tuple[ModuleRep, Morphism, Morphism] | None:
     """Search for maps making 0 -> a -> (+)mids -> c -> 0 exact.
 
     Iterates over injective candidates f in Hom(a, B); for each, the
@@ -646,15 +625,15 @@ def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
         return None
     datum = a.datum
     tried = 0
-    for f_mat in _span_candidates([h.matrix for h in homs_ab], datum, seed):
+    for f_mat in _span_candidates(homs_ab, datum, seed):
         if rank(f_mat) != a.dim:
             continue
         tried += 1
-        if tried > max_f_trials:
+        if tried > MAX_F_TRIALS:
             break
-        sys = _flattened(datum.N, [h.matrix * f_mat for h in homs_bc])
+        sys = _flattened(datum.N, [h * f_mat for h in homs_bc])
         # a nullspace basis vector is nonzero, so each combination is a matrix
-        sub = [_combination(datum, v, [h.matrix for h in homs_bc]) for v in nullspace(sys)]
+        sub = [_combination(datum, v, homs_bc) for v in nullspace(sys)]
         for g_mat in _span_candidates(sub, datum, seed + 1):
             if rank(g_mat) == c.dim:
                 return b, Morphism(a, b, f_mat), Morphism(b, c, g_mat)
@@ -757,6 +736,6 @@ def match_family(m: ModuleRep, max_t: int = 4, max_s: int = 4,
                         continue
                     homs = hom_space(m, cand)
                     if len(homs) == len(ends) and _local_iso(
-                            m, homs, hom_space(cand, m)) is not None:
+                            m, cand, homs, hom_space(cand, m)) is not None:
                         return fam.tag.format(l=l, lam=w.label(), **params)
     return None

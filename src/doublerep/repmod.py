@@ -41,8 +41,7 @@ class RelationReport(namedtuple("RelationReport", "checks")):
 
 
 def _mat_pow(m: Mat, k: int) -> Mat:
-    if k == 0:
-        return Mat.identity(m.order, m.nrows)
+    """m**k for k >= 1."""
     out = m
     for _ in range(k - 1):
         out = out * m
@@ -238,8 +237,10 @@ class ModuleRep:
             raise DatumError(f"need {rank} group and dual matrices")
         x, xi = read("x", mats["x"]), read("xi", mats["xi"])
         labels = obj.get("labels")
-        if labels is not None:
-            labels = _parse("labels", tuple, labels)
+        if labels is not None and not (isinstance(labels, list) and len(labels) == dim
+                                       and all(isinstance(s, str) for s in labels)):
+            raise DatumError(f"malformed module field 'labels': expected a list of {dim} "
+                             f"strings, got {labels!r}")
         weights, basis = _weight_basis(datum, dim, group, gamma)
         if basis is None:
             return ModuleRep(datum, weights, x, xi, labels)
@@ -464,15 +465,19 @@ def quotient_module(mod: ModuleRep, sub: SubmoduleFacts) -> tuple[ModuleRep, Mat
     return quot, projection
 
 
+def require_same_datum(*mods: ModuleRep) -> None:
+    """Raise unless every module lives over the same datum as the first."""
+    datum = mods[0].datum
+    if any(m.datum is not datum and m.datum.to_json() != datum.to_json() for m in mods[1:]):
+        raise DatumError("modules live over different group data")
+
+
 def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
     """External direct sum, with summand-prefixed labels."""
     if not mods:
         raise DatumError("direct sum needs at least one summand")
+    require_same_datum(*mods)
     datum = mods[0].datum
-    ref = datum.to_json()
-    for m in mods[1:]:
-        if m.datum.to_json() != ref:
-            raise DatumError("direct sum of modules over different data")
     N = datum.N
     weights = [w for m in mods for w in m.weights]
     labels = [f"s{k}.{lab}" for k, m in enumerate(mods) for lab in m.labels]

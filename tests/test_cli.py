@@ -394,6 +394,21 @@ def test_malformed_module_field_exits_2(capsys, tmp_path, datum_b, command, case
     assert err.startswith(f"error: malformed module field '{field}': ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("labels,weight_basis", [
+    ("ab", True), ([1, 2], True), ({"a": 1, "b": 2}, True), (["a", "b", "c"], False)])
+def test_labels_must_be_a_list_of_dim_strings(capsys, tmp_path, datum_b, labels, weight_basis):
+    # a string or a dict is not split into labels or read for its keys, and
+    # a file written in another basis has its labels checked before the change
+    v = simple(datum_b, 2, cli.parse_weight(datum_b, "0;1"))
+    doc = v.to_json() if weight_basis else conjugated_json(v, upper_ones(datum_b, v.dim))
+    doc["labels"] = labels
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "module", "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed module field 'labels': ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["verify", "analyze", "compare"])
 @pytest.mark.parametrize("case", ["not_a_root", "jordan_block", "not_commuting"])
 def test_group_part_not_acting_by_roots_of_unity_exits_2(capsys, tmp_path, datum_b,
@@ -433,6 +448,16 @@ def test_ar_check_ok(capsys, datum_file):
     assert code == 0
     assert "satisfy all" in out
     assert "wall time" in err  # timing goes to stderr, not stdout
+
+
+def test_ar_check_reports_unrealized_sequences(capsys, datum_file, monkeypatch):
+    monkeypatch.setattr(homology, "ses_candidate", lambda a, mids, c, seed=0: None)
+    code, out, _ = run(capsys, "ar", "check", datum_file("B"), "--lemma", "4.9", "--max-t", "2")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) > 1
+    assert all(line.endswith(": FAILED to realize maps") for line in lines[:-1])
+    assert lines[-1] == (f"sequences: 0/{len(lines) - 1} satisfy all "
+                         "almost-split conditions")
 
 
 def test_ar_check_wrong_family_for_datum(capsys, datum_file):

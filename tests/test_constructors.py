@@ -346,15 +346,15 @@ def test_band_unique_inner_band(datum_b):
     m2 = band(datum_b, 1, lam, eta, 2)
     m1 = band(datum_b, 1, lam, eta, 1)
     homs = homology.hom_space(m1, m2)
-    injective = [f for f in homs if rank(f.matrix) == m1.dim]
+    injective = [f for f in homs if rank(f) == m1.dim]
     assert injective, "no embedded copy of the smaller band"
     # all embeddings share one image: the unique inner band submodule
     spans = set()
     for f in injective:
-        facts = spin_submodule(m2, f.matrix.cols())
+        facts = spin_submodule(m2, f.cols())
         spans.add(tuple(tuple(r.items()) for r in facts.rows))
     assert len(spans) == 1
-    facts = spin_submodule(m2, injective[0].matrix.cols())
+    facts = spin_submodule(m2, injective[0].cols())
     assert facts.dim == m1.dim
     assert homology.is_isomorphic(facts.module, m1).verdict == "yes"
     q, _ = quotient_module(m2, facts)
@@ -372,9 +372,9 @@ def test_w_band_submodule_chain(datum_a):
         for j in (1, 2):
             small = w_band(datum_a, 1, lam, eta, j)
             homs = homology.hom_space(small, big)
-            injective = [f for f in homs if rank(f.matrix) == small.dim]
+            injective = [f for f in homs if rank(f) == small.dim]
             assert injective
-            facts = spin_submodule(big, injective[0].matrix.cols())
+            facts = spin_submodule(big, injective[0].cols())
             assert facts.dim == j * n
             q, _ = quotient_module(big, facts)
             expect = w_band(datum_a, 1, lam, eta, 3 - j)

@@ -8,7 +8,7 @@ from doublerep.constructors import (band, projective, simple, t1, t1bar,
                                     t_chain, t_chain_bar, verma, w_band)
 from doublerep.datum import DatumError
 from doublerep.linalg import Echelon, Mat, hstack, rank, solve_right, vstack
-from doublerep.repmod import direct_sum, quotient_module, spin_submodule
+from doublerep.repmod import direct_sum, intertwines, quotient_module, spin_submodule
 
 from .conftest import first_weight, make_datum
 from .reference import radical_series, same_span, semisimple_factors
@@ -23,7 +23,7 @@ def test_hom_space_of_simples(datum_b):
     lam, mu = datum_b.weights_in_class(1)[:2]
     v = simple(datum_b, 1, lam)
     assert len(homology.hom_space(v, v)) == 1
-    assert homology.hom_space(v, v)[0].is_valid()
+    assert intertwines(homology.hom_space(v, v)[0], v, v)
     assert len(homology.hom_space(v, simple(datum_b, 1, mu))) == 0
 
 
@@ -32,9 +32,9 @@ def test_hom_space_members_are_morphisms(datum_b):
     p = projective(datum_b, 1, lam)
     t2 = t_chain(datum_b, 1, lam, 2)
     for f in homology.hom_space(p, t2):
-        assert f.is_valid()
+        assert (f.nrows, f.ncols) == (t2.dim, p.dim) and intertwines(f, p, t2)
     for f in homology.hom_space(t2, p):
-        assert f.is_valid()
+        assert (f.nrows, f.ncols) == (p.dim, t2.dim) and intertwines(f, t2, p)
 
 
 def test_morphism_rejects_wrong_shape(datum_b):
@@ -274,8 +274,8 @@ def _reference_cover(m):
         for f in homology.hom_space(ps, m):
             if taken == mult:
                 break
-            if [p for p in map(span.add, (pi * f.matrix).cols()) if p is not None]:
-                chosen.append((ps, f.matrix))
+            if [p for p in map(span.add, (pi * f).cols()) if p is not None]:
+                chosen.append((ps, f))
                 taken += 1
         assert taken == mult
     assert len(span.pivots) == h.dim
@@ -293,12 +293,12 @@ def _reference_hull(m):
         for g in homology.hom_space(m, ps):
             if taken == mult:
                 break
-            cand = g.matrix * soc.inclusion
+            cand = g * soc.inclusion
             r = rank(vstack(stack + [cand]))
             if r > soc_rank:
                 stack.append(cand)
                 soc_rank = r
-                chosen.append((ps, g.matrix))
+                chosen.append((ps, g))
                 taken += 1
         assert taken == mult
     assert soc_rank == soc.dim
@@ -467,21 +467,52 @@ def test_witness_search_widens_its_range_and_never_gives_up(datum_a, monkeypatch
 # short exact sequences and AR candidates
 
 
-def test_split_sequence_detected(datum_b):
-    lam = first_weight(datum_b, 1)
-    v = simple(datum_b, 1, lam)
-    p = projective(datum_b, 1, lam)
+def _split_sequence(datum):
+    """0 -> V -> V (+) P -> P -> 0 by the inclusion and the projection."""
+    lam = first_weight(datum, 1)
+    v = simple(datum, 1, lam)
+    p = projective(datum, 1, lam)
     s = direct_sum([v, p])
-    N = datum_b.N
-    one = datum_b.one()
+    N = datum.N
+    one = datum.one()
     inc_cols = [{j: one} for j in range(v.dim)]
     f = homology.Morphism(v, s, Mat.from_cols(N, inc_cols, nrows=s.dim))
     proj_cols = [{j - v.dim: one} if j >= v.dim else {} for j in range(s.dim)]
     g = homology.Morphism(s, p, Mat.from_cols(N, proj_cols, nrows=p.dim))
+    return f, g
+
+
+def test_split_sequence_detected(datum_b):
+    f, g = _split_sequence(datum_b)
     report = homology.ses_check(f, g)
     assert report.exact
     assert report.split
     assert not homology.ar_candidate_check(f, g).ar_ok
+
+
+def test_split_sequence_json(datum_b):
+    f, g = _split_sequence(datum_b)
+    b, c = g.source, g.target
+    report = homology.ses_check(f, g)
+    out = report.to_json()
+    assert list(out) == ["maps_ok", "f_injective", "g_surjective", "composite_zero",
+                         "dims_match", "exact", "split", "section"]
+    assert out["split"] is True
+    assert out["section"]["shape"] == [b.dim, c.dim]
+    assert [len(r) for r in out["section"]["matrix"]] == [c.dim] * b.dim
+    section = report.section.matrix
+    assert out["section"]["matrix"] == [[str(x) for x in r] for r in section.rows]
+    assert g.matrix * section == Mat.identity(datum_b.N, c.dim)
+
+
+def test_ses_candidate_none(datum_b):
+    lam, mu = datum_b.weights_in_class(1)[:2]
+    v, w = simple(datum_b, 1, lam), simple(datum_b, 1, mu)
+    # dimensions that do not add up
+    assert homology.ses_candidate(v, [v], v) is None
+    # dim B = dim A + dim C, but Hom(A, B) = 0
+    assert not homology.hom_space(v, direct_sum([w, w]))
+    assert homology.ses_candidate(v, [w, w], w) is None
 
 
 @pytest.mark.parametrize("lemma,datum_key,max_t", [
