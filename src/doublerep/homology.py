@@ -43,7 +43,7 @@ class Morphism(namedtuple("Morphism", "source target matrix")):
     def to_json(self) -> dict:
         return {
             "shape": [self.matrix.nrows, self.matrix.ncols],
-            "matrix": [[str(v) for v in row] for row in self.matrix.rows],
+            "matrix": [[v.to_json() for v in row] for row in self.matrix.rows],
         }
 
 
@@ -55,9 +55,18 @@ def zero_module(datum: ValidatedDatum) -> ModuleRep:
 # Hom spaces
 
 
-def hom_space(a: ModuleRep, b: ModuleRep) -> list[Mat]:
+def hom_space(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
     """Echelonized basis of the space of module maps a -> b, each a
-    dim(b) x dim(a) matrix.
+    dim(b) x dim(a) matrix.  End(a) = hom_space(a, a) is solved once per
+    module and the same tuple is returned on every call.
+    """
+    if a is b:
+        return a.cached("end", lambda: _solve_homs(a, a))
+    return _solve_homs(a, b)
+
+
+def _solve_homs(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
+    """The basis of ``hom_space``, solved.
 
     Unknown matrix entries live only on equal-weight index pairs, which makes
     the group-part intertwining automatic; the x and xi intertwining
@@ -68,16 +77,16 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Mat]:
     spaces_a = a.weight_spaces()
     pos = [(i, j) for i, w in enumerate(b.weights) for j in spaces_a.get(w, ())]
     if not pos:
-        return []
+        return ()
     eqs: dict[tuple, dict[int, CycScalar]] = {}
 
     def accum(key, p, val):
         d = eqs.setdefault(key, {})
         d[p] = d[p] + val if p in d else val
 
-    for opname, opa, opb in (("x", a.act_x, b.act_x), ("xi", a.act_xi, b.act_xi)):
+    neg_cols = b.cached("negated columns", lambda: ((-b.act_x).cols(), (-b.act_xi).cols()))
+    for opname, opa, neg_cols_b in (("x", a.act_x, neg_cols[0]), ("xi", a.act_xi, neg_cols[1])):
         rows_a = opa.nz_rows()
-        neg_cols_b = (-opb).cols()
         for p, (i, j) in enumerate(pos):
             for c, val in rows_a[j].items():
                 accum((opname, i, c), p, val)
@@ -92,7 +101,7 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> list[Mat]:
             i, j = pos[k]
             rows[i][j] = x
         out.append(Mat(datum.N, rows, a.dim))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +153,26 @@ def candidate_simples(m: ModuleRep) -> list[tuple[int, Weight]]:
                   key=lambda lw: (lw[0], lw[1].sort_key()))
 
 
+def _fits(s: ModuleRep, m: ModuleRep) -> bool:
+    """False when some weight space of the simple s is larger than m's.  A
+    nonzero map s -> m is injective and a nonzero map m -> s surjective,
+    because s is simple, so then Hom(s, m) = Hom(m, s) = 0."""
+    spaces = m.weight_spaces()
+    return all(len(ix) <= len(spaces.get(w, ())) for w, ix in s.weight_spaces().items())
+
+
 def _simple_homs(m: ModuleRep, into: bool) -> list:
     """(key, S, basis of Hom(S, m) if ``into`` else of Hom(m, S)) for each
     candidate simple S: the one Hom pass that the socle, the radical and the
-    multiplicities of their simples are read from."""
+    multiplicities of their simples are read from.  A simple that does not
+    fit m (``_fits``) gets the empty basis without a solve."""
     out = []
     for l, w in candidate_simples(m):
         s = constructors.simple(m.datum, l, w)
-        out.append(((l, w), s, hom_space(s, m) if into else hom_space(m, s)))
+        if not _fits(s, m):
+            out.append(((l, w), s, ()))
+        else:
+            out.append(((l, w), s, hom_space(s, m) if into else hom_space(m, s)))
     return out
 
 
@@ -185,8 +206,7 @@ def head(m: ModuleRep) -> tuple[ModuleRep, Mat]:
     return quotient_module(m, radical(m))
 
 
-def _multiplicities(datum: ValidatedDatum, homs,
-                    total: int) -> list[tuple[tuple[int, Weight], int]]:
+def _multiplicities(homs, total: int) -> list[tuple[tuple[int, Weight], int]]:
     """Multiplicities of the simples in a semisimple module of dimension
     ``total``, from Hom(S, -) or Hom(-, S) for each candidate S: each dimension
     is the multiplicity times dim End(S), and the simples must exhaust it."""
@@ -196,7 +216,7 @@ def _multiplicities(datum: ValidatedDatum, homs,
         d = len(fs)
         if d == 0:
             continue
-        es = datum.cached(("end dim", l, w), lambda: len(hom_space(s, s)))
+        es = len(hom_space(s, s))
         if d % es != 0:
             raise DatumError("inconsistent Hom dimensions in semisimple decomposition")
         out.append(((l, w), d // es))
@@ -245,10 +265,10 @@ def loewy_structure(m: ModuleRep) -> LoewyStructure:
     cur = m
     while cur.dim:
         rad, homs = _radical(cur)
-        layers.append(_multiplicities(m.datum, homs, cur.dim - rad.dim))
+        layers.append(_multiplicities(homs, cur.dim - rad.dim))
         cur = rad.module
     soc, homs = _socle(m)
-    return LoewyStructure(_multiplicities(m.datum, homs, soc.dim), layers)
+    return LoewyStructure(_multiplicities(homs, soc.dim), layers)
 
 
 def loewy_type(m: ModuleRep) -> LoewyType:
@@ -298,7 +318,7 @@ def _cover_summands(m: ModuleRep, cover: bool) -> tuple[ModuleRep, list[Mat]]:
     edge = quotient_module(m, facts)[1] if cover else facts.inclusion
     span = Echelon(datum.N)
     chosen: list[tuple[ModuleRep, Mat]] = []
-    for (l, w), mult in _multiplicities(datum, homs, total):
+    for (l, w), mult in _multiplicities(homs, total):
         ps = projective_of_simple(datum, l, w)
         taken = 0
         for f in hom_space(ps, m) if cover else hom_space(m, ps):

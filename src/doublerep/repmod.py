@@ -12,7 +12,7 @@ submodule and homomorphism computations block-local.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .cyclo import CycScalar, q_factorial, root_of_unity
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight, datum_from_json
@@ -38,6 +38,17 @@ class RelationReport(namedtuple("RelationReport", "checks")):
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.ok]
+
+
+def _scale_rows(m: Mat, s: list) -> Mat:
+    """diag(s) * m, without the product."""
+    return Mat(m.order, ({j: c * x for j, x in r.items()} if (c := s[i]) else {}
+                         for i, r in enumerate(m.nz_rows())), m.ncols)
+
+
+def _scale_cols(m: Mat, s: list) -> Mat:
+    """m * diag(s) for nonzero entries s, without the product."""
+    return Mat(m.order, ({j: x * s[j] for j, x in r.items()} for r in m.nz_rows()), m.ncols)
 
 
 def _mat_pow(m: Mat, k: int) -> Mat:
@@ -73,6 +84,19 @@ class ModuleRep:
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(dim))
         if len(self.labels) != dim:
             raise DatumError(f"{len(self.labels)} labels for dimension {dim}")
+        self._memo = {}
+
+    def cached(self, key, build):
+        """The value stored under ``key``, computed by ``build()`` on first
+        use.  A module is never changed after construction, so what is
+        derived from it alone (its weight spaces, the columns ``hom_space``
+        reads, its End basis) is kept on it; a datum-cached module shares
+        these with every caller."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- group-likes, from the weight tags -----------------------------------
 
@@ -91,29 +115,33 @@ class ModuleRep:
         commutation relations hold by construction; ``from_json`` certifies
         them for a file.  Moving x or xi past a group-like is tested entry by
         entry on the nonzero entries of X and Xi.  The remaining relations
-        are matrix identities whose diagonal factors come from the tags.
+        are matrix identities whose diagonal factors come from the tags; they
+        enter as row and column scalings and diagonal sums, not as products.
         """
         d = self.datum
         N, dim, rank = d.N, self.dim, d.group.rank
-        I = Mat.identity(N, dim)
         checks: list[CheckResult] = []
 
-        def add(name: str, lhs: Mat, rhs: Mat) -> None:
-            diff = lhs - rhs
-            bad = [(i, min(r)) for i, r in enumerate(diff.nz_rows()) if r]
-            detail = None
-            if bad:
-                i, j = bad[0]
-                detail = f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"
-            checks.append(CheckResult(name, not bad, detail))
+        def add(name: str, lhs: Mat, rhs: Mat, shown=None) -> None:
+            # ``shown`` rebuilds the pair a failure is reported on, when it
+            # differs from the pair compared
+            if lhs == rhs:
+                checks.append(CheckResult(name, True))
+                return
+            if shown is not None:
+                lhs, rhs = shown()
+            i, row = next((i, r) for i, r in enumerate((lhs - rhs).nz_rows()) if r)
+            j = min(row)
+            checks.append(CheckResult(name, False, f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"))
 
         def add_entrywise(name: str, m: Mat, right: list, left: list) -> None:
-            # m * diag(right) == diag(left) * m, first failure in row-major order
+            # m * diag(right) == diag(left) * m, first failure in row-major
+            # order; a nonzero entry cancels, so the tags are compared
             for r, row in enumerate(m.nz_rows()):
                 for c in sorted(row):
-                    lhs, rhs = row[c] * right[c], left[r] * row[c]
-                    if lhs != rhs:
-                        checks.append(CheckResult(name, False, f"entry ({r},{c}): {lhs} != {rhs}"))
+                    if right[c] != left[r]:
+                        checks.append(CheckResult(name, False, f"entry ({r},{c}): "
+                                                  f"{row[c] * right[c]} != {left[r] * row[c]}"))
                         return
             checks.append(CheckResult(name, True))
 
@@ -124,9 +152,10 @@ class ModuleRep:
         checks += [CheckResult(name, True) for name in names]
 
         X, Xi = self.act_x, self.act_xi
-        a_pow_n = self.group_element_matrix(d.group.power(d.a, d.n))
+        a_pow_n = d.group.power(d.a, d.n)
         xi_top = _mat_pow(Xi, d.n - 1)
-        add("x_power", _mat_pow(X, d.n), (a_pow_n - I).scale(d.alpha))
+        add("x_power", _mat_pow(X, d.n),
+            Mat.diag(N, [(w.value_g(a_pow_n) - d.one()) * d.alpha for w in self.weights]))
         add("xi_power", xi_top * Xi, Mat.zeros(N, dim, dim))
 
         gams = [[w.value_gamma_gen(i) for w in self.weights] for i in range(rank)]
@@ -139,9 +168,11 @@ class ModuleRep:
             add_entrywise(f"xi_group[{i}]", Xi, gv, [chi_gi_inv * v for v in gv])
             add_entrywise(f"xi_gamma[{i}]", Xi, gams[i], [ga * v for v in gams[i]])
 
-        A = self.group_element_matrix(d.a)
-        C = self.char_matrix(d.chi.exps)
-        add("x_xi_commutator", X * Xi - Xi * X, A - C)
+        avals = [w.value_g(d.a) for w in self.weights]
+        cvals = [w.value_gamma_exps(d.chi.exps) for w in self.weights]
+        x_xi, xi_x = X * Xi, Xi * X
+        add("x_xi_commutator", x_xi, xi_x + Mat.diag(N, [a - c for a, c in zip(avals, cvals)]),
+            lambda: (x_xi - xi_x, Mat.diag(N, avals) - Mat.diag(N, cvals)))
 
         if d.kind == NILPOTENT:
             for i in range(rank):
@@ -154,21 +185,26 @@ class ModuleRep:
 
             cis = d.cached("x gamma coeffs", coeffs)
             for i in range(rank):
-                gam = Mat.diag(N, gams[i])
-                ga = d.gamma_gen_at_a(i)
-                lhs = (X * gam).scale(ga)
-                rhs = gam * X + (gam * (A.scale(d.rho) - C) * xi_top).scale(cis[i])
+                # ga X diag(gam) == diag(gam) X + ci diag(gam) (rho A - C) Xi^(n-1)
+                ga, gam = d.gamma_gen_at_a(i), gams[i]
+                lhs = _scale_cols(X, [ga * g for g in gam])
+                rhs = _scale_rows(X, gam) + _scale_rows(
+                    xi_top, [cis[i] * g * (d.rho * a - c) for g, a, c in zip(gam, avals, cvals)])
                 add(f"x_gamma[{i}]", lhs, rhs)
         return RelationReport(checks)
 
     # -- weight structure ----------------------------------------------------
 
     def weight_spaces(self) -> dict[Weight, list[int]]:
-        """Basis indices grouped by weight tag, sorted by weight."""
-        out: dict[Weight, list[int]] = {}
-        for idx, w in enumerate(self.weights):
-            out.setdefault(w, []).append(idx)
-        return dict(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
+        """Basis indices grouped by weight tag, sorted by weight; shared, so
+        callers must not change it."""
+        def build() -> dict[Weight, list[int]]:
+            out: dict[Weight, list[int]] = {}
+            for idx, w in enumerate(self.weights):
+                out.setdefault(w, []).append(idx)
+            return dict(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
+
+        return self.cached("weight spaces", build)
 
     def weight_multiset(self) -> tuple:
         return tuple(sorted(w.sort_key() for w in self.weights))
@@ -378,58 +414,51 @@ def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
 
     Seeds are split into weight-pure components (legitimate because every
     submodule is graded by the weight projectors in the group part of the
-    algebra), then closed under the x and xi actions with one sparse
-    reduced echelon basis (``Echelon``) per weight block.  The basis depends
-    only on the submodule, not on the seeds or their order.
+    algebra) and kept in one sparse reduced echelon basis (``Echelon``) per
+    weight block.  The x and xi images of each basis row are taken once and
+    reduced against the blocks: when every image lies in the span, the span
+    is closed and the images give the restricted action; otherwise the
+    images that leave it extend the span, and the images of the new basis
+    are taken again.  The basis depends only on the submodule, not on the
+    seeds or their order.
     """
     datum = mod.datum
     blocks: dict[Weight, Echelon] = {}
 
-    def split(v: Row) -> dict[Weight, Row]:
+    def add(v: Row) -> bool:
+        """Extend the span by the weight components of v; True when it grew."""
         comps: dict[Weight, Row] = {}
         for k, x in v.items():
             comps.setdefault(mod.weights[k], {})[k] = x
-        return comps
-
-    queue: deque[Row] = deque()
-
-    def add(v: Row) -> None:
-        for w, comp in split(v).items():
+        grew = False
+        for w, comp in comps.items():
             if w not in blocks:
                 blocks[w] = Echelon(datum.N)
-            p = blocks[w].add(comp)
-            if p is not None:
-                # a copy: later rows clear their pivots in the stored row
-                queue.append(dict(blocks[w].rows[p]))
+            if blocks[w].add(comp) is not None:
+                grew = True
+        return grew
 
     for seed in seeds:
         add(seed)
-    while queue:
-        v = queue.popleft()
-        add(mod.act_x.matvec(v))
-        add(mod.act_xi.matvec(v))
+    while True:
+        basis = [(w, p) for w in sorted(blocks, key=Weight.sort_key) for p in blocks[w].pivots]
+        rows = [blocks[w].rows[p] for w, p in basis]
+        images = [[op.matvec(b) for b in rows] for op in (mod.act_x, mod.act_xi)]
+        grew = [add(v) for vs in images for v in vs]
+        if not any(grew):
+            break
 
-    basis = [(w, p) for w in sorted(blocks, key=Weight.sort_key) for p in blocks[w].pivots]
-    rows = [blocks[w].rows[p] for w, p in basis]
     pivots = [p for _, p in basis]
     at = {p: idx for idx, p in enumerate(pivots)}
 
-    def express(v: Row) -> Row:
-        """Coordinates of v in the basis: in a reduced echelon basis, the
-        coefficient of a row is the value of v at its pivot."""
-        coeffs = {}
-        for w, comp in split(v).items():
-            if w not in blocks or blocks[w].reduce(comp):
-                raise DatumError("vector leaves the submodule span")
-            coeffs.update((at[k], c) for k, c in comp.items() if k in at)
-        return coeffs
-
-    def restrict(op: Mat) -> Mat:
-        return Mat.from_cols(datum.N, [express(op.matvec(b)) for b in rows], len(rows))
+    def restrict(vs: list[Row]) -> Mat:
+        # in a reduced echelon basis, the coefficient of a row in a vector of
+        # the span is the vector's value at the row's pivot
+        return Mat.from_cols(datum.N, [{at[k]: c for k, c in v.items() if k in at} for v in vs],
+                             len(rows))
 
     labels = [mod.labels[p] for p in pivots]
-    module = ModuleRep(datum, [w for w, _ in basis], restrict(mod.act_x), restrict(mod.act_xi),
-                       labels)
+    module = ModuleRep(datum, [w for w, _ in basis], *map(restrict, images), labels)
     return SubmoduleFacts(mod, rows, pivots, module)
 
 

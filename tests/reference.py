@@ -18,7 +18,7 @@ def semisimple_factors(h):
     """Multiplicities ``[((l, weight), mult), ...]`` of the simples in a
     semisimple module, from Hom(S, h) for each candidate simple S; a module
     that is not semisimple raises ``DatumError``."""
-    return homology._multiplicities(h.datum, homology._simple_homs(h, True), h.dim)
+    return homology._multiplicities(homology._simple_homs(h, True), h.dim)
 
 
 def radical_series(m):

@@ -1,11 +1,14 @@
 """Homological layer: Hom spaces, socle/radical, syzygies, isomorphism
 certification, and almost-split sequence candidates."""
 
+import json
+
 import pytest
 
 from doublerep import cli, homology
 from doublerep.constructors import (band, projective, simple, t1, t1bar,
                                     t_chain, t_chain_bar, verma, w_band)
+from doublerep.cyclo import CycScalar
 from doublerep.datum import DatumError
 from doublerep.linalg import Echelon, Mat, hstack, rank, solve_right, vstack
 from doublerep.repmod import direct_sum, intertwines, quotient_module, spin_submodule
@@ -181,29 +184,52 @@ def test_loewy_type_matches_layered_reference(key):
         assert homology.loewy_structure(m).layers == layers, m.labels
 
 
+@pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F"])
+def test_weight_certificate_and_end_memo_match_the_exact_solve(key):
+    # A candidate simple that the weight certificate rejects gets no Hom
+    # solve: the solve it skips must be empty in both directions.  The End
+    # basis memoized on a module must equal a fresh solve.
+    rejected = 0
+    for m in _members_and_sums(key):
+        homology.loewy_structure(m)
+        homology.end_local_dim(m)
+        for l, w in homology.candidate_simples(m):
+            s = simple(m.datum, l, w)
+            if not homology._fits(s, m):
+                rejected += 1
+                assert homology._solve_homs(s, m) == () == homology._solve_homs(m, s), m.labels
+        assert homology.hom_space(m, m) is homology.hom_space(m, m)
+        assert homology.hom_space(m, m) == homology._solve_homs(m, m), m.labels
+    # over A every candidate fits; over B-F the certificate decides 4 to 70
+    assert rejected or key == "A"
+
+
 @pytest.mark.parametrize("side", ["socle", "head"])
 @pytest.mark.parametrize("copies,message", [(1, "inconsistent Hom dimensions"),
                                             (2, "does not exhaust")])
 def test_loewy_type_keeps_the_multiplicity_checks(side, copies, message):
     # T_1(1, lam) over E has one simple S in its socle and another in its
-    # head.  On a fresh datum whose cached dim End(S) is 2 instead of 1 for
-    # the simple at `side`, dim Hom = 1 (one copy of T_1) is not divisible by
-    # it, and dim Hom = 2 (two copies) counts one S, which does not exhaust
-    # the socle or the head.
+    # head.  On a fresh datum whose cached simple at `side` carries a
+    # 2-dimensional End(S) instead of its 1-dimensional one, dim Hom = 1 (one
+    # copy of T_1) is not divisible by it, and dim Hom = 2 (two copies)
+    # counts one S, which does not exhaust the socle or the head.
     probe = make_datum("E")
     t = t_chain(probe, 1, first_weight(probe, 1), 1)
     [((l, lam), _)] = getattr(homology.loewy_structure(t), side)
     for loewy in (homology.loewy_type, _layered_loewy_type):
         datum = make_datum("E")
         w = next(w for w in datum.weights_in_class(l) if w.label() == lam.label())
-        assert datum.cached(("end dim", l, w), lambda: 2) == 2
+        s = simple(datum, l, w)
+        fake = (Mat.identity(datum.N, s.dim),) * 2
+        assert s.cached("end", lambda: fake) is fake
+        assert len(homology.hom_space(s, s)) == 2
         m = direct_sum([t_chain(datum, 1, first_weight(datum, 1), 1)] * copies)
         with pytest.raises(DatumError, match=message):
             loewy(m)
 
 
 # ---------------------------------------------------------------------------
-# the per-datum caches: simples, their End dimensions, projective covers
+# the per-datum caches (simples, projective covers) and the per-module End
 
 
 def test_simple_is_built_once_per_datum():
@@ -225,8 +251,9 @@ def test_end_dim_of_a_simple_is_solved_once(monkeypatch):
     lam = first_weight(datum, 1)
     v = simple(datum, 1, lam)
     solves = []
-    hom = homology.hom_space
-    monkeypatch.setattr(homology, "hom_space", lambda a, b: solves.append((a, b)) or hom(a, b))
+    solve = homology._solve_homs
+    monkeypatch.setattr(homology, "_solve_homs",
+                        lambda a, b: solves.append((a, b)) or solve(a, b))
     for _ in range(2):
         assert semisimple_factors(direct_sum([v, v])) == [((1, lam), 2)]
     assert sum(1 for a, b in solves if a is v and b is v) == 1
@@ -501,7 +528,10 @@ def test_split_sequence_json(datum_b):
     assert out["section"]["shape"] == [b.dim, c.dim]
     assert [len(r) for r in out["section"]["matrix"]] == [c.dim] * b.dim
     section = report.section.matrix
-    assert out["section"]["matrix"] == [[str(x) for x in r] for r in section.rows]
+    # the entries are scalar JSON, as in module files, so the section reads back
+    read = Mat.from_rows(datum_b.N, [[CycScalar.from_json(x) for x in r]
+                                     for r in json.loads(json.dumps(out))["section"]["matrix"]])
+    assert read == section
     assert g.matrix * section == Mat.identity(datum_b.N, c.dim)
 
 
