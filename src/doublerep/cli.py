@@ -38,7 +38,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise DatumError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser recurses
         raise DatumError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -57,7 +58,7 @@ def parse_weight(datum: ValidatedDatum, text: str) -> Weight:
     if text.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DatumError(f"bad weight JSON: {exc}") from exc
         return Weight.from_json(datum.group, obj)
     body = text.strip("()")
@@ -156,8 +157,11 @@ def cmd_module_build(args) -> int:
                                     eta=args.eta, basis=args.basis, s=args.s)
     doc = json.dumps(mod.to_json(), indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(doc + "\n")
+        except OSError as exc:
+            raise DatumError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out} (dim {mod.dim})")
     else:
         print(doc)

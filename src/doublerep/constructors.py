@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .cyclo import CycScalar
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight
@@ -125,7 +126,7 @@ def _string(datum: ValidatedDatum, l: int, lam: Weight, standard: bool = False) 
         _put(x, i, i - 1, a if standard else one)
         _put(xi, i - 1, i, one if standard else a)
     if l == n:
-        closing = datum.alpha * (lam.value_g(datum.a) ** n - one)
+        closing = datum.characters(lam).x_power
         _put(x, 0, n - 1, closing / datum.beta_coeff(n, lam) if standard else closing)
     weights = [datum.phi_shift(lam, i) for i in range(l)]
     labels = [f"{'m' if standard else 'v'}{i}" for i in range(l)]
@@ -164,12 +165,8 @@ def _assert_basis_change(datum: ValidatedDatum, l: int, lam: Weight,
     """The standard basis is m_i = alpha_{i+1}...alpha_{l-1} v_i; check that
     this diagonal change of basis intertwines the two constructions."""
     nat = simple(datum, l, lam, "natural")
-    diag = []
-    for i in range(l):
-        c = datum.one()
-        for k in range(i + 1, l):
-            c = c * datum.alpha_value(k, lam)
-        diag.append(c)
+    alphas = [datum.alpha_value(k, lam) for k in range(1, l)]
+    diag = [prod(alphas[i:], start=datum.one()) for i in range(l)]
     if not intertwines(Mat.diag(datum.N, diag), std, nat):
         raise DatumError("natural/standard bases of the simple module "
                          "are not intertwined by the diagonal change")

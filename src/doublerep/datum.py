@@ -13,7 +13,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 
 from .cyclo import CycScalar, q_factorial, q_number, root_of_unity
 
@@ -124,9 +124,7 @@ class Weight(namedtuple("Weight", "group gexps hexps")):
 
     def value_gamma_gen(self, i: int) -> CycScalar:
         # value at the i-th standard character generator gamma_i
-        n = self.group.exponent
-        d = self.group.orders[i]
-        return root_of_unity(n, (self.hexps[i] * (n // d)) % n)
+        return _char_value(self.group, self.hexps, self.group.generators()[i])
 
     def value_gamma_exps(self, cexps) -> CycScalar:
         # value at prod_i gamma_i^{c_i}
@@ -179,6 +177,17 @@ class WeightClass(namedtuple("WeightClass", "l d branch")):
         return self.branch == "regular"
 
 
+# What the structure constants and relation checks read of a weight tag lambda:
+# its values at each generator of G and of G-hat, at a and at chi, and
+# x_power = alpha (lambda(a^n) - 1), the scalar by which x^n acts on it.
+Characters = namedtuple("Characters", "at_g at_gamma at_a at_chi x_power")
+
+# The constants of the generators g_i of G and gamma_i of G-hat: chi(g_i) and
+# its inverse, gamma_i(a), and x_gamma = (gamma_i(a)^n - 1) / (n-1)!_rho, the
+# coefficient of Xi^(n-1) in the x-gamma_i relation over a non-nilpotent datum.
+GeneratorConstants = namedtuple("GeneratorConstants", "chi chi_inv gamma_at_a x_gamma")
+
+
 NILPOTENT = "nilpotent"
 NON_NILPOTENT = "non-nilpotent"
 
@@ -187,10 +196,11 @@ class ValidatedDatum:
     """A validated datum with its derived constants and weight machinery.
 
     The datum memoizes what is derived from it alone (``cached``): its weight
-    list and classes, the class of each weight, the kernel K, and, for the
-    constructors and the homology layer, its simple modules, their End
-    dimensions and their projective covers.  Cached lists and modules are
-    shared by every caller and must not be changed.
+    list and classes, the class and character values of each weight, the
+    constants of each generator, the kernel K, and, for the constructors and
+    the homology layer, its simple modules, their End dimensions and their
+    projective covers.  Cached lists and modules are shared by every caller
+    and must not be changed.
     """
 
     def __init__(self, group: FinAbGroup, chi: GroupChar, a: tuple[int, ...], alpha: CycScalar,
@@ -234,6 +244,34 @@ class ValidatedDatum:
     def rho_power(self, k: int) -> CycScalar:
         return self.rho ** (k % self.n)
 
+    # -- character values -------------------------------------------------
+
+    def characters(self, lam: Weight) -> Characters:
+        """The character values of lambda, evaluated once per datum."""
+        def build() -> Characters:
+            at_a = lam.value_g(self.a)
+            return Characters(tuple(lam.value_g(g) for g in self.group.generators()),
+                              tuple(lam.value_gamma_gen(i) for i in range(self.group.rank)),
+                              at_a, lam.value_gamma_exps(self.chi.exps),
+                              self.alpha * (at_a ** self.n - self.one()))
+
+        return self.cached(("characters", lam), build)
+
+    def generator_constants(self) -> tuple[GeneratorConstants, ...]:
+        """The GeneratorConstants of g_i and gamma_i, for each i."""
+        def build() -> tuple[GeneratorConstants, ...]:
+            fac = q_factorial(self.n - 1, self.rho)
+            chis = [self.chi.value(g) for g in self.group.generators()]
+            gas = [self.gamma_gen_at_a(i) for i in range(self.group.rank)]
+            return tuple(GeneratorConstants(c, c.inv(), ga, (ga ** self.n - self.one()) / fac)
+                         for c, ga in zip(chis, gas))
+
+        return self.cached("generator constants", build)
+
+    def gamma_gen_at_a(self, i: int) -> CycScalar:
+        # gamma_i(a)
+        return _char_value(self.group, self.group.generators()[i], self.a)
+
     # -- weights ----------------------------------------------------------
 
     def enumerate_weights(self) -> list[Weight]:
@@ -242,15 +280,12 @@ class ValidatedDatum:
             (Weight(self.group, g, h) for g in elements() for h in elements()),
             key=Weight.sort_key))
 
-    def _eval_ratio(self, lam: Weight) -> CycScalar:
-        # lambda(a) / lambda(chi)
-        return lam.value_g(self.a) * lam.value_gamma_exps(self.chi.exps).inv()
-
     def classify_weight(self, lam: Weight) -> WeightClass:
         return self.cached(("weight class", lam), lambda: self._classify_weight(lam))
 
     def _classify_weight(self, lam: Weight) -> WeightClass:
-        e = self._eval_ratio(lam)
+        c = self.characters(lam)
+        e = c.at_a * c.at_chi.inv()  # lambda(a) / lambda(chi)
         p = self.one()
         for d in range(self.n):
             if e == p:
@@ -267,7 +302,7 @@ class ValidatedDatum:
     def kernel_K(self) -> list[Weight]:
         # weights with lambda(a) = lambda(chi)
         return self.cached("kernel K", lambda: [
-            w for w in self.enumerate_weights() if self._eval_ratio(w).is_one()])
+            w for w in self.enumerate_weights() if (c := self.characters(w)).at_a == c.at_chi])
 
     def simple_counts(self) -> dict[int, int]:
         counts = {l: len(self.weights_in_class(l)) for l in range(1, self.n + 1)}
@@ -317,9 +352,8 @@ class ValidatedDatum:
         defined for every weight."""
         if not 1 <= i <= self.n:
             raise DatumError(f"alpha index {i} out of range 1..{self.n}")
-        la = lam.value_g(self.a)
-        lchi = lam.value_gamma_exps(self.chi.exps)
-        return q_number(i, self.rho) * (lchi - self.rho_power(1 - i) * la)
+        c = self.characters(lam)
+        return q_number(i, self.rho) * (c.at_chi - self.rho_power(1 - i) * c.at_a)
 
     def alpha_coeff(self, i: int, l: int, lam: Weight) -> CycScalar:
         """alpha_i(lambda) with the membership check lambda in I_l."""
@@ -329,29 +363,19 @@ class ValidatedDatum:
     def beta_coeff(self, l: int, lam: Weight) -> CycScalar:
         """Product alpha_1 ... alpha_(l-1)."""
         self._check_in_class(l, lam)
-        out = self.one()
-        for i in range(1, l):
-            out = out * self.alpha_coeff(i, l, lam)
-        return out
+        return prod((self.alpha_value(i, lam) for i in range(1, l)), start=self.one())
 
     def yz_coeff(self, l: int, lam: Weight) -> tuple[CycScalar, CycScalar]:
         """(y, z) pair for the weight lambda in class l <= n-1."""
         if not 1 <= l <= self.n - 1:
             raise DatumError(f"yz coefficients need l <= n-1, got l={l}")
         self._check_in_class(l, lam)
-        la = lam.value_g(self.a)
-        lchi = lam.value_gamma_exps(self.chi.exps)
+        c = self.characters(lam)
+        la, lchi = c.at_a, c.at_chi
         denom_inv = q_factorial(self.n - 1, self.rho).inv()
         y = (self.rho_power(1 - l) * la - self.rho_power(l) * lchi) * denom_inv
         z = (self.rho * la - lchi) * denom_inv
         return y, z
-
-    # -- element/character values used by module relations ------------------
-
-    def gamma_gen_at_a(self, i: int) -> CycScalar:
-        # gamma_i(a)
-        d = self.group.orders[i]
-        return root_of_unity(self.N, (self.a[i] * (self.N // d)) % self.N)
 
     # -- serialization -------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclo import CycScalar, q_factorial, root_of_unity
+from .cyclo import CycScalar, root_of_unity
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight, datum_from_json
 from .linalg import Echelon, Mat, Row, block_diag, inv, nullspace
 
@@ -113,37 +113,22 @@ class ModuleRep:
 
         The group-likes act through the weight tags, so their order and
         commutation relations hold by construction; ``from_json`` certifies
-        them for a file.  Moving x or xi past a group-like is tested entry by
-        entry on the nonzero entries of X and Xi.  The remaining relations
-        are matrix identities whose diagonal factors come from the tags; they
-        enter as row and column scalings and diagonal sums, not as products.
+        them for a file.  The remaining relations are matrix identities whose
+        diagonal factors are the character values the datum keeps for each
+        tag; they enter as row and column scalings and diagonals, not as
+        products.
         """
         d = self.datum
         N, dim, rank = d.N, self.dim, d.group.rank
         checks: list[CheckResult] = []
 
-        def add(name: str, lhs: Mat, rhs: Mat, shown=None) -> None:
-            # ``shown`` rebuilds the pair a failure is reported on, when it
-            # differs from the pair compared
+        def add(name: str, lhs: Mat, rhs: Mat) -> None:
             if lhs == rhs:
                 checks.append(CheckResult(name, True))
                 return
-            if shown is not None:
-                lhs, rhs = shown()
             i, row = next((i, r) for i, r in enumerate((lhs - rhs).nz_rows()) if r)
             j = min(row)
             checks.append(CheckResult(name, False, f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"))
-
-        def add_entrywise(name: str, m: Mat, right: list, left: list) -> None:
-            # m * diag(right) == diag(left) * m, first failure in row-major
-            # order; a nonzero entry cancels, so the tags are compared
-            for r, row in enumerate(m.nz_rows()):
-                for c in sorted(row):
-                    if right[c] != left[r]:
-                        checks.append(CheckResult(name, False, f"entry ({r},{c}): "
-                                                  f"{row[c] * right[c]} != {left[r] * row[c]}"))
-                        return
-            checks.append(CheckResult(name, True))
 
         names = [f"{k}_order[{i}]" for i in range(rank) for k in ("group", "gamma")]
         names += [f"{k}_commute[{i},{j}]" for i in range(rank) for j in range(i + 1, rank)
@@ -152,45 +137,30 @@ class ModuleRep:
         checks += [CheckResult(name, True) for name in names]
 
         X, Xi = self.act_x, self.act_xi
-        a_pow_n = d.group.power(d.a, d.n)
+        chars = [d.characters(w) for w in self.weights]
         xi_top = _mat_pow(Xi, d.n - 1)
-        add("x_power", _mat_pow(X, d.n),
-            Mat.diag(N, [(w.value_g(a_pow_n) - d.one()) * d.alpha for w in self.weights]))
+        add("x_power", _mat_pow(X, d.n), Mat.diag(N, [c.x_power for c in chars]))
         add("xi_power", xi_top * Xi, Mat.zeros(N, dim, dim))
 
-        gams = [[w.value_gamma_gen(i) for w in self.weights] for i in range(rank)]
-        for i, gen in enumerate(d.group.generators()):
-            gv = [w.value_g(gen) for w in self.weights]
-            chi_gi = d.chi.value(gen)
-            chi_gi_inv = chi_gi.inv()
-            ga = d.gamma_gen_at_a(i)
-            add_entrywise(f"x_group[{i}]", X, gv, [chi_gi * v for v in gv])
-            add_entrywise(f"xi_group[{i}]", Xi, gv, [chi_gi_inv * v for v in gv])
-            add_entrywise(f"xi_gamma[{i}]", Xi, gams[i], [ga * v for v in gams[i]])
+        def past(name: str, m: Mat, v: list, s: CycScalar) -> None:
+            # moving x or xi past a group-like g: m diag(g) == s diag(g) m
+            add(name, _scale_cols(m, v), _scale_rows(m, [s * u for u in v]))
 
-        avals = [w.value_g(d.a) for w in self.weights]
-        cvals = [w.value_gamma_exps(d.chi.exps) for w in self.weights]
-        x_xi, xi_x = X * Xi, Xi * X
-        add("x_xi_commutator", x_xi, xi_x + Mat.diag(N, [a - c for a, c in zip(avals, cvals)]),
-            lambda: (x_xi - xi_x, Mat.diag(N, avals) - Mat.diag(N, cvals)))
-
-        if d.kind == NILPOTENT:
-            for i in range(rank):
-                ga = d.gamma_gen_at_a(i)
-                add_entrywise(f"x_gamma[{i}]", X, [v * ga for v in gams[i]], gams[i])
-        else:
-            def coeffs() -> list[CycScalar]:
-                fac = q_factorial(d.n - 1, d.rho)
-                return [(d.gamma_gen_at_a(i) ** d.n - d.one()) / fac for i in range(rank)]
-
-            cis = d.cached("x gamma coeffs", coeffs)
-            for i in range(rank):
-                # ga X diag(gam) == diag(gam) X + ci diag(gam) (rho A - C) Xi^(n-1)
-                ga, gam = d.gamma_gen_at_a(i), gams[i]
-                lhs = _scale_cols(X, [ga * g for g in gam])
-                rhs = _scale_rows(X, gam) + _scale_rows(
-                    xi_top, [cis[i] * g * (d.rho * a - c) for g, a, c in zip(gam, avals, cvals)])
-                add(f"x_gamma[{i}]", lhs, rhs)
+        gens = [(k, [c.at_g[i] for c in chars], [c.at_gamma[i] for c in chars])
+                for i, k in enumerate(d.generator_constants())]
+        for i, (k, gv, gam) in enumerate(gens):
+            past(f"x_group[{i}]", X, gv, k.chi)
+            past(f"xi_group[{i}]", Xi, gv, k.chi_inv)
+            past(f"xi_gamma[{i}]", Xi, gam, k.gamma_at_a)
+        add("x_xi_commutator", X * Xi - Xi * X, Mat.diag(N, [c.at_a - c.at_chi for c in chars]))
+        for i, (k, _, gam) in enumerate(gens):
+            # ga X diag(gam) == diag(gam) X, plus ci diag(gam) (rho A - C) Xi^(n-1)
+            # over a non-nilpotent datum
+            rhs = _scale_rows(X, gam)
+            if d.kind != NILPOTENT:
+                rhs = rhs + _scale_rows(xi_top, [k.x_gamma * g * (d.rho * c.at_a - c.at_chi)
+                                                 for g, c in zip(gam, chars)])
+            add(f"x_gamma[{i}]", _scale_cols(X, [k.gamma_at_a * g for g in gam]), rhs)
         return RelationReport(checks)
 
     # -- weight structure ----------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared fixtures: the standing test datums and JSON file helpers.
 
-Datum overview (all on cyclic groups, generator written g):
+Datum overview (A to F on cyclic groups, generator written g):
 
 * ``datum_a`` -- Z_2, chi(g) = -1, a = g, alpha = 0: nilpotent, n = 2, m = 1.
 * ``datum_b`` -- Z_4, chi(g) = -1, a = g, alpha = 0: nilpotent, n = 2, m = 2.
@@ -12,6 +12,8 @@ Datum overview (all on cyclic groups, generator written g):
 * ``F`` -- Z_3, chi(g) = zeta_3, a = g, alpha = 0: nilpotent, n = 3, m = 1.
   D and F (JSON only, no fixture) pin the chain and band builders at l = 2,
   where l differs from n - l.
+* ``R2`` -- Z_4 x Z_4, chi(g1) = i, chi(g2) = -1, a = g1 g2, alpha = 0:
+  nilpotent, n = 4, m = 1; the one standing datum of rank two (JSON only).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ DATUM_JSON = {
     "E": {"orders": [9], "chi": [3], "a": [1], "alpha": 1},
     "D": {"orders": [6], "chi": [2], "a": [1], "alpha": 0},
     "F": {"orders": [3], "chi": [1], "a": [1], "alpha": 0},
+    "R2": {"orders": [4, 4], "chi": [1, 2], "a": [1, 1], "alpha": 0},
 }
 
 INVALID_DATUM_JSON = {"orders": [8], "chi": [2], "a": [2], "alpha": 1}

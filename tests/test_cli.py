@@ -65,6 +65,19 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [("datum", "check"), ("module", "verify")])
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000], ids=["not_utf8", "too_deep"])
+def test_unreadable_json_exits_2(capsys, tmp_path, command, content):
+    # bytes that are not UTF-8, and nesting deeper than the parser recurses
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    code, out, err = run(capsys, *command, str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {p} is not valid JSON")
+    assert err.count("\n") == 1
+
+
 def test_datum_check_rejects_n_equal_1(capsys, write_json):
     # rho = chi(a) = 1, so n = 1: outside the theory, rejected at validation
     path = write_json("n1.json", {"orders": [2, 4], "chi": [1, 2], "a": [1, 1], "alpha": 0})
@@ -121,6 +134,26 @@ def build_module(capsys, tmp_path, datum_path, *spec):
     code, _, _ = run(capsys, "module", "build", datum_path, *spec, "--out", out_path)
     assert code == 0
     return out_path
+
+
+@pytest.mark.parametrize("text", ['{"gpart": [0], "h": ', '{"gpart": ' + "[" * 100_000])
+def test_malformed_weight_json_exits_2(capsys, datum_file, text):
+    code, out, err = run(capsys, "module", "build", datum_file("B"),
+                         "--family", "verma", "--lambda", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad weight JSON")
+    assert err.count("\n") == 1
+
+
+def test_module_build_unwritable_out_exits_2(capsys, datum_file, tmp_path):
+    target = tmp_path / "missing" / "m.json"
+    code, out, err = run(capsys, "module", "build", datum_file("B"),
+                         "--family", "verma", "--lambda", "0;0", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert err.count("\n") == 1
 
 
 def test_module_build_stdout_json(capsys, datum_file):
@@ -559,6 +592,27 @@ def test_classify_budget_truncation(capsys, datum_file):
     assert payload["truncated"] is True
     assert payload["summary"]["total_dim"] <= 24
     assert payload["entries"]  # partial manifest still present
+
+
+@pytest.mark.parametrize("key", ["B", "E"])
+def test_classify_evaluates_each_weight_tag_once(capsys, datum_file, monkeypatch, key):
+    # every weight is classified, and the datum keeps the character values of
+    # each tag: 2 * rank + 2 of them (at the generators of G and of G-hat, at
+    # a and at chi), besides chi(a) at validation and chi(g_i), gamma_i(a)
+    d = make_datum(key)
+    rank, weights = d.group.rank, d.group.size ** 2
+    calls = []
+    evaluate = doublerep.datum._char_value
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(doublerep.datum, "_char_value", counted)
+    code, _, _ = run(capsys, "classify", datum_file(key),
+                     "--max-t", "1", "--max-s", "1", "--etas", "1")
+    assert code == 0
+    assert len(calls) <= (2 * rank + 2) * weights + 2 * rank + 1
 
 
 def test_classify_text_contains_counts(capsys, datum_file):

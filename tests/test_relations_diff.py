@@ -5,7 +5,8 @@ dual matrices: every relation a matrix identity, group-likes raised to their
 orders by repeated products.  It is kept here as the reference.
 ``ModuleRep.verify_relations`` must give the same (name, ok, detail) list on
 every registry member and on perturbations of one to three entries of x or
-xi, both on the weight pairs x and xi may join (on-weight) and off them.
+xi, both on the weight pairs x and xi may join (on-weight) and off them, over
+the standing datums A to F and the rank-two datum R2.
 """
 
 from functools import lru_cache
@@ -106,7 +107,10 @@ def registry_modules(key: str) -> tuple[ModuleRep, ...]:
                  for datum, fam, l, lam, params in members(key))
 
 
-@pytest.mark.parametrize("key", ["A", "B", "C", "E"])
+KEYS = ["A", "B", "C", "E", "D", "F", "R2"]
+
+
+@pytest.mark.parametrize("key", KEYS)
 def test_tag_checks_match_dense_checks_on_registry(key):
     mods = registry_modules(key)
     assert mods
@@ -137,7 +141,7 @@ def entries(mod: ModuleRep, op: str, on_weight: bool) -> list[tuple[int, int]]:
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_tag_checks_match_dense_checks_on_perturbations(data):
-    small = [mod for key in "ABCE" for mod in registry_modules(key) if mod.dim <= 12]
+    small = [mod for key in KEYS for mod in registry_modules(key) if mod.dim <= 12]
     mod = data.draw(st.sampled_from(small))
     op = data.draw(st.sampled_from(["x", "xi"]))
     on_weight = data.draw(st.booleans())
