@@ -204,7 +204,7 @@ def cmd_module_analyze(args) -> int:
     soc = homology._factors_as_json(loewy.socle)
     hd = homology._factors_as_json(loewy.head)
     layers = [homology._factors_as_json(factors) for factors in loewy.layers]
-    comp = homology.composition_factors(mod, loewy.layers)
+    comp = homology.composition_factors(mod)
     fam = homology.match_family(mod, max_t=args.max_t, max_s=args.max_s,
                                 etas=parse_etas(args.etas))
     payload = {

@@ -403,6 +403,8 @@ class CycScalar:
         order = obj["order"]
         if type(order) is not int or order < 1:
             raise ValueError(f"bad scalar order: {order!r}")
+        if not isinstance(obj["coeffs"], list):
+            raise ValueError(f"scalar coeffs must be a list, got {obj['coeffs']!r}")
         coeffs = tuple(Fraction(str(c)) for c in obj["coeffs"])
         return CycScalar(order, coeffs)
 

@@ -131,10 +131,13 @@ def end_local_dim(m: ModuleRep) -> int:
 
     In characteristic zero the radical of End(M) equals the radical of the
     bilinear form (f, g) -> trace(fg), so this is one Gram-matrix rank.
-    Value 1 certifies that M is absolutely indecomposable.
+    Value 1 certifies that M is absolutely indecomposable.  Ranked once per
+    module.
     """
-    ends = hom_space(m, m)
-    return pairing_rank(ends, ends)
+    def build():
+        ends = hom_space(m, m)
+        return pairing_rank(ends, ends)
+    return m.cached("end local dim", build)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +263,12 @@ class LoewyStructure(namedtuple("LoewyStructure", "socle layers")):
 def loewy_structure(m: ModuleRep) -> LoewyStructure:
     """The socle from the Hom solve that finds it (Hom(S, m) = Hom(S, soc m)),
     and layer k from the one that finds rad^(k+1) m as the radical of rad^k m
-    (Hom(rad^k m, S) = Hom(rad^k m / rad^(k+1) m, S)); no layer is built."""
+    (Hom(rad^k m, S) = Hom(rad^k m / rad^(k+1) m, S)); no layer is built.
+    Solved once per module."""
+    return m.cached("loewy structure", lambda: _solve_loewy(m))
+
+
+def _solve_loewy(m: ModuleRep) -> LoewyStructure:
     layers = []
     cur = m
     while cur.dim:
@@ -275,13 +283,10 @@ def loewy_type(m: ModuleRep) -> LoewyType:
     return loewy_structure(m).type
 
 
-def composition_factors(m: ModuleRep, layers=None) -> list[dict]:
-    """Multiset of simple factors over the radical series, sorted;
-    ``layers`` are the ``loewy_structure`` layers of m when known."""
-    if layers is None:
-        layers = loewy_structure(m).layers
+def composition_factors(m: ModuleRep) -> list[dict]:
+    """Multiset of simple factors over the radical series, sorted."""
     counts: dict[tuple[int, Weight], int] = {}
-    for factors in layers:
+    for factors in loewy_structure(m).layers:
         for key, mult in factors:
             counts[key] = counts.get(key, 0) + mult
     keys = sorted(counts, key=lambda lw: (lw[0], lw[1].sort_key()))
@@ -413,24 +418,32 @@ def invariant_key(mod: ModuleRep) -> tuple:
     return (mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
 
 
-def _local_iso(a: ModuleRep, b: ModuleRep, homs_ab: list[Mat],
-               homs_ba: list[Mat]) -> Morphism | None:
-    """An isomorphism a -> b from the basis of Hom(a, b), or None when there
-    is none, for a with end_local_dim(a) = 1 and b of the same dimension.
+def _witness_candidates(a: ModuleRep, homs_ab: tuple[Mat, ...], seed: int):
+    """(how, trials, matrix) for each element of Hom(a, b) tried as an
+    isomorphism: the basis maps, then seeded combinations.
 
-    Every endomorphism of such an a is a scalar plus a nilpotent, so g f is
-    invertible exactly when tr(g f) != 0, and the non-invertible ones form an
-    ideal: a is isomorphic to b exactly when tr(g f) != 0 for basis elements
-    f and g, and that f is then the isomorphism.
+    Once an isomorphism exists, the determinant of a combination is a nonzero
+    polynomial of degree dim a in its coefficients: drawn from s values, a
+    combination is singular with probability at most dim a / s
+    (Schwartz-Zippel).  Each round of 64 draws doubles the range.
     """
-    for f in homs_ab:
-        for g in homs_ba:
-            if not frobenius_pair(f, g).is_zero():
-                if rank(f) != a.dim or not intertwines(f, a, b):
-                    raise DatumError("trace-pairing witness failed re-verification; "
-                                     "endomorphism algebra is not local")
-                return Morphism(a, b, f)
-    return None
+    for trials, f in enumerate(homs_ab, 1):
+        yield "basis scan", trials, f
+    trials = len(homs_ab)
+    rng = random.Random(seed)
+    bound = 3
+    while True:
+        for _ in range(64):
+            trials += 1
+            coeffs = [rng.randint(-bound, bound) for _ in homs_ab]
+            if any(coeffs):
+                yield ("seeded combination", trials,
+                       _combination(a.datum, dict(enumerate(coeffs)), homs_ab))
+        if 2 * bound + 1 > 2 * a.dim:
+            # each draw of this round failed with probability below 1/2
+            raise DatumError("no invertible combination of Hom(a,b) though the trace "
+                             "pairing certifies an isomorphism; inconsistent input")
+        bound *= 2
 
 
 def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
@@ -443,7 +456,8 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     exactly when r(a, a) + r(b, b) = 2 r(a, b), the difference being
     sum d_i (m_i - n_i)^2.  NO verdicts cite a mismatched invariant or Hom
     dimension, or the failed identity.  YES verdicts carry a re-verified
-    invertible intertwiner.
+    invertible intertwiner: the first invertible element of the Hom(a, b)
+    basis, else a seeded combination of it.
     """
     require_same_datum(a, b)
     if a.dim != b.dim:
@@ -464,48 +478,25 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
         return _no("Hom-space dimensions are asymmetric: "
                    f"hom(a,b)={len(homs_ab)}, hom(b,a)={len(homs_ba)}, "
                    f"end(a)={len(ends_a)}, end(b)={len(ends_b)}")
-    el_a = pairing_rank(ends_a, ends_a)
-    el_b = pairing_rank(ends_b, ends_b)
-    if el_a == el_b == 1:
-        # r(a, b) is 0 or 1 here, and 1 as soon as one pairing is nonzero
-        f = _local_iso(a, b, homs_ab, homs_ba)
-        if f is not None:
-            return IsoVerdict("yes", "invertible intertwiner (trace pairing)", f)
-        return _no("trace pairing of Hom(a,b) with Hom(b,a) vanishes; "
-                   "both endomorphism algebras are local, so no map is invertible")
+    el_a, el_b = end_local_dim(a), end_local_dim(b)
+    # With both End algebras local, the maps a -> b that are not invertible
+    # are those f with tr(g f) = 0 for every g in Hom(b, a), a proper subspace
+    # when r(a, b) = 1, so the basis scan finds an invertible map.
+    local = el_a == el_b == 1
     r = pairing_rank(homs_ab, homs_ba)
     if el_a + el_b != 2 * r:
-        return _no(f"trace pairing ranks: r(a,a) + r(b,b) = {el_a + el_b} "
-                   f"!= 2 r(a,b) = {2 * r}")
-    trials = 0
-    for f in homs_ab:
-        trials += 1
-        if rank(f) == a.dim:
-            return IsoVerdict("yes", "invertible intertwiner (basis scan)",
-                              Morphism(a, b, f), trials)
-    # An isomorphism exists, so the determinant of a combination is a nonzero
-    # polynomial of degree dim a in its coefficients: drawn from s values, a
-    # combination is singular with probability at most dim a / s
-    # (Schwartz-Zippel).  Each round of 64 draws doubles the range.
-    rng = random.Random(seed)
-    bound = 3
-    while True:
-        for _ in range(64):
-            trials += 1
-            coeffs = [rng.randint(-bound, bound) for _ in homs_ab]
-            if all(c == 0 for c in coeffs):
-                continue
-            mat = _combination(a.datum, dict(enumerate(coeffs)), homs_ab)
-            if rank(mat) == a.dim:
-                w = Morphism(a, b, mat)
-                if w.is_valid():
-                    return IsoVerdict("yes", "invertible intertwiner (seeded combination)",
-                                      w, trials)
-        if 2 * bound + 1 > 2 * a.dim:
-            # each draw of this round failed with probability below 1/2
-            raise DatumError("no invertible combination of Hom(a,b) though the trace "
-                             "pairing certifies an isomorphism; inconsistent input")
-        bound *= 2
+        return _no("trace pairing of Hom(a,b) with Hom(b,a) vanishes; "
+                   "both endomorphism algebras are local, so no map is invertible" if local
+                   else f"trace pairing ranks: r(a,a) + r(b,b) = {el_a + el_b} "
+                        f"!= 2 r(a,b) = {2 * r}")
+    for how, trials, mat in _witness_candidates(a, homs_ab, seed):
+        if rank(mat) == a.dim:
+            witness = Morphism(a, b, mat)
+            if not witness.is_valid():
+                raise DatumError("isomorphism witness is not an intertwiner; inconsistent input")
+            if local:
+                how, trials = "trace pairing", 0
+            return IsoVerdict("yes", f"invertible intertwiner ({how})", witness, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +669,9 @@ def ar_sequences_for_lemma(datum: ValidatedDatum, lemma: str, max_t: int = 1,
     n = datum.n
     if weights is None:
         weights = [(l, datum.weights_in_class(l)[0]) for l in range(1, n)]
+    for l, _ in weights:
+        if not 1 <= l <= n - 1:
+            raise DatumError(f"l={l} outside 1..{n - 1}")
     out = []
     if lemma == "4.5":
         for l, lam in weights:
@@ -737,9 +731,9 @@ def match_family(m: ModuleRep, max_t: int = 4, max_s: int = 4,
     """
     if m.dim == 0:
         return "zero"
-    ends = hom_space(m, m)
-    if pairing_rank(ends, ends) != 1:
+    if end_local_dim(m) != 1:
         return None
+    ends = hom_space(m, m)
     datum = m.datum
     key = invariant_key(m)
     fams = constructors.FAMILIES
@@ -755,7 +749,7 @@ def match_family(m: ModuleRep, max_t: int = 4, max_s: int = 4,
                     if invariant_key(cand) != key:
                         continue
                     homs = hom_space(m, cand)
-                    if len(homs) == len(ends) and _local_iso(
-                            m, cand, homs, hom_space(cand, m)) is not None:
+                    if len(homs) == len(ends) and pairing_rank(
+                            homs, hom_space(cand, m)) == 1:
                         return fam.tag.format(l=l, lam=w.label(), **params)
     return None

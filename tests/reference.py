@@ -2,15 +2,17 @@
 
 The package reaches each of these results one way: ``loewy_structure`` reads
 the simples of every radical layer from the Hom solves that find the radicals,
-and ``linalg.Echelon`` is its one elimination.  The references below build the
-intermediate modules and spans that the package skips, so that tests can
-check its answers against a second, independent route.
+``linalg.Echelon`` is its one elimination, and ``is_isomorphic`` decides every
+pair by the rank of the trace pairing.  The references below build the
+intermediate modules and spans that the package skips, or scan the pairings
+one by one, so that tests can check its answers against a second,
+independent route.
 """
 
 from fractions import Fraction
 
 from doublerep import homology
-from doublerep.linalg import Echelon
+from doublerep.linalg import Echelon, frobenius_pair
 from doublerep.repmod import quotient_module
 
 
@@ -63,3 +65,18 @@ def rational_value(x):
 def action(m):
     """What identifies a module's matrices: weight tags, x and xi."""
     return m.weights, m.act_x, m.act_xi
+
+
+def local_iso_verdict(a, b):
+    """The isomorphism verdict for modules a and b whose End algebras are
+    local, by scanning pairs of basis maps: every endomorphism of a is then a
+    scalar plus a nilpotent, so the first f in the Hom(a, b) basis with
+    tr(g f) != 0 for some g in the Hom(b, a) basis is an isomorphism, and
+    there is none when every pairing vanishes."""
+    homs_ba = homology.hom_space(b, a)
+    for f in homology.hom_space(a, b):
+        if any(frobenius_pair(f, g) for g in homs_ba):
+            return homology.IsoVerdict("yes", "invertible intertwiner (trace pairing)",
+                                       homology.Morphism(a, b, f))
+    return homology.IsoVerdict("no", "trace pairing of Hom(a,b) with Hom(b,a) vanishes; "
+                               "both endomorphism algebras are local, so no map is invertible")

@@ -91,6 +91,9 @@ def test_datum_check_rejects_n_equal_1(capsys, write_json):
 @pytest.mark.parametrize("field, value", [
     ("alpha", "abc"),
     ("alpha", "1/0"),
+    # coeffs a string or dict, once iterated by characters or keys: "01" read as i
+    ("alpha", {"order": 4, "coeffs": "01"}),
+    ("alpha", {"order": 4, "coeffs": {"1": 1}}),
     ("chi", "x"),
     ("orders", 4),
     ("orders", [9.5]),
@@ -284,6 +287,17 @@ def test_module_compare(capsys, tmp_path, datum_file):
     assert code == 0 and "no" in out
 
 
+def test_zero_modules_compare_and_analyze(capsys, write_json):
+    path = write_json("zero.json", homology.zero_module(make_datum("B")).to_json())
+    code, out, _ = run(capsys, "module", "compare", path, path)
+    assert code == 0
+    assert out.splitlines() == ["verdict: yes", "reason: both modules are zero"]
+    code, out, _ = run(capsys, "module", "analyze", path)
+    assert code == 0
+    assert out.splitlines()[0] == "dim: 0"
+    assert out.splitlines()[-1] == "family: zero"
+
+
 @pytest.mark.parametrize("command, files", [("analyze", 1), ("compare", 2)])
 def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatch,
                                                   command, files):
@@ -390,6 +404,9 @@ MALFORMED_MODULE = {
     "scalar": (("matrices", "xi", 0, 0), "zz", "matrices.xi"),
     "order": (("matrices", "x", 0, 0), {"order": 0, "coeffs": []}, "matrices.x"),
     "order_bool": (("matrices", "x", 0, 0), {"order": True, "coeffs": ["1"]}, "matrices.x"),
+    # coeffs a string or dict, once iterated by characters or keys: "10" read as 1
+    "coeffs_str": (("matrices", "x", 0, 0), {"order": 4, "coeffs": "10"}, "matrices.x"),
+    "coeffs_dict": (("matrices", "x", 0, 0), {"order": 4, "coeffs": {"0": 1}}, "matrices.x"),
     # last entry of the file, after every other entry has been parsed once
     "coeff_last": (("matrices", "xi", -1, -1), {"order": 4, "coeffs": ["x", "0"]},
                    "matrices.xi"),
@@ -514,6 +531,38 @@ def test_ar_check_restricted_weight(capsys, datum_file):
     payload = json.loads(out)
     assert payload["total"] >= 1
     assert payload["ok"] == payload["total"]
+
+
+def test_ar_check_weight_class_alone(capsys, datum_file):
+    # --l without --lambda takes the first weight of the class
+    code, out, _ = run(capsys, "ar", "check", datum_file("E"), "--lemma", "4.5", "--l", "2")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[-1] == "sequences: 5/5 satisfy all almost-split conditions"
+    assert all(" l=2 lam=(0;2): " in line and line.endswith("-> ok") for line in lines[:-1])
+
+
+@pytest.mark.parametrize("lemma", ["4.5", "4.9", "4.20"])
+def test_ar_check_l_outside_regular_range_exits_2(capsys, datum_file, lemma):
+    # l = n = 3 has weights, but the sequences need 1 <= l <= n - 1
+    code, out, err = run(capsys, "ar", "check", datum_file("E"), "--lemma", lemma, "--l", "3")
+    assert (code, out, err) == (2, "", "error: l=3 outside 1..2\n")
+
+
+@pytest.mark.parametrize("file, argv, message", [
+    ("C", ("--lambda", "0;0"), "--lambda needs --l"),
+    ("C", ("--l", "1", "--lambda", "00"), "compact weight form is 'g1,g2,...;h1,h2,...'"),
+    ("C", ("--l", "1", "--lambda", "x;0"), "bad weight component 'x'"),
+    ("C", ("--l", "1", "--lambda", "0,0;0"), "weight needs 1 exponent(s) per part"),
+    ("C", ("--etas", ""), "empty eta list"),
+    (None, (), "cannot read "),
+], ids=["lambda_without_l", "no_semicolon", "bad_component", "exponent_count", "no_etas",
+        "missing_file"])
+def test_ar_check_malformed_arguments_exit_2(capsys, tmp_path, datum_file, file, argv, message):
+    path = datum_file(file) if file else str(tmp_path / "absent.json")
+    code, out, err = run(capsys, "ar", "check", path, "--lemma", "4.5", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
