@@ -91,14 +91,14 @@ def test_datum_check_rejects_n_equal_1(capsys, write_json):
 @pytest.mark.parametrize("field, value", [
     ("alpha", "abc"),
     ("alpha", "1/0"),
-    # coeffs a string or dict, once iterated by characters or keys: "01" read as i
-    ("alpha", {"order": 4, "coeffs": "01"}),
-    ("alpha", {"order": 4, "coeffs": {"1": 1}}),
     ("chi", "x"),
     ("orders", 4),
     ("orders", [9.5]),
     ("chi", [True]),
     ("a", [1.5]),
+    # coeffs a string or dict, once iterated by characters or keys: "01" read as i
+    ("alpha", {"order": 4, "coeffs": "01"}),
+    ("alpha", {"order": 4, "coeffs": {"1": 1}}),
 ])
 def test_malformed_datum_field_exits_2(capsys, write_json, field, value):
     path = write_json("malformed.json", {**DATUM_JSON["B"], field: value})
