@@ -17,6 +17,8 @@ from math import gcd, prod
 
 from .cyclo import CycScalar, q_factorial, q_number, root_of_unity
 
+MAX_GROUP_ORDER = 1000  # |G| <= 1000, so at most 10^6 weights
+
 
 class DatumError(ValueError):
     """Raised when a datum or weight fails validation."""
@@ -34,6 +36,9 @@ class FinAbGroup(namedtuple("FinAbGroup", "orders")):
     def __new__(cls, orders: tuple[int, ...]):
         if not orders or any(d < 1 for d in orders):
             raise DatumError(f"cyclic factor orders must be positive: {orders}")
+        if (size := prod(orders)) > MAX_GROUP_ORDER:
+            raise DatumError(f"group order {size} exceeds the bound |G| <= {MAX_GROUP_ORDER} "
+                             f"(at most {MAX_GROUP_ORDER ** 2} weights)")
         return tuple.__new__(cls, (orders,))
 
     @property
@@ -42,10 +47,7 @@ class FinAbGroup(namedtuple("FinAbGroup", "orders")):
 
     @property
     def size(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
+        return prod(self.orders)
 
     @property
     def exponent(self) -> int:
@@ -81,12 +83,15 @@ class FinAbGroup(namedtuple("FinAbGroup", "orders")):
         return itertools.product(*(range(d) for d in self.orders))
 
 
-def _char_value(group: FinAbGroup, exps: tuple[int, ...], g) -> CycScalar:
-    """Value at g of the character of ``group`` with exponents ``exps``
-    against the cyclic generators."""
+def _char_exp(group: FinAbGroup, exps: tuple[int, ...], g) -> int:
+    """The k mod N, the group exponent, with zeta_N^k the value at g of the
+    character of ``group`` with exponents ``exps`` against the cyclic generators."""
     n = group.exponent
-    k = sum(e * x * (n // d) for e, x, d in zip(exps, group.normalize(g), group.orders))
-    return root_of_unity(n, k % n)
+    return sum(e * x * (n // d) for e, x, d in zip(exps, group.normalize(g), group.orders)) % n
+
+
+def _char_value(group: FinAbGroup, exps: tuple[int, ...], g) -> CycScalar:
+    return root_of_unity(group.exponent, _char_exp(group, exps, g))
 
 
 class GroupChar(namedtuple("GroupChar", "group exps")):
@@ -196,24 +201,28 @@ class ValidatedDatum:
     """A validated datum with its derived constants and weight machinery.
 
     The datum memoizes what is derived from it alone (``cached``): its weight
-    list and classes, the class and character values of each weight, the
-    constants of each generator, the kernel K, and, for the constructors and
-    the homology layer, its simple modules, their End dimensions and their
-    projective covers.  Cached lists and modules are shared by every caller
-    and must not be changed.
+    list and classes, the character values of each weight, the constants of
+    each generator, and, for the constructors and the homology layer, its
+    simple modules, their End dimensions and their projective covers.  Cached
+    lists and modules are shared by every caller and must not be changed.
     """
 
     def __init__(self, group: FinAbGroup, chi: GroupChar, a: tuple[int, ...], alpha: CycScalar,
-                 kind: str, rho: CycScalar, n: int, m: int, alpha_normalized: bool):
+                 kind: str, rho_exp: int, n: int, m: int, alpha_normalized: bool):
         self.group = group
         self.chi = chi
         self.a = a
         self.alpha = alpha
         self.kind = kind
-        self.rho = rho
+        self.N = group.exponent
+        # rho = chi(a) = zeta_N^rho_exp; lambda = (g; h) has lambda(a) / lambda(chi) = zeta_N^k
+        # with k = sum_i g_i A_i - h_i X_i, where gamma_i(a) = zeta_N^A_i, chi(g_i) = zeta_N^X_i
+        self.rho_exp = rho_exp
+        self.rho = root_of_unity(self.N, rho_exp)
+        self._class_exps = tuple((_char_exp(group, g, a), _char_exp(group, chi.exps, g))
+                                 for g in group.generators())
         self.n = n
         self.m = m
-        self.N = group.exponent
         self.alpha_normalized = alpha_normalized
         # phi = chi^{-1} (x) a-hat as a weight
         self.phi_weight = Weight(group, group.inverse(chi.exps), a)
@@ -242,7 +251,7 @@ class ValidatedDatum:
         return CycScalar.rational(Fraction(v), self.N)
 
     def rho_power(self, k: int) -> CycScalar:
-        return self.rho ** (k % self.n)
+        return root_of_unity(self.N, self.rho_exp * k)
 
     # -- character values -------------------------------------------------
 
@@ -281,28 +290,29 @@ class ValidatedDatum:
             key=Weight.sort_key))
 
     def classify_weight(self, lam: Weight) -> WeightClass:
-        return self.cached(("weight class", lam), lambda: self._classify_weight(lam))
-
-    def _classify_weight(self, lam: Weight) -> WeightClass:
-        c = self.characters(lam)
-        e = c.at_a * c.at_chi.inv()  # lambda(a) / lambda(chi)
-        p = self.one()
-        for d in range(self.n):
-            if e == p:
-                if d <= self.n - 2:
-                    return WeightClass(d + 1, d, "regular")
-                return WeightClass(self.n, None, "n_boundary")
-            p = p * self.rho
-        return WeightClass(self.n, None, "n_generic")
+        # zeta_N^k = lambda(a) / lambda(chi) is a power rho^d = zeta_N^(rho_exp d) iff
+        # step = N/n = gcd(N, rho_exp) divides k, and rho_exp/step is a unit mod n
+        k = sum(g * A - h * X for g, h, (A, X) in zip(lam.gexps, lam.hexps, self._class_exps))
+        step = self.N // self.n
+        if k % step:
+            return WeightClass(self.n, None, "n_generic")
+        d = k // step * pow(self.rho_exp // step, -1, self.n) % self.n
+        if d <= self.n - 2:
+            return WeightClass(d + 1, d, "regular")
+        return WeightClass(self.n, None, "n_boundary")
 
     def weights_in_class(self, l: int) -> list[Weight]:
-        return self.cached(("weights in class", l), lambda: [
-            w for w in self.enumerate_weights() if self.classify_weight(w).l == l])
+        def build() -> dict[int, list[Weight]]:
+            classes: dict[int, list[Weight]] = {}
+            for w in self.enumerate_weights():
+                classes.setdefault(self.classify_weight(w).l, []).append(w)
+            return classes
+
+        return self.cached("classes", build).get(l, [])
 
     def kernel_K(self) -> list[Weight]:
-        # weights with lambda(a) = lambda(chi)
-        return self.cached("kernel K", lambda: [
-            w for w in self.enumerate_weights() if (c := self.characters(w)).at_a == c.at_chi])
+        # weights with lambda(a) = lambda(chi): the class d = 0
+        return self.weights_in_class(1)
 
     def simple_counts(self) -> dict[int, int]:
         counts = {l: len(self.weights_in_class(l)) for l in range(1, self.n + 1)}
@@ -415,14 +425,8 @@ def validate_datum(group: FinAbGroup, chi: GroupChar, a, alpha) -> ValidatedDatu
     else:
         alpha = CycScalar.rational(Fraction(alpha), N)
 
-    rho = chi.value(a)
-    n = 1
-    p = rho
-    while not p.is_one():
-        p = p * rho
-        n += 1
-        if n > N:
-            raise DatumError("rho is not a root of unity (impossible)")
+    rho_exp = _char_exp(group, chi.exps, a)
+    n = N // gcd(N, rho_exp)
     if n == 1:
         raise DatumError("invalid datum: rho = chi(a) = 1, so n = 1; a datum needs n >= 2")
 
@@ -453,7 +457,7 @@ def validate_datum(group: FinAbGroup, chi: GroupChar, a, alpha) -> ValidatedDatu
         m = ord_a // n
         assert m > 1, "non-nilpotent datum forces m > 1"
 
-    D = ValidatedDatum(group, chi, a, alpha, kind, rho, n, m, alpha_normalized)
+    D = ValidatedDatum(group, chi, a, alpha, kind, rho_exp, n, m, alpha_normalized)
     assert D.phi_weight.order() == m * n, \
         f"phi has order {D.phi_weight.order()}, expected m*n = {m * n}"
     return D

@@ -6,12 +6,14 @@ the simples of every radical layer from the Hom solves that find the radicals,
 pair by the rank of the trace pairing.  The references below build the
 intermediate modules and spans that the package skips, or scan the pairings
 one by one, so that tests can check its answers against a second,
-independent route.
+independent route.  The datum classes its weights in integer exponents mod N;
+the references here search for the same classes over ``CycScalar`` values.
 """
 
 from fractions import Fraction
 
 from doublerep import homology
+from doublerep.datum import WeightClass
 from doublerep.linalg import Echelon, frobenius_pair
 from doublerep.repmod import quotient_module
 
@@ -80,3 +82,36 @@ def local_iso_verdict(a, b):
                                        homology.Morphism(a, b, f))
     return homology.IsoVerdict("no", "trace pairing of Hom(a,b) with Hom(b,a) vanishes; "
                                "both endomorphism algebras are local, so no map is invertible")
+
+
+def rho_order(chi, a):
+    """n, the order of rho = chi(a), by multiplying out its powers."""
+    rho = chi.value(a)
+    n, p = 1, rho
+    while not p.is_one():
+        n, p = n + 1, p * rho
+    return n
+
+
+def weight_classes(datum):
+    """The class of each weight, in enumeration order, by comparing
+    lambda(a) / lambda(chi) with rho^d for d < n."""
+    rho, n = datum.chi.value(datum.a), rho_order(datum.chi, datum.a)
+
+    def classify(lam):
+        e = lam.value_g(datum.a) * lam.value_gamma_exps(datum.chi.exps).inv()
+        p = datum.one()
+        for d in range(n):
+            if e == p:
+                return WeightClass(d + 1, d, "regular") if d <= n - 2 \
+                    else WeightClass(n, None, "n_boundary")
+            p = p * rho
+        return WeightClass(n, None, "n_generic")
+
+    return [classify(w) for w in datum.enumerate_weights()]
+
+
+def kernel(datum):
+    """The weights with lambda(a) = lambda(chi), in enumeration order."""
+    return [w for w in datum.enumerate_weights()
+            if w.value_g(datum.a) == w.value_gamma_exps(datum.chi.exps)]

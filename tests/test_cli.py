@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from math import prod
 
 import pytest
 
@@ -117,6 +118,37 @@ def test_nonpositive_orders_exit_2(capsys, write_json, orders):
     assert out == ""
     assert err.startswith("error: cyclic factor orders must be positive")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [("datum", "check"), ("weights", "list")])
+@pytest.mark.parametrize("orders", [[1000000], [1001], [2] * 10])
+def test_group_order_bound_exits_2(capsys, write_json, command, orders):
+    # rejected before any scalar is built: at [1000000] that would not finish
+    path = write_json("big.json", {"orders": orders, "chi": [1] * len(orders),
+                                   "a": [1] * len(orders), "alpha": 0})
+    code, out, err = run(capsys, *command, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: group order {prod(orders)} exceeds the bound |G| <= 1000")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["E", "R2"])
+def test_weights_list_builds_no_scalar_per_weight(capsys, datum_file, monkeypatch, key):
+    # weights are classed by integer exponents mod N, so listing them builds rho
+    # and no root of unity per weight: the count is bounded whatever |G| is
+    rank = make_datum(key).group.rank
+    calls = []
+    build = doublerep.datum.root_of_unity
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(doublerep.datum, "root_of_unity", counted)
+    code, _, _ = run(capsys, "weights", "list", datum_file(key))
+    assert code == 0
+    assert len(calls) <= 2 * rank + 1
 
 
 def test_weights_list(capsys, datum_file):
@@ -645,9 +677,10 @@ def test_classify_budget_truncation(capsys, datum_file):
 
 @pytest.mark.parametrize("key", ["B", "E"])
 def test_classify_evaluates_each_weight_tag_once(capsys, datum_file, monkeypatch, key):
-    # every weight is classified, and the datum keeps the character values of
-    # each tag: 2 * rank + 2 of them (at the generators of G and of G-hat, at
-    # a and at chi), besides chi(a) at validation and chi(g_i), gamma_i(a)
+    # the datum keeps the character values of each weight tag: 2 * rank + 2 of
+    # them (at the generators of G and of G-hat, at a and at chi), besides the
+    # generator constants chi(g_i) and gamma_i(a); classification reads integer
+    # exponents, so only these characters and generator_constants values count
     d = make_datum(key)
     rank, weights = d.group.rank, d.group.size ** 2
     calls = []

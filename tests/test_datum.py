@@ -1,10 +1,13 @@
 """Group datum validation, weight classification, and the twist maps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublerep.datum import (NILPOTENT, NON_NILPOTENT, DatumError, FinAbGroup,
                              GroupChar, Weight, datum_from_json, validate_datum)
 
+from . import reference
 from .conftest import DATUM_JSON, INVALID_DATUM_JSON, make_datum
 
 
@@ -172,3 +175,43 @@ def test_validate_datum_direct_call():
     chi = GroupChar(g, (2,))
     d = validate_datum(g, chi, (1,), 0)
     assert d.kind == NILPOTENT and d.n == 2 and d.m == 2
+
+
+def check_classes_against_reference(d):
+    # n, the class of every weight, the classes I_l and K, against the
+    # CycScalar search of tests/reference.py
+    assert d.n == reference.rho_order(d.chi, d.a)
+    weights, classes = d.enumerate_weights(), reference.weight_classes(d)
+    assert [d.classify_weight(w) for w in weights] == classes
+    for l in range(d.n + 2):
+        assert d.weights_in_class(l) == [w for w, c in zip(weights, classes) if c.l == l]
+    assert d.kernel_K() == reference.kernel(d) == d.weights_in_class(1)
+
+
+@pytest.mark.parametrize("key", sorted(DATUM_JSON))
+def test_classes_match_cyclotomic_search(key):
+    check_classes_against_reference(make_datum(key))
+
+
+@st.composite
+def datum_fields(draw):
+    orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    element = st.tuples(*(st.integers(0, d - 1) for d in orders))
+    return orders, draw(element), draw(element), draw(st.sampled_from([0, 1, 2]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(datum_fields())
+def test_random_datum_classes_match_cyclotomic_search(fields):
+    orders, chi, a, alpha = fields
+    group = FinAbGroup(tuple(orders))
+    try:
+        d = validate_datum(group, GroupChar(group, chi), a, alpha)
+    except DatumError as exc:
+        # rejected only for rho = 1, or for alpha (a^n - 1) != 0 with chi^n != 1
+        if reference.rho_order(GroupChar(group, chi), a) == 1:
+            assert "n = 1" in str(exc)
+        else:
+            assert alpha and "chi^n != 1" in str(exc)
+        return
+    check_classes_against_reference(d)
