@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -543,9 +544,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_bounds(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except DatumError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull, so
+        # the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was complete", file=sys.stderr)
         return EXIT_INVALID
 
 

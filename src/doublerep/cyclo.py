@@ -18,11 +18,14 @@ product of its Galois conjugates sigma_k(x), z -> z^k for the units k != 1
 mod N, divided by the rational norm x * prod sigma_k(x).  The matrices of a
 module are built from a few structure constants, so the same products and
 inverses recur: both are memoized by their canonical numerators, in caches
-bounded by the one size ``MEMO_SIZE``.  Arithmetic and equality coerce mixed
-orders to the lcm before the lookup.  A scalar hashes as its normalized
-trace Tr(x)/phi(N), a rational that is the same in every field holding x and
-is x itself when x is rational, so equal scalars hash alike whatever their
-orders, and alike with an equal int or Fraction.  No floating point anywhere.
+bounded by the one size ``MEMO_SIZE``.
+
+Every operation works in one field: arithmetic and equality take two scalars
+of one order.  A scalar of another order raises ValueError, and an operand of
+another type is not a scalar (``x + 1`` raises TypeError, ``x == 1`` is
+False).  Values are brought to the datum's order where they are read, with
+``to_order``, so a scalar hashes as its order and canonical form.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -90,17 +93,6 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
 def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """_power_rows(n) with each row kept as its nonzero (column, value) pairs."""
     return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in _power_rows(n))
-
-
-@lru_cache(maxsize=None)
-def _unit_traces(n: int) -> tuple[Fraction, ...]:
-    """Tr(z^k) / phi(n) for 0 <= k < phi(n): mu(d) / phi(d), where z^k has
-    order d = n / gcd(n, k) and mu(d) = -Phi_d[phi(d) - 1]."""
-    out = []
-    for k in range(euler_phi(n)):
-        d = n // gcd(n, k)
-        out.append(Fraction(-cyclotomic_poly(d)[-2], euler_phi(d)))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -248,63 +240,37 @@ class CycScalar:
             raise ValueError(f"cannot embed order {self.order} into order {n}")
         return _canon(n, _substitute(n, self.num, n // self.order), self.den)
 
-    @staticmethod
-    def _common(a: CycScalar, b: CycScalar) -> tuple[CycScalar, CycScalar]:
-        if a.order == b.order:
-            return a, b
-        n = a.order * b.order // gcd(a.order, b.order)
-        return a.to_order(n), b.to_order(n)
-
-    @staticmethod
-    def _co(x) -> CycScalar | None:
-        if isinstance(x, CycScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycScalar.rational(x)
-        return None
+    def _foreign(self, o) -> bool:
+        """True for an o that is no scalar (NotImplemented); raises for another order."""
+        if type(o) is CycScalar and o.order != self.order:
+            raise ValueError(f"scalars of orders {self.order} and {o.order} do not share a field")
+        return type(o) is not CycScalar
 
     # -- arithmetic ----------------------------------------------------
 
-    def _add(self, o: CycScalar, sign: int) -> CycScalar:
+    def _add(self, o, sign: int) -> CycScalar:
         """self + sign * o, for sign = 1 or -1."""
-        a, b = (self, o) if self.order == o.order else CycScalar._common(self, o)
-        da, db = a.den, b.den
+        if (type(o) is not CycScalar or o.order != self.order) and self._foreign(o):
+            return NotImplemented
+        da, db = self.den, o.den
         if da == db:
-            return _canon(a.order, [x + sign * y for x, y in zip(a.num, b.num)], da)
+            return _canon(self.order, [x + sign * y for x, y in zip(self.num, o.num)], da)
         mb = sign * da
-        return _canon(a.order, [x * db + y * mb for x, y in zip(a.num, b.num)], da * db)
+        return _canon(self.order, [x * db + y * mb for x, y in zip(self.num, o.num)], da * db)
 
     def __add__(self, other) -> CycScalar:
-        o = other if type(other) is CycScalar else CycScalar._co(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o, 1)
-
-    __radd__ = __add__
+        return self._add(other, 1)
 
     def __neg__(self) -> CycScalar:
         return _make(self.order, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other) -> CycScalar:
-        o = other if type(other) is CycScalar else CycScalar._co(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o, -1)
+        return self._add(other, -1)
 
-    def __rsub__(self, other) -> CycScalar:
-        o = CycScalar._co(other)
-        if o is None:
+    def __mul__(self, o) -> CycScalar:
+        if (type(o) is not CycScalar or o.order != self.order) and self._foreign(o):
             return NotImplemented
-        return o._add(self, -1)
-
-    def __mul__(self, other) -> CycScalar:
-        o = other if type(other) is CycScalar else CycScalar._co(other)
-        if o is None:
-            return NotImplemented
-        a, b = (self, o) if self.order == o.order else CycScalar._common(self, o)
-        return _product(a.order, a.num, a.den, b.num, b.den)
-
-    __rmul__ = __mul__
+        return _product(self.order, self.num, self.den, o.num, o.den)
 
     def inv(self) -> CycScalar:
         num, den, n = self.num, self.den, self.order
@@ -316,17 +282,10 @@ class CycScalar:
         conj, r = _inverse(n, num)
         return _canon(n, [den * v for v in conj], r)
 
-    def __truediv__(self, other) -> CycScalar:
-        o = CycScalar._co(other)
-        if o is None:
+    def __truediv__(self, o) -> CycScalar:
+        if self._foreign(o):
             return NotImplemented
         return self * o.inv()
-
-    def __rtruediv__(self, other) -> CycScalar:
-        o = CycScalar._co(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
 
     def __pow__(self, k: int) -> CycScalar:
         if not isinstance(k, int):
@@ -344,22 +303,13 @@ class CycScalar:
 
     # -- equality, hashing ------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        o = other if type(other) is CycScalar else CycScalar._co(other)
-        if o is None:
+    def __eq__(self, o) -> bool:
+        if (type(o) is not CycScalar or o.order != self.order) and self._foreign(o):
             return NotImplemented
-        a, b = (self, o) if self.order == o.order else CycScalar._common(self, o)
-        return a.den == b.den and a.num == b.num
-
-    def __ne__(self, other) -> bool:
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self) -> int:
-        # Tr(x) / phi(order) does not depend on the field x is written in, and
-        # it is x itself for a rational x, so it hashes like the int or Fraction
-        return hash(Fraction(sum(c * t for c, t in zip(self.num, _unit_traces(self.order))),
-                             self.den))
+        return hash((self.order, self.num, self.den))
 
     # -- presentation ---------------------------------------------------
 

@@ -246,9 +246,11 @@ class ValidatedDatum:
         return CycScalar.one(self.N)
 
     def scalar(self, v) -> CycScalar:
-        if isinstance(v, CycScalar):
-            return v.to_order(self.N) if self.N % v.order == 0 else v
-        return CycScalar.rational(Fraction(v), self.N)
+        if not isinstance(v, CycScalar):
+            return CycScalar.rational(Fraction(v), self.N)
+        if self.N % v.order:
+            raise DatumError(f"scalar of order {v.order} does not lie in Q(zeta_{self.N})")
+        return v.to_order(self.N)
 
     def rho_power(self, k: int) -> CycScalar:
         return root_of_unity(self.N, self.rho_exp * k)
@@ -284,9 +286,10 @@ class ValidatedDatum:
     # -- weights ----------------------------------------------------------
 
     def enumerate_weights(self) -> list[Weight]:
-        elements = self.group.elements
+        # elements() yields reduced tuples, so no weight needs Weight.__new__'s normalize
+        group, elements = self.group, self.group.elements
         return self.cached("weights", lambda: sorted(
-            (Weight(self.group, g, h) for g in elements() for h in elements()),
+            (tuple.__new__(Weight, (group, g, h)) for g in elements() for h in elements()),
             key=Weight.sort_key))
 
     def classify_weight(self, lam: Weight) -> WeightClass:

@@ -108,12 +108,9 @@ def _solve_homs(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
 # endomorphism algebra and indecomposability
 
 
-def pairing_rank(fs: list[Mat], gs: list[Mat]) -> int:
-    """Rank of the matrix of traces tr(f g), f in fs, g in gs; 0 when either
-    list is empty.  When gs is fs the matrix is symmetric and each trace is
-    taken once."""
-    if not fs or not gs:
-        return 0
+def _trace_gram(fs: list[Mat], gs: list[Mat]) -> Mat:
+    """The matrix of traces tr(f g), f in fs, g in gs, for nonempty lists.
+    When gs is fs it is symmetric and each trace is taken once."""
     sym = gs is fs
     t = [{} for _ in fs]
     for i, f in enumerate(fs):
@@ -123,7 +120,22 @@ def pairing_rank(fs: list[Mat], gs: list[Mat]) -> int:
                 t[i][j] = v
                 if sym:
                     t[j][i] = v
-    return rank(Mat(fs[0].order, t, len(gs)))
+    return Mat(fs[0].order, t, len(gs))
+
+
+def pairing_rank(fs: list[Mat], gs: list[Mat]) -> int:
+    """Rank of the matrix of traces tr(f g), f in fs, g in gs; 0 when either
+    list is empty."""
+    return rank(_trace_gram(fs, gs)) if fs and gs else 0
+
+
+def end_radical(m: ModuleRep) -> list[Mat]:
+    """A basis of rad End(M).  In characteristic zero it is the radical of
+    the trace form, so the nullspace of End(M)'s trace Gram matrix."""
+    ends = hom_space(m, m)
+    if not ends:
+        return []
+    return [_combination(m.datum, v, ends) for v in nullspace(_trace_gram(ends, ends))]
 
 
 def end_local_dim(m: ModuleRep) -> int:
@@ -505,9 +517,10 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
 
 class SesReport(namedtuple("SesReport", "maps_ok f_injective g_surjective composite_zero "
                            "dims_match split section left_end_local right_end_local "
-                           "translate_verdict", defaults=(None,) * 5)):
+                           "translate_verdict radical_factors", defaults=(None,) * 6)):
     """Exactness facts of a sequence; ``ses_check`` adds ``split`` (and a
-    ``section``) for exact ones, ``ar_candidate_check`` the AR conditions."""
+    ``section``) for exact ones, ``ar_candidate_check`` the AR conditions.
+    ``radical_factors``: every radical endomorphism of C factors through g."""
 
     __slots__ = ()
 
@@ -520,7 +533,7 @@ class SesReport(namedtuple("SesReport", "maps_ok f_injective g_surjective compos
     def ar_ok(self) -> bool:
         return (self.exact and self.split is False
                 and self.left_end_local == 1 and self.right_end_local == 1
-                and self.translate_verdict == "yes")
+                and self.radical_factors is True and self.translate_verdict == "yes")
 
     def to_json(self) -> dict:
         out = {
@@ -539,6 +552,7 @@ class SesReport(namedtuple("SesReport", "maps_ok f_injective g_surjective compos
             out["left_end_local"] = self.left_end_local
             out["right_end_local"] = self.right_end_local
             out["translate_left_is_omega2_right"] = self.translate_verdict
+            out["radical_factors_through_g"] = self.radical_factors
             out["ar_ok"] = self.ar_ok
         return out
 
@@ -561,8 +575,10 @@ def _combination(datum: ValidatedDatum, coeffs: dict, mats: list[Mat]) -> Mat | 
     return mat
 
 
-def ses_check(f: Morphism, g: Morphism) -> SesReport:
-    """Exactness and splitness of 0 -> A -f-> B -g-> C -> 0."""
+def ses_check(f: Morphism, g: Morphism, radical: list[Mat] | None = None) -> SesReport:
+    """Exactness and splitness of 0 -> A -f-> B -g-> C -> 0.  Given a basis
+    ``radical`` of rad End(C), an exact sequence also reports whether each of
+    its maps is g h for some h in Hom(C, B), solved like the section."""
     if f.target.dim != g.source.dim:
         raise DatumError("morphisms are not composable")
     require_same_datum(f.source, g.target)
@@ -577,21 +593,27 @@ def ses_check(f: Morphism, g: Morphism) -> SesReport:
         return rep
     homs_cb = hom_space(c, b)
     if not homs_cb:
-        return rep._replace(split=c.dim == 0)
+        # only the zero map factors through g
+        return rep._replace(split=c.dim == 0, radical_factors=None if radical is None else not radical)
     datum = a.datum
     sys = _flattened(datum.N, [g.matrix * h for h in homs_cb])
     sol = solve_right(sys, _flattened(datum.N, [Mat.identity(datum.N, c.dim)]))
     # a section s has g s = 1 on C != 0, so it is not zero
     section = None if sol is None else Morphism(
         c, b, _combination(datum, sol.cols()[0], homs_cb))
-    return rep._replace(split=sol is not None, section=section)
+    split = sol is not None
+    factors = None if radical is None else (
+        split or not radical or solve_right(sys, _flattened(datum.N, radical)) is not None)
+    return rep._replace(split=split, section=section, radical_factors=factors)
 
 
 def ar_candidate_check(f: Morphism, g: Morphism, seed: int = 0) -> SesReport:
-    """ses_check plus the almost-split necessary conditions: non-split,
-    absolutely indecomposable ends, and left end isomorphic to Omega^2 of
-    the right end (the translate for a symmetric algebra)."""
-    rep = ses_check(f, g)
+    """ses_check plus the almost-split conditions: non-split, absolutely
+    indecomposable ends, left end isomorphic to Omega^2 of the right end (the
+    translate for a symmetric algebra), and every radical endomorphism of the
+    right end factoring through g.  Together they certify that the sequence
+    is almost split (Auslander, Reiten and Smalo, Ch. V)."""
+    rep = ses_check(f, g, end_radical(g.target))
     if not rep.exact:
         return rep
     return rep._replace(left_end_local=end_local_dim(f.source),

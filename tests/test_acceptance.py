@@ -326,6 +326,8 @@ def test_criterion_07_ar_sequences():
                     failures.append(f"{key} {lemma} {name}: ends not local")
                 if rep.translate_verdict != "yes":
                     failures.append(f"{key} {lemma} {name}: left != Omega^2(right)")
+                if rep.radical_factors is not True:
+                    failures.append(f"{key} {lemma} {name}: rad End(C) does not factor through g")
     record(7, "almost-split sequences", failures, t0, count)
 
 

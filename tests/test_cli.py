@@ -133,6 +133,24 @@ def test_group_order_bound_exits_2(capsys, write_json, command, orders):
     assert err.count("\n") == 1
 
 
+def test_closed_stdout_prints_one_error_line(write_json):
+    # the reader stops after 300 bytes of a 350 kB listing, well past what the
+    # pipe buffers, so the command writes into a closed pipe
+    path = write_json("n200.json", {"orders": [200], "chi": [1], "a": [1], "alpha": 0})
+    src = str(pathlib.Path(doublerep.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import doublerep.cli; "
+            f"sys.exit(doublerep.cli.main(['weights', 'list', {str(path)!r}]))")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(300)) == 300
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err == "error: stdout was closed before the output was complete\n"
+
+
 @pytest.mark.parametrize("key", ["E", "R2"])
 def test_weights_list_builds_no_scalar_per_weight(capsys, datum_file, monkeypatch, key):
     # weights are classed by integer exponents mod N, so listing them builds rho

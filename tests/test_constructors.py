@@ -11,7 +11,7 @@ import pytest
 from doublerep.constructors import (FAMILIES, EtaParam, _put, band, build_family,
                                     projective, simple, t1, t1bar, t_chain,
                                     t_chain_bar, verma, w1, w_band)
-from doublerep.cyclo import q_factorial
+from doublerep.cyclo import q_factorial, root_of_unity
 from doublerep.datum import NON_NILPOTENT, DatumError
 from doublerep.linalg import Mat, rank
 from doublerep.repmod import ModuleRep, intertwines, quotient_module, spin_submodule
@@ -63,6 +63,14 @@ def test_eta_domain_errors():
         w_band(b, 1, lam_b, 1)  # m > 1 has no W family
     assert w_band(a, 1, lam_a, "inf").verify_relations().ok
     assert w_band(a, 1, lam_a, 0).verify_relations().ok
+
+
+def test_eta_outside_the_datum_field_is_a_datum_error(datum_c):
+    # zeta_5 does not lie in Q(zeta_4): rejected where the datum reads it
+    lam = first_weight(datum_c, 1)
+    with pytest.raises(DatumError, match=r"^scalar of order 5 does not lie in Q\(zeta_4\)$"):
+        band(datum_c, 1, lam, root_of_unity(5))
+    assert band(datum_c, 1, lam, root_of_unity(4)).verify_relations().ok
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +149,11 @@ def test_simple_top_entry_non_nilpotent_case(datum_c):
     assert lam is not None
     std = simple(datum_c, 2, lam, "standard")
     beta = datum_c.beta_coeff(2, lam)
-    expected = (i_val * i_val - 1) * beta.inv()
+    expected = (i_val * i_val - datum_c.one()) * beta.inv()
     assert std.act_x[0, 1] == expected
     assert not expected.is_zero()
     nat = simple(datum_c, 2, lam)
-    assert nat.act_x[0, 1] == i_val * i_val - 1
+    assert nat.act_x[0, 1] == i_val * i_val - datum_c.one()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact cyclotomic scalar arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,12 @@ def test_cyclotomic_polynomials():
 
 def test_root_of_unity_powers():
     i = root_of_unity(4)
-    assert i * i == CycScalar.rational(-1)
+    assert i * i == CycScalar.rational(-1, 4)
     assert i ** 4 == CycScalar.one(4)
     assert i ** -1 == i ** 3
     z3 = root_of_unity(9, 3)  # a primitive cube root inside Q(zeta_9)
     assert z3 ** 3 == CycScalar.one(9)
-    assert z3 * z3 + z3 + 1 == CycScalar.zero(9)
+    assert z3 * z3 + z3 + CycScalar.one(9) == CycScalar.zero(9)
 
 
 def test_rational_detection_and_descent():
@@ -35,17 +36,17 @@ def test_rational_detection_and_descent():
     sq = i * i
     assert rational_value(sq) == Fraction(-1)
     assert rational_value(i) is None
-    # equality across ambient orders
-    assert CycScalar.one(2) == CycScalar.one(4)
-    assert CycScalar.rational(Fraction(3, 2), 4) == CycScalar.rational(Fraction(3, 2), 2)
+    # a rational keeps its value in a larger ambient order
+    assert CycScalar.one(2).to_order(4) == CycScalar.one(4)
+    assert CycScalar.rational(Fraction(3, 2), 4) == CycScalar.rational(Fraction(3, 2), 2).to_order(4)
 
 
 def test_field_operations():
     i = root_of_unity(4)
-    x = 1 + i  # int promotion on the left
+    x = CycScalar.one(4) + i
     assert x - i == CycScalar.one(4)
     assert (-x) + x == CycScalar.zero(4)
-    assert x * x == 2 * i
+    assert x * x == CycScalar.rational(2, 4) * i
     assert x / x == CycScalar.one(4)
     inv = x.inv()
     assert x * inv == CycScalar.one(4)
@@ -54,27 +55,43 @@ def test_field_operations():
     assert bool(i) and not bool(CycScalar.zero(4))
 
 
-def test_mixed_order_arithmetic():
+def test_mixed_orders_raise_value_error():
     z9 = root_of_unity(9)
     m1 = root_of_unity(2)  # -1 in Q(zeta_2)
-    prod = z9 * m1
-    assert prod == -z9
-    assert prod.to_order(18) == (-z9).to_order(18)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq,
+               operator.ne):
+        for x, y in ((z9, m1), (m1, z9)):
+            with pytest.raises(ValueError, match="orders (9 and 2|2 and 9) do not share a field"):
+                op(x, y)
+    # brought to one order first, the product is defined
+    assert z9.to_order(18) * m1.to_order(18) == (-z9).to_order(18)
+
+
+def test_int_operand_raises_type_error():
+    i = root_of_unity(4)
+    for plain in (1, Fraction(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for x, y in ((i, plain), (plain, i)):
+                with pytest.raises(TypeError):
+                    op(x, y)
+        assert i != plain and plain != i and not i == plain
 
 
 def test_q_numbers():
     i = root_of_unity(4)
     assert q_number(1, i) == CycScalar.one(4)
-    assert q_number(2, i) == 1 + i
+    assert q_number(2, i) == CycScalar.one(4) + i
     assert q_number(4, i) == CycScalar.zero(4)
-    assert q_factorial(2, i) == 1 + i
-    assert q_factorial(3, i) == (1 + i) * (1 + i + i * i)
+    one = CycScalar.one(4)
+    assert q_factorial(2, i) == one + i
+    assert q_factorial(3, i) == (one + i) * (one + i + i * i)
 
 
 def test_hash_and_json_round_trip():
     i = root_of_unity(4)
-    x = (1 + i) / 3
-    assert hash(x) == hash((1 + i) / 3)
+    one, three = CycScalar.one(4), CycScalar.rational(3, 4)
+    x = (one + i) / three
+    assert hash(x) == hash((one + i) / three)
     back = CycScalar.from_json(x.to_json())
     assert back == x
     assert str(x)  # printable

@@ -10,7 +10,7 @@ from doublerep.constructors import (band, projective, simple, t1, t1bar,
                                     t_chain, t_chain_bar, verma, w_band)
 from doublerep.cyclo import CycScalar
 from doublerep.datum import DatumError
-from doublerep.linalg import Echelon, Mat, hstack, rank, solve_right, vstack
+from doublerep.linalg import Echelon, Mat, frobenius_pair, hstack, rank, solve_right, vstack
 from doublerep.repmod import direct_sum, intertwines, quotient_module, spin_submodule
 
 from .conftest import first_weight, make_datum
@@ -561,6 +561,41 @@ def test_ar_sequences(lemma, datum_key, max_t):
         _, f, g = found
         report = homology.ar_candidate_check(f, g)
         assert report.ar_ok, f"{name}: {report.to_json()}"
+        assert report.radical_factors is True
+
+
+def test_end_radical_is_the_trace_form_radical(datum_c):
+    lam = first_weight(datum_c, 1)
+    for m in (simple(datum_c, 1, lam), projective(datum_c, 1, lam), band(datum_c, 1, lam, 1, 3)):
+        ends = homology.hom_space(m, m)
+        rad = homology.end_radical(m)
+        assert len(rad) == len(ends) - homology.end_local_dim(m)
+        if rad:
+            assert rank(homology._flattened(datum_c.N, rad)) == len(rad)
+        for r in rad:
+            assert intertwines(r, m, m)
+            assert all(not frobenius_pair(r, e) for e in ends)
+            power = r
+            for _ in range(m.dim - 1):
+                power = power * r
+            assert power.is_zero()
+
+
+def test_ar_check_requires_the_radical_to_factor_through_g(datum_c):
+    # over C, M_2 -> M_4 -> M_2 is exact, non-split, with local ends and
+    # M_2 = Omega^2 M_2, yet not almost split: the almost-split sequence that
+    # ends in M_2 has middle term M_1 (+) M_3
+    lam = first_weight(datum_c, 1)
+    m = {t: band(datum_c, 1, lam, 1, t) for t in (1, 2, 3, 4)}
+    for mids, almost_split in (([m[4]], False), ([m[1], m[3]], True)):
+        _, f, g = homology.ses_candidate(m[2], mids, m[2])
+        report = homology.ar_candidate_check(f, g)
+        assert report.exact and report.split is False
+        assert (report.left_end_local, report.right_end_local, report.translate_verdict) == (
+            1, 1, "yes")
+        assert report.radical_factors is almost_split
+        assert report.ar_ok is almost_split
+        assert report.to_json()["radical_factors_through_g"] is almost_split
 
 
 def test_ar_lemma_kind_guards(datum_a, datum_b):

@@ -248,7 +248,8 @@ def scalars(order):
     """Nonzero a*z^i + b*z^j with small rational a, b: roots of unity and
     their multiples, and sums of two of them."""
     root = st.integers(0, order - 1).map(lambda k: root_of_unity(order, k))
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(
+        lambda a: CycScalar.rational(a, order))
     return st.builds(lambda a, x, b, y: x * a + y * b, coeff, root, coeff, root).filter(bool)
 
 
