@@ -250,7 +250,7 @@ class CycScalar:
 
     def _add(self, o, sign: int) -> CycScalar:
         """self + sign * o, for sign = 1 or -1."""
-        if (type(o) is not CycScalar or o.order != self.order) and self._foreign(o):
+        if self._foreign(o):
             return NotImplemented
         da, db = self.den, o.den
         if da == db:
@@ -268,7 +268,7 @@ class CycScalar:
         return self._add(other, -1)
 
     def __mul__(self, o) -> CycScalar:
-        if (type(o) is not CycScalar or o.order != self.order) and self._foreign(o):
+        if self._foreign(o):
             return NotImplemented
         return _product(self.order, self.num, self.den, o.num, o.den)
 
@@ -304,7 +304,7 @@ class CycScalar:
     # -- equality, hashing ------------------------------------------------
 
     def __eq__(self, o) -> bool:
-        if (type(o) is not CycScalar or o.order != self.order) and self._foreign(o):
+        if self._foreign(o):
             return NotImplemented
         return self.den == o.den and self.num == o.num
 

@@ -519,8 +519,8 @@ class SesReport(namedtuple("SesReport", "maps_ok f_injective g_surjective compos
                            "dims_match split section left_end_local right_end_local "
                            "translate_verdict radical_factors", defaults=(None,) * 6)):
     """Exactness facts of a sequence; ``ses_check`` adds ``split`` (and a
-    ``section``) for exact ones, ``ar_candidate_check`` the AR conditions.
-    ``radical_factors``: every radical endomorphism of C factors through g."""
+    ``section``) and ``radical_factors`` for exact ones,
+    ``ar_candidate_check`` the other AR conditions."""
 
     __slots__ = ()
 
@@ -575,10 +575,10 @@ def _combination(datum: ValidatedDatum, coeffs: dict, mats: list[Mat]) -> Mat | 
     return mat
 
 
-def ses_check(f: Morphism, g: Morphism, radical: list[Mat] | None = None) -> SesReport:
-    """Exactness and splitness of 0 -> A -f-> B -g-> C -> 0.  Given a basis
-    ``radical`` of rad End(C), an exact sequence also reports whether each of
-    its maps is g h for some h in Hom(C, B), solved like the section."""
+def ses_check(f: Morphism, g: Morphism) -> SesReport:
+    """Exactness and splitness of 0 -> A -f-> B -g-> C -> 0.  An exact
+    sequence also reports whether every radical endomorphism r of C factors
+    as r = g h through some h in Hom(C, B), solved like the section."""
     if f.target.dim != g.source.dim:
         raise DatumError("morphisms are not composable")
     require_same_datum(f.source, g.target)
@@ -591,10 +591,11 @@ def ses_check(f: Morphism, g: Morphism, radical: list[Mat] | None = None) -> Ses
     rep = SesReport(maps_ok, f_inj, g_sur, comp0, dims)
     if not rep.exact:
         return rep
+    radical = end_radical(c)
     homs_cb = hom_space(c, b)
     if not homs_cb:
         # only the zero map factors through g
-        return rep._replace(split=c.dim == 0, radical_factors=None if radical is None else not radical)
+        return rep._replace(split=c.dim == 0, radical_factors=not radical)
     datum = a.datum
     sys = _flattened(datum.N, [g.matrix * h for h in homs_cb])
     sol = solve_right(sys, _flattened(datum.N, [Mat.identity(datum.N, c.dim)]))
@@ -602,18 +603,17 @@ def ses_check(f: Morphism, g: Morphism, radical: list[Mat] | None = None) -> Ses
     section = None if sol is None else Morphism(
         c, b, _combination(datum, sol.cols()[0], homs_cb))
     split = sol is not None
-    factors = None if radical is None else (
-        split or not radical or solve_right(sys, _flattened(datum.N, radical)) is not None)
+    factors = split or not radical or solve_right(sys, _flattened(datum.N, radical)) is not None
     return rep._replace(split=split, section=section, radical_factors=factors)
 
 
 def ar_candidate_check(f: Morphism, g: Morphism, seed: int = 0) -> SesReport:
-    """ses_check plus the almost-split conditions: non-split, absolutely
-    indecomposable ends, left end isomorphic to Omega^2 of the right end (the
-    translate for a symmetric algebra), and every radical endomorphism of the
-    right end factoring through g.  Together they certify that the sequence
-    is almost split (Auslander, Reiten and Smalo, Ch. V)."""
-    rep = ses_check(f, g, end_radical(g.target))
+    """ses_check plus the other almost-split conditions: absolutely
+    indecomposable ends and left end isomorphic to Omega^2 of the right end
+    (the translate for a symmetric algebra).  With a non-split sequence whose
+    radical endomorphisms of C factor through g, they certify that it is
+    almost split (Auslander, Reiten and Smalo, Ch. V)."""
+    rep = ses_check(f, g)
     if not rep.exact:
         return rep
     return rep._replace(left_end_local=end_local_dim(f.source),
