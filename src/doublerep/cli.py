@@ -292,10 +292,12 @@ def cmd_ar_check(args) -> int:
             lines.append(f"{e['sequence']}: FAILED to realize maps")
         else:
             status = "ok" if e.get("ar_ok") else "FAILED"
+            factors = " radical_factors=no" if e.get("radical_factors_through_g") is False else ""
             lines.append(f"{e['sequence']}: dims {e['dims']} "
                          f"exact={e['exact']} split={e.get('split')} "
                          f"ends_local=({e.get('left_end_local')},{e.get('right_end_local')}) "
-                         f"translate={e.get('translate_left_is_omega2_right')} -> {status}")
+                         f"translate={e.get('translate_left_is_omega2_right')}{factors}"
+                         f" -> {status}")
     lines.append(f"sequences: {payload['ok']}/{payload['total']} satisfy all "
                  "almost-split conditions")
     print(f"ar check wall time: {time.monotonic() - t0:.2f}s", file=sys.stderr)

@@ -16,9 +16,11 @@ back with the power-basis rows of z^k (reduction modulo the N-th cyclotomic
 polynomial), followed by one gcd.  The inverse of an irrational x is the
 product of its Galois conjugates sigma_k(x), z -> z^k for the units k != 1
 mod N, divided by the rational norm x * prod sigma_k(x).  The matrices of a
-module are built from a few structure constants, so the same products and
-inverses recur: both are memoized by their canonical numerators, in caches
-bounded by the one size ``MEMO_SIZE``.
+module are built from a few structure constants, so the same values recur:
+every sum, difference, negation, product and inverse is one lookup in a memo
+keyed by the canonical forms of its operands, each bounded by the one size
+``MEMO_SIZE``.  A hit returns the scalar built on the miss, so a recurring
+value is one shared object.
 
 Every operation works in one field: arithmetic and equality take two scalars
 of one order.  A scalar of another order raises ValueError, and an operand of
@@ -148,10 +150,26 @@ def _canon(order: int, num: list[int], den: int) -> CycScalar:
     return _make(order, tuple(num), den)
 
 
-# Entries kept by each of the product and inverse memos.  Keys are canonical
-# forms at one order, so equal values always hit; the bound keeps memory flat
-# when coefficients grow.
+# Entries kept by each of the scalar memos.  Keys are canonical forms at one
+# order, so equal values always hit; the bound keeps memory flat when
+# coefficients grow.
 MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _sum(n: int, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int,
+         sign: int) -> CycScalar:
+    """The scalar a/da + sign * b/db of Q(zeta_n), for sign = 1 or -1."""
+    if da == db:
+        return _canon(n, [x + sign * y for x, y in zip(a, b)], da)
+    mb = sign * da
+    return _canon(n, [x * db + y * mb for x, y in zip(a, b)], da * db)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _negate(n: int, num: tuple[int, ...], den: int) -> CycScalar:
+    """The scalar -num/den of Q(zeta_n); negation keeps the form canonical."""
+    return _make(n, tuple([-c for c in num]), den)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -161,21 +179,23 @@ def _product(n: int, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _inverse(n: int, num: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(conj, r) with num * conj = r > 0 in Q(zeta_n), for an irrational num:
-    conj is the product of the Galois conjugates of num, negated when the norm is
-    negative."""
+def _inverse(n: int, num: tuple[int, ...], den: int) -> CycScalar:
+    """The scalar den/num of Q(zeta_n), for a nonzero num.  An irrational num
+    times conj, the product of its Galois conjugates, is its norm: a nonzero
+    rational integer r, so den/num = den * conj / r."""
+    c = num[0]
+    if not any(num[1:]):
+        return _make(n, (den if c > 0 else -den,) + num[1:], abs(c))
     units = _units(n)
     conj = _substitute(n, num, units[0])
     for k in units[1:]:
         conj = _mul_num(n, conj, _substitute(n, num, k))
-    # num * conj is the norm of num: a nonzero rational integer
     norm = _mul_num(n, num, conj)
     assert not any(norm[1:]), "norm is not rational"
     r = norm[0]
     if r < 0:
-        return tuple([-v for v in conj]), -r
-    return tuple(conj), r
+        den, r = -den, -r
+    return _canon(n, [den * v for v in conj], r)
 
 
 class CycScalar:
@@ -252,17 +272,13 @@ class CycScalar:
         """self + sign * o, for sign = 1 or -1."""
         if self._foreign(o):
             return NotImplemented
-        da, db = self.den, o.den
-        if da == db:
-            return _canon(self.order, [x + sign * y for x, y in zip(self.num, o.num)], da)
-        mb = sign * da
-        return _canon(self.order, [x * db + y * mb for x, y in zip(self.num, o.num)], da * db)
+        return _sum(self.order, self.num, self.den, o.num, o.den, sign)
 
     def __add__(self, other) -> CycScalar:
         return self._add(other, 1)
 
     def __neg__(self) -> CycScalar:
-        return _make(self.order, tuple([-c for c in self.num]), self.den)
+        return _negate(self.order, self.num, self.den)
 
     def __sub__(self, other) -> CycScalar:
         return self._add(other, -1)
@@ -273,14 +289,9 @@ class CycScalar:
         return _product(self.order, self.num, self.den, o.num, o.den)
 
     def inv(self) -> CycScalar:
-        num, den, n = self.num, self.den, self.order
-        if not any(num):
+        if not any(self.num):
             raise ZeroDivisionError("division by zero scalar")
-        c = num[0]
-        if not any(num[1:]):
-            return _make(n, (den if c > 0 else -den,) + num[1:], abs(c))
-        conj, r = _inverse(n, num)
-        return _canon(n, [den * v for v in conj], r)
+        return _inverse(self.order, self.num, self.den)
 
     def __truediv__(self, o) -> CycScalar:
         if self._foreign(o):

@@ -427,7 +427,8 @@ def _no(reason: str) -> IsoVerdict:
 def invariant_key(mod: ModuleRep) -> tuple:
     """Invariants compared before a Hom solve: modules with different keys
     are not isomorphic."""
-    return (mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel()))
+    return mod.cached("invariant key", lambda: (
+        mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel())))
 
 
 def _witness_candidates(a: ModuleRep, homs_ab: tuple[Mat, ...], seed: int):
@@ -721,17 +722,28 @@ def ar_sequences_for_lemma(datum: ValidatedDatum, lemma: str, max_t: int = 1,
     fam = constructors.FAMILIES[letter]
     if not fam.on_m(datum.m):
         raise DatumError(guard)
+    # each member is built once: with tau-shift 0 the ends are one module, and
+    # a sequence's right end is the next one's middle term, so End(C) and its
+    # Hom solves are shared through the module's own memos
+    members = {}
+
+    def member(l, lam, t, kw):
+        key = (l, lam, t, tuple(kw.items()))
+        if key not in members:
+            members[key] = fam.build(datum, l, lam, t=t, **kw)
+        return members[key]
+
     for l, lam in weights:
         c_lam = datum.tau(lam, shift)
         for kw in ([{"eta": constructors.EtaParam.of(e)} for e in etas]
                    if "eta" in fam.params else [{}]):
             on = "".join(f" eta={ep}" for ep in kw.values())
             for t in range(1, max_t + 1):
-                mids = [fam.build(datum, l, c_lam, t=t - 1, **kw)] if t > 1 else []
+                mids = [member(l, c_lam, t - 1, kw)] if t > 1 else []
                 out.append((f"{item} t={t}{on} l={l} lam={lam.label()}",
-                            fam.build(datum, l, lam, t=t, **kw),
-                            mids + [fam.build(datum, l, lam, t=t + 1, **kw)],
-                            fam.build(datum, l, c_lam, t=t, **kw)))
+                            member(l, lam, t, kw),
+                            mids + [member(l, lam, t + 1, kw)],
+                            member(l, c_lam, t, kw)))
     return out
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import doublerep
 from doublerep import cli, homology
-from doublerep.constructors import projective, simple
+from doublerep.constructors import band, projective, simple
 from doublerep.linalg import Mat
 from doublerep.repmod import ModuleRep, direct_sum
 
@@ -558,6 +558,25 @@ def test_ar_check_reports_unrealized_sequences(capsys, datum_file, monkeypatch):
     assert all(line.endswith(": FAILED to realize maps") for line in lines[:-1])
     assert lines[-1] == (f"sequences: 0/{len(lines) - 1} satisfy all "
                          "almost-split conditions")
+
+
+def test_ar_check_names_a_failed_radical_factoring(capsys, datum_file, monkeypatch):
+    # over C, M_2 -> M_4 -> M_2 fails only the radical factoring (see
+    # test_ar_check_requires_the_radical_to_factor_through_g); its line names
+    # that, and the line of the almost-split M_2 -> M_1 (+) M_3 -> M_2 does not
+    datum = make_datum("C")
+    m = {t: band(datum, 1, first_weight(datum, 1), 1, t) for t in (1, 2, 3, 4)}
+    seqs = [("M_2 -> M_4 -> M_2", m[2], [m[4]], m[2]),
+            ("M_2 -> M_1+M_3 -> M_2", m[2], [m[1], m[3]], m[2])]
+    monkeypatch.setattr(homology, "ar_sequences_for_lemma", lambda *args, **kwargs: seqs)
+    code, out, _ = run(capsys, "ar", "check", datum_file("C"), "--lemma", "4.20")
+    assert code == 1
+    assert out.splitlines() == [
+        "M_2 -> M_4 -> M_2: dims [8, 16, 8] exact=True split=False ends_local=(1,1) "
+        "translate=yes radical_factors=no -> FAILED",
+        "M_2 -> M_1+M_3 -> M_2: dims [8, 16, 8] exact=True split=False ends_local=(1,1) "
+        "translate=yes -> ok",
+        "sequences: 1/2 satisfy all almost-split conditions"]
 
 
 def test_ar_check_wrong_family_for_datum(capsys, datum_file):

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublerep import cyclo
+from doublerep import cli, cyclo
 from doublerep.cyclo import MEMO_SIZE, CycScalar, cyclotomic_poly, euler_phi
 
+from .conftest import DATUM_JSON
 from .reference import rational_value
 
 ORDERS = (1, 2, 3, 4, 6, 8, 9, 12, 18)
@@ -164,22 +165,25 @@ def test_constructors_canonical(order):
     assert CycScalar(order, (Fraction(0),) * euler_phi(order)) == CycScalar.zero(order)
 
 
-# -- the product and inverse memos --------------------------------------------------
+# -- the scalar memos ----------------------------------------------------------------
 
-MEMOS = (cyclo._product, cyclo._inverse)
+MEMOS = (cyclo._product, cyclo._sum, cyclo._negate, cyclo._inverse)
 
 
 def assert_memo_results(order, a, b) -> None:
-    """x * y and x.inv() match the reference on a call that misses its memo
-    and on a repeated call that hits it; a repeated product is the same object."""
+    """x * y, x + y, x - y, -x and x.inv() match the reference on a call that
+    misses its memo and on a repeated call that hits it; the hit returns the
+    scalar the miss built."""
     x, y = CycScalar(order, a), CycScalar(order, b)
-    want = ref_mul(order, a, b)
     one = (Fraction(1),) + (Fraction(0),) * (euler_phi(order) - 1)
     for memo, call, check in (
-            (cyclo._product, lambda: x * y, lambda got: got.coeffs == want),
+            (cyclo._product, lambda: x * y, lambda got: got.coeffs == ref_mul(order, a, b)),
+            (cyclo._sum, lambda: x + y,
+             lambda got: got.coeffs == tuple(p + q for p, q in zip(a, b))),
+            (cyclo._sum, lambda: x - y,
+             lambda got: got.coeffs == tuple(p - q for p, q in zip(a, b))),
+            (cyclo._negate, lambda: -x, lambda got: got.coeffs == tuple(-p for p in a)),
             (cyclo._inverse, x.inv, lambda got: ref_mul(order, a, got.coeffs) == one)):
-        if memo is cyclo._inverse and rational_value(x) is not None:
-            continue  # a rational inverse takes no memo
         results = []
         for hit in (0, 1):
             before = memo.cache_info()
@@ -189,8 +193,7 @@ def assert_memo_results(order, a, b) -> None:
             assert_canonical(got)
             assert check(got)
             results.append(got)
-        assert results[0] == results[1]
-    assert x * y is x * y
+        assert results[1] is results[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,16 +214,13 @@ def test_memo_evicts_and_stays_bounded(case):
     if not any(a):
         return
     x, y = CycScalar(order, a), CycScalar(order, b)
-    x * y
-    if rational_value(x) is None:
-        x.inv()
-    # more than MEMO_SIZE distinct products and inverses of Q(zeta_3), none of
-    # them a drawn one: a drawn numerator is at most 6 * lcm(1, ..., 12) < 10**6
+    x * y, x + y, x - y, -x, x.inv()
+    # more than MEMO_SIZE distinct entries in each memo, none of them a drawn
+    # one: a drawn numerator is at most 6 * lcm(1, ..., 12) < 10**6
     z = cyclo.root_of_unity(3)
     for k in range(10**6, 10**6 + MEMO_SIZE + 1):
         u = z + CycScalar.rational(k, 3)
-        u * z
-        u.inv()
+        u * z, -u, u - z, u.inv()
     for memo in MEMOS:
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE
@@ -229,6 +229,19 @@ def test_memo_evicts_and_stays_bounded(case):
     for memo in MEMOS:
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE and info.currsize <= info.maxsize
+
+
+def test_memos_hit_more_than_they_miss_on_ar_check(write_json, capsys):
+    # the matrices of a module are built from a few structure constants, so
+    # on a real run every scalar operation mostly finds its value memoized
+    path = write_json("datum_E.json", DATUM_JSON["E"])
+    for memo in MEMOS:
+        memo.cache_clear()
+    assert cli.main(["ar", "check", path, "--lemma", "4.20", "--max-t", "1"]) == 0
+    capsys.readouterr()
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.hits > info.misses > 0, (memo.__name__, info)
 
 
 # -- sympy oracle for the inverse -------------------------------------------------

@@ -564,6 +564,15 @@ def test_ar_sequences(lemma, datum_key, max_t):
         assert report.radical_factors is True
 
 
+@pytest.mark.parametrize("lemma,datum_key,same_ends", [("4.20", "E", True), ("4.9", "B", False)])
+def test_ar_sequences_build_each_member_once(lemma, datum_key, same_ends):
+    seqs = homology.ar_sequences_for_lemma(make_datum(datum_key), lemma, max_t=2)
+    assert seqs and all((a is c) is same_ends for _, a, _, c in seqs)
+    for (_, a1, mids1, c1), (_, a2, mids2, _) in zip(seqs[::2], seqs[1::2]):
+        # t = 1 then t = 2 at one weight: C_1 and the top of B_1 come back
+        assert mids2[0] is c1 and a2 is mids1[-1]
+
+
 def test_end_radical_is_the_trace_form_radical(datum_c):
     lam = first_weight(datum_c, 1)
     for m in (simple(datum_c, 1, lam), projective(datum_c, 1, lam), band(datum_c, 1, lam, 1, 3)):
