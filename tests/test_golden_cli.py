@@ -110,6 +110,8 @@ CASES.update({
                                "--format", "json"),
     "ar-D-4.5": ("ar", "check", "{D}", "--lemma", "4.5", "--max-t", "1"),
     "ar-F-4.5": ("ar", "check", "{F}", "--lemma", "4.5", "--max-t", "1"),
+    # the (2) and (3) rows at t = 2, where Omega^4 and Omega^-4 appear
+    "ar-E-4.5-t2": ("ar", "check", "{E}", "--lemma", "4.5", "--max-t", "2"),
 })
 # analyze over E: M_2 at eta = 2 is matched in the registry; M_1 at eta = 3
 # lies outside the default eta grid
