@@ -356,7 +356,7 @@ def cmd_classify(args) -> int:
     modules: list[ModuleRep] = []
     total_dim = 0
     for fam, l, w, params in specs:
-        mod = fam.build(datum, l, w, **params)
+        mod = fam.member(datum, l, w, **params)
         if total_dim + mod.dim > args.budget:
             break
         total_dim += mod.dim

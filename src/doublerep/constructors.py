@@ -92,7 +92,8 @@ class EtaParam(namedtuple("EtaParam", "value")):
 # shared helpers
 
 
-def _require_regular(datum: ValidatedDatum, l: int, lam: Weight) -> None:
+def require_regular(datum: ValidatedDatum, l: int, lam: Weight) -> None:
+    """Require l in the regular range 1..n-1, then lambda in class l."""
     if not 1 <= l <= datum.n - 1:
         raise DatumError(f"l={l} outside 1..{datum.n - 1}")
     datum._check_in_class(l, lam)
@@ -178,7 +179,7 @@ def _assert_basis_change(datum: ValidatedDatum, l: int, lam: Weight,
 
 def projective(datum: ValidatedDatum, l: int, lam: Weight) -> ModuleRep:
     """The projective cover P(l, lambda) of V(l, lambda), dimension 2n."""
-    _require_regular(datum, l, lam)
+    require_regular(datum, l, lam)
     n = datum.n
     one = datum.one()
 
@@ -305,7 +306,7 @@ def _glued(datum: ValidatedDatum, l: int, lam: Weight, dual: bool, bases: list[W
 def t_chain(datum: ValidatedDatum, l: int, lam: Weight, t: int = 1) -> ModuleRep:
     """The chain module T_t(l, lambda) of (t, t)-type, dimension nt: t
     segments at base weights tau^(c-(t-1))(lambda), each linked into the next."""
-    _require_regular(datum, l, lam)
+    require_regular(datum, l, lam)
     if t < 1:
         raise DatumError(f"chain length t={t} must be >= 1")
     one = datum.one()
@@ -317,7 +318,7 @@ def t_chain_bar(datum: ValidatedDatum, l: int, lam: Weight, t: int = 1) -> Modul
     """The dual chain module Tbar_t(l, lambda) of (t, t)-type, dimension nt:
     t dual segments at base weights tau^c(lambda), each linked into the one
     before."""
-    _require_regular(datum, l, lam)
+    require_regular(datum, l, lam)
     if t < 1:
         raise DatumError(f"chain length t={t} must be >= 1")
     one = datum.one()
@@ -333,7 +334,7 @@ def band(datum: ValidatedDatum, l: int, lam: Weight, eta, t: int = 1) -> ModuleR
     onto its first with eta; that edge also links (for i >= 1) copy i into
     copy i-1, a Jordan block across the copies.
     """
-    _require_regular(datum, l, lam)
+    require_regular(datum, l, lam)
     if datum.m == 1:
         raise DatumError("band modules need m > 1; at m = 1 use the W family")
     if t < 1:
@@ -361,7 +362,7 @@ def w_band(datum: ValidatedDatum, l: int, lam: Weight, eta, t: int = 1) -> Modul
     chain with each segment also linked into itself by eta; eta = infinity
     is the chain T_t.
     """
-    _require_regular(datum, l, lam)
+    require_regular(datum, l, lam)
     if datum.m != 1:
         raise DatumError(f"W family needs m = 1; this datum has m = {datum.m}")
     if t < 1:
@@ -476,6 +477,12 @@ class Family(namedtuple("Family", "letter params build dim loewy tag regular on_
     """
 
     __slots__ = ()
+
+    def member(self, datum: ValidatedDatum, l: int, lam: Weight, **params) -> ModuleRep:
+        """``build``, once per datum and argument list; the module is shared,
+        so callers must not change it."""
+        return datum.cached((self.letter, l, lam, *params.items()),
+                            lambda: self.build(datum, l, lam, **params))
 
     def l_range(self, datum: ValidatedDatum) -> range:
         return range(1, datum.n if self.regular else datum.n + 1)

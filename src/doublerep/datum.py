@@ -197,14 +197,28 @@ NILPOTENT = "nilpotent"
 NON_NILPOTENT = "non-nilpotent"
 
 
-class ValidatedDatum:
+class Memo:
+    """An object that is never changed after construction, so what is derived
+    from it alone is kept on it (``cached``) and shared by every caller: a
+    cached value must not be changed."""
+
+    def cached(self, key, build):
+        """The value stored under ``key``, computed by ``build()`` on first
+        use.  A ``build`` that raises stores nothing."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+
+class ValidatedDatum(Memo):
     """A validated datum with its derived constants and weight machinery.
 
-    The datum memoizes what is derived from it alone (``cached``): its weight
-    list and classes, the character values of each weight, the constants of
-    each generator, and, for the constructors and the homology layer, its
-    simple modules, their End dimensions and their projective covers.  Cached
-    lists and modules are shared by every caller and must not be changed.
+    The datum memoizes its weight list and classes, the character values of
+    each weight and the constants of each generator, and, for the
+    constructors and the homology layer, its simple modules and its family
+    members (``Family.member``), the projective covers among them.
     """
 
     def __init__(self, group: FinAbGroup, chi: GroupChar, a: tuple[int, ...], alpha: CycScalar,
@@ -226,16 +240,7 @@ class ValidatedDatum:
         self.alpha_normalized = alpha_normalized
         # phi = chi^{-1} (x) a-hat as a weight
         self.phi_weight = Weight(group, group.inverse(chi.exps), a)
-        self._cache: dict = {}
-
-    def cached(self, key, build):
-        """The value stored under ``key``, computed by ``build()`` on first
-        use.  A ``build`` that raises stores nothing."""
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = self._cache[key] = build()
-            return value
+        self._memo: dict = {}
 
     # -- scalars --------------------------------------------------------
 

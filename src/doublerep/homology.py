@@ -129,27 +129,26 @@ def pairing_rank(fs: list[Mat], gs: list[Mat]) -> int:
     return rank(_trace_gram(fs, gs)) if fs and gs else 0
 
 
+def _end_radical_coords(m: ModuleRep) -> tuple[dict, ...]:
+    """Coordinates in the End(M) basis of a basis of rad End(M): in
+    characteristic zero, the nullspace of the trace form (f, g) -> tr(fg),
+    eliminated once per module."""
+    def build():
+        ends = hom_space(m, m)
+        return tuple(nullspace(_trace_gram(ends, ends))) if ends else ()
+    return m.cached("end radical", build)
+
+
 def end_radical(m: ModuleRep) -> list[Mat]:
-    """A basis of rad End(M).  In characteristic zero it is the radical of
-    the trace form, so the nullspace of End(M)'s trace Gram matrix."""
+    """A basis of rad End(M)."""
     ends = hom_space(m, m)
-    if not ends:
-        return []
-    return [_combination(m.datum, v, ends) for v in nullspace(_trace_gram(ends, ends))]
+    return [_combination(m.datum, v, ends) for v in _end_radical_coords(m)]
 
 
 def end_local_dim(m: ModuleRep) -> int:
-    """Dimension of End(M) modulo its radical, via the exact trace form.
-
-    In characteristic zero the radical of End(M) equals the radical of the
-    bilinear form (f, g) -> trace(fg), so this is one Gram-matrix rank.
-    Value 1 certifies that M is absolutely indecomposable.  Ranked once per
-    module.
-    """
-    def build():
-        ends = hom_space(m, m)
-        return pairing_rank(ends, ends)
-    return m.cached("end local dim", build)
+    """Dimension of End(M) modulo its radical, r(M, M), the rank of the
+    trace form.  Value 1 certifies that M is absolutely indecomposable."""
+    return len(hom_space(m, m)) - len(_end_radical_coords(m))
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +309,12 @@ def composition_factors(m: ModuleRep) -> list[dict]:
 
 
 def projective_of_simple(datum: ValidatedDatum, l: int, w: Weight) -> ModuleRep:
-    """Projective cover (= injective hull) of the simple V(l, w), built once
-    per (l, w) and datum; the module is shared, so callers must not change it."""
+    """Projective cover (= injective hull) of the simple V(l, w): the simple
+    itself at l = n, else the registry member P(l, w); the module is shared,
+    so callers must not change it."""
     if l == datum.n:
         return constructors.simple(datum, l, w)
-    return datum.cached(("projective cover", l, w), lambda: constructors.projective(datum, l, w))
+    return constructors.FAMILIES["P"].member(datum, l, w)
 
 
 def _cover_summands(m: ModuleRep, cover: bool) -> tuple[ModuleRep, list[Mat]]:
@@ -380,19 +380,24 @@ def injective_hull_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
 
 
 def syzygy(m: ModuleRep) -> ModuleRep:
-    """Kernel of a projective cover."""
-    p, f = projective_cover_map(m)
-    return spin_submodule(p, nullspace(f.matrix)).module
+    """Kernel of a projective cover, built once per module."""
+    def build():
+        p, f = projective_cover_map(m)
+        return spin_submodule(p, nullspace(f.matrix)).module
+    return m.cached("syzygy", build)
 
 
 def cosyzygy(m: ModuleRep) -> ModuleRep:
-    """Cokernel of an injective hull."""
-    e, f = injective_hull_map(m)
-    return quotient_module(e, spin_submodule(e, f.matrix.cols()))[0]
+    """Cokernel of an injective hull, built once per module."""
+    def build():
+        e, f = injective_hull_map(m)
+        return quotient_module(e, spin_submodule(e, f.matrix.cols()))[0]
+    return m.cached("cosyzygy", build)
 
 
 def omega(m: ModuleRep, s: int) -> ModuleRep:
-    """Iterated syzygy (s > 0) or cosyzygy (s < 0); s = 0 returns m."""
+    """Iterated syzygy (s > 0) or cosyzygy (s < 0); s = 0 returns m.  Each
+    step is memoized on the module it starts from."""
     cur = m
     for _ in range(abs(s)):
         cur = syzygy(cur) if s > 0 else cosyzygy(cur)
@@ -401,8 +406,7 @@ def omega(m: ModuleRep, s: int) -> ModuleRep:
 
 def omega_power(datum: ValidatedDatum, l: int, lam: Weight, s: int) -> ModuleRep:
     """Omega^s of the simple V(l, lam), l regular."""
-    if not 1 <= l <= datum.n - 1:
-        raise DatumError(f"l={l} outside 1..{datum.n - 1}")
+    constructors.require_regular(datum, l, lam)
     return omega(constructors.simple(datum, l, lam), s)
 
 
@@ -692,28 +696,26 @@ def ar_sequences_for_lemma(datum: ValidatedDatum, lemma: str, max_t: int = 1,
     n = datum.n
     if weights is None:
         weights = [(l, datum.weights_in_class(l)[0]) for l in range(1, n)]
-    for l, _ in weights:
-        if not 1 <= l <= n - 1:
-            raise DatumError(f"l={l} outside 1..{n - 1}")
+    for l, lam in weights:
+        constructors.require_regular(datum, l, lam)
     out = []
     if lemma == "4.5":
+        # Omega^(s+2) V -> Omega^(s+1) V(n-l, sigma lam) (+) Omega^(s+1) V(n-l,
+        # sigma^-1 lam) -> Omega^s V: item (1) at s = -1, with P(l, lam) as a
+        # third middle term, then items (2) at s = t and (3) at s = -t-2
         for l, lam in weights:
-            label = lam.label()
             v = constructors.simple(datum, l, lam)
-            slam = datum.sigma(lam)
-            silam = datum.sigma_inv(lam)
-            vs = constructors.simple(datum, n - l, slam)
-            vsi = constructors.simple(datum, n - l, silam)
-            p = constructors.projective(datum, l, lam)
-            out.append((f"4.5(1) l={l} lam={label}",
-                        omega(v, 1), [vs, vsi, p], omega(v, -1)))
-            for t in range(0, max_t + 1):
-                out.append((f"4.5(2) t={t} l={l} lam={label}",
-                            omega(v, t + 2), [omega(vs, t + 1), omega(vsi, t + 1)],
-                            omega(v, t)))
-                out.append((f"4.5(3) t={t} l={l} lam={label}",
-                            omega(v, -t), [omega(vs, -(t + 1)), omega(vsi, -(t + 1))],
-                            omega(v, -(t + 2))))
+            shifted = [constructors.simple(datum, n - l, datum.sigma(lam)),
+                       constructors.simple(datum, n - l, datum.sigma_inv(lam))]
+            for s in [-1, *(s for t in range(max_t + 1) for s in (t, -t - 2))]:
+                mids = [omega(u, s + 1) for u in shifted]
+                if s == -1:
+                    item = "4.5(1)"
+                    mids.append(projective_of_simple(datum, l, lam))
+                else:
+                    item = f"4.5(2) t={s}" if s >= 0 else f"4.5(3) t={-s - 2}"
+                out.append((f"{item} l={l} lam={lam.label()}", omega(v, s + 2), mids,
+                            omega(v, s)))
         return out
     if lemma not in AR_LEMMAS:
         raise DatumError(f"unknown sequence tag {lemma!r}; "
@@ -722,28 +724,20 @@ def ar_sequences_for_lemma(datum: ValidatedDatum, lemma: str, max_t: int = 1,
     fam = constructors.FAMILIES[letter]
     if not fam.on_m(datum.m):
         raise DatumError(guard)
-    # each member is built once: with tau-shift 0 the ends are one module, and
-    # a sequence's right end is the next one's middle term, so End(C) and its
-    # Hom solves are shared through the module's own memos
-    members = {}
-
-    def member(l, lam, t, kw):
-        key = (l, lam, t, tuple(kw.items()))
-        if key not in members:
-            members[key] = fam.build(datum, l, lam, t=t, **kw)
-        return members[key]
-
+    # each member is built once per datum: with tau-shift 0 the ends are one
+    # module, and a sequence's right end is the next one's middle term, so
+    # End(C) and its Hom solves are shared through the module's own memos
     for l, lam in weights:
         c_lam = datum.tau(lam, shift)
         for kw in ([{"eta": constructors.EtaParam.of(e)} for e in etas]
                    if "eta" in fam.params else [{}]):
             on = "".join(f" eta={ep}" for ep in kw.values())
             for t in range(1, max_t + 1):
-                mids = [member(l, c_lam, t - 1, kw)] if t > 1 else []
+                mids = [fam.member(datum, l, c_lam, t=t - 1, **kw)] if t > 1 else []
                 out.append((f"{item} t={t}{on} l={l} lam={lam.label()}",
-                            member(l, lam, t, kw),
-                            mids + [member(l, lam, t + 1, kw)],
-                            member(l, c_lam, t, kw)))
+                            fam.member(datum, l, lam, t=t, **kw),
+                            mids + [fam.member(datum, l, lam, t=t + 1, **kw)],
+                            fam.member(datum, l, c_lam, t=t, **kw)))
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cyclo import CycScalar, root_of_unity
-from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight, datum_from_json
+from .datum import NILPOTENT, DatumError, Memo, ValidatedDatum, Weight, datum_from_json
 from .linalg import Echelon, Mat, Row, block_diag, inv, nullspace
 
 
@@ -63,12 +63,13 @@ def _mat_pow(m: Mat, k: int) -> Mat:
 # the module class
 
 
-class ModuleRep:
+class ModuleRep(Memo):
     """A module over a fixed validated datum: weight tags plus x and xi.
 
     Matrices act on column vectors; the matrix of a product st of algebra
     elements is S*T.  The group-likes act on basis vector k through the
-    joint character ``weights[k]``.
+    joint character ``weights[k]``.  What is derived from the module alone
+    is memoized on it, so a datum-cached module shares it with every caller.
     """
 
     def __init__(self, datum: ValidatedDatum, weights, act_x: Mat, act_xi: Mat,
@@ -85,18 +86,6 @@ class ModuleRep:
         if len(self.labels) != dim:
             raise DatumError(f"{len(self.labels)} labels for dimension {dim}")
         self._memo = {}
-
-    def cached(self, key, build):
-        """The value stored under ``key``, computed by ``build()`` on first
-        use.  A module is never changed after construction, so what is
-        derived from it alone (its weight spaces, the columns ``hom_space``
-        reads, its End basis) is kept on it; a datum-cached module shares
-        these with every caller."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
 
     # -- group-likes, from the weight tags -----------------------------------
 

@@ -80,8 +80,8 @@ CASES.update({
     "classify-C-json": ("classify", "{C}", "--max-t", "1", "--max-s", "1",
                         "--format", "json"),
     "classify-B-budget": ("classify", "{B}", "--budget", "24"),
-    # eta listed twice: each M_1 member is built twice, so the pairwise
-    # screen reports the isomorphic pairs and the manifest fails
+    # eta listed twice: each M_1 member is listed twice (one shared module),
+    # so the pairwise screen reports the isomorphic pairs and the manifest fails
     "classify-C-dup-eta": ("classify", "{C}", "--max-t", "1", "--max-s", "0",
                            "--etas", "1,1"),
     "compare-A-t1-w1inf": ("module", "compare", "{mod:build-A-t1}",

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from doublerep import cli, homology
-from doublerep.constructors import (band, projective, simple, t1, t1bar,
+from doublerep.constructors import (FAMILIES, band, projective, simple, t1, t1bar,
                                     t_chain, t_chain_bar, verma, w_band)
 from doublerep.cyclo import CycScalar
 from doublerep.datum import DatumError
@@ -244,6 +244,15 @@ def test_simple_is_built_once_per_datum():
     for _ in range(2):  # a weight that fails the class check is never cached
         with pytest.raises(DatumError):
             simple(datum, 1, outside)
+
+
+def test_projective_cover_is_the_registry_member():
+    # a classify P entry and the cover a syzygy uses are one module
+    datum = make_datum("D")
+    for l in range(1, datum.n):
+        for w in datum.weights_in_class(l):
+            cover = homology.projective_of_simple(datum, l, w)
+            assert cover is FAMILIES["P"].member(datum, l, w)
 
 
 def test_end_dim_of_a_simple_is_solved_once(monkeypatch):
@@ -573,14 +582,45 @@ def test_ar_sequences_build_each_member_once(lemma, datum_key, same_ends):
         assert mids2[0] is c1 and a2 is mids1[-1]
 
 
-def test_end_radical_is_the_trace_form_radical(datum_c):
-    lam = first_weight(datum_c, 1)
-    for m in (simple(datum_c, 1, lam), projective(datum_c, 1, lam), band(datum_c, 1, lam, 1, 3)):
-        ends = homology.hom_space(m, m)
+def test_lemma_4_5_walks_each_syzygy_once(monkeypatch):
+    # a datum of its own, so no syzygy is memoized yet.  Over E at t <= 2 the
+    # 14 sequences and the Omega^2 C of each translate check take 56 covers
+    # and hulls; rebuilding every Omega^k V from its simple took 128
+    datum = make_datum("E")
+    calls = []
+    for name in ("projective_cover_map", "injective_hull_map"):
+        def counted(m, build=getattr(homology, name)):
+            calls.append(m)
+            return build(m)
+        monkeypatch.setattr(homology, name, counted)
+    seqs = homology.ar_sequences_for_lemma(datum, "4.5", max_t=2)
+    assert len(seqs) == 14
+    for name, a, _, c in seqs:
+        omega2 = homology.omega(c, 2)
+        if name.startswith("4.5(2)"):
+            # Omega^(t+2) V is two steps past Omega^t V on one memoized walk
+            assert omega2 is a, name
+    assert len(calls) == 56
+
+
+def test_end_radical_is_the_trace_form_radical(monkeypatch):
+    # a datum of its own, so no End radical is memoized yet
+    datum = make_datum("C")
+    lam = first_weight(datum, 1)
+    grams = []
+    gram = homology._trace_gram
+    monkeypatch.setattr(homology, "_trace_gram", lambda fs, gs: grams.append(fs) or gram(fs, gs))
+    for m in (simple(datum, 1, lam), projective(datum, 1, lam), band(datum, 1, lam, 1, 3)):
+        grams.clear()
+        local = homology.end_local_dim(m)
         rad = homology.end_radical(m)
-        assert len(rad) == len(ends) - homology.end_local_dim(m)
+        # one Gram matrix gives both
+        assert len(grams) == 1
+        ends = homology.hom_space(m, m)
+        assert local == homology.pairing_rank(ends, ends)
+        assert len(rad) == len(ends) - local
         if rad:
-            assert rank(homology._flattened(datum_c.N, rad)) == len(rad)
+            assert rank(homology._flattened(datum.N, rad)) == len(rad)
         for r in rad:
             assert intertwines(r, m, m)
             assert all(not frobenius_pair(r, e) for e in ends)
