@@ -112,6 +112,8 @@ CASES.update({
     "ar-F-4.5": ("ar", "check", "{F}", "--lemma", "4.5", "--max-t", "1"),
     # the (2) and (3) rows at t = 2, where Omega^4 and Omega^-4 appear
     "ar-E-4.5-t2": ("ar", "check", "{E}", "--lemma", "4.5", "--max-t", "2"),
+    # m = 1: on every row the all-ones f fails, so a seeded draw decides
+    "ar-A-4.5": ("ar", "check", "{A}", "--lemma", "4.5", "--max-t", "2"),
 })
 # analyze over E: M_2 at eta = 2 is matched in the registry; M_1 at eta = 3
 # lies outside the default eta grid
