@@ -181,8 +181,10 @@ def _product(n: int, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -
 @lru_cache(maxsize=MEMO_SIZE)
 def _inverse(n: int, num: tuple[int, ...], den: int) -> CycScalar:
     """The scalar den/num of Q(zeta_n), for a nonzero num.  An irrational num
-    times conj, the product of its Galois conjugates, is its norm: a nonzero
-    rational integer r, so den/num = den * conj / r."""
+    times conj, the product of its Galois conjugates, is its norm: a rational
+    integer r, so den/num = den * conj / r.  Such a num needs n >= 3, where
+    Q(zeta_n) is totally imaginary, so r, a product of |sigma(num)|^2, is
+    positive."""
     c = num[0]
     if not any(num[1:]):
         return _make(n, (den if c > 0 else -den,) + num[1:], abs(c))
@@ -193,8 +195,7 @@ def _inverse(n: int, num: tuple[int, ...], den: int) -> CycScalar:
     norm = _mul_num(n, num, conj)
     assert not any(norm[1:]), "norm is not rational"
     r = norm[0]
-    if r < 0:
-        den, r = -den, -r
+    assert r > 0, "norm is not positive"
     return _canon(n, [den * v for v in conj], r)
 
 

@@ -3,14 +3,16 @@ covers, injective hulls, syzygies, isomorphism certificates, and short-
 exact-sequence checks.
 
 Everything is exact linear algebra over the cyclotomic number field.  The
-only randomness is the seeded search for an isomorphism witness, which runs
-only after the trace-pairing identity has decided that an isomorphism exists.
+only randomness is one seeded draw schedule (``_draws``).  It picks an
+isomorphism witness, once the trace-pairing identity has decided that an
+isomorphism exists, and the first map of a sequence in ``ses_candidate``.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import chain
 
 from .cyclo import CycScalar
 from .datum import DatumError, ValidatedDatum, Weight
@@ -435,34 +437,6 @@ def invariant_key(mod: ModuleRep) -> tuple:
         mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel())))
 
 
-def _witness_candidates(a: ModuleRep, homs_ab: tuple[Mat, ...], seed: int):
-    """(how, trials, matrix) for each element of Hom(a, b) tried as an
-    isomorphism: the basis maps, then seeded combinations.
-
-    Once an isomorphism exists, the determinant of a combination is a nonzero
-    polynomial of degree dim a in its coefficients: drawn from s values, a
-    combination is singular with probability at most dim a / s
-    (Schwartz-Zippel).  Each round of 64 draws doubles the range.
-    """
-    for trials, f in enumerate(homs_ab, 1):
-        yield "basis scan", trials, f
-    trials = len(homs_ab)
-    rng = random.Random(seed)
-    bound = 3
-    while True:
-        for _ in range(64):
-            trials += 1
-            coeffs = [rng.randint(-bound, bound) for _ in homs_ab]
-            if any(coeffs):
-                yield ("seeded combination", trials,
-                       _combination(a.datum, dict(enumerate(coeffs)), homs_ab))
-        if 2 * bound + 1 > 2 * a.dim:
-            # each draw of this round failed with probability below 1/2
-            raise DatumError("no invertible combination of Hom(a,b) though the trace "
-                             "pairing certifies an isomorphism; inconsistent input")
-        bound *= 2
-
-
 def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     """Exact isomorphism test: the verdict is always "yes" or "no".
 
@@ -506,14 +480,18 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
                    "both endomorphism algebras are local, so no map is invertible" if local
                    else f"trace pairing ranks: r(a,a) + r(b,b) = {el_a + el_b} "
                         f"!= 2 r(a,b) = {2 * r}")
-    for how, trials, mat in _witness_candidates(a, homs_ab, seed):
-        if rank(mat) == a.dim:
+    # the determinant of a combination is a nonzero polynomial of degree dim a
+    for trials, mat in enumerate(chain(homs_ab, _draws(a.datum, homs_ab, seed, a.dim)), 1):
+        if mat is not None and rank(mat) == a.dim:
             witness = Morphism(a, b, mat)
             if not witness.is_valid():
                 raise DatumError("isomorphism witness is not an intertwiner; inconsistent input")
+            how = "basis scan" if trials <= len(homs_ab) else "seeded combination"
             if local:
                 how, trials = "trace pairing", 0
             return IsoVerdict("yes", f"invertible intertwiner ({how})", witness, trials)
+    raise DatumError("no invertible combination of Hom(a,b) though the trace "
+                     "pairing certifies an isomorphism; inconsistent input")
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +558,27 @@ def _combination(datum: ValidatedDatum, coeffs: dict, mats: list[Mat]) -> Mat | 
     return mat
 
 
+def _draws(datum: ValidatedDatum, mats: list[Mat], seed: int, limit: int):
+    """The seeded combinations of mats that the searches try: rounds of 64
+    draws of integer coefficients in [-s, s], s = 3, 6, 12, ..., each draw
+    yielded as ``_combination`` gives it (None when every coefficient is 0).
+
+    A nonzero polynomial of degree at most ``limit`` in the coefficients
+    vanishes on a draw with probability at most limit / (2s + 1)
+    (Schwartz-Zippel), so the schedule ends after the first round in which
+    that is below 1/2.
+    """
+    rng = random.Random(seed)
+    bound = 3
+    while True:
+        for _ in range(64):
+            coeffs = [rng.randint(-bound, bound) for _ in mats]
+            yield _combination(datum, dict(enumerate(coeffs)), mats)
+        if 2 * bound + 1 > 2 * limit:
+            return
+        bound *= 2
+
+
 def ses_check(f: Morphism, g: Morphism) -> SesReport:
     """Exactness and splitness of 0 -> A -f-> B -g-> C -> 0.  An exact
     sequence also reports whether every radical endomorphism r of C factors
@@ -626,55 +625,31 @@ def ar_candidate_check(f: Morphism, g: Morphism, seed: int = 0) -> SesReport:
                         translate_verdict=is_isomorphic(f.source, omega(g.target, 2), seed).verdict)
 
 
-# The seeded search for sequence maps: random combinations drawn per span,
-# and injective f tried before ``ses_candidate`` gives up.
-SPAN_RANDOM_DRAWS = 48
-MAX_F_TRIALS = 24
-
-
-def _span_candidates(mats: list[Mat], datum: ValidatedDatum, seed: int):
-    """Deterministic stream of nonzero elements of the span: the all-ones
-    combination, each basis element, then seeded small-integer combinations."""
-    if not mats:
-        return
-    yield sum(mats[1:], mats[0])
-    yield from mats
-    rng = random.Random(seed)
-    for _ in range(SPAN_RANDOM_DRAWS):
-        coeffs = [rng.randint(-3, 3) for _ in mats]
-        if any(coeffs):
-            yield _combination(datum, dict(enumerate(coeffs)), mats)
-
-
 def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
                   seed: int = 0) -> tuple[ModuleRep, Morphism, Morphism] | None:
-    """Search for maps making 0 -> a -> (+)mids -> c -> 0 exact.
+    """Maps making 0 -> a -f-> B -g-> c -> 0 exact, B = (+)mids, as (B, f, g).
 
-    Iterates over injective candidates f in Hom(a, B); for each, the
-    cokernel condition is solved exactly: a surjective g is sought in the
-    subspace {g in Hom(B, c) : g f = 0}.  Returns (B, f, g) or None.
+    f is each injective map in turn among the all-ones sum of the Hom(a, B)
+    basis and the draws of ``_draws``.  With pi the projection of B onto
+    q = B / im f, g = w pi for the first w in the Hom(q, c) basis of rank
+    dim c: g is onto with kernel im f, so the sequence is exact.  When End(c)
+    is local, such a w exists exactly when q is isomorphic to c, because the
+    maps q -> c that are not invertible then form a proper subspace.  None
+    means that no draw of the schedule gave such an f.
     """
     b = direct_sum(mids) if len(mids) > 1 else mids[0]
     if b.dim != a.dim + c.dim:
         return None
     homs_ab = hom_space(a, b)
-    homs_bc = hom_space(b, c)
-    if not homs_ab or not homs_bc:
+    if not homs_ab:
         return None
-    datum = a.datum
-    tried = 0
-    for f_mat in _span_candidates(homs_ab, datum, seed):
-        if rank(f_mat) != a.dim:
+    for f_mat in chain([sum(homs_ab[1:], homs_ab[0])], _draws(a.datum, homs_ab, seed, b.dim)):
+        if f_mat is None or rank(f_mat) != a.dim:
             continue
-        tried += 1
-        if tried > MAX_F_TRIALS:
-            break
-        sys = _flattened(datum.N, [h * f_mat for h in homs_bc])
-        # a nullspace basis vector is nonzero, so each combination is a matrix
-        sub = [_combination(datum, v, homs_bc) for v in nullspace(sys)]
-        for g_mat in _span_candidates(sub, datum, seed + 1):
-            if rank(g_mat) == c.dim:
-                return b, Morphism(a, b, f_mat), Morphism(b, c, g_mat)
+        q, pi = quotient_module(b, spin_submodule(b, f_mat.cols()))
+        for w in hom_space(q, c):
+            if rank(w) == c.dim:
+                return b, Morphism(a, b, f_mat), Morphism(b, c, w * pi)
     return None
 
 

@@ -459,6 +459,18 @@ def test_build_family_dispatch(datum_b, datum_a):
         build_family(datum_b, "omega", 1, lam)
 
 
+@pytest.mark.parametrize("build,key,what", [
+    (lambda d, lam, t: t_chain(d, 1, lam, t), "B", "chain"),
+    (lambda d, lam, t: t_chain_bar(d, 1, lam, t), "B", "chain"),
+    (lambda d, lam, t: band(d, 1, lam, 1, t), "B", "band"),
+    (lambda d, lam, t: w_band(d, 1, lam, 1, t), "A", "band"),
+])
+def test_lengths_below_one_are_rejected(build, key, what):
+    datum = make_datum(key)
+    with pytest.raises(DatumError, match=rf"^{what} length t=0 must be >= 1$"):
+        build(datum, first_weight(datum, 1), 0)
+
+
 # ---------------------------------------------------------------------------
 # stored matrices: what every builder, spin and quotient hands to ModuleRep
 

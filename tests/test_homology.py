@@ -544,7 +544,25 @@ def test_split_sequence_json(datum_b):
     assert g.matrix * section == Mat.identity(datum_b.N, c.dim)
 
 
-def test_ses_candidate_none(datum_b):
+def test_non_exact_pair_reports_no_split_and_no_ar_verdict(datum_b):
+    f, g = _split_sequence(datum_b)
+    zero = homology.Morphism(f.source, f.target, Mat.zeros(datum_b.N, f.target.dim,
+                                                           f.source.dim))
+    for report in (homology.ses_check(zero, g), homology.ar_candidate_check(zero, g)):
+        assert report.maps_ok and not report.f_injective and not report.exact
+        out = report.to_json()
+        assert out["exact"] is False
+        assert "split" not in out and "ar_ok" not in out
+
+
+def test_sequence_maps_must_compose(datum_b):
+    _, g = _split_sequence(datum_b)
+    for check in (homology.ses_check, homology.ar_candidate_check):
+        with pytest.raises(DatumError, match="^morphisms are not composable$"):
+            check(g, g)
+
+
+def test_ses_candidate_none(datum_b, monkeypatch):
     lam, mu = datum_b.weights_in_class(1)[:2]
     v, w = simple(datum_b, 1, lam), simple(datum_b, 1, mu)
     # dimensions that do not add up
@@ -552,6 +570,21 @@ def test_ses_candidate_none(datum_b):
     # dim B = dim A + dim C, but Hom(A, B) = 0
     assert not homology.hom_space(v, direct_sum([w, w]))
     assert homology.ses_candidate(v, [w, w], w) is None
+    # three distinct simples: dim B = dim A + dim C and Hom(A, B) != 0, but
+    # every injective f has cokernel V(1, mu) and Hom(V(1, mu), C) = 0, so
+    # the search walks the whole schedule: one round of 64 draws at dim B = 2
+    u = simple(datum_b, 1, datum_b.weights_in_class(1)[2])
+    assert homology.hom_space(v, direct_sum([v, w]))
+    draws = []
+    schedule = homology._draws
+
+    def counted(*args):
+        for mat in schedule(*args):
+            draws.append(mat)
+            yield mat
+    monkeypatch.setattr(homology, "_draws", counted)
+    assert homology.ses_candidate(v, [v, w], u) is None
+    assert len(draws) == 64
 
 
 @pytest.mark.parametrize("lemma,datum_key,max_t", [
@@ -681,3 +714,9 @@ def test_zero_module(datum_b):
     z = homology.zero_module(datum_b)
     assert z.dim == 0
     assert z.verify_relations().ok
+    # its projective cover and injective hull are zero
+    cover, f = homology.projective_cover_map(z)
+    hull, g = homology.injective_hull_map(z)
+    assert cover.dim == hull.dim == 0
+    assert (f.source, f.target, g.source, g.target) == (cover, z, z, hull)
+    assert f.matrix.nrows == f.matrix.ncols == g.matrix.nrows == g.matrix.ncols == 0
