@@ -12,6 +12,9 @@ Datum overview (A to F on cyclic groups, generator written g):
 * ``F`` -- Z_3, chi(g) = zeta_3, a = g, alpha = 0: nilpotent, n = 3, m = 1.
   D and F (JSON only, no fixture) pin the chain and band builders at l = 2,
   where l differs from n - l.
+* ``H`` -- Z_16, chi(g) = zeta_8, a = g, alpha = 1: non-nilpotent, n = 8, m = 2
+  (JSON only); pins covers and hulls at large n, where V(n, -) is its own
+  cover.
 * ``R2`` -- Z_4 x Z_4, chi(g1) = i, chi(g2) = -1, a = g1 g2, alpha = 0:
   nilpotent, n = 4, m = 1; the one standing datum of rank two (JSON only).
 """
@@ -33,6 +36,7 @@ DATUM_JSON = {
     "E": {"orders": [9], "chi": [3], "a": [1], "alpha": 1},
     "D": {"orders": [6], "chi": [2], "a": [1], "alpha": 0},
     "F": {"orders": [3], "chi": [1], "a": [1], "alpha": 0},
+    "H": {"orders": [16], "chi": [2], "a": [1], "alpha": 1},
     "R2": {"orders": [4, 4], "chi": [1, 2], "a": [1, 1], "alpha": 0},
 }
 

@@ -114,6 +114,8 @@ CASES.update({
     "ar-E-4.5-t2": ("ar", "check", "{E}", "--lemma", "4.5", "--max-t", "2"),
     # m = 1: on every row the all-ones f fails, so a seeded draw decides
     "ar-A-4.5": ("ar", "check", "{A}", "--lemma", "4.5", "--max-t", "2"),
+    # n = 8 at l = 3, where l differs from n - l
+    "ar-H-4.5-l3": ("ar", "check", "{H}", "--lemma", "4.5", "--l", "3", "--max-t", "1"),
 })
 # analyze over E: M_2 at eta = 2 is matched in the registry; M_1 at eta = 3
 # lies outside the default eta grid
