@@ -39,8 +39,9 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise DatumError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the parser recurses
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a decode error, or an integer beyond the interpreter's
+        # digit limit; RecursionError: nesting deeper than the parser recurses
         raise DatumError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -59,7 +60,7 @@ def parse_weight(datum: ValidatedDatum, text: str) -> Weight:
     if text.startswith("{"):
         try:
             obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise DatumError(f"bad weight JSON: {exc}") from exc
         return Weight.from_json(datum.group, obj)
     body = text.strip("()")
@@ -276,10 +277,10 @@ def cmd_ar_check(args) -> int:
             entries.append({"sequence": name, "built": False})
             all_ok = False
             continue
-        b, f, g = found
+        f, g = found
         rep = homology.ar_candidate_check(f, g, seed=args.seed)
         entry = {"sequence": name, "built": True,
-                 "dims": [a.dim, b.dim, c.dim], **rep.to_json()}
+                 "dims": [a.dim, f.target.dim, c.dim], **rep.to_json()}
         entries.append(entry)
         all_ok = all_ok and rep.ar_ok
     payload = {"lemma": args.lemma, "max_t": args.max_t,

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .cyclo import CycScalar
+from .cyclo import CycScalar, parse_fraction
 from .datum import NILPOTENT, DatumError, ValidatedDatum, Weight
 from .linalg import Mat, Row
 from .repmod import ModuleRep, intertwines, spin_submodule
@@ -68,7 +68,7 @@ class EtaParam(namedtuple("EtaParam", "value")):
         if t in ("inf", "infinity", "oo"):
             return EtaParam(None)
         try:
-            return EtaParam(CycScalar.rational(Fraction(t)))
+            return EtaParam(CycScalar.rational(parse_fraction(t)))
         except (ValueError, ZeroDivisionError) as exc:
             raise DatumError(f"cannot parse eta value {text!r}") from exc
 

@@ -36,6 +36,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+# the largest decimal exponent a scalar's text may carry: Fraction("1e9999999")
+# computes 10**9999999, which the interpreter's int digit limit (4300 by
+# default) does not bound
+MAX_EXPONENT = 4300
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``; ValueError for a decimal exponent beyond ``MAX_EXPONENT``."""
+    exp = text.lower().partition("e")[2].strip().replace("_", "")
+    if exp.lstrip("+-").isdecimal() and abs(int(exp)) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
+    return Fraction(text)
+
 
 def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     # den is monic; division is exact by construction
@@ -367,7 +380,7 @@ class CycScalar:
             raise ValueError(f"bad scalar order: {order!r}")
         if not isinstance(obj["coeffs"], list):
             raise ValueError(f"scalar coeffs must be a list, got {obj['coeffs']!r}")
-        coeffs = tuple(Fraction(str(c)) for c in obj["coeffs"])
+        coeffs = tuple(parse_fraction(str(c)) for c in obj["coeffs"])
         return CycScalar(order, coeffs)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
 
-from .cyclo import CycScalar, q_factorial, q_number, root_of_unity
+from .cyclo import CycScalar, parse_fraction, q_factorial, q_number, root_of_unity
 
 MAX_GROUP_ORDER = 1000  # |G| <= 1000, so at most 10^6 weights
 
@@ -65,9 +65,6 @@ class FinAbGroup(namedtuple("FinAbGroup", "orders")):
         if len(g) != self.rank:
             raise DatumError(f"element {g} has wrong rank for orders {self.orders}")
         return tuple(v % d for v, d in zip(g, self.orders))
-
-    def mul(self, g, h) -> tuple[int, ...]:
-        return tuple((x + y) % d for x, y, d in zip(self.normalize(g), self.normalize(h), self.orders))
 
     def inverse(self, g) -> tuple[int, ...]:
         return tuple((-x) % d for x, d in zip(self.normalize(g), self.orders))
@@ -243,9 +240,6 @@ class ValidatedDatum(Memo):
         self._memo: dict = {}
 
     # -- scalars --------------------------------------------------------
-
-    def zero(self) -> CycScalar:
-        return CycScalar.zero(self.N)
 
     def one(self) -> CycScalar:
         return CycScalar.one(self.N)
@@ -487,7 +481,7 @@ def _parse_field(key: str, v):
     try:
         if key == "alpha":
             return CycScalar.from_json(v) if isinstance(v, dict) \
-                else CycScalar.rational(Fraction(str(v)))
+                else CycScalar.rational(parse_fraction(str(v)))
         if not isinstance(v, (list, tuple)) or any(type(x) is not int for x in v):
             raise TypeError("expected a list of integers")
         return tuple(v)

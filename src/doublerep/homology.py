@@ -319,22 +319,28 @@ def projective_of_simple(datum: ValidatedDatum, l: int, w: Weight) -> ModuleRep:
     return constructors.FAMILIES["P"].member(datum, l, w)
 
 
-def _cover_summands(m: ModuleRep, cover: bool) -> tuple[ModuleRep, list[Mat]]:
-    """The projective P(S) summands of a minimal projective cover P -> m
-    (``cover``) or injective hull m -> P, with the map of each.
+def _cover_map(m: ModuleRep, cover: bool) -> Morphism:
+    """A minimal projective cover P -> m (``cover``) or injective hull m -> P.
 
-    The simples S of the head (socle) of m and their multiplicities come from
-    the Hom solve that finds the radical (socle).  For each S, maps f in
-    Hom(P(S), m) (in Hom(m, P(S))) are taken greedily while the image of f on
-    the head, the columns of pi f (on the socle, the rows of f iota), leaves
-    the span of the images taken so far.
+    The simples S of the head (socle) of m, their multiplicities and the edge
+    come from the Hom pass that finds the radical (socle): phi, the Hom(m, S)
+    bases stacked, has kernel rad m; psi, the Hom(S, m) bases side by side,
+    has image soc m.  For each S, maps f in Hom(P(S), m) (in Hom(m, P(S)))
+    are taken greedily while the columns of phi f (the rows of f psi) leave
+    the span of the images taken so far, so the map is bijective on the head
+    (on the socle).
     """
     datum = m.datum
     name = "projective cover" if cover else "injective hull"
+    if m.dim == 0:
+        z = zero_module(datum)
+        return Morphism(*((z, m) if cover else (m, z)), Mat.zeros(datum.N, 0, 0))
     facts, homs = _radical(m) if cover else _socle(m)
     total = m.dim - facts.dim if cover else facts.dim
-    # pi, the projection onto the head, or iota, the inclusion of the socle
-    edge = quotient_module(m, facts)[1] if cover else facts.inclusion
+    mats = [f for _, _, fs in homs for f in fs]
+    if not mats:
+        raise DatumError("module has no simple submodules; inconsistent input")
+    edge = vstack(mats) if cover else hstack(mats)
     span = Echelon(datum.N)
     chosen: list[tuple[ModuleRep, Mat]] = []
     for (l, w), mult in _multiplicities(homs, total):
@@ -352,48 +358,37 @@ def _cover_summands(m: ModuleRep, cover: bool) -> tuple[ModuleRep, list[Mat]]:
     if len(span.pivots) != total:
         raise DatumError(f"{name} does not fill the head" if cover
                          else f"{name} does not embed the socle")
-    return direct_sum([ps for ps, _ in chosen]), [mat for _, mat in chosen]
+    p = direct_sum([ps for ps, _ in chosen])
+    maps = [f for _, f in chosen]
+    f = Morphism(p, m, hstack(maps)) if cover else Morphism(m, p, vstack(maps))
+    if rank(f.matrix) != m.dim:
+        raise DatumError(f"{name} map is not " + ("surjective" if cover else "injective"))
+    return f
 
 
-def projective_cover_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
-    """Minimal projective P with a surjection P -> m, selected greedily from
-    exact Hom bases so that the induced map on heads is bijective."""
-    if m.dim == 0:
-        z = zero_module(m.datum)
-        return z, Morphism(z, m, Mat.zeros(m.datum.N, 0, 0))
-    p, mats = _cover_summands(m, True)
-    f = hstack(mats)
-    if rank(f) != m.dim:
-        raise DatumError("projective cover map is not surjective")
-    return p, Morphism(p, m, f)
+def projective_cover_map(m: ModuleRep) -> Morphism:
+    """Minimal projective cover P -> m, P = ``f.source``."""
+    return _cover_map(m, True)
 
 
-def injective_hull_map(m: ModuleRep) -> tuple[ModuleRep, Morphism]:
-    """Minimal injective (= projective) E with an embedding m -> E, selected
-    greedily so the restriction to the socle is bijective."""
-    if m.dim == 0:
-        z = zero_module(m.datum)
-        return z, Morphism(m, z, Mat.zeros(m.datum.N, 0, 0))
-    e, mats = _cover_summands(m, False)
-    f = vstack(mats)
-    if rank(f) != m.dim:
-        raise DatumError("injective hull map is not injective")
-    return e, Morphism(m, e, f)
+def injective_hull_map(m: ModuleRep) -> Morphism:
+    """Minimal injective (= projective) hull m -> E, E = ``f.target``."""
+    return _cover_map(m, False)
 
 
 def syzygy(m: ModuleRep) -> ModuleRep:
     """Kernel of a projective cover, built once per module."""
     def build():
-        p, f = projective_cover_map(m)
-        return spin_submodule(p, nullspace(f.matrix)).module
+        f = projective_cover_map(m)
+        return spin_submodule(f.source, nullspace(f.matrix)).module
     return m.cached("syzygy", build)
 
 
 def cosyzygy(m: ModuleRep) -> ModuleRep:
     """Cokernel of an injective hull, built once per module."""
     def build():
-        e, f = injective_hull_map(m)
-        return quotient_module(e, spin_submodule(e, f.matrix.cols()))[0]
+        f = injective_hull_map(m)
+        return quotient_module(f.target, spin_submodule(f.target, f.matrix.cols()))[0]
     return m.cached("cosyzygy", build)
 
 
@@ -626,8 +621,8 @@ def ar_candidate_check(f: Morphism, g: Morphism, seed: int = 0) -> SesReport:
 
 
 def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
-                  seed: int = 0) -> tuple[ModuleRep, Morphism, Morphism] | None:
-    """Maps making 0 -> a -f-> B -g-> c -> 0 exact, B = (+)mids, as (B, f, g).
+                  seed: int = 0) -> tuple[Morphism, Morphism] | None:
+    """Maps making 0 -> a -f-> B -g-> c -> 0 exact, B = (+)mids, as (f, g).
 
     f is each injective map in turn among the all-ones sum of the Hom(a, B)
     basis and the draws of ``_draws``.  With pi the projection of B onto
@@ -649,7 +644,7 @@ def ses_candidate(a: ModuleRep, mids: list[ModuleRep], c: ModuleRep,
         q, pi = quotient_module(b, spin_submodule(b, f_mat.cols()))
         for w in hom_space(q, c):
             if rank(w) == c.dim:
-                return b, Morphism(a, b, f_mat), Morphism(b, c, w * pi)
+                return Morphism(a, b, f_mat), Morphism(b, c, w * pi)
     return None
 
 

@@ -362,11 +362,6 @@ class SubmoduleFacts(namedtuple("SubmoduleFacts", "ambient rows pivots module"))
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def inclusion(self) -> Mat:
-        """The ambient-by-sub matrix of the embedding, whose columns are ``rows``."""
-        return Mat.from_cols(self.ambient.datum.N, self.rows, self.ambient.dim)
-
 
 def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
     """Smallest submodule containing the seed vectors.

@@ -169,7 +169,8 @@ def test_criterion_03_projective_structure():
                 if not ok_lift or not same_span(soc2_rows, rad.rows, d.N):
                     failures.append(f"{name}: rad != soc^2")
                 rad2 = homology.radical(rad.module)
-                rad2_rows = [rad.inclusion.matvec(r) for r in rad2.rows]
+                inclusion = Mat.from_cols(d.N, rad.rows, p.dim)
+                rad2_rows = [inclusion.matvec(r) for r in rad2.rows]
                 if not same_span(rad2_rows, soc.rows, d.N):
                     failures.append(f"{name}: rad^2 != soc")
     record(3, "projective cover structure", failures, t0, count)
@@ -316,7 +317,7 @@ def test_criterion_07_ar_sequences():
                 if found is None:
                     failures.append(f"{key} {lemma} {name}: no exact sequence")
                     continue
-                _, f, g = found
+                f, g = found
                 rep = homology.ar_candidate_check(f, g)
                 if not rep.exact:
                     failures.append(f"{key} {lemma} {name}: not exact")

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import prod
 
@@ -67,9 +68,13 @@ def test_malformed_json_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [("datum", "check"), ("module", "verify")])
-@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000], ids=["not_utf8", "too_deep"])
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{", b"[" * 100_000,
+    b'{"orders": [4], "chi": [2], "a": [1], "alpha": 1' + b"0" * 5000 + b"}",
+], ids=["not_utf8", "too_deep", "long_int"])
 def test_unreadable_json_exits_2(capsys, tmp_path, command, content):
-    # bytes that are not UTF-8, and nesting deeper than the parser recurses
+    # bytes that are not UTF-8, nesting deeper than the parser recurses, and
+    # an integer beyond the interpreter's digit limit
     p = tmp_path / "bad.json"
     p.write_bytes(content)
     code, out, err = run(capsys, *command, str(p))
@@ -108,6 +113,32 @@ def test_malformed_datum_field_exits_2(capsys, write_json, field, value):
     assert out == ""
     assert err.startswith(f"error: malformed datum field '{field}'")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["alpha", "coefficient", "etas", "eta"])
+def test_huge_decimal_exponent_exits_2_at_once(capsys, tmp_path, datum_file, case):
+    # Fraction("1e50000000") would compute 10**50000000, which no digit limit bounds
+    if case == "alpha":
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps({**DATUM_JSON["B"], "alpha": "1e100000000"}))
+        argv, want = ("datum", "check", str(path)), "malformed datum field 'alpha'"
+    elif case == "coefficient":
+        datum = make_datum("B")
+        doc = projective(datum, 1, first_weight(datum, 1)).to_json()
+        doc["matrices"]["x"][0][0] = {"order": 4, "coeffs": ["1e50000000", "0"]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        argv, want = ("module", "verify", str(path)), "malformed module field 'matrices.x'"
+    elif case == "etas":
+        argv, want = ("classify", datum_file("E"), "--etas", "1e50000000"), "cannot parse eta"
+    else:
+        argv, want = ("module", "build", datum_file("B"), "--family", "band_m1", "--l", "1",
+                      "--lambda", "0;0", "--eta", "1e-50000000"), "cannot parse eta"
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {want}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("orders", [[], [0], [-3]])
@@ -189,7 +220,9 @@ def build_module(capsys, tmp_path, datum_path, *spec):
     return out_path
 
 
-@pytest.mark.parametrize("text", ['{"gpart": [0], "h": ', '{"gpart": ' + "[" * 100_000])
+@pytest.mark.parametrize("text", ['{"gpart": [0], "h": ', '{"gpart": ' + "[" * 100_000,
+                                  pytest.param('{"gpart": [1' + "0" * 5000 + '], "h": [0]}',
+                                               id="long_int")])
 def test_malformed_weight_json_exits_2(capsys, datum_file, text):
     code, out, err = run(capsys, "module", "build", datum_file("B"),
                          "--family", "verma", "--lambda", text)

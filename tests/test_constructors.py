@@ -11,7 +11,7 @@ import pytest
 from doublerep.constructors import (FAMILIES, EtaParam, _put, band, build_family,
                                     projective, simple, t1, t1bar, t_chain,
                                     t_chain_bar, verma, w1, w_band)
-from doublerep.cyclo import q_factorial, root_of_unity
+from doublerep.cyclo import CycScalar, q_factorial, root_of_unity
 from doublerep.datum import NON_NILPOTENT, DatumError
 from doublerep.linalg import Mat, rank
 from doublerep.repmod import ModuleRep, intertwines, quotient_module, spin_submodule
@@ -218,7 +218,7 @@ def test_projective_non_nilpotent_x_kernel():
             _, z = d.yz_coeff(l, lam)
             ker = p.x_kernel()
             assert len(ker) == 2
-            e2 = [d.zero()] * p.dim
+            e2 = [CycScalar.zero(d.N)] * p.dim
             e2[n + n - 1] = d.one()
             e2[n - l - 1] = -z
             assert in_span(ker, {n + l - 1: d.one()}, d.N)
@@ -515,5 +515,5 @@ def test_entry_outside_the_matrix_is_an_error(datum_b):
     for i, j in ((2, 0), (0, 2), (-1, 0), (0, -1)):
         with pytest.raises(DatumError, match=rf"entry \({i},{j}\) outside dimension 2"):
             _put(rows, i, j, datum_b.one())
-    _put(rows, 1, 0, datum_b.zero())
+    _put(rows, 1, 0, CycScalar.zero(datum_b.N))
     assert rows == [{}, {}]

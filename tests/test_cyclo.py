@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from doublerep.cyclo import (CycScalar, cyclotomic_poly, euler_phi, q_factorial,
-                             q_number, root_of_unity)
+from doublerep.cyclo import (MAX_EXPONENT, CycScalar, cyclotomic_poly, euler_phi,
+                             parse_fraction, q_factorial, q_number, root_of_unity)
 
 from .reference import rational_value
 
@@ -95,3 +95,15 @@ def test_hash_and_json_round_trip():
     back = CycScalar.from_json(x.to_json())
     assert back == x
     assert str(x)  # printable
+
+
+def test_parse_fraction_bounds_the_decimal_exponent():
+    assert parse_fraction(" -1.5E+2 ") == Fraction(-150)
+    assert parse_fraction("3/4") == Fraction(3, 4)
+    assert parse_fraction(f"1e-{MAX_EXPONENT}") == Fraction(1, 10 ** MAX_EXPONENT)
+    # the bound is checked before Fraction computes the power of ten
+    for text in (f"1e{MAX_EXPONENT + 1}", "2.5e-50000000", "1e5_000_000_000"):
+        with pytest.raises(ValueError, match="decimal exponent beyond"):
+            parse_fraction(text)
+    with pytest.raises(ValueError):
+        parse_fraction("1e")

@@ -11,7 +11,7 @@ from doublerep.constructors import (FAMILIES, band, projective, simple, t1, t1ba
 from doublerep.cyclo import CycScalar
 from doublerep.datum import DatumError
 from doublerep.linalg import Echelon, Mat, frobenius_pair, hstack, rank, solve_right, vstack
-from doublerep.repmod import direct_sum, intertwines, quotient_module, spin_submodule
+from doublerep.repmod import ModuleRep, direct_sum, intertwines, quotient_module, spin_submodule
 
 from .conftest import first_weight, make_datum
 from .reference import radical_series, same_span, semisimple_factors
@@ -90,7 +90,9 @@ def test_end_local_dim_of_direct_sums(datum_b):
 
 def ambient_rows_of_inner(outer_facts, inner_facts):
     """Rows of a submodule-of-a-submodule written in ambient coordinates."""
-    return [outer_facts.inclusion.matvec(row) for row in inner_facts.rows]
+    inclusion = Mat.from_cols(outer_facts.ambient.datum.N, outer_facts.rows,
+                              outer_facts.ambient.dim)
+    return [inclusion.matvec(row) for row in inner_facts.rows]
 
 
 def second_socle_rows(mod, soc_facts):
@@ -322,6 +324,7 @@ def _reference_hull(m):
     """Injective hull selected by the rank of the stacked socle images."""
     datum = m.datum
     soc = homology.socle(m)
+    inclusion = Mat.from_cols(datum.N, soc.rows, m.dim)
     chosen, stack, soc_rank = [], [], 0
     for (l, w), mult in semisimple_factors(soc.module):
         ps = homology.projective_of_simple(datum, l, w)
@@ -329,7 +332,7 @@ def _reference_hull(m):
         for g in homology.hom_space(m, ps):
             if taken == mult:
                 break
-            cand = g * soc.inclusion
+            cand = g * inclusion
             r = rank(vstack(stack + [cand]))
             if r > soc_rank:
                 stack.append(cand)
@@ -344,9 +347,10 @@ def _reference_hull(m):
 @pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F"])
 def test_cover_and_hull_match_reference(key):
     for m in _members_and_sums(key):
-        for got, (ref, ref_map) in ((homology.projective_cover_map(m), _reference_cover(m)),
-                                    (homology.injective_hull_map(m), _reference_hull(m))):
-            p, f = got
+        cover, hull = homology.projective_cover_map(m), homology.injective_hull_map(m)
+        assert cover.target is m and hull.source is m
+        for p, f, (ref, ref_map) in ((cover.source, cover, _reference_cover(m)),
+                                     (hull.target, hull, _reference_hull(m))):
             assert p.labels == ref.labels and p.weights == ref.weights, m.labels
             assert p.act_x == ref.act_x and p.act_xi == ref.act_xi, m.labels
             assert f.matrix == ref_map, m.labels
@@ -369,17 +373,42 @@ def test_syzygies_read_the_one_radical_or_socle_solve(monkeypatch):
             assert calls == [solve], (omega.__name__, m.labels)
 
 
+def test_projective_cover_builds_no_quotient_module(monkeypatch):
+    # the head is read off the maps m -> S of the radical's Hom pass
+    datum = make_datum("D")
+    lam = first_weight(datum, 2)
+
+    def refuse(*args):
+        raise AssertionError("quotient_module called")
+    monkeypatch.setattr(homology, "quotient_module", refuse)
+    for m in (simple(datum, 2, lam), t_chain(datum, 2, lam, 2), projective(datum, 2, lam)):
+        f = homology.projective_cover_map(m)
+        assert f.target is m and f.is_valid() and rank(f.matrix) == m.dim
+
+
+def test_cover_and_hull_of_a_non_module_raise(datum_b):
+    # x and xi swap two vectors of one weight: no simple maps in or out
+    w, one = first_weight(datum_b, 1), datum_b.one()
+    swap = Mat(datum_b.N, [{1: one}, {0: one}], 2)
+    m = ModuleRep(datum_b, [w, w], swap, swap, ["a", "b"])
+    assert not m.verify_relations().ok
+    with pytest.raises(DatumError, match="no simple quotients"):
+        homology.projective_cover_map(m)
+    with pytest.raises(DatumError, match="no simple submodules"):
+        homology.injective_hull_map(m)
+
+
 def test_cover_and_hull_of_simple(datum_b):
     lam = first_weight(datum_b, 1)
     v = simple(datum_b, 1, lam)
-    cover, f = homology.projective_cover_map(v)
-    assert cover.dim == 2 * datum_b.n
+    f = homology.projective_cover_map(v)
+    assert f.target is v and f.source.dim == 2 * datum_b.n
     assert f.matrix.nrows == v.dim and rank(f.matrix) == v.dim
-    hull, g = homology.injective_hull_map(v)
-    assert hull.dim == 2 * datum_b.n
+    g = homology.injective_hull_map(v)
+    assert g.source is v and g.target.dim == 2 * datum_b.n
     assert rank(g.matrix) == v.dim
-    assert homology.syzygy(v).dim == cover.dim - v.dim
-    assert homology.cosyzygy(v).dim == hull.dim - v.dim
+    assert homology.syzygy(v).dim == f.source.dim - v.dim
+    assert homology.cosyzygy(v).dim == g.target.dim - v.dim
 
 
 def test_omega_kills_projectives(datum_b):
@@ -600,7 +629,7 @@ def test_ar_sequences(lemma, datum_key, max_t):
     for name, a, mids, c in seqs:
         found = homology.ses_candidate(a, mids, c)
         assert found is not None, f"{name}: no exact sequence realized"
-        _, f, g = found
+        f, g = found
         report = homology.ar_candidate_check(f, g)
         assert report.ar_ok, f"{name}: {report.to_json()}"
         assert report.radical_factors is True
@@ -670,7 +699,7 @@ def test_ar_check_requires_the_radical_to_factor_through_g(datum_c):
     lam = first_weight(datum_c, 1)
     m = {t: band(datum_c, 1, lam, 1, t) for t in (1, 2, 3, 4)}
     for mids, almost_split in (([m[4]], False), ([m[1], m[3]], True)):
-        _, f, g = homology.ses_candidate(m[2], mids, m[2])
+        f, g = homology.ses_candidate(m[2], mids, m[2])
         report = homology.ar_candidate_check(f, g)
         assert report.exact and report.split is False
         assert (report.left_end_local, report.right_end_local, report.translate_verdict) == (
@@ -715,8 +744,8 @@ def test_zero_module(datum_b):
     assert z.dim == 0
     assert z.verify_relations().ok
     # its projective cover and injective hull are zero
-    cover, f = homology.projective_cover_map(z)
-    hull, g = homology.injective_hull_map(z)
-    assert cover.dim == hull.dim == 0
-    assert (f.source, f.target, g.source, g.target) == (cover, z, z, hull)
+    f = homology.projective_cover_map(z)
+    g = homology.injective_hull_map(z)
+    assert f.source.dim == g.target.dim == 0
+    assert (f.target, g.source) == (z, z)
     assert f.matrix.nrows == f.matrix.ncols == g.matrix.nrows == g.matrix.ncols == 0

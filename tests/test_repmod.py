@@ -92,10 +92,8 @@ def test_spin_submodule_of_verma(datum_b):
     facts = spin_submodule(z, [{1: datum_b.one()}])
     assert facts.dim == z.dim - 1
     assert facts.module.verify_relations().ok
-    assert intertwines(facts.inclusion, facts.module, z)
-    # the inclusion is read off the one stored basis, ``rows``
-    assert (facts.inclusion.nrows, facts.inclusion.ncols) == (z.dim, facts.dim)
-    assert facts.inclusion.cols() == list(facts.rows)
+    # the inclusion, whose columns are the one stored basis ``rows``, is a module map
+    assert intertwines(Mat.from_cols(datum_b.N, facts.rows, z.dim), facts.module, z)
 
 
 def test_spin_submodule_does_not_depend_on_seed_order(datum_e):

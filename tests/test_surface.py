@@ -4,7 +4,9 @@ Every public module-level function and every public method in
 ``src/doublerep`` is either named somewhere in the package's own code or
 exported in ``doublerep.__all__``.  A public function that only tests call is
 a second way to reach a computation the package already reaches another way;
-tests compare against references kept under ``tests/`` instead.
+tests compare against references kept under ``tests/`` instead.  Names are
+matched bare, so a method is not caught when another class has a method of
+the same name.
 """
 
 import ast
