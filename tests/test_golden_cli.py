@@ -116,6 +116,10 @@ CASES.update({
     "ar-A-4.5": ("ar", "check", "{A}", "--lemma", "4.5", "--max-t", "2"),
     # n = 8 at l = 3, where l differs from n - l
     "ar-H-4.5-l3": ("ar", "check", "{H}", "--lemma", "4.5", "--l", "3", "--max-t", "1"),
+    # n = 8: the budget stops the run among the simples at l = n, whose
+    # closing edge x v_(n-1) = (const) v_0 the Loewy walk and the Hom solves meet
+    "classify-H-budget": ("classify", "{H}", "--max-t", "1", "--max-s", "1", "--etas", "1",
+                          "--budget", "600"),
 })
 # analyze over E: M_2 at eta = 2 is matched in the registry; M_1 at eta = 3
 # lies outside the default eta grid
