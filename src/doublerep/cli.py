@@ -353,8 +353,8 @@ def cmd_classify(args) -> int:
     t0 = time.monotonic()
     specs = _classify_specs(datum, args.max_t, args.max_s, etas)
     entries: list[dict] = []
-    keys: list[tuple] = []
     modules: list[ModuleRep] = []
+    groups: dict[tuple, list[int]] = {}  # module indices by invariant key
     total_dim = 0
     for fam, l, w, params in specs:
         mod = fam.member(datum, l, w, **params)
@@ -362,28 +362,29 @@ def cmd_classify(args) -> int:
             break
         total_dim += mod.dim
         entries.append(_classify_entry(datum, fam, l, w, params, mod))
-        keys.append(homology.invariant_key(mod))
+        groups.setdefault(homology.invariant_key(mod), []).append(len(modules))
         modules.append(mod)
     truncated = len(entries) < len(specs)
-    # pairwise distinctness across the manifest
+    # pairwise distinctness across the manifest: a pair with different
+    # invariant keys is not isomorphic and has r(a, b) = 0, so only the pairs
+    # inside a key group need a Hom solve
+    els = [e["end_local_dim"] for e in entries]
     iso_pairs = []
-    hom_pairs = 0
-    min_sum_el = None
-    for i in range(len(modules)):
-        for j in range(i + 1, len(modules)):
-            a, b = modules[i], modules[j]
-            ela, elb = entries[i]["end_local_dim"], entries[j]["end_local_dim"]
-            r = 0  # r(a, b): 0 when the invariants differ, with no Hom solve
-            if keys[i] == keys[j]:
-                hom_pairs += 1
-                r = homology.pairing_rank(homology.hom_space(a, b), homology.hom_space(b, a))
-                # r(a, a) + r(b, b) = 2 r(a, b) exactly when a and b are isomorphic
-                if 2 * r == ela + elb:
-                    iso_pairs.append([entries[i]["tag"], entries[j]["tag"]])
-            # the trace Gram matrix of End(a (+) b) is block-diagonal, and the
-            # pairing block of Hom(a, b) with Hom(b, a) counts twice
-            pair_el = ela + elb + 2 * r
-            min_sum_el = pair_el if min_sum_el is None else min(min_sum_el, pair_el)
+    pairs = sorted((i, j) for g in groups.values() for k, i in enumerate(g) for j in g[k + 1:])
+    # the trace Gram matrix of End(a (+) b) is block-diagonal, and the pairing
+    # block of Hom(a, b) with Hom(b, a) counts twice; across groups r = 0, so
+    # the smallest such sum there adds the two smallest group minima
+    lows = sorted(min(els[i] for i in g) for g in groups.values())[:2]
+    pair_els = [sum(lows)] if len(lows) == 2 else []
+    for i, j in pairs:
+        a, b = modules[i], modules[j]
+        r = homology.pairing_rank(homology.hom_space(a, b), homology.hom_space(b, a))
+        # r(a, a) + r(b, b) = 2 r(a, b) exactly when a and b are isomorphic
+        if 2 * r == els[i] + els[j]:
+            iso_pairs.append([entries[i]["tag"], entries[j]["tag"]])
+        pair_els.append(els[i] + els[j] + 2 * r)
+    hom_pairs = len(pairs)
+    min_sum_el = min(pair_els, default=None)
     counts = Counter(e["family"] for e in entries)
     n_pairs = len(modules) * (len(modules) - 1) // 2
     payload = {

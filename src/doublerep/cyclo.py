@@ -36,18 +36,27 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-# the largest decimal exponent a scalar's text may carry: Fraction("1e9999999")
-# computes 10**9999999, which the interpreter's int digit limit (4300 by
-# default) does not bound
-MAX_EXPONENT = 4300
+# a scalar is printed through str(int), which the interpreter refuses beyond
+# MAX_DIGITS decimal digits (its default limit), so from 10**MAX_DIGITS up
+MAX_DIGITS = 4300
+_UNPRINTABLE = 10 ** MAX_DIGITS
+# the largest decimal exponent a scalar's text may carry, checked before
+# Fraction("1e9999999") computes 10**9999999, which the digit limit does not
+# bound: 10**MAX_EXPONENT is the largest power of ten that prints
+MAX_EXPONENT = MAX_DIGITS - 1
 
 
 def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``; ValueError for a decimal exponent beyond ``MAX_EXPONENT``."""
+    """``Fraction(text)``; ValueError for a decimal exponent beyond
+    ``MAX_EXPONENT`` or a numerator or denominator beyond ``MAX_DIGITS``
+    digits, which could not be printed."""
     exp = text.lower().partition("e")[2].strip().replace("_", "")
     if exp.lstrip("+-").isdecimal() and abs(int(exp)) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
-    return Fraction(text)
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= _UNPRINTABLE:
+        raise ValueError(f"numerator or denominator beyond {MAX_DIGITS} digits")
+    return value
 
 
 def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:

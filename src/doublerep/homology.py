@@ -67,19 +67,42 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
     return _solve_homs(a, b)
 
 
+def _content(m: ModuleRep) -> tuple:
+    """x and xi of m as one hashable value, equal for modules whose x and xi
+    are equal."""
+    return m.cached("content", lambda: tuple(tuple(frozenset(r.items()) for r in op.nz_rows())
+                                             for op in (m.act_x, m.act_xi)))
+
+
+def _hom_unknowns(a: ModuleRep, b: ModuleRep) -> tuple[tuple[int, int], ...]:
+    """The index pairs (i, j) of equal weight, b.weights[i] == a.weights[j]:
+    the entries a map a -> b may have."""
+    spaces_a = a.weight_spaces()
+    return tuple((i, j) for i, w in enumerate(b.weights) for j in spaces_a.get(w, ()))
+
+
 def _solve_homs(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
-    """The basis of ``hom_space``, solved.
+    """The basis of ``hom_space``, solved once per datum for each content:
+    the system depends only on x and xi of a and b and on the unknowns, so
+    modules with equal matrices and weight pairing share one elimination.
+    The key holds the content itself, so modules over equal but distinct
+    datum objects share it too."""
+    require_same_datum(a, b)
+    pos = _hom_unknowns(a, b)
+    if not pos:
+        return ()
+    return a.datum.cached(("homs", _content(a), _content(b), pos),
+                          lambda: _eliminate_homs(a, b, pos))
+
+
+def _eliminate_homs(a: ModuleRep, b: ModuleRep, pos) -> tuple[Mat, ...]:
+    """The Hom(a, b) basis with unknown entries at ``pos``, eliminated.
 
     Unknown matrix entries live only on equal-weight index pairs, which makes
     the group-part intertwining automatic; the x and xi intertwining
     conditions become one sparse exact linear system.
     """
-    require_same_datum(a, b)
     datum = a.datum
-    spaces_a = a.weight_spaces()
-    pos = [(i, j) for i, w in enumerate(b.weights) for j in spaces_a.get(w, ())]
-    if not pos:
-        return ()
     eqs: dict[tuple, dict[int, CycScalar]] = {}
 
     def accum(key, p, val):
@@ -193,18 +216,24 @@ def _simple_homs(m: ModuleRep, into: bool) -> list:
 
 
 def _socle(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
-    """The socle, and the Hom(S, m) of each candidate simple S."""
-    homs = _simple_homs(m, True)
-    return spin_submodule(m, [c for _, _, fs in homs for f in fs for c in f.cols()]), homs
+    """The socle, and the Hom(S, m) of each candidate simple S; solved once
+    per module."""
+    def build():
+        homs = _simple_homs(m, True)
+        return spin_submodule(m, [c for _, _, fs in homs for f in fs for c in f.cols()]), homs
+    return m.cached("socle", build)
 
 
 def _radical(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
-    """The radical, and the Hom(m, S) of each candidate simple S."""
-    homs = _simple_homs(m, False)
-    mats = [f for _, _, fs in homs for f in fs]
-    if not mats and m.dim > 0:
-        raise DatumError("module has no simple quotients; inconsistent input")
-    return spin_submodule(m, nullspace(vstack(mats)) if mats else []), homs
+    """The radical, and the Hom(m, S) of each candidate simple S; solved once
+    per module."""
+    def build():
+        homs = _simple_homs(m, False)
+        mats = [f for _, _, fs in homs for f in fs]
+        if not mats and m.dim > 0:
+            raise DatumError("module has no simple quotients; inconsistent input")
+        return spin_submodule(m, nullspace(vstack(mats)) if mats else []), homs
+    return m.cached("radical", build)
 
 
 def socle(m: ModuleRep) -> SubmoduleFacts:
@@ -282,14 +311,27 @@ def loewy_structure(m: ModuleRep) -> LoewyStructure:
 
 
 def _solve_loewy(m: ModuleRep) -> LoewyStructure:
+    """The walk down the radical series stops at the first rad^k m that spans
+    soc m: that layer is semisimple, so it is the last one and its simples
+    are the socle's.  Otherwise rad^k m is solved for its radical."""
+    soc, homs = _socle(m)
+    socle = _multiplicities(homs, soc.dim)
+    span = Echelon(m.datum.N)
+    for r in soc.rows:
+        span.add(r)
     layers = []
-    cur = m
+    cur, basis = m, None  # basis: rad^k m in m's coordinates, None at k = 0
     while cur.dim:
+        if cur.dim == soc.dim and (basis is None
+                                   or not any(span.reduce(v) for v in basis.nz_rows())):
+            layers.append(socle)
+            break
         rad, homs = _radical(cur)
         layers.append(_multiplicities(homs, cur.dim - rad.dim))
+        sub = Mat(m.datum.N, rad.rows, cur.dim)
+        basis = sub if basis is None else sub * basis
         cur = rad.module
-    soc, homs = _socle(m)
-    return LoewyStructure(_multiplicities(homs, soc.dim), layers)
+    return LoewyStructure(socle, layers)
 
 
 def loewy_type(m: ModuleRep) -> LoewyType:

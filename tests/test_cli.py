@@ -141,6 +141,16 @@ def test_huge_decimal_exponent_exits_2_at_once(capsys, tmp_path, datum_file, cas
     assert err.startswith(f"error: {want}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eta", ["1e4300", "99.9e4299", "-0.01e-4299"])
+def test_unprintable_eta_exits_2(capsys, datum_file, eta):
+    # each value has a numerator or denominator beyond the interpreter's
+    # 4300-digit limit for str(int), so no member with that eta could be printed
+    code, out, err = run(capsys, "classify", datum_file("B"), f"--etas={eta}",
+                         "--max-t", "1", "--max-s", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse eta") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("orders", [[], [0], [-3]])
 def test_nonpositive_orders_exit_2(capsys, write_json, orders):
     path = write_json("orders.json", {**DATUM_JSON["B"], "orders": orders})
@@ -765,6 +775,53 @@ def test_classify_evaluates_each_weight_tag_once(capsys, datum_file, monkeypatch
                      "--max-t", "1", "--max-s", "1", "--etas", "1")
     assert code == 0
     assert len(calls) <= (2 * rank + 2) * weights + 2 * rank + 1
+
+
+def test_classify_solves_each_pass_and_hom_system_once(capsys, datum_file, monkeypatch):
+    # In classify E, the Hom pass against the candidate simples runs at most
+    # once per module (submodules included) and direction, and a Hom system
+    # is eliminated once for each content: x and xi of both modules and the
+    # equal-weight index pairs that carry the unknowns.
+    keep, passes = [], Counter()
+    simple_homs = homology._simple_homs
+
+    def counted_pass(m, into):
+        keep.append(m)
+        passes[id(m), into] += 1
+        return simple_homs(m, into)
+
+    def content(m):
+        return tuple(tuple(tuple(sorted(r.items())) for r in op.nz_rows())
+                     for op in (m.act_x, m.act_xi))
+
+    systems, eliminations, inside = set(), [], []
+    solve, nullspace = homology._solve_homs, homology.nullspace
+
+    def counted_solve(a, b):
+        keep.extend((a, b))
+        pos = frozenset((i, j) for i, v in enumerate(b.weights)
+                        for j, w in enumerate(a.weights) if v == w)
+        if pos:
+            systems.add((content(a), content(b), pos))
+        inside.append(True)
+        try:
+            return solve(a, b)
+        finally:
+            inside.pop()
+
+    def counted_nullspace(m):
+        if inside:
+            eliminations.append(m)
+        return nullspace(m)
+
+    monkeypatch.setattr(homology, "_simple_homs", counted_pass)
+    monkeypatch.setattr(homology, "_solve_homs", counted_solve)
+    monkeypatch.setattr(homology, "nullspace", counted_nullspace)
+    code, _, _ = run(capsys, "classify", datum_file("E"),
+                     "--max-t", "1", "--max-s", "1", "--etas", "1")
+    assert code == 0
+    assert max(passes.values()) == 1
+    assert len(eliminations) == len(systems)
 
 
 def test_classify_text_contains_counts(capsys, datum_file):

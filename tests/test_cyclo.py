@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from doublerep.cyclo import (MAX_EXPONENT, CycScalar, cyclotomic_poly, euler_phi,
+from doublerep.cyclo import (MAX_DIGITS, MAX_EXPONENT, CycScalar, cyclotomic_poly, euler_phi,
                              parse_fraction, q_factorial, q_number, root_of_unity)
 
 from .reference import rational_value
@@ -107,3 +107,13 @@ def test_parse_fraction_bounds_the_decimal_exponent():
             parse_fraction(text)
     with pytest.raises(ValueError):
         parse_fraction("1e")
+
+
+def test_parse_fraction_bounds_the_digits():
+    # what parses prints: str(int) refuses more than MAX_DIGITS digits
+    for text in (f"1e{MAX_EXPONENT}", f"-1e-{MAX_EXPONENT}", "9" * MAX_DIGITS):
+        value = parse_fraction(text)
+        assert str(value.numerator) and str(value.denominator)
+    for text in (f"99.9e{MAX_EXPONENT}", f"-0.01e-{MAX_EXPONENT}"):
+        with pytest.raises(ValueError, match=f"beyond {MAX_DIGITS} digits"):
+            parse_fraction(text)

@@ -206,6 +206,38 @@ def test_weight_certificate_and_end_memo_match_the_exact_solve(key):
     assert rejected or key == "A"
 
 
+def _direct_homs(a, b):
+    """Hom(a, b) eliminated afresh, past the datum's memo."""
+    return homology._eliminate_homs(a, b, homology._hom_unknowns(a, b))
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F", "R2"])
+def test_socle_stop_and_hom_memo_match_the_exact_passes(key, monkeypatch):
+    # The Loewy walk stops at the first radical power that spans the socle;
+    # the layers and socle must be those of the radical series built as
+    # quotient modules.  A Hom basis served by the content-keyed memo must
+    # equal a fresh elimination, also for a module read back from JSON over
+    # a distinct datum object, where the memo of the source's datum must
+    # serve the same basis.
+    mods = [fam.build(datum, l, lam, **params) for datum, fam, l, lam, params in members(key)]
+    radical, passes = homology._radical, []
+    monkeypatch.setattr(homology, "_radical", lambda m: passes.append(m) or radical(m))
+    for a, b in zip(mods, mods[1:] + mods[:1]):
+        passes.clear()
+        got = homology.loewy_structure(a)
+        # every member's last layer is its whole socle, so the walk stops
+        # there and solves one radical pass fewer than there are layers
+        assert len(passes) == len(got.layers) - 1, a.labels
+        layers = [semisimple_factors(q) for q in radical_series(a)]
+        assert got.layers == layers, a.labels
+        assert got.socle == semisimple_factors(homology.socle(a).module), a.labels
+        back = ModuleRep.from_json(json.loads(json.dumps(b.to_json())))
+        assert back.datum is not b.datum
+        for x, y in ((a, a), (a, b), (b, a), (a, back), (back, a)):
+            assert homology.hom_space(x, y) == _direct_homs(x, y), (x.labels, y.labels)
+        assert homology.hom_space(a, back) is homology.hom_space(a, b)
+
+
 @pytest.mark.parametrize("side", ["socle", "head"])
 @pytest.mark.parametrize("copies,message", [(1, "inconsistent Hom dimensions"),
                                             (2, "does not exhaust")])
