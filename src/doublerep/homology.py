@@ -67,18 +67,39 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
     return _solve_homs(a, b)
 
 
-def _content(m: ModuleRep) -> tuple:
-    """x and xi of m as one hashable value, equal for modules whose x and xi
-    are equal."""
-    return m.cached("content", lambda: tuple(tuple(frozenset(r.items()) for r in op.nz_rows())
-                                             for op in (m.act_x, m.act_xi)))
+class _Content:
+    """x and xi of a module as one value that is hashed once: the column and
+    value of each entry, row by row in increasing column order, each row
+    ended by None.  Equal exactly for modules whose x and xi are equal."""
+
+    __slots__ = ("entries", "_hash")
+
+    def __init__(self, m: ModuleRep):
+        entries = []
+        for op in (m.act_x, m.act_xi):
+            for r in op.nz_rows():
+                for j in sorted(r):
+                    entries += (j, r[j])
+                entries.append(None)
+        self.entries = tuple(entries)
+        self._hash = hash(self.entries)
+
+    def __eq__(self, other) -> bool:
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-def _hom_unknowns(a: ModuleRep, b: ModuleRep) -> tuple[tuple[int, int], ...]:
-    """The index pairs (i, j) of equal weight, b.weights[i] == a.weights[j]:
-    the entries a map a -> b may have."""
+def _content(m: ModuleRep) -> _Content:
+    return m.cached("content", lambda: _Content(m))
+
+
+def _hom_unknowns(a: ModuleRep, b: ModuleRep) -> tuple[int, ...]:
+    """The index pairs (i, j) of equal weight, b.weights[i] == a.weights[j],
+    flattened to i0, j0, i1, j1, ...: the entries a map a -> b may have."""
     spaces_a = a.weight_spaces()
-    return tuple((i, j) for i, w in enumerate(b.weights) for j in spaces_a.get(w, ()))
+    return tuple(k for i, w in enumerate(b.weights) for j in spaces_a.get(w, ()) for k in (i, j))
 
 
 def _solve_homs(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
@@ -95,14 +116,16 @@ def _solve_homs(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
                           lambda: _eliminate_homs(a, b, pos))
 
 
-def _eliminate_homs(a: ModuleRep, b: ModuleRep, pos) -> tuple[Mat, ...]:
-    """The Hom(a, b) basis with unknown entries at ``pos``, eliminated.
+def _eliminate_homs(a: ModuleRep, b: ModuleRep, unknowns: tuple[int, ...]) -> tuple[Mat, ...]:
+    """The Hom(a, b) basis with unknown entries at the flattened index pairs
+    ``unknowns``, eliminated.
 
     Unknown matrix entries live only on equal-weight index pairs, which makes
     the group-part intertwining automatic; the x and xi intertwining
     conditions become one sparse exact linear system.
     """
     datum = a.datum
+    pos = list(zip(unknowns[::2], unknowns[1::2]))
     eqs: dict[tuple, dict[int, CycScalar]] = {}
 
     def accum(key, p, val):
