@@ -120,6 +120,10 @@ CASES.update({
     # closing edge x v_(n-1) = (const) v_0 the Loewy walk and the Hom solves meet
     "classify-H-budget": ("classify", "{H}", "--max-t", "1", "--max-s", "1", "--etas", "1",
                           "--budget", "600"),
+    # rank two, m = 1: 640 members through the W family, most of them repeating
+    # the x and xi matrices of a member at another weight
+    "classify-R2": ("classify", "{R2}", "--max-t", "1", "--max-s", "0", "--etas", "1",
+                    "--budget", "100000"),
 })
 # analyze over E: M_2 at eta = 2 is matched in the registry; M_1 at eta = 3
 # lies outside the default eta grid
@@ -174,10 +178,10 @@ def _build_out(ref: str, tmp: pathlib.Path) -> str:
 def _resolve(argv, tmp: pathlib.Path) -> list[str]:
     out = []
     for arg in argv:
-        if len(arg) == 3 and arg[0] == "{" and arg[1] in DATUM_JSON:
-            path = tmp / f"datum_{arg[1]}.json"
+        if arg[:1] == "{" and arg[-1:] == "}" and arg[1:-1] in DATUM_JSON:
+            path = tmp / f"datum_{arg[1:-1]}.json"
             if not path.exists():
-                path.write_text(json.dumps(DATUM_JSON[arg[1]]))
+                path.write_text(json.dumps(DATUM_JSON[arg[1:-1]]))
             arg = str(path)
         out.append(arg)
     return out
