@@ -334,7 +334,8 @@ def _classify_entry(datum: ValidatedDatum, fam: constructors.Family, l: int, w: 
                     params: dict, mod: ModuleRep) -> dict:
     rel = mod.verify_relations()
     el = homology.end_local_dim(mod)
-    lt = homology.loewy_type(mod)
+    # the shape fixes the Loewy type only of a module whose relations hold
+    lt = homology.shape_loewy_type(mod) if rel.ok else homology.loewy_type(mod)
     return {
         "tag": f"{fam.letter}(l={l}, lam={w.label()}"
                + "".join(f", {p}={v}" for p, v in params.items()) + ")",

@@ -132,15 +132,20 @@ class Weight(namedtuple("Weight", "group gexps hexps")):
         # value at prod_i gamma_i^{c_i}
         return _char_value(self.group, self.hexps, cexps)
 
-    # the exponent tuples are already reduced, so mul and power add and
-    # scale them directly; __new__ reduces the result
+    # the exponent tuples are already reduced, so mul and power reduce the
+    # sums and multiples themselves and skip __new__'s normalize
 
     def mul(self, other: Weight) -> Weight:
-        return Weight(self.group, tuple(x + y for x, y in zip(self.gexps, other.gexps)),
-                      tuple(x + y for x, y in zip(self.hexps, other.hexps)))
+        orders = self.group.orders
+        return tuple.__new__(Weight, (
+            self.group, tuple((x + y) % d for x, y, d in zip(self.gexps, other.gexps, orders)),
+            tuple((x + y) % d for x, y, d in zip(self.hexps, other.hexps, orders))))
 
     def power(self, k: int) -> Weight:
-        return Weight(self.group, tuple(x * k for x in self.gexps), tuple(x * k for x in self.hexps))
+        orders = self.group.orders
+        return tuple.__new__(Weight, (self.group,
+                                      tuple(x * k % d for x, d in zip(self.gexps, orders)),
+                                      tuple(x * k % d for x, d in zip(self.hexps, orders))))
 
     def order(self) -> int:
         return _lcm(self.group.element_order(self.gexps), self.group.element_order(self.hexps))

@@ -67,34 +67,6 @@ def hom_space(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
     return _solve_homs(a, b)
 
 
-class _Content:
-    """x and xi of a module as one value that is hashed once: the column and
-    value of each entry, row by row in increasing column order, each row
-    ended by None.  Equal exactly for modules whose x and xi are equal."""
-
-    __slots__ = ("entries", "_hash")
-
-    def __init__(self, m: ModuleRep):
-        entries = []
-        for op in (m.act_x, m.act_xi):
-            for r in op.nz_rows():
-                for j in sorted(r):
-                    entries += (j, r[j])
-                entries.append(None)
-        self.entries = tuple(entries)
-        self._hash = hash(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-def _content(m: ModuleRep) -> _Content:
-    return m.cached("content", lambda: _Content(m))
-
-
 def _hom_unknowns(a: ModuleRep, b: ModuleRep) -> tuple[int, ...]:
     """The index pairs (i, j) of equal weight, b.weights[i] == a.weights[j],
     flattened to i0, j0, i1, j1, ...: the entries a map a -> b may have."""
@@ -112,7 +84,7 @@ def _solve_homs(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
     pos = _hom_unknowns(a, b)
     if not pos:
         return ()
-    return a.datum.cached(("homs", _content(a), _content(b), pos),
+    return a.datum.cached(("homs", a.content(), b.content(), pos),
                           lambda: _eliminate_homs(a, b, pos))
 
 
@@ -195,8 +167,11 @@ def end_radical(m: ModuleRep) -> list[Mat]:
 
 def end_local_dim(m: ModuleRep) -> int:
     """Dimension of End(M) modulo its radical, r(M, M), the rank of the
-    trace form.  Value 1 certifies that M is absolutely indecomposable."""
-    return len(hom_space(m, m)) - len(_end_radical_coords(m))
+    trace form.  Value 1 certifies that M is absolutely indecomposable.
+    End(M) and its trace form depend only on the shape of M, so the value is
+    found once per datum for each shape."""
+    return m.datum.cached(("end local dim", m.shape()),
+                          lambda: len(hom_space(m, m)) - len(_end_radical_coords(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +336,15 @@ def loewy_type(m: ModuleRep) -> LoewyType:
     return loewy_structure(m).type
 
 
+def shape_loewy_type(m: ModuleRep) -> LoewyType:
+    """``loewy_type``, found once per datum for each shape, for a module
+    whose relations hold.  Its lengths are those of the submodule lattice,
+    which the shape fixes; but the walk reads the actual weights through
+    ``candidate_simples``, so for a module whose relations fail it is not a
+    function of the shape, and such a module takes ``loewy_type``."""
+    return m.datum.cached(("loewy type", m.shape()), lambda: loewy_type(m))
+
+
 def composition_factors(m: ModuleRep) -> list[dict]:
     """Multiset of simple factors over the radical series, sorted."""
     counts: dict[tuple[int, Weight], int] = {}
@@ -492,9 +476,14 @@ def _no(reason: str) -> IsoVerdict:
 
 def invariant_key(mod: ModuleRep) -> tuple:
     """Invariants compared before a Hom solve: modules with different keys
-    are not isomorphic."""
+    are not isomorphic.  The kernel dimensions are found once per datum for
+    each content."""
+    def kernels() -> tuple[int, int]:
+        return len(mod.x_kernel()), len(mod.xi_kernel())
+
     return mod.cached("invariant key", lambda: (
-        mod.dim, mod.weight_multiset(), len(mod.x_kernel()), len(mod.xi_kernel())))
+        mod.dim, mod.weight_multiset(),
+        *mod.datum.cached(("kernel dims", mod.content()), kernels)))
 
 
 def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:

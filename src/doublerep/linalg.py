@@ -272,7 +272,8 @@ class Echelon:
 def _echelon(order: int, rows) -> Echelon:
     e = Echelon(order)
     for r in rows:
-        e.add(r)
+        if r:  # an empty row adds nothing, and Echelon.add would copy it
+            e.add(r)
     return e
 
 

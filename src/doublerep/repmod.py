@@ -59,6 +59,73 @@ def _mat_pow(m: Mat, k: int) -> Mat:
     return out
 
 
+def _relation_products(m: ModuleRep) -> tuple[Mat, Mat, Mat, Mat]:
+    """The products of x and xi the relation checks compare: x^n, xi^(n-1),
+    xi^n and the commutator x xi - xi x."""
+    X, Xi, n = m.act_x, m.act_xi, m.datum.n
+    xi_top = _mat_pow(Xi, n - 1)
+    return _mat_pow(X, n), xi_top, xi_top * Xi, X * Xi - Xi * X
+
+
+def _is_diag(m: Mat, entries: list) -> bool:
+    """m == diag(entries), row by row."""
+    return all((len(r) == 1 and r.get(i) == e) if e else not r
+               for i, (r, e) in enumerate(zip(m.nz_rows(), entries)))
+
+
+def _moves_past(m: Mat, v: list, s: CycScalar) -> bool:
+    """m diag(v) == s diag(v) m for nonzero entries v: each entry m[j, k] != 0
+    has v[k] == s v[j]."""
+    for j, r in enumerate(m.nz_rows()):
+        if r:
+            t = s * v[j]
+            if any(v[k] != t for k in r):
+                return False
+    return True
+
+
+def _x_gamma_holds(X: Mat, xi_top: Mat, gam: list, ga: CycScalar, top: list | None) -> bool:
+    """ga X diag(gam) == diag(gam) X + diag(top) xi_top, row by row (without
+    the last term when ``top`` is None): where that term is zero on a row,
+    each entry X[j, k] != 0 has ga gam[k] == gam[j]."""
+    ga_inv = ga.inv()
+    for j, (r, t) in enumerate(zip(X.nz_rows(), xi_top.nz_rows())):
+        c = top[j] if top is not None and t else None
+        if c:
+            moved = {k: y for k, x in r.items() if (y := x * (ga * gam[k] - gam[j]))}
+            if moved != {k: c * y for k, y in t.items()}:
+                return False
+        elif r:
+            s = ga_inv * gam[j]
+            if any(gam[k] != s for k in r):
+                return False
+    return True
+
+
+class _Content:
+    """x and xi of a module as one value that is hashed once: the column and
+    value of each entry, row by row in increasing column order, each row
+    ended by None.  Equal exactly for modules whose x and xi are equal."""
+
+    __slots__ = ("entries", "_hash")
+
+    def __init__(self, m: ModuleRep):
+        entries = []
+        for op in (m.act_x, m.act_xi):
+            for r in op.nz_rows():
+                for j in sorted(r):
+                    entries += (j, r[j])
+                entries.append(None)
+        self.entries = tuple(entries)
+        self._hash = hash(self.entries)
+
+    def __eq__(self, other) -> bool:
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 # ---------------------------------------------------------------------------
 # the module class
 
@@ -104,15 +171,21 @@ class ModuleRep(Memo):
         commutation relations hold by construction; ``from_json`` certifies
         them for a file.  The remaining relations are matrix identities whose
         diagonal factors are the character values the datum keeps for each
-        tag; they enter as row and column scalings and diagonals, not as
-        products.
+        tag.  The products of x and xi in them are taken once per datum for
+        each content and compared with the diagonals row by row; moving x or xi past a group-like is decided entry by
+        entry.  A check that fails there is compared again as matrices, which
+        decides it and locates its first failing entry.
         """
         d = self.datum
         N, dim, rank = d.N, self.dim, d.group.rank
         checks: list[CheckResult] = []
 
-        def add(name: str, lhs: Mat, rhs: Mat) -> None:
-            if lhs == rhs:
+        def add(name: str, holds: bool, sides) -> None:
+            # sides() gives the two matrices of the identity
+            if not holds:
+                lhs, rhs = sides()
+                holds = lhs == rhs
+            if holds:
                 checks.append(CheckResult(name, True))
                 return
             i, row = next((i, r) for i, r in enumerate((lhs - rhs).nz_rows()) if r)
@@ -127,13 +200,16 @@ class ModuleRep(Memo):
 
         X, Xi = self.act_x, self.act_xi
         chars = [d.characters(w) for w in self.weights]
-        xi_top = _mat_pow(Xi, d.n - 1)
-        add("x_power", _mat_pow(X, d.n), Mat.diag(N, [c.x_power for c in chars]))
-        add("xi_power", xi_top * Xi, Mat.zeros(N, dim, dim))
+        x_pow, xi_top, xi_pow, comm = d.cached(("relation products", self.content()),
+                                               lambda: _relation_products(self))
+        x_power = [c.x_power for c in chars]
+        add("x_power", _is_diag(x_pow, x_power), lambda: (x_pow, Mat.diag(N, x_power)))
+        add("xi_power", xi_pow.is_zero(), lambda: (xi_pow, Mat.zeros(N, dim, dim)))
 
         def past(name: str, m: Mat, v: list, s: CycScalar) -> None:
             # moving x or xi past a group-like g: m diag(g) == s diag(g) m
-            add(name, _scale_cols(m, v), _scale_rows(m, [s * u for u in v]))
+            add(name, _moves_past(m, v, s),
+                lambda: (_scale_cols(m, v), _scale_rows(m, [s * u for u in v])))
 
         gens = [(k, [c.at_g[i] for c in chars], [c.at_gamma[i] for c in chars])
                 for i, k in enumerate(d.generator_constants())]
@@ -141,16 +217,40 @@ class ModuleRep(Memo):
             past(f"x_group[{i}]", X, gv, k.chi)
             past(f"xi_group[{i}]", Xi, gv, k.chi_inv)
             past(f"xi_gamma[{i}]", Xi, gam, k.gamma_at_a)
-        add("x_xi_commutator", X * Xi - Xi * X, Mat.diag(N, [c.at_a - c.at_chi for c in chars]))
+        commutator = [c.at_a - c.at_chi for c in chars]
+        add("x_xi_commutator", _is_diag(comm, commutator), lambda: (comm, Mat.diag(N, commutator)))
         for i, (k, _, gam) in enumerate(gens):
             # ga X diag(gam) == diag(gam) X, plus ci diag(gam) (rho A - C) Xi^(n-1)
             # over a non-nilpotent datum
-            rhs = _scale_rows(X, gam)
-            if d.kind != NILPOTENT:
-                rhs = rhs + _scale_rows(xi_top, [k.x_gamma * g * (d.rho * c.at_a - c.at_chi)
-                                                 for g, c in zip(gam, chars)])
-            add(f"x_gamma[{i}]", _scale_cols(X, [k.gamma_at_a * g for g in gam]), rhs)
+            top = None if d.kind == NILPOTENT else [
+                k.x_gamma * g * (d.rho * c.at_a - c.at_chi) for g, c in zip(gam, chars)]
+
+            def sides(k=k, gam=gam, top=top) -> tuple[Mat, Mat]:
+                rhs = _scale_rows(X, gam)
+                if top is not None:
+                    rhs = rhs + _scale_rows(xi_top, top)
+                return _scale_cols(X, [k.gamma_at_a * g for g in gam]), rhs
+
+            add(f"x_gamma[{i}]", _x_gamma_holds(X, xi_top, gam, k.gamma_at_a, top), sides)
         return RelationReport(checks)
+
+    # -- content and shape -----------------------------------------------
+
+    def content(self) -> _Content:
+        """x and xi as one hashable value, built once per module."""
+        return self.cached("content", lambda: _Content(self))
+
+    def shape(self) -> tuple:
+        """The content and the partition of the basis into weight spaces (the
+        index of the first basis vector of each vector's weight): what the
+        submodules and the endomorphisms of the module depend on.  A
+        submodule is an x- and xi-stable sum of weight-space parts, and an
+        endomorphism commutes with x and xi and keeps each weight space."""
+        def build() -> tuple:
+            first: dict[Weight, int] = {}
+            return self.content(), tuple(first.setdefault(w, k)
+                                         for k, w in enumerate(self.weights))
+        return self.cached("shape", build)
 
     # -- weight structure ----------------------------------------------------
 

@@ -12,8 +12,9 @@ from math import prod
 import pytest
 
 import doublerep
-from doublerep import cli, homology
-from doublerep.constructors import band, projective, simple
+from doublerep import cli, homology, repmod
+from doublerep.constructors import FAMILIES, Family, band, projective, simple
+from doublerep.datum import Weight
 from doublerep.linalg import Mat
 from doublerep.repmod import ModuleRep, direct_sum
 
@@ -822,6 +823,68 @@ def test_classify_solves_each_pass_and_hom_system_once(capsys, datum_file, monke
     assert code == 0
     assert max(passes.values()) == 1
     assert len(eliminations) == len(systems)
+
+
+def test_classify_analyzes_each_shape_once(capsys, datum_file, monkeypatch):
+    # Over E, the 177 members have 68 shapes (x, xi and the partition of the
+    # basis into weight spaces) and 68 contents (x and xi): the Loewy walk
+    # and the trace form of End run once per shape, the relation products and
+    # the kernels of x once per content.
+    runs = {name: [] for name in ("walk", "trace form", "products", "kernel")}
+
+    def counted(owner, attr, name):
+        fn = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda m: runs[name].append(m) or fn(m))
+
+    counted(homology, "_solve_loewy", "walk")
+    counted(homology, "_end_radical_coords", "trace form")
+    counted(repmod, "_relation_products", "products")
+    counted(ModuleRep, "x_kernel", "kernel")
+    code, _, _ = run(capsys, "classify", datum_file("E"),
+                     "--max-t", "1", "--max-s", "1", "--etas", "1")
+    assert code == 0
+    for name, key in (("walk", ModuleRep.shape), ("trace form", ModuleRep.shape),
+                      ("products", ModuleRep.content), ("kernel", ModuleRep.content)):
+        assert len(runs[name]) == len(set(map(key, runs[name]))) == 68, name
+
+
+def test_classify_walks_a_module_whose_relations_fail(capsys, datum_file, monkeypatch):
+    # The walk reads the actual weights, so the Loewy type is one per shape
+    # only for modules whose relations hold.  Over E, V(1, mu) for the second
+    # weight mu of class 1 has the shape of V(1, lambda), lambda the first:
+    # x = xi = 0 on one basis vector.  Moved to a weight outside class 1, its
+    # x xi - xi x = 0 no longer matches the weight, and classify must walk
+    # its own series (here a stub that marks the walk) and report the
+    # relations as failed.
+    datum = make_datum("E")
+    lam, mu = datum.weights_in_class(1)[:2]
+    v = FAMILIES["V"]
+    first, second = v.member(datum, 1, lam), v.member(datum, 1, mu)
+    twisted = ModuleRep(datum, [w.mul(Weight(datum.group, (1,), (0,))) for w in second.weights],
+                        second.act_x, second.act_xi, second.labels)
+    assert twisted.shape() == second.shape() == first.shape()
+    assert "x_xi_commutator" in [c.name for c in twisted.verify_relations().failures()]
+    member, walk, walked = Family.member, homology._solve_loewy, []
+
+    def built(fam, d, l, w, **params):
+        return twisted if (fam.letter, l, w) == ("V", 1, mu) else member(fam, d, l, w, **params)
+
+    def walk_once(m):
+        walked.append(m)
+        return homology.LoewyStructure([], []) if m is twisted else walk(m)
+
+    monkeypatch.setattr(Family, "member", built)
+    monkeypatch.setattr(homology, "_solve_loewy", walk_once)
+    monkeypatch.setattr(cli, "_load_datum", lambda path: datum)
+    code, out, _ = classify_json(capsys, "E.json", "--max-t", "1", "--max-s", "0",
+                                 "--etas", "1")
+    assert code == 1
+    entries = {e["tag"]: e for e in json.loads(out)["entries"]}
+    assert entries[f"V(l=1, lam={lam.label()})"]["type"] == {"s": 1, "t": 1, "rl": 1}
+    bad = entries[f"V(l=1, lam={mu.label()})"]
+    assert bad["relations_ok"] is False
+    assert bad["type"] == {"s": 0, "t": 0, "rl": 0}
+    assert sum(m is twisted for m in walked) == 1
 
 
 def test_classify_text_contains_counts(capsys, datum_file):

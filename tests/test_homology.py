@@ -10,7 +10,8 @@ from doublerep.constructors import (FAMILIES, band, projective, simple, t1, t1ba
                                     t_chain, t_chain_bar, verma, w_band)
 from doublerep.cyclo import CycScalar
 from doublerep.datum import DatumError
-from doublerep.linalg import Echelon, Mat, frobenius_pair, hstack, rank, solve_right, vstack
+from doublerep.linalg import (Echelon, Mat, frobenius_pair, hstack, nullspace, rank,
+                              solve_right, vstack)
 from doublerep.repmod import ModuleRep, direct_sum, intertwines, quotient_module, spin_submodule
 
 from .conftest import first_weight, make_datum
@@ -236,6 +237,31 @@ def test_socle_stop_and_hom_memo_match_the_exact_passes(key, monkeypatch):
         for x, y in ((a, a), (a, b), (b, a), (a, back), (back, a)):
             assert homology.hom_space(x, y) == _direct_homs(x, y), (x.labels, y.labels)
         assert homology.hom_space(a, back) is homology.hom_space(a, b)
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F", "R2"])
+def test_shape_memo_matches_a_fresh_datum(key):
+    # End(M), its trace form and the submodule lattice depend only on the
+    # shape of M, and the kernels of x and xi only on its content.  Every
+    # classify member's values, read through the datum's memos in manifest
+    # order, must equal those of the same member built over a fresh datum
+    # object, whose memos are empty.
+    max_t, max_s, etas = (1, 0, "1") if key == "R2" else (2, 2, "1,-1")
+    datum = make_datum(key)
+    specs = cli._classify_specs(datum, max_t, max_s, cli.parse_etas(etas))
+    shapes = set()
+    for fam, l, w, params in specs:
+        mod = fam.member(datum, l, w, **params)
+        shapes.add(mod.shape())
+        ref = fam.build(make_datum(key), l, w, **params)
+        assert (homology.shape_loewy_type(mod), homology.end_local_dim(mod),
+                homology.invariant_key(mod)) == (
+            homology.loewy_structure(ref).type,
+            len(homology.hom_space(ref, ref)) - len(homology.end_radical(ref)),
+            (ref.dim, ref.weight_multiset(), len(nullspace(ref.act_x)),
+             len(nullspace(ref.act_xi)))), (fam.letter, l, w, params)
+    # members of one shape read the first one's values
+    assert len(shapes) < len(specs)
 
 
 @pytest.mark.parametrize("side", ["socle", "head"])
