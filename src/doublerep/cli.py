@@ -334,8 +334,9 @@ def _classify_entry(datum: ValidatedDatum, fam: constructors.Family, l: int, w: 
                     params: dict, mod: ModuleRep) -> dict:
     rel = mod.verify_relations()
     el = homology.end_local_dim(mod)
-    # the shape fixes the Loewy type only of a module whose relations hold
-    lt = homology.shape_loewy_type(mod) if rel.ok else homology.loewy_type(mod)
+    # the Loewy walk assumes the relations, so a member that fails them has
+    # no type
+    lt = homology.loewy_type(mod) if rel.ok else None
     return {
         "tag": f"{fam.letter}(l={l}, lam={w.label()}"
                + "".join(f", {p}={v}" for p, v in params.items()) + ")",
@@ -343,8 +344,8 @@ def _classify_entry(datum: ValidatedDatum, fam: constructors.Family, l: int, w: 
         "dim": mod.dim,
         "relations_ok": rel.ok,
         "end_local_dim": el,
-        "type": lt.to_json(),
-        "type_ok": (lt.s, lt.t, lt.rl) == fam.loewy(datum, l, **params),
+        "type": lt.to_json() if lt else None,
+        "type_ok": lt is not None and (lt.s, lt.t, lt.rl) == fam.loewy(datum, l, **params),
     }
 
 
@@ -417,8 +418,9 @@ def cmd_classify(args) -> int:
     payload["ok"] = ok
     lines = []
     for e in entries:
+        lt = e["type"]
         lines.append(f"{e['tag']}: dim {e['dim']}, el {e['end_local_dim']}, "
-                     f"type ({e['type']['s']},{e['type']['t']}) rl {e['type']['rl']}"
+                     + (f"type ({lt['s']},{lt['t']}) rl {lt['rl']}" if lt else "type -")
                      + ("" if e["relations_ok"] and e["type_ok"] else " [CHECK FAILED]"))
     lines.append(f"modules: {len(entries)} "
                  + " ".join(f"{k}:{v}" for k, v in sorted(counts.items())))

@@ -59,12 +59,18 @@ def zero_module(datum: ValidatedDatum) -> ModuleRep:
 
 def hom_space(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
     """Echelonized basis of the space of module maps a -> b, each a
-    dim(b) x dim(a) matrix.  End(a) = hom_space(a, a) is solved once per
-    module and the same tuple is returned on every call.
+    dim(b) x dim(a) matrix, solved once per datum for each content: the
+    system depends only on x and xi of a and b and on the unknowns, so
+    modules with equal matrices and weight pairing share one elimination and
+    one tuple, End(a) = hom_space(a, a) included.  The key holds the content
+    itself, so modules over equal but distinct datum objects share it too.
     """
-    if a is b:
-        return a.cached("end", lambda: _solve_homs(a, a))
-    return _solve_homs(a, b)
+    require_same_datum(a, b)
+    pos = _hom_unknowns(a, b)
+    if not pos:
+        return ()
+    return a.datum.cached(("homs", a.content(), b.content(), pos),
+                          lambda: _eliminate_homs(a, b, pos))
 
 
 def _hom_unknowns(a: ModuleRep, b: ModuleRep) -> tuple[int, ...]:
@@ -72,20 +78,6 @@ def _hom_unknowns(a: ModuleRep, b: ModuleRep) -> tuple[int, ...]:
     flattened to i0, j0, i1, j1, ...: the entries a map a -> b may have."""
     spaces_a = a.weight_spaces()
     return tuple(k for i, w in enumerate(b.weights) for j in spaces_a.get(w, ()) for k in (i, j))
-
-
-def _solve_homs(a: ModuleRep, b: ModuleRep) -> tuple[Mat, ...]:
-    """The basis of ``hom_space``, solved once per datum for each content:
-    the system depends only on x and xi of a and b and on the unknowns, so
-    modules with equal matrices and weight pairing share one elimination.
-    The key holds the content itself, so modules over equal but distinct
-    datum objects share it too."""
-    require_same_datum(a, b)
-    pos = _hom_unknowns(a, b)
-    if not pos:
-        return ()
-    return a.datum.cached(("homs", a.content(), b.content(), pos),
-                          lambda: _eliminate_homs(a, b, pos))
 
 
 def _eliminate_homs(a: ModuleRep, b: ModuleRep, unknowns: tuple[int, ...]) -> tuple[Mat, ...]:
@@ -151,12 +143,13 @@ def pairing_rank(fs: list[Mat], gs: list[Mat]) -> int:
 
 def _end_radical_coords(m: ModuleRep) -> tuple[dict, ...]:
     """Coordinates in the End(M) basis of a basis of rad End(M): in
-    characteristic zero, the nullspace of the trace form (f, g) -> tr(fg),
-    eliminated once per module."""
+    characteristic zero, the nullspace of the trace form (f, g) -> tr(fg).
+    End(M) and its trace form depend only on the shape of M, so the
+    nullspace is eliminated once per datum for each shape."""
     def build():
         ends = hom_space(m, m)
         return tuple(nullspace(_trace_gram(ends, ends))) if ends else ()
-    return m.cached("end radical", build)
+    return m.datum.cached(("end radical", m.shape()), build)
 
 
 def end_radical(m: ModuleRep) -> list[Mat]:
@@ -167,11 +160,8 @@ def end_radical(m: ModuleRep) -> list[Mat]:
 
 def end_local_dim(m: ModuleRep) -> int:
     """Dimension of End(M) modulo its radical, r(M, M), the rank of the
-    trace form.  Value 1 certifies that M is absolutely indecomposable.
-    End(M) and its trace form depend only on the shape of M, so the value is
-    found once per datum for each shape."""
-    return m.datum.cached(("end local dim", m.shape()),
-                          lambda: len(hom_space(m, m)) - len(_end_radical_coords(m)))
+    trace form.  Value 1 certifies that M is absolutely indecomposable."""
+    return len(hom_space(m, m)) - len(_end_radical_coords(m))
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +323,13 @@ def _solve_loewy(m: ModuleRep) -> LoewyStructure:
 
 
 def loewy_type(m: ModuleRep) -> LoewyType:
-    return loewy_structure(m).type
-
-
-def shape_loewy_type(m: ModuleRep) -> LoewyType:
-    """``loewy_type``, found once per datum for each shape, for a module
-    whose relations hold.  Its lengths are those of the submodule lattice,
-    which the shape fixes; but the walk reads the actual weights through
-    ``candidate_simples``, so for a module whose relations fail it is not a
-    function of the shape, and such a module takes ``loewy_type``."""
-    return m.datum.cached(("loewy type", m.shape()), lambda: loewy_type(m))
+    """The type of ``loewy_structure``, found once per datum for each shape:
+    its lengths are those of the submodule lattice, which the shape fixes.
+    The walk assumes that the relations hold, as ``module analyze`` and
+    ``classify`` check first: it reads the actual weights through
+    ``candidate_simples``, so for a module whose relations fail its result
+    is not a function of the shape, and it may raise."""
+    return m.datum.cached(("loewy type", m.shape()), lambda: loewy_structure(m).type)
 
 
 def composition_factors(m: ModuleRep) -> list[dict]:
@@ -478,12 +465,9 @@ def invariant_key(mod: ModuleRep) -> tuple:
     """Invariants compared before a Hom solve: modules with different keys
     are not isomorphic.  The kernel dimensions are found once per datum for
     each content."""
-    def kernels() -> tuple[int, int]:
-        return len(mod.x_kernel()), len(mod.xi_kernel())
-
-    return mod.cached("invariant key", lambda: (
-        mod.dim, mod.weight_multiset(),
-        *mod.datum.cached(("kernel dims", mod.content()), kernels)))
+    return (mod.dim, mod.weight_multiset(),
+            *mod.datum.cached(("kernel dims", mod.content()),
+                              lambda: (len(mod.x_kernel()), len(mod.xi_kernel()))))
 
 
 def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
@@ -750,7 +734,7 @@ def ar_sequences_for_lemma(datum: ValidatedDatum, lemma: str, max_t: int = 1,
         raise DatumError(guard)
     # each member is built once per datum: with tau-shift 0 the ends are one
     # module, and a sequence's right end is the next one's middle term, so
-    # End(C) and its Hom solves are shared through the module's own memos
+    # End(C) and its Hom solves are shared through the datum's Hom memo
     for l, lam in weights:
         c_lam = datum.tau(lam, shift)
         for kw in ([{"eta": constructors.EtaParam.of(e)} for e in etas]

@@ -135,8 +135,10 @@ class ModuleRep(Memo):
 
     Matrices act on column vectors; the matrix of a product st of algebra
     elements is S*T.  The group-likes act on basis vector k through the
-    joint character ``weights[k]``.  What is derived from the module alone
-    is memoized on it, so a datum-cached module shares it with every caller.
+    joint character ``weights[k]``.  A fact that depends only on the
+    module's ``content()`` or ``shape()`` is memoized on the datum under that
+    key; what refers to the module's own basis and weights is memoized on
+    it, so a datum-cached module shares it with every caller.
     """
 
     def __init__(self, datum: ValidatedDatum, weights, act_x: Mat, act_xi: Mat,

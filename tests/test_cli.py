@@ -422,29 +422,35 @@ def test_analyze_solves_end_of_its_input_at_most_twice(capsys, tmp_path, datum_f
     # its dimension is decided by the trace pairing, without End(candidate).
     # Of the 12 candidates with its invariants, Hom(m, N) has dimension 12
     # for nine, 0 for two and dim End(m) = 2 only for the match, so Hom(N, m)
-    # is solved once.  Solves are counted, not the End memo's hits
+    # is asked for once.  The Hom bases asked for are counted, and End(m) by
+    # its eliminations, not the Hom memo's hits; no End(N) is asked for
     path = build_module(capsys, tmp_path, datum_file("E"),
                         "--family", "band_mt", "--l", "2", "--lambda", "0;2",
                         "--t", "2", "--eta", "2")
-    loaded, ends, solves = [], [], Counter()
-    load, solve = cli._load_module, homology._solve_homs
+    loaded, ends, asked, eliminated = [], [], Counter(), []
+    load, hom_space, solve = cli._load_module, homology.hom_space, homology._eliminate_homs
     monkeypatch.setattr(cli, "_load_module", lambda p: loaded.append(load(p)) or loaded[-1])
 
     def counted(a, b):
         if a is b:
             ends.append(a)
         elif (a is loaded[0] or b is loaded[0]) and a.dim == b.dim:
-            solves["into" if a is loaded[0] else "from"] += 1
-        return solve(a, b)
+            asked["into" if a is loaded[0] else "from"] += 1
+        return hom_space(a, b)
 
-    monkeypatch.setattr(homology, "_solve_homs", counted)
+    def counted_solve(a, b, unknowns):
+        eliminated.append((a, b))
+        return solve(a, b, unknowns)
+
+    monkeypatch.setattr(homology, "hom_space", counted)
+    monkeypatch.setattr(homology, "_eliminate_homs", counted_solve)
     code, out, _ = run(capsys, "module", "analyze", path)
     assert code == 0
     assert out.splitlines()[-1] == "family: M_2(2,(0;2),eta=2)"
     (mod,) = loaded
-    assert sum(e is mod for e in ends) <= 1
+    assert sum(a is b is mod for a, b in eliminated) <= 1
     assert [e for e in ends if e is not mod and e.dim == mod.dim] == []
-    assert solves == {"into": 12, "from": 1}
+    assert asked == {"into": 12, "from": 1}
 
 
 def test_analyze_and_compare_accept_any_basis(capsys, tmp_path, datum_e):
@@ -796,17 +802,20 @@ def test_classify_solves_each_pass_and_hom_system_once(capsys, datum_file, monke
                      for op in (m.act_x, m.act_xi))
 
     systems, eliminations, inside = set(), [], []
-    solve, nullspace = homology._solve_homs, homology.nullspace
+    hom_space, solve, nullspace = homology.hom_space, homology._eliminate_homs, homology.nullspace
 
-    def counted_solve(a, b):
+    def counted_hom_space(a, b):
         keep.extend((a, b))
         pos = frozenset((i, j) for i, v in enumerate(b.weights)
                         for j, w in enumerate(a.weights) if v == w)
         if pos:
             systems.add((content(a), content(b), pos))
+        return hom_space(a, b)
+
+    def counted_solve(a, b, unknowns):
         inside.append(True)
         try:
-            return solve(a, b)
+            return solve(a, b, unknowns)
         finally:
             inside.pop()
 
@@ -816,7 +825,8 @@ def test_classify_solves_each_pass_and_hom_system_once(capsys, datum_file, monke
         return nullspace(m)
 
     monkeypatch.setattr(homology, "_simple_homs", counted_pass)
-    monkeypatch.setattr(homology, "_solve_homs", counted_solve)
+    monkeypatch.setattr(homology, "hom_space", counted_hom_space)
+    monkeypatch.setattr(homology, "_eliminate_homs", counted_solve)
     monkeypatch.setattr(homology, "nullspace", counted_nullspace)
     code, _, _ = run(capsys, "classify", datum_file("E"),
                      "--max-t", "1", "--max-s", "1", "--etas", "1")
@@ -829,15 +839,31 @@ def test_classify_analyzes_each_shape_once(capsys, datum_file, monkeypatch):
     # Over E, the 177 members have 68 shapes (x, xi and the partition of the
     # basis into weight spaces) and 68 contents (x and xi): the Loewy walk
     # and the trace form of End run once per shape, the relation products and
-    # the kernels of x once per content.
+    # the kernels of x once per content.  A trace form is counted where its
+    # Gram matrix is built for the End radical.
     runs = {name: [] for name in ("walk", "trace form", "products", "kernel")}
 
     def counted(owner, attr, name):
         fn = getattr(owner, attr)
         monkeypatch.setattr(owner, attr, lambda m: runs[name].append(m) or fn(m))
 
+    coords, gram, radical_of = homology._end_radical_coords, homology._trace_gram, []
+
+    def counted_coords(m):
+        radical_of.append(m)
+        try:
+            return coords(m)
+        finally:
+            radical_of.pop()
+
+    def counted_gram(fs, gs):
+        if radical_of:
+            runs["trace form"].append(radical_of[-1])
+        return gram(fs, gs)
+
+    monkeypatch.setattr(homology, "_end_radical_coords", counted_coords)
+    monkeypatch.setattr(homology, "_trace_gram", counted_gram)
     counted(homology, "_solve_loewy", "walk")
-    counted(homology, "_end_radical_coords", "trace form")
     counted(repmod, "_relation_products", "products")
     counted(ModuleRep, "x_kernel", "kernel")
     code, _, _ = run(capsys, "classify", datum_file("E"),
@@ -849,13 +875,13 @@ def test_classify_analyzes_each_shape_once(capsys, datum_file, monkeypatch):
 
 
 def test_classify_walks_a_module_whose_relations_fail(capsys, datum_file, monkeypatch):
-    # The walk reads the actual weights, so the Loewy type is one per shape
-    # only for modules whose relations hold.  Over E, V(1, mu) for the second
-    # weight mu of class 1 has the shape of V(1, lambda), lambda the first:
-    # x = xi = 0 on one basis vector.  Moved to a weight outside class 1, its
-    # x xi - xi x = 0 no longer matches the weight, and classify must walk
-    # its own series (here a stub that marks the walk) and report the
-    # relations as failed.
+    # The Loewy walk assumes the relations, so classify does not walk a
+    # member that fails them.  Over E, V(1, mu) for the second weight mu of
+    # class 1 has the shape of V(1, lambda), lambda the first: x = xi = 0 on
+    # one basis vector.  Moved to a weight outside class 1, its x xi - xi x = 0
+    # no longer matches the weight, and its own walk would find no simple
+    # quotient and raise.  Its entry keeps its End-local dimension, has no
+    # type and fails the manifest with exit 1.
     datum = make_datum("E")
     lam, mu = datum.weights_in_class(1)[:2]
     v = FAMILIES["V"]
@@ -864,17 +890,15 @@ def test_classify_walks_a_module_whose_relations_fail(capsys, datum_file, monkey
                         second.act_x, second.act_xi, second.labels)
     assert twisted.shape() == second.shape() == first.shape()
     assert "x_xi_commutator" in [c.name for c in twisted.verify_relations().failures()]
-    member, walk, walked = Family.member, homology._solve_loewy, []
+    member, walked = Family.member, []
 
     def built(fam, d, l, w, **params):
         return twisted if (fam.letter, l, w) == ("V", 1, mu) else member(fam, d, l, w, **params)
 
-    def walk_once(m):
-        walked.append(m)
-        return homology.LoewyStructure([], []) if m is twisted else walk(m)
-
+    for name in ("loewy_type", "loewy_structure", "_solve_loewy"):
+        fn = getattr(homology, name)
+        monkeypatch.setattr(homology, name, lambda m, fn=fn: walked.append(m) or fn(m))
     monkeypatch.setattr(Family, "member", built)
-    monkeypatch.setattr(homology, "_solve_loewy", walk_once)
     monkeypatch.setattr(cli, "_load_datum", lambda path: datum)
     code, out, _ = classify_json(capsys, "E.json", "--max-t", "1", "--max-s", "0",
                                  "--etas", "1")
@@ -882,9 +906,14 @@ def test_classify_walks_a_module_whose_relations_fail(capsys, datum_file, monkey
     entries = {e["tag"]: e for e in json.loads(out)["entries"]}
     assert entries[f"V(l=1, lam={lam.label()})"]["type"] == {"s": 1, "t": 1, "rl": 1}
     bad = entries[f"V(l=1, lam={mu.label()})"]
-    assert bad["relations_ok"] is False
-    assert bad["type"] == {"s": 0, "t": 0, "rl": 0}
-    assert sum(m is twisted for m in walked) == 1
+    assert (bad["relations_ok"], bad["end_local_dim"], bad["type"], bad["type_ok"]) == (
+        False, 1, None, False)
+    assert walked and not any(m is twisted for m in walked)
+    code, out, err = run(capsys, "classify", "E.json", "--max-t", "1", "--max-s", "0",
+                         "--etas", "1")
+    assert (code, "Traceback" in err) == (1, False)
+    assert f"V(l=1, lam={mu.label()}): dim 1, el 1, type - [CHECK FAILED]" in out.splitlines()
+    assert out.splitlines()[-1] == "manifest FAILED"
 
 
 def test_classify_text_contains_counts(capsys, datum_file):
