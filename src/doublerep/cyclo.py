@@ -44,6 +44,9 @@ _UNPRINTABLE = 10 ** MAX_DIGITS
 # Fraction("1e9999999") computes 10**9999999, which the digit limit does not
 # bound: 10**MAX_EXPONENT is the largest power of ten that prints
 MAX_EXPONENT = MAX_DIGITS - 1
+# |G| <= 1000, so at most 10^6 weights; a scalar read from a file has an
+# order dividing the exponent of G, so none above this either
+MAX_GROUP_ORDER = 1000
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -387,6 +390,9 @@ class CycScalar:
         order = obj["order"]
         if type(order) is not int or order < 1:
             raise ValueError(f"bad scalar order: {order!r}")
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(f"scalar order {order} exceeds the group order bound "
+                             f"{MAX_GROUP_ORDER}")
         if not isinstance(obj["coeffs"], list):
             raise ValueError(f"scalar coeffs must be a list, got {obj['coeffs']!r}")
         coeffs = tuple(parse_fraction(str(c)) for c in obj["coeffs"])

@@ -15,9 +15,8 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
 
-from .cyclo import CycScalar, parse_fraction, q_factorial, q_number, root_of_unity
-
-MAX_GROUP_ORDER = 1000  # |G| <= 1000, so at most 10^6 weights
+from .cyclo import (MAX_GROUP_ORDER, CycScalar, parse_fraction, q_factorial, q_number,
+                    root_of_unity)
 
 
 class DatumError(ValueError):

@@ -40,17 +40,6 @@ class RelationReport(namedtuple("RelationReport", "checks")):
         return [c for c in self.checks if not c.ok]
 
 
-def _scale_rows(m: Mat, s: list) -> Mat:
-    """diag(s) * m, without the product."""
-    return Mat(m.order, ({j: c * x for j, x in r.items()} if (c := s[i]) else {}
-                         for i, r in enumerate(m.nz_rows())), m.ncols)
-
-
-def _scale_cols(m: Mat, s: list) -> Mat:
-    """m * diag(s) for nonzero entries s, without the product."""
-    return Mat(m.order, ({j: x * s[j] for j, x in r.items()} for r in m.nz_rows()), m.ncols)
-
-
 def _mat_pow(m: Mat, k: int) -> Mat:
     """m**k for k >= 1."""
     out = m
@@ -67,39 +56,65 @@ def _relation_products(m: ModuleRep) -> tuple[Mat, Mat, Mat, Mat]:
     return _mat_pow(X, n), xi_top, xi_top * Xi, X * Xi - Xi * X
 
 
-def _is_diag(m: Mat, entries: list) -> bool:
-    """m == diag(entries), row by row."""
-    return all((len(r) == 1 and r.get(i) == e) if e else not r
-               for i, (r, e) in enumerate(zip(m.nz_rows(), entries)))
+# Each row test below yields the failing rows of one matrix identity as
+# (i, lhs, rhs): the row index and the two sides of row i as row dicts.
 
 
-def _moves_past(m: Mat, v: list, s: CycScalar) -> bool:
-    """m diag(v) == s diag(v) m for nonzero entries v: each entry m[j, k] != 0
-    has v[k] == s v[j]."""
+def _check(name: str, rows) -> CheckResult:
+    """The check ``name`` from its failing rows: it holds when there is none;
+    otherwise the detail names the first column where the sides of the
+    first failing row differ (a missing entry is zero, printed 0)."""
+    for i, lhs, rhs in rows:
+        j = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+        return CheckResult(name, False, f"entry ({i},{j}): {lhs.get(j, 0)} != {rhs.get(j, 0)}")
+    return CheckResult(name, True)
+
+
+def _diag_rows(m: Mat, entries: list):
+    """m == diag(entries); an entry that is zero or None is a zero."""
+    for i, (r, e) in enumerate(zip(m.nz_rows(), entries)):
+        if not ((len(r) == 1 and r.get(i) == e) if e else not r):
+            yield i, r, {i: e} if e else {}
+
+
+def _past_rows(m: Mat, v: list, s: CycScalar):
+    """m diag(v) == s diag(v) m for nonzero entries v: row j holds when each
+    entry m[j, k] != 0 has v[k] == s v[j]."""
     for j, r in enumerate(m.nz_rows()):
         if r:
             t = s * v[j]
             if any(v[k] != t for k in r):
-                return False
-    return True
+                yield j, {k: x * v[k] for k, x in r.items()}, {k: t * x for k, x in r.items()}
 
 
-def _x_gamma_holds(X: Mat, xi_top: Mat, gam: list, ga: CycScalar, top: list | None) -> bool:
-    """ga X diag(gam) == diag(gam) X + diag(top) xi_top, row by row (without
-    the last term when ``top`` is None): where that term is zero on a row,
-    each entry X[j, k] != 0 has ga gam[k] == gam[j]."""
+def _x_gamma_rows(X: Mat, xi_top: Mat, gam: list, ga: CycScalar, top: list | None):
+    """ga X diag(gam) == diag(gam) X + diag(top) xi_top (without the last
+    term when ``top`` is None): row j holds when each entry X[j, k] != 0 has
+    ga gam[k] == gam[j] where that term is zero on the row, and when
+    (ga gam[k] - gam[j]) X[j, k] == top[j] xi_top[j, k] for every k where
+    it is not."""
     ga_inv = ga.inv()
     for j, (r, t) in enumerate(zip(X.nz_rows(), xi_top.nz_rows())):
+        g = gam[j]
         c = top[j] if top is not None and t else None
         if c:
-            moved = {k: y for k, x in r.items() if (y := x * (ga * gam[k] - gam[j]))}
-            if moved != {k: c * y for k, y in t.items()}:
-                return False
+            moved = {k: y for k, x in r.items() if (y := x * (ga * gam[k] - g))}
+            holds = moved == {k: c * y for k, y in t.items()}
         elif r:
-            s = ga_inv * gam[j]
-            if any(gam[k] != s for k in r):
-                return False
-    return True
+            s = ga_inv * g
+            holds = all(gam[k] == s for k in r)
+        else:
+            continue
+        if not holds:
+            rhs = {k: g * x for k, x in r.items()}
+            if c:
+                for k, y in t.items():
+                    v = rhs[k] + c * y if k in rhs else c * y
+                    if v:
+                        rhs[k] = v
+                    else:
+                        del rhs[k]
+            yield j, {k: x * (ga * gam[k]) for k, x in r.items()}, rhs
 
 
 class _Content:
@@ -173,67 +188,42 @@ class ModuleRep(Memo):
         commutation relations hold by construction; ``from_json`` certifies
         them for a file.  The remaining relations are matrix identities whose
         diagonal factors are the character values the datum keeps for each
-        tag.  The products of x and xi in them are taken once per datum for
-        each content and compared with the diagonals row by row; moving x or xi past a group-like is decided entry by
-        entry.  A check that fails there is compared again as matrices, which
-        decides it and locates its first failing entry.
+        tag, and the products of x and xi in them are taken once per datum
+        for each content.  Each identity is decided once, row by row, by an
+        exact test on that row; the first row that fails it gives the
+        check's detail, the first entry where the row's two sides differ.
         """
         d = self.datum
-        N, dim, rank = d.N, self.dim, d.group.rank
-        checks: list[CheckResult] = []
-
-        def add(name: str, holds: bool, sides) -> None:
-            # sides() gives the two matrices of the identity
-            if not holds:
-                lhs, rhs = sides()
-                holds = lhs == rhs
-            if holds:
-                checks.append(CheckResult(name, True))
-                return
-            i, row = next((i, r) for i, r in enumerate((lhs - rhs).nz_rows()) if r)
-            j = min(row)
-            checks.append(CheckResult(name, False, f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"))
-
+        rank = d.group.rank
         names = [f"{k}_order[{i}]" for i in range(rank) for k in ("group", "gamma")]
         names += [f"{k}_commute[{i},{j}]" for i in range(rank) for j in range(i + 1, rank)
                   for k in ("group", "gamma")]
         names += [f"group_gamma_commute[{i},{j}]" for i in range(rank) for j in range(rank)]
-        checks += [CheckResult(name, True) for name in names]
+        checks = [CheckResult(name, True) for name in names]
 
         X, Xi = self.act_x, self.act_xi
         chars = [d.characters(w) for w in self.weights]
         x_pow, xi_top, xi_pow, comm = d.cached(("relation products", self.content()),
                                                lambda: _relation_products(self))
-        x_power = [c.x_power for c in chars]
-        add("x_power", _is_diag(x_pow, x_power), lambda: (x_pow, Mat.diag(N, x_power)))
-        add("xi_power", xi_pow.is_zero(), lambda: (xi_pow, Mat.zeros(N, dim, dim)))
-
-        def past(name: str, m: Mat, v: list, s: CycScalar) -> None:
-            # moving x or xi past a group-like g: m diag(g) == s diag(g) m
-            add(name, _moves_past(m, v, s),
-                lambda: (_scale_cols(m, v), _scale_rows(m, [s * u for u in v])))
-
+        checks.append(_check("x_power", _diag_rows(x_pow, [c.x_power for c in chars])))
+        # xi^n == 0, the diagonal with no entries
+        checks.append(_check("xi_power", _diag_rows(xi_pow, [None] * self.dim)))
         gens = [(k, [c.at_g[i] for c in chars], [c.at_gamma[i] for c in chars])
                 for i, k in enumerate(d.generator_constants())]
         for i, (k, gv, gam) in enumerate(gens):
-            past(f"x_group[{i}]", X, gv, k.chi)
-            past(f"xi_group[{i}]", Xi, gv, k.chi_inv)
-            past(f"xi_gamma[{i}]", Xi, gam, k.gamma_at_a)
-        commutator = [c.at_a - c.at_chi for c in chars]
-        add("x_xi_commutator", _is_diag(comm, commutator), lambda: (comm, Mat.diag(N, commutator)))
+            # moving x or xi past a group-like g: m diag(g) == s diag(g) m
+            checks += (_check(f"x_group[{i}]", _past_rows(X, gv, k.chi)),
+                       _check(f"xi_group[{i}]", _past_rows(Xi, gv, k.chi_inv)),
+                       _check(f"xi_gamma[{i}]", _past_rows(Xi, gam, k.gamma_at_a)))
+        checks.append(_check("x_xi_commutator",
+                             _diag_rows(comm, [c.at_a - c.at_chi for c in chars])))
         for i, (k, _, gam) in enumerate(gens):
             # ga X diag(gam) == diag(gam) X, plus ci diag(gam) (rho A - C) Xi^(n-1)
             # over a non-nilpotent datum
             top = None if d.kind == NILPOTENT else [
                 k.x_gamma * g * (d.rho * c.at_a - c.at_chi) for g, c in zip(gam, chars)]
-
-            def sides(k=k, gam=gam, top=top) -> tuple[Mat, Mat]:
-                rhs = _scale_rows(X, gam)
-                if top is not None:
-                    rhs = rhs + _scale_rows(xi_top, top)
-                return _scale_cols(X, [k.gamma_at_a * g for g in gam]), rhs
-
-            add(f"x_gamma[{i}]", _x_gamma_holds(X, xi_top, gam, k.gamma_at_a, top), sides)
+            checks.append(_check(f"x_gamma[{i}]",
+                                 _x_gamma_rows(X, xi_top, gam, k.gamma_at_a, top)))
         return RelationReport(checks)
 
     # -- content and shape -----------------------------------------------

@@ -142,6 +142,30 @@ def test_huge_decimal_exponent_exits_2_at_once(capsys, tmp_path, datum_file, cas
     assert err.startswith(f"error: {want}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("order", [720720, 10 ** 21])
+@pytest.mark.parametrize("command", ["datum check", "module verify"])
+def test_scalar_order_beyond_the_group_bound_exits_2_at_once(capsys, tmp_path, command, order):
+    # a scalar's order divides the group exponent, so none exceeds |G| <= 1000;
+    # the cyclotomic polynomial of order 720720 takes minutes, and one of
+    # order 10**21 cannot be built at all
+    scalar = {"order": order, "coeffs": ["1"]}
+    if command == "datum check":
+        doc, want = {**DATUM_JSON["B"], "alpha": scalar}, "malformed datum field 'alpha'"
+    else:
+        datum = make_datum("B")
+        doc = projective(datum, 1, first_weight(datum, 1)).to_json()
+        doc["matrices"]["x"][0][0] = scalar
+        want = "malformed module field 'matrices.x'"
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {want}") and err.count("\n") == 1
+    assert f"scalar order {order} exceeds the group order bound 1000" in err
+
+
 @pytest.mark.parametrize("eta", ["1e4300", "99.9e4299", "-0.01e-4299"])
 def test_unprintable_eta_exits_2(capsys, datum_file, eta):
     # each value has a numerator or denominator beyond the interpreter's

@@ -6,7 +6,10 @@ orders by repeated products.  It is kept here as the reference.
 ``ModuleRep.verify_relations`` must give the same (name, ok, detail) list on
 every registry member and on perturbations of one to three entries of x or
 xi, both on the weight pairs x and xi may join (on-weight) and off them, over
-the standing datums A to F and the rank-two datum R2.
+the standing datums A to F and the rank-two datum R2.  The perturbations
+hypothesis draws change from run to run, so a fixed sweep of single-entry
+perturbations also makes every relation kind fail, over a nilpotent and over
+a non-nilpotent datum.
 """
 
 from functools import lru_cache
@@ -157,3 +160,32 @@ def test_tag_checks_match_dense_checks_on_perturbations(data):
         data.draw(st.sampled_from([1, -1, 2, -3])))
     bad = perturbed(mod, op, chosen, delta)
     assert tag_checks(bad) == dense_verify_relations(bad)
+
+
+def sweep_cases():
+    """Each of the first two on-weight and off-weight cells of x and of xi,
+    raised by 1, in up to 8 registry members of dimension at most 6 per
+    datum: a fixed set of inputs on which every relation kind fails."""
+    for key in KEYS:
+        small = [mod for mod in registry_modules(key) if mod.dim <= 6][:8]
+        for mod in small:
+            one = mod.datum.one()
+            for op in ("x", "xi"):
+                for on_weight in (True, False):
+                    for cell in entries(mod, op, on_weight)[:2]:
+                        yield perturbed(mod, op, [cell], one)
+
+
+def test_tag_checks_match_dense_checks_on_a_fixed_sweep():
+    failed = {NILPOTENT: set(), "non-nilpotent": set()}
+    cases = 0
+    for bad in sweep_cases():
+        checks = tag_checks(bad)
+        assert checks == dense_verify_relations(bad)
+        kind = NILPOTENT if bad.datum.kind == NILPOTENT else "non-nilpotent"
+        failed[kind] |= {name.partition("[")[0] for name, ok, _ in checks if not ok}
+        cases += 1
+    assert cases == 386
+    kinds = {"x_power", "xi_power", "x_group", "xi_group", "xi_gamma", "x_xi_commutator",
+             "x_gamma"}
+    assert failed == {NILPOTENT: kinds, "non-nilpotent": kinds}
