@@ -105,6 +105,9 @@ for _key, _tok, _sfx, _args in (("D", "string_tt", "", ("--t", "2")),
 # syzygy and cosyzygy chains of lemma 4.5, and the layers of P and T_2 at l = 2
 CASES.update({
     "build-D-projective-l2": ("module", "build", "{D}", "--family", "projective", *L2),
+    # non-nilpotent covers at n = 3, where the u-string closes with y and z
+    "build-E-projective": ("module", "build", "{E}", "--family", "projective", *L1),
+    "build-E-projective-l2": ("module", "build", "{E}", "--family", "projective", *L2),
     "analyze-D-projective-l2": ("module", "analyze", "{mod:build-D-projective-l2}"),
     "analyze-D-string_tt-l2": ("module", "analyze", "{mod:build-D-string_tt-l2}",
                                "--format", "json"),
