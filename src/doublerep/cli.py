@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from collections import Counter
+from collections.abc import Iterator
 
 from .datum import DatumError, ValidatedDatum, Weight, datum_from_json
 from .linalg import rank  # noqa: F401  (perfbench's tracer test patches cli.rank)
@@ -311,23 +312,26 @@ def cmd_ar_check(args) -> int:
 
 
 def _classify_specs(datum: ValidatedDatum, max_t: int, max_s: int,
-                    etas: list[constructors.EtaParam]) -> list[tuple]:
-    """Deterministic enumeration plan for the classification manifest: one
-    ``(family, l, weight, params)`` per member.
+                    etas: list[constructors.EtaParam]) -> tuple[int, Iterator[tuple]]:
+    """Deterministic enumeration plan for the classification manifest: the
+    number of members, and an iterator that yields one ``(family, l, weight,
+    params)`` per member without listing them.
 
     Each round lists its families at every l, weight and parameter value in
     turn, so T and Tbar interleave.  At m = 1 the W family stands in for the
     chains (eta = inf and 0 give T and Tbar).
     """
-    rounds = [("V",), ("P",), ("Omega",), ("W",) if datum.m == 1 else ("T", "Tbar"), ("M",)]
-    specs = []
-    for letters in rounds:
+    rounds = []  # (families, lead family, the (l, weight) sites the lead runs over)
+    for letters in [("V",), ("P",), ("Omega",), ("W",) if datum.m == 1 else ("T", "Tbar"),
+                    ("M",)]:
         lead = constructors.FAMILIES[letters[0]]
-        for l in lead.l_range(datum):
-            for w in lead.weights(datum, l):
-                for params in lead.grid(datum, max_t, max_s, etas):
-                    specs += [(constructors.FAMILIES[c], l, w, params) for c in letters]
-    return specs
+        sites = [(l, w) for l in lead.l_range(datum) for w in lead.weights(datum, l)]
+        rounds.append(([constructors.FAMILIES[c] for c in letters], lead, sites))
+    total = sum(len(fams) * len(sites) * lead.grid_size(datum, max_t, max_s, etas)
+                for fams, lead, sites in rounds)
+    specs = ((fam, l, w, params) for fams, lead, sites in rounds for l, w in sites
+             for params in lead.grid(datum, max_t, max_s, etas) for fam in fams)
+    return total, specs
 
 
 def _classify_entry(datum: ValidatedDatum, fam: constructors.Family, l: int, w: Weight,
@@ -353,7 +357,7 @@ def cmd_classify(args) -> int:
     datum = _load_datum(args.file)
     etas = parse_etas(args.etas)
     t0 = time.monotonic()
-    specs = _classify_specs(datum, args.max_t, args.max_s, etas)
+    total, specs = _classify_specs(datum, args.max_t, args.max_s, etas)
     entries: list[dict] = []
     modules: list[ModuleRep] = []
     groups: dict[tuple, list[int]] = {}  # module indices by invariant key
@@ -366,7 +370,7 @@ def cmd_classify(args) -> int:
         entries.append(_classify_entry(datum, fam, l, w, params, mod))
         groups.setdefault(homology.invariant_key(mod), []).append(len(modules))
         modules.append(mod)
-    truncated = len(entries) < len(specs)
+    truncated = len(entries) < total
     # pairwise distinctness across the manifest: a pair with different
     # invariant keys is not isomorphic and has r(a, b) = 0, so only the pairs
     # inside a key group need a Hom solve
@@ -431,7 +435,7 @@ def cmd_classify(args) -> int:
         lines.append(f"  ISOMORPHIC: {p[0]} == {p[1]}")
     if truncated:
         lines.append(f"TRUNCATED: dimension budget {args.budget} exhausted "
-                     f"after {len(entries)} of {len(specs)} modules")
+                     f"after {len(entries)} of {total} modules")
     lines.append(f"manifest {'ok' if ok else 'FAILED'}")
     print(f"classify wall time: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     _emit(args, payload, lines)

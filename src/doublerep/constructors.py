@@ -14,12 +14,13 @@ Each function emits a ModuleRep on an explicit weight-tagged basis:
 * ``w_band``       -- the one-parameter family W_t(l, lambda, eta) that
                       replaces the bands when m = 1 (eta may be infinite).
 
-The first two are one string builder (the Verma module is the natural
-string at l = n).  The last four glue copies of the T_1 or Tbar_1 string end
-to end with one builder: open strings for the chains, closed ones with eta on the closing
-edge for the bands.  ``t1``, ``t1bar`` and ``w1`` check the t = 1 members
-against restrictions of the projective cover.  Every builder writes x and
-xi as row dicts and hands them to ``ModuleRep`` as ``Mat``s.
+The first two are one string (the Verma module is the natural string at
+l = n).  The rest glue segments of the T_1 or Tbar_1 string: an open string
+of t segments for a chain, a closed one with eta on the closing edge for a
+band, and for P(l, lambda) a segment of n - l glued onto one of l.  Every
+builder hands its segments and glue edges to ``_assemble``, the one place
+that makes a ``ModuleRep``.  ``t1``, ``t1bar`` and ``w1`` check the t = 1
+members against restrictions of the projective cover.
 
 ``FAMILIES`` is the one registry of the classified families (V, P, Omega,
 T, Tbar, M, W): parameters, builder, dimension formula, predicted Loewy type
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
 from math import prod
 
 from .cyclo import CycScalar, parse_fraction
@@ -108,6 +108,26 @@ def _put(rows: list[Row], i: int, j: int, val: CycScalar) -> None:
         rows[i][j] = val
 
 
+def _assemble(datum: ValidatedDatum, segments: list, glue: list, labels: list[str]) -> ModuleRep:
+    """The module on the bases of ``segments`` laid end to end.  A segment
+    ``(base, shifts, entries)`` holds the phi-shifts of its vectors off the
+    weight ``base`` and its entries ``(act, i, j, coeff)``: coeff times vector
+    i in the image of vector j under act, i and j counted inside the segment.
+    The ``glue`` entries have the same form, counted in the whole basis."""
+    dim = sum(len(shifts) for _, shifts, _ in segments)
+    acts = {act: [{} for _ in range(dim)] for act in ("x", "xi")}
+    weights: list[Weight] = []
+    for base, shifts, entries in segments:
+        off = len(weights)
+        for act, i, j, v in entries:
+            _put(acts[act], off + i, off + j, v)
+        weights += [datum.phi_shift(base, k) for k in shifts]
+    for act, i, j, v in glue:
+        _put(acts[act], i, j, v)
+    return ModuleRep(datum, weights, Mat(datum.N, acts["x"], dim), Mat(datum.N, acts["xi"], dim),
+                     labels)
+
+
 # ---------------------------------------------------------------------------
 # simple and induced modules
 
@@ -121,17 +141,16 @@ def _string(datum: ValidatedDatum, l: int, lam: Weight, standard: bool = False) 
     (divided by alpha_1...alpha_(n-1) in the standard basis); it vanishes
     except at generic weights over a non-nilpotent datum."""
     n, one = datum.n, datum.one()
-    x, xi = [{} for _ in range(l)], [{} for _ in range(l)]
+    entries = []
     for i in range(1, l):
         a = datum.alpha_value(i, lam)
-        _put(x, i, i - 1, a if standard else one)
-        _put(xi, i - 1, i, one if standard else a)
+        entries += [("x", i, i - 1, a if standard else one), ("xi", i - 1, i, one if standard else a)]
     if l == n:
         closing = datum.characters(lam).x_power
-        _put(x, 0, n - 1, closing / datum.beta_coeff(n, lam) if standard else closing)
-    weights = [datum.phi_shift(lam, i) for i in range(l)]
-    labels = [f"{'m' if standard else 'v'}{i}" for i in range(l)]
-    return ModuleRep(datum, weights, Mat(datum.N, x, l), Mat(datum.N, xi, l), labels)
+        entries.append(("x", 0, n - 1,
+                        closing / datum.beta_coeff(n, lam) if standard else closing))
+    return _assemble(datum, [(lam, range(l), entries)], [],
+                     [f"{'m' if standard else 'v'}{i}" for i in range(l)])
 
 
 def verma(datum: ValidatedDatum, lam: Weight) -> ModuleRep:
@@ -171,66 +190,6 @@ def _assert_basis_change(datum: ValidatedDatum, l: int, lam: Weight,
     if not intertwines(Mat.diag(datum.N, diag), std, nat):
         raise DatumError("natural/standard bases of the simple module "
                          "are not intertwined by the diagonal change")
-
-
-# ---------------------------------------------------------------------------
-# projective covers
-
-
-def projective(datum: ValidatedDatum, l: int, lam: Weight) -> ModuleRep:
-    """The projective cover P(l, lambda) of V(l, lambda), dimension 2n."""
-    require_regular(datum, l, lam)
-    n = datum.n
-    one = datum.one()
-
-    def V(i: int) -> int:
-        return i
-
-    def U(i: int) -> int:
-        return n + i
-
-    slam = datum.sigma(lam)
-    silam = datum.sigma_inv(lam)
-    x, xi = [{} for _ in range(2 * n)], [{} for _ in range(2 * n)]
-    if datum.kind == NILPOTENT:
-        weights = ([datum.phi_shift(lam, i) for i in range(n)]
-                   + [datum.phi_shift(lam, i - n + l) for i in range(n)])
-        for i in range(n - 1):
-            _put(x, V(i + 1), V(i), one)
-            _put(x, U(i + 1), U(i), one)
-        _put(xi, U(n - l - 1), V(0), one)
-        for i in range(1, l):
-            _put(xi, V(i - 1), V(i), datum.alpha_coeff(i, l, lam))
-            _put(xi, U(n - l + i - 1), V(i), one)
-        _put(xi, U(n - 1), V(l), one)
-        for i in range(l + 1, n):
-            _put(xi, V(i - 1), V(i), datum.alpha_coeff(i - l, n - l, slam))
-        for i in range(1, n - l):
-            _put(xi, U(i - 1), U(i), datum.alpha_coeff(i, n - l, silam))
-        for i in range(n - l + 1, n):
-            _put(xi, U(i - 1), U(i), datum.alpha_coeff(i - n + l, l, lam))
-    else:
-        weights = ([datum.phi_shift(lam, i - n + l) for i in range(n)]
-                   + [datum.phi_shift(lam, i) for i in range(n)])
-        y, z = datum.yz_coeff(l, lam)
-        for i in range(n - l - 1):
-            _put(x, V(i + 1), V(i), datum.alpha_coeff(i + 1, n - l, silam))
-        _put(x, U(0), V(n - l - 1), one)
-        for i in range(n - l, n - 1):
-            _put(x, V(i + 1), V(i), datum.alpha_coeff(i + 1 - n + l, l, lam))
-            _put(x, U(i + 1 - n + l), V(i), one)
-        _put(x, V(0), V(n - 1), y)
-        _put(x, U(l), V(n - 1), one)
-        for i in range(l - 1):
-            _put(x, U(i + 1), U(i), datum.alpha_coeff(i + 1, l, lam))
-        for i in range(l, n - 1):
-            _put(x, U(i + 1), U(i), datum.alpha_coeff(i + 1 - l, n - l, slam))
-        _put(x, U(0), U(n - 1), z)
-        for i in range(1, n):
-            _put(xi, V(i - 1), V(i), one)
-            _put(xi, U(i - 1), U(i), one)
-    labels = [f"v{i}" for i in range(n)] + [f"u{i}" for i in range(n)]
-    return ModuleRep(datum, weights, Mat(datum.N, x, 2 * n), Mat(datum.N, xi, 2 * n), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +246,12 @@ def _glued(datum: ValidatedDatum, l: int, lam: Weight, dual: bool, bases: list[W
     from the exit of c to the entry of d; a dual link is a xi-edge and, on a
     non-nilpotent datum, an x-edge scaled by z.  Labels default to w (z if
     ``dual``) with the position and the segment."""
-    n, dim = datum.n, len(bases) * datum.n
+    n = datum.n
     shifts, entries, link = _segment(datum, l, lam, dual)
-    acts = {act: [{} for _ in range(dim)] for act in ("x", "xi")}
-    for c in range(len(bases)):
-        for act, i, j, v in entries:
-            _put(acts[act], c * n + i, c * n + j, v)
-    for c, d, v in glue:
-        for act, i, j, w in link:
-            _put(acts[act], d * n + i, c * n + j, v * w)
-    weights = [datum.phi_shift(mu, k) for mu in bases for k in shifts]
     if labels is None:
         labels = [f"{'z' if dual else 'w'}{j}^{c}" for c in range(len(bases)) for j in range(n)]
-    return ModuleRep(datum, weights, Mat(datum.N, acts["x"], dim), Mat(datum.N, acts["xi"], dim),
+    return _assemble(datum, [(mu, shifts, entries) for mu in bases],
+                     [(act, d * n + i, c * n + j, v * w) for c, d, v in glue for act, i, j, w in link],
                      labels)
 
 
@@ -377,6 +329,29 @@ def w_band(datum: ValidatedDatum, l: int, lam: Weight, eta, t: int = 1) -> Modul
         if c >= 1:
             glue.append((c, c - 1, one))
     return _glued(datum, l, lam, True, [datum.tau(lam, c) for c in range(t)], glue)
+
+
+# ---------------------------------------------------------------------------
+# projective covers
+
+
+def projective(datum: ValidatedDatum, l: int, lam: Weight) -> ModuleRep:
+    """The projective cover P(l, lambda) of V(l, lambda), dimension 2n: the
+    v-segment of n - l glued onto the u-segment of l by l + 1 edges.
+
+    On a nilpotent datum both are dual segments, xi v_k = u_(n-l-1+k) for
+    k = 0..l, and P is an extension of Tbar_1(n-l, sigma lambda) by
+    Tbar_1(l, lambda), the span of the u_i.  On a non-nilpotent datum
+    x v_(n-l-1+k) = u_k, and P is an extension of T_1(n-l, sigma^-1 lambda)
+    by T_1(l, lambda)."""
+    require_regular(datum, l, lam)
+    n, one = datum.n, datum.one()
+    nil = datum.kind == NILPOTENT
+    mu = datum.sigma(lam) if nil else datum.sigma_inv(lam)
+    segments = [(base, *_segment(datum, k, base, nil)[:2]) for k, base in ((n - l, mu), (l, lam))]
+    glue = [("xi", 2 * n - l - 1 + k, k, one) if nil else ("x", n + k, n - l - 1 + k, one)
+            for k in range(l + 1)]
+    return _assemble(datum, segments, glue, [f"v{i}" for i in range(n)] + [f"u{i}" for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +470,33 @@ class Family(namedtuple("Family", "letter params build dim loewy tag regular on_
                 reps.append(w)
         return reps
 
-    def grid(self, datum: ValidatedDatum, max_t: int, max_s: int, etas) -> list[dict]:
-        """Parameter values within the bounds, in manifest order: t runs
-        1..max_t, s runs 1..max_s then -1..-max_s, eta (as text) follows
-        ``etas``.  Empty when the family has no members at this m."""
+    def grid(self, datum: ValidatedDatum, max_t: int, max_s: int, etas):
+        """Parameter values within the bounds, in manifest order, one dict at
+        a time: t runs 1..max_t, s runs 1..max_s then -1..-max_s, eta (as
+        text) follows ``etas``.  Empty when the family has no members at this m."""
+        return (dict(zip(self.params, vals))
+                for vals in _walk(self._axes(datum, max_t, max_s, etas)))
+
+    def grid_size(self, datum: ValidatedDatum, max_t: int, max_s: int, etas) -> int:
+        """The number of dicts ``grid`` yields."""
+        return prod(sum(map(len, axis)) for axis in self._axes(datum, max_t, max_s, etas))
+
+    def _axes(self, datum: ValidatedDatum, max_t: int, max_s: int, etas) -> list[tuple]:
+        # the values of each parameter, as a tuple of ranges and lists
         if not self.on_m(datum.m):
-            return []
-        axes = {"t": range(1, max_t + 1),
-                "s": [*range(1, max_s + 1), *range(-1, -max_s - 1, -1)],
-                "eta": [str(ep) for ep in map(EtaParam.of, etas)
-                        if ep.is_unit(datum) or not self.unit_eta]}
-        return [dict(zip(self.params, vals))
-                for vals in product(*(axes[p] for p in self.params))]
+            return [()]
+        axes = {"t": (range(1, max_t + 1),),
+                "s": (range(1, max_s + 1), range(-1, -max_s - 1, -1)),
+                "eta": ([str(ep) for ep in map(EtaParam.of, etas)
+                         if ep.is_unit(datum) or not self.unit_eta],)}
+        return [axes[p] for p in self.params]
+
+
+def _walk(axes: list[tuple]):
+    """``itertools.product`` over the concatenated parts of each axis,
+    without building any axis out."""
+    return [()] if not axes else ((v, *rest) for part in axes[0] for v in part
+                                  for rest in _walk(axes[1:]))
 
 
 def _omega(datum: ValidatedDatum, l: int, lam: Weight, s: int) -> ModuleRep:

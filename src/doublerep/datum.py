@@ -217,9 +217,9 @@ class ValidatedDatum(Memo):
     """A validated datum with its derived constants and weight machinery.
 
     The datum memoizes its weight list and classes, the character values of
-    each weight and the constants of each generator, and, for the
-    constructors and the homology layer, its simple modules and its family
-    members (``Family.member``), the projective covers among them.
+    each weight, the constants of each generator and 1 / (n-1)!_rho, and,
+    for the constructors and the homology layer, its simple modules and its
+    family members (``Family.member``), the projective covers among them.
     """
 
     def __init__(self, group: FinAbGroup, chi: GroupChar, a: tuple[int, ...], alpha: CycScalar,
@@ -274,13 +274,17 @@ class ValidatedDatum(Memo):
     def generator_constants(self) -> tuple[GeneratorConstants, ...]:
         """The GeneratorConstants of g_i and gamma_i, for each i."""
         def build() -> tuple[GeneratorConstants, ...]:
-            fac = q_factorial(self.n - 1, self.rho)
+            fac_inv = self.factorial_inv()
             chis = [self.chi.value(g) for g in self.group.generators()]
             gas = [self.gamma_gen_at_a(i) for i in range(self.group.rank)]
-            return tuple(GeneratorConstants(c, c.inv(), ga, (ga ** self.n - self.one()) / fac)
+            return tuple(GeneratorConstants(c, c.inv(), ga, (ga ** self.n - self.one()) * fac_inv)
                          for c, ga in zip(chis, gas))
 
         return self.cached("generator constants", build)
+
+    def factorial_inv(self) -> CycScalar:
+        """1 / (n-1)!_rho, computed once per datum."""
+        return self.cached("factorial inverse", lambda: q_factorial(self.n - 1, self.rho).inv())
 
     def gamma_gen_at_a(self, i: int) -> CycScalar:
         # gamma_i(a)
@@ -388,7 +392,7 @@ class ValidatedDatum(Memo):
         self._check_in_class(l, lam)
         c = self.characters(lam)
         la, lchi = c.at_a, c.at_chi
-        denom_inv = q_factorial(self.n - 1, self.rho).inv()
+        denom_inv = self.factorial_inv()
         y = (self.rho_power(1 - l) * la - self.rho_power(l) * lchi) * denom_inv
         z = (self.rho * la - lchi) * denom_inv
         return y, z

@@ -6,16 +6,18 @@ the simples of every radical layer from the Hom solves that find the radicals,
 pair by the rank of the trace pairing.  The references below build the
 intermediate modules and spans that the package skips, or scan the pairings
 one by one, so that tests can check its answers against a second,
-independent route.  The datum classes its weights in integer exponents mod N;
+independent route.  ``projective_table`` writes P(l, lambda) entry by entry
+from the action tables, where the package glues two chain segments.  The datum classes its weights in integer exponents mod N;
 the references here search for the same classes over ``CycScalar`` values.
 """
 
 from fractions import Fraction
 
 from doublerep import homology
-from doublerep.datum import WeightClass
-from doublerep.linalg import Echelon, frobenius_pair
-from doublerep.repmod import quotient_module
+from doublerep.constructors import _put, require_regular
+from doublerep.datum import NILPOTENT, WeightClass
+from doublerep.linalg import Echelon, Mat, frobenius_pair
+from doublerep.repmod import ModuleRep, quotient_module
 
 
 def semisimple_factors(h):
@@ -115,3 +117,60 @@ def kernel(datum):
     """The weights with lambda(a) = lambda(chi), in enumeration order."""
     return [w for w in datum.enumerate_weights()
             if w.value_g(datum.a) == w.value_gamma_exps(datum.chi.exps)]
+
+
+def projective_table(datum, l, lam):
+    """The projective cover P(l, lambda) of V(l, lambda), dimension 2n, entry
+    by entry from the action tables: v_0..v_(n-1), then u_0..u_(n-1)."""
+    require_regular(datum, l, lam)
+    n = datum.n
+    one = datum.one()
+
+    def V(i: int) -> int:
+        return i
+
+    def U(i: int) -> int:
+        return n + i
+
+    slam = datum.sigma(lam)
+    silam = datum.sigma_inv(lam)
+    x, xi = [{} for _ in range(2 * n)], [{} for _ in range(2 * n)]
+    if datum.kind == NILPOTENT:
+        weights = ([datum.phi_shift(lam, i) for i in range(n)]
+                   + [datum.phi_shift(lam, i - n + l) for i in range(n)])
+        for i in range(n - 1):
+            _put(x, V(i + 1), V(i), one)
+            _put(x, U(i + 1), U(i), one)
+        _put(xi, U(n - l - 1), V(0), one)
+        for i in range(1, l):
+            _put(xi, V(i - 1), V(i), datum.alpha_coeff(i, l, lam))
+            _put(xi, U(n - l + i - 1), V(i), one)
+        _put(xi, U(n - 1), V(l), one)
+        for i in range(l + 1, n):
+            _put(xi, V(i - 1), V(i), datum.alpha_coeff(i - l, n - l, slam))
+        for i in range(1, n - l):
+            _put(xi, U(i - 1), U(i), datum.alpha_coeff(i, n - l, silam))
+        for i in range(n - l + 1, n):
+            _put(xi, U(i - 1), U(i), datum.alpha_coeff(i - n + l, l, lam))
+    else:
+        weights = ([datum.phi_shift(lam, i - n + l) for i in range(n)]
+                   + [datum.phi_shift(lam, i) for i in range(n)])
+        y, z = datum.yz_coeff(l, lam)
+        for i in range(n - l - 1):
+            _put(x, V(i + 1), V(i), datum.alpha_coeff(i + 1, n - l, silam))
+        _put(x, U(0), V(n - l - 1), one)
+        for i in range(n - l, n - 1):
+            _put(x, V(i + 1), V(i), datum.alpha_coeff(i + 1 - n + l, l, lam))
+            _put(x, U(i + 1 - n + l), V(i), one)
+        _put(x, V(0), V(n - 1), y)
+        _put(x, U(l), V(n - 1), one)
+        for i in range(l - 1):
+            _put(x, U(i + 1), U(i), datum.alpha_coeff(i + 1, l, lam))
+        for i in range(l, n - 1):
+            _put(x, U(i + 1), U(i), datum.alpha_coeff(i + 1 - l, n - l, slam))
+        _put(x, U(0), U(n - 1), z)
+        for i in range(1, n):
+            _put(xi, V(i - 1), V(i), one)
+            _put(xi, U(i - 1), U(i), one)
+    labels = [f"v{i}" for i in range(n)] + [f"u{i}" for i in range(n)]
+    return ModuleRep(datum, weights, Mat(datum.N, x, 2 * n), Mat(datum.N, xi, 2 * n), labels)

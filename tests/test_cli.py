@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -568,6 +569,65 @@ def test_malformed_module_field_exits_2(capsys, tmp_path, datum_b, command, case
     assert err.startswith(f"error: malformed module field '{field}': ") and err.count("\n") == 1
 
 
+def _edited(path, value=None):
+    """An edit of a JSON document: delete the key at ``path``, or set it to
+    ``value`` (a function: to its result on the old value); returns the
+    document."""
+    def edit(doc):
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+        return doc
+    return edit
+
+
+# (input kind, edit or --lambda text, the error): a module file of P(1, lambda)
+# over B (dim 4, N = 4), a datum file of B, or a --lambda of ``module build``
+EXIT_2_INPUTS = {
+    "module_not_object": ("module", lambda doc: [doc], "module JSON must be an object"),
+    "module_no_datum": ("module", _edited(("datum",)), "module JSON missing 'datum'"),
+    "module_no_dim": ("module", _edited(("dim",)), "module JSON missing 'dim'"),
+    "module_no_matrices": ("module", _edited(("matrices",)), "module JSON missing 'matrices'"),
+    "matrices_not_object": ("module", _edited(("matrices",), []),
+                            "module JSON 'matrices' must be an object"),
+    "matrices_no_gamma": ("module", _edited(("matrices", "gamma")),
+                          "module JSON missing matrix 'gamma'"),
+    "matrices_no_xi": ("module", _edited(("matrices", "xi")), "module JSON missing matrix 'xi'"),
+    "two_group_matrices": ("module", _edited(("matrices", "group"), lambda g: 2 * g),
+                           "need 1 group and dual matrices"),
+    "x_not_square": ("module", _edited(("matrices", "x"), lambda rows: rows[1:]),
+                     "matrix JSON is not 4x4"),
+    "scalar_order": ("module", _edited(("matrices", "x", 0, 0),
+                                       {"order": 3, "coeffs": ["1", "0"]}),
+                     "scalar order 3 does not divide group exponent 4"),
+    "datum_not_object": ("datum", lambda obj: [obj], "datum JSON must be an object"),
+    "datum_no_alpha": ("datum", _edited(("alpha",)), "datum JSON missing 'alpha'"),
+    "weight_json_keys": ("lambda", '{"gpart": [0]}', "weight JSON needs 'gpart' and 'h'"),
+    "weight_empty_part": ("lambda", "0;", "weight needs 1 exponent(s) per part"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_2_INPUTS))
+def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, datum_b, write_json,
+                                                     case):
+    kind, edit, message = EXIT_2_INPUTS[case]
+    if kind == "module":
+        doc = projective(datum_b, 1, first_weight(datum_b, 1)).to_json()
+        argv = ("module", "verify", write_json("bad.json", edit(doc)))
+    elif kind == "datum":
+        argv = ("datum", "check", write_json("bad.json", edit(dict(DATUM_JSON["B"]))))
+    else:
+        argv = ("module", "build", write_json("datum.json", DATUM_JSON["B"]),
+                "--family", "simple", "--l", "1", "--lambda", edit)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("labels,weight_basis", [
     ("ab", True), ([1, 2], True), ({"a": 1, "b": 2}, True), (["a", "b", "c"], False)])
 def test_labels_must_be_a_list_of_dim_strings(capsys, tmp_path, datum_b, labels, weight_basis):
@@ -784,6 +844,33 @@ def test_classify_budget_truncation(capsys, datum_file):
     assert payload["truncated"] is True
     assert payload["summary"]["total_dim"] <= 24
     assert payload["entries"]  # partial manifest still present
+
+
+def test_classify_walks_a_huge_manifest_without_listing_it(datum_file):
+    # 99 + 42 * 20 000 000 members, of which the budget admits 9: the run
+    # builds neither the member list nor the t axis, so it fits in 1.5 GB
+    def cap_address_space():
+        limit = 1_500_000 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(pathlib.Path(doublerep.__file__).resolve().parents[1])
+    argv = ["classify", datum_file("E"), "--max-t", "20000000", "--max-s", "0",
+            "--etas", "1", "--budget", "10"]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import doublerep.cli; "
+            f"sys.exit(doublerep.cli.main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, preexec_fn=cap_address_space)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-2:] == [
+        "TRUNCATED: dimension budget 10 exhausted after 9 of 840000099 modules",
+        "manifest ok"]
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "D", "E", "F", "R2"])
+def test_classify_manifest_size_counts_the_members_walked(key):
+    total, specs = cli._classify_specs(make_datum(key), 2, 2, cli.parse_etas("1,-1,0,inf"))
+    assert total == sum(1 for _ in specs) > 0
 
 
 @pytest.mark.parametrize("key", ["B", "E"])

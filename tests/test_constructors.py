@@ -12,12 +12,13 @@ from doublerep.constructors import (FAMILIES, EtaParam, _put, band, build_family
                                     projective, simple, t1, t1bar, t_chain,
                                     t_chain_bar, verma, w1, w_band)
 from doublerep.cyclo import CycScalar, q_factorial, root_of_unity
-from doublerep.datum import NON_NILPOTENT, DatumError
+from doublerep.datum import NILPOTENT, NON_NILPOTENT, DatumError
+from doublerep.homology import is_isomorphic
 from doublerep.linalg import Mat, rank
 from doublerep.repmod import ModuleRep, intertwines, quotient_module, spin_submodule
 
 from .conftest import first_weight, make_datum, sparse
-from .reference import action, in_span, rational_value
+from .reference import action, in_span, projective_table, rational_value
 
 
 def unit_cols(datum, indices):
@@ -229,6 +230,37 @@ def test_projective_rejects_top_class(datum_b):
     lam = first_weight(datum_b, 2)
     with pytest.raises(DatumError):
         projective(datum_b, 2, lam)
+
+
+STANDING = ["A", "B", "C", "D", "E", "F", "H", "R2"]
+
+
+@pytest.mark.parametrize("key", STANDING)
+def test_projective_equals_the_reference_table(key):
+    # the two glued segments reproduce the action tables entry for entry
+    d = make_datum(key)
+    for l in range(1, d.n):
+        for lam in d.weights_in_class(l):
+            p, ref = projective(d, l, lam), projective_table(d, l, lam)
+            assert (action(p), p.labels) == (action(ref), ref.labels), (l, lam.label())
+
+
+@pytest.mark.parametrize("key", STANDING)
+def test_projective_is_an_extension_of_two_t1_strings(key):
+    # the u_i span Tbar_1(l, lambda) (T_1 on a non-nilpotent datum) and the
+    # quotient by it is Tbar_1(n-l, sigma lambda) (T_1(n-l, sigma^-1 lambda))
+    d = make_datum(key)
+    n, nil = d.n, d.kind == NILPOTENT
+    chain = t_chain_bar if nil else t_chain
+    for l in range(1, n):
+        for lam in d.weights_in_class(l):
+            p = projective(d, l, lam)
+            sub = spin_submodule(p, unit_cols(d, range(n, 2 * n)))
+            assert sub.module.dim == n
+            assert is_isomorphic(sub.module, chain(d, l, lam, 1)).verdict == "yes"
+            quo, _ = quotient_module(p, sub)
+            mu = d.sigma(lam) if nil else d.sigma_inv(lam)
+            assert is_isomorphic(quo, chain(d, n - l, mu, 1)).verdict == "yes", (l, lam.label())
 
 
 # ---------------------------------------------------------------------------
