@@ -10,6 +10,7 @@ runs for identical inputs.  Timing statistics go to stderr only.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -550,6 +551,14 @@ def _check_bounds(args) -> None:
             raise DatumError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
 
 
+def _stdout_closed() -> int:
+    """The reader closed stdout: send what is still buffered to devnull, so a
+    later flush does not fail a second time, and give the one-line error."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print("error: stdout was closed before the output was complete", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -562,12 +571,26 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BrokenPipeError:
-        # the reader closed stdout: send what is still buffered to devnull, so
-        # the flush at exit does not fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was complete", file=sys.stderr)
-        return EXIT_INVALID
+        return _stdout_closed()
+
+
+def run() -> None:
+    """Process entry of `python -m doublerep.cli` and of the `doublerep` script.
+
+    The memos a run builds are never garbage, so the cyclic GC is off for the
+    run, and the process ends with `os._exit` once stdout and stderr are
+    flushed: the interpreter's teardown would only collect and free them.
+    Every file the commands open is closed by its `with`.  An exception out of
+    `main` (argparse's usage exit among them) takes the normal exit."""
+    gc.disable()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

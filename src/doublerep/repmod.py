@@ -41,11 +41,16 @@ class RelationReport(namedtuple("RelationReport", "checks")):
 
 
 def _mat_pow(m: Mat, k: int) -> Mat:
-    """m**k for k >= 1."""
-    out = m
-    for _ in range(k - 1):
-        out = out * m
-    return out
+    """m**k for k >= 1, by repeated squaring: m**16 takes 4 products.  The
+    higher power goes on the left, so k <= 3 forms (m m) m as a loop would."""
+    out = None
+    while True:
+        if k & 1:
+            out = m if out is None else m * out
+        k >>= 1
+        if not k:
+            return out
+        m = m * m
 
 
 def _relation_products(m: ModuleRep) -> tuple[Mat, Mat, Mat, Mat]:

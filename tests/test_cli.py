@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import gc
 import json
+import os
 import pathlib
 import re
 import resource
@@ -216,6 +218,103 @@ def test_closed_stdout_prints_one_error_line(write_json):
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert err == "error: stdout was closed before the output was complete\n"
+
+
+# The process entry, `cli.run`, turns the cyclic GC off and ends with
+# `os._exit` once stdout and stderr are flushed; these tests run it through
+# `python -m doublerep.cli` in a fresh process.
+
+SRC = str(pathlib.Path(doublerep.__file__).resolve().parents[1])
+ENTRY = [sys.executable, "-m", "doublerep.cli"]
+# stdout block-buffered, as it is by default, so output that is not flushed
+# before `os._exit` is lost
+ENTRY_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+             "PYTHONPATH": SRC}
+
+
+def run_entry(*argv):
+    return subprocess.run(ENTRY + list(argv), capture_output=True, text=True, timeout=120,
+                          env=ENTRY_ENV)
+
+
+def test_process_entry_exit_codes(capsys, tmp_path, datum_file):
+    ok = run_entry("datum", "check", datum_file("B"))
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == run(capsys, "datum", "check", datum_file("B"))[1]
+
+    path = build_module(capsys, tmp_path, datum_file("B"),
+                        "--family", "t1", "--l", "1", "--lambda", "0;0")
+    obj = json.loads(pathlib.Path(path).read_text())
+    obj["matrices"]["x"][0][1] = {"order": 1, "coeffs": ["7"]}
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    failed = run_entry("module", "verify", str(bad))
+    assert failed.returncode == 1
+    assert "  FAIL " in failed.stdout and failed.stdout.endswith("\n")
+
+    invalid = run_entry("datum", "check", str(tmp_path / "missing.json"))
+    assert (invalid.returncode, invalid.stdout) == (2, "")
+    assert invalid.stderr.startswith("error: cannot read") and invalid.stderr.count("\n") == 1
+
+    usage = run_entry("classify")
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert "Traceback" not in usage.stderr and "usage:" in usage.stderr
+
+
+def test_process_entry_flushes_json_before_exit(capsys, datum_file):
+    argv = ("classify", datum_file("E"), "--max-t", "1", "--max-s", "1", "--etas", "1",
+            "--format", "json")
+    proc = run_entry(*argv)
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["entries"]) == 177
+    assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_process_entry_writes_the_whole_out_file(capsys, tmp_path, datum_file):
+    spec = ("module", "build", datum_file("E"), "--family", "projective", "--l", "2",
+            "--lambda", "0;2")
+    target = tmp_path / "p.json"
+    proc = run_entry(*spec, "--out", str(target))
+    assert (proc.returncode, proc.stdout) == (0, f"wrote {target} (dim 6)\n")
+    assert target.read_text() == run(capsys, *spec)[1]
+
+
+def test_process_entry_closed_stdout_prints_one_error_line(write_json):
+    # 79 kB of listing, more than the pipe buffers, so the command writes into
+    # the pipe after its reader has closed it
+    path = write_json("n100.json", {"orders": [100], "chi": [1], "a": [1], "alpha": 0})
+    proc = subprocess.Popen(ENTRY + ["weights", "list", path], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=ENTRY_ENV)
+    assert len(proc.stdout.read(300)) == 300
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: stdout was closed before the output was complete\n"
+
+
+def test_process_entry_runs_without_gc_and_skips_teardown(datum_file):
+    # run() calls main with the cyclic GC off and ends before the atexit
+    # handlers (and the finaliser's collection) run
+    code = ("import atexit, gc, sys; import doublerep.cli as c; "
+            "atexit.register(print, 'teardown', file=sys.stderr); main = c.main; "
+            "c.main = lambda: print('gc', gc.isenabled(), file=sys.stderr) or main(); "
+            f"sys.argv = ['doublerep', 'datum', 'check', {datum_file('B')!r}]; c.run()")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=ENTRY_ENV)
+    assert (proc.returncode, proc.stderr) == (0, "gc False\n")
+    assert proc.stdout.startswith("kind: nilpotent\n")
+
+
+def test_main_in_process_keeps_the_cyclic_gc(capsys, datum_file):
+    assert gc.isenabled()
+    assert run(capsys, "datum", "check", datum_file("B"))[0] == 0
+    assert gc.isenabled()
+
+
+def test_installed_script_is_the_process_entry():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'doublerep = "doublerep.cli:run"' in pyproject.read_text().splitlines()
 
 
 @pytest.mark.parametrize("key", ["E", "R2"])

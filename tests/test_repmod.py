@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 from doublerep import homology
-from doublerep.cyclo import CycScalar
+from doublerep.cyclo import CycScalar, root_of_unity
 from doublerep.constructors import projective, simple, verma
 from doublerep.datum import DatumError
 from doublerep.linalg import Mat
-from doublerep.repmod import (ModuleRep, direct_sum, intertwines, quotient_module,
-                              spin_submodule)
+from doublerep.repmod import (ModuleRep, _mat_pow, direct_sum, intertwines,
+                              quotient_module, spin_submodule)
 
 from .conftest import conjugated_json, first_weight, upper_ones
 from .reference import action
@@ -32,6 +32,24 @@ def test_relation_failure_detected(datum_b):
     report = bad.verify_relations()
     assert not report.ok
     assert report.failures()
+
+
+@pytest.mark.parametrize("k", range(1, 18))
+def test_mat_pow_matches_repeated_products(k, monkeypatch):
+    # a 3x3 matrix over Q(zeta_9) that is neither nilpotent nor of finite order
+    z, one = root_of_unity(9), CycScalar.one(9)
+    m = Mat.from_rows(9, [[z, one, CycScalar.zero(9)],
+                          [one + one, CycScalar.zero(9), z * z],
+                          [one, z, one]])
+    expected = m
+    for _ in range(k - 1):
+        expected = expected * m
+    products = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert _mat_pow(m, k) == expected
+    # one squaring per bit below the top one and one product per further set bit
+    assert len(products) == (k.bit_length() - 1) + (bin(k).count("1") - 1)
 
 
 def test_group_action_is_diagonal_in_weights(datum_b):
