@@ -17,6 +17,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Iterator
+from typing import NoReturn
 
 from .datum import DatumError, ValidatedDatum, Weight, datum_from_json
 from .linalg import rank  # noqa: F401  (perfbench's tracer test patches cli.rank)
@@ -574,7 +575,7 @@ def main(argv=None) -> int:
         return _stdout_closed()
 
 
-def run() -> None:
+def run() -> NoReturn:
     """Process entry of `python -m doublerep.cli` and of the `doublerep` script.
 
     The memos a run builds are never garbage, so the cyclic GC is off for the
