@@ -77,7 +77,14 @@ def _hom_unknowns(a: ModuleRep, b: ModuleRep) -> tuple[int, ...]:
     """The index pairs (i, j) of equal weight, b.weights[i] == a.weights[j],
     flattened to i0, j0, i1, j1, ...: the entries a map a -> b may have."""
     spaces_a = a.weight_spaces()
-    return tuple(k for i, w in enumerate(b.weights) for j in spaces_a.get(w, ()) for k in (i, j))
+    out = []
+    for i, w in enumerate(b.weights):
+        js = spaces_a.get(w)
+        if js:
+            for j in js:
+                out.append(i)
+                out.append(j)
+    return tuple(out)
 
 
 def _eliminate_homs(a: ModuleRep, b: ModuleRep, unknowns: tuple[int, ...]) -> tuple[Mat, ...]:
@@ -96,9 +103,9 @@ def _eliminate_homs(a: ModuleRep, b: ModuleRep, unknowns: tuple[int, ...]) -> tu
         d = eqs.setdefault(key, {})
         d[p] = d[p] + val if p in d else val
 
-    neg_cols = b.cached("negated columns", lambda: ((-b.act_x).cols(), (-b.act_xi).cols()))
-    for opname, opa, neg_cols_b in (("x", a.act_x, neg_cols[0]), ("xi", a.act_xi, neg_cols[1])):
-        rows_a = opa.nz_rows()
+    neg_x, neg_xi = b.negated_columns()
+    for opname, opa, neg_b in (("x", a.act_x, neg_x), ("xi", a.act_xi, neg_xi)):
+        rows_a, neg_cols_b = opa.nz_rows(), neg_b.nz_rows()
         for p, (i, j) in enumerate(pos):
             for c, val in rows_a[j].items():
                 accum((opname, i, c), p, val)
@@ -212,14 +219,24 @@ def _socle(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
     return m.cached("socle", build)
 
 
+def _head_homs(m: ModuleRep) -> list:
+    """The Hom(m, S) of each candidate simple S: the one pass that the
+    radical (the kernel of these maps stacked) and the head (their image)
+    are read from; solved once per module."""
+    def build():
+        homs = _simple_homs(m, False)
+        if m.dim and not any(fs for _, _, fs in homs):
+            raise DatumError("module has no simple quotients; inconsistent input")
+        return homs
+    return m.cached("head homs", build)
+
+
 def _radical(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
     """The radical, and the Hom(m, S) of each candidate simple S; solved once
     per module."""
     def build():
-        homs = _simple_homs(m, False)
+        homs = _head_homs(m)
         mats = [f for _, _, fs in homs for f in fs]
-        if not mats and m.dim > 0:
-            raise DatumError("module has no simple quotients; inconsistent input")
         return spin_submodule(m, nullspace(vstack(mats)) if mats else []), homs
     return m.cached("radical", build)
 
@@ -360,23 +377,27 @@ def _cover_map(m: ModuleRep, cover: bool) -> Morphism:
 
     The simples S of the head (socle) of m, their multiplicities and the edge
     come from the Hom pass that finds the radical (socle): phi, the Hom(m, S)
-    bases stacked, has kernel rad m; psi, the Hom(S, m) bases side by side,
-    has image soc m.  For each S, maps f in Hom(P(S), m) (in Hom(m, P(S)))
-    are taken greedily while the columns of phi f (the rows of f psi) leave
-    the span of the images taken so far, so the map is bijective on the head
-    (on the socle).
+    bases stacked, has kernel rad m, so the head's dimension is its rank and
+    rad m is not spun; psi, the Hom(S, m) bases side by side, has image
+    soc m.  For each S, maps f in Hom(P(S), m) (in Hom(m, P(S))) are taken
+    greedily while the columns of phi f (the rows of f psi) leave the span of
+    the images taken so far, so the map is bijective on the head (on the
+    socle).
     """
     datum = m.datum
     name = "projective cover" if cover else "injective hull"
     if m.dim == 0:
         z = zero_module(datum)
         return Morphism(*((z, m) if cover else (m, z)), Mat.zeros(datum.N, 0, 0))
-    facts, homs = _radical(m) if cover else _socle(m)
-    total = m.dim - facts.dim if cover else facts.dim
+    if cover:
+        homs = _head_homs(m)
+    else:
+        soc, homs = _socle(m)
     mats = [f for _, _, fs in homs for f in fs]
     if not mats:
         raise DatumError("module has no simple submodules; inconsistent input")
     edge = vstack(mats) if cover else hstack(mats)
+    total = rank(edge) if cover else soc.dim
     span = Echelon(datum.N)
     chosen: list[tuple[ModuleRep, Mat]] = []
     for (l, w), mult in _multiplicities(homs, total):
@@ -482,6 +503,11 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     dimension, or the failed identity.  YES verdicts carry a re-verified
     invertible intertwiner: the first invertible element of the Hom(a, b)
     basis, else a seeded combination of it.
+
+    The basis is scanned first.  An invertible basis map is an isomorphism,
+    which forces every Hom dimension to agree, End(b) to be End(a) and the
+    identity to hold, so it decides the verdict without Hom(b, a), End(b) or
+    the pairing; the identity is read only when no basis map is invertible.
     """
     require_same_datum(a, b)
     if a.dim != b.dim:
@@ -494,6 +520,9 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
         if ka != kb:
             return _no(reason)
     homs_ab = hom_space(a, b)
+    for trials, mat in enumerate(homs_ab, 1):
+        if rank(mat) == a.dim:
+            return _yes(a, b, mat, "basis scan", trials, end_local_dim(a) == 1)
     homs_ba = hom_space(b, a)
     ends_a = hom_space(a, a)
     ends_b = hom_space(b, b)
@@ -513,18 +542,25 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
                    "both endomorphism algebras are local, so no map is invertible" if local
                    else f"trace pairing ranks: r(a,a) + r(b,b) = {el_a + el_b} "
                         f"!= 2 r(a,b) = {2 * r}")
-    # the determinant of a combination is a nonzero polynomial of degree dim a
-    for trials, mat in enumerate(chain(homs_ab, _draws(a.datum, homs_ab, seed, a.dim)), 1):
+    # the determinant of a combination is a nonzero polynomial of degree dim a;
+    # the draws are counted after the basis maps the scan tried
+    for trials, mat in enumerate(_draws(a.datum, homs_ab, seed, a.dim), len(homs_ab) + 1):
         if mat is not None and rank(mat) == a.dim:
-            witness = Morphism(a, b, mat)
-            if not witness.is_valid():
-                raise DatumError("isomorphism witness is not an intertwiner; inconsistent input")
-            how = "basis scan" if trials <= len(homs_ab) else "seeded combination"
-            if local:
-                how, trials = "trace pairing", 0
-            return IsoVerdict("yes", f"invertible intertwiner ({how})", witness, trials)
+            return _yes(a, b, mat, "seeded combination", trials, local)
     raise DatumError("no invertible combination of Hom(a,b) though the trace "
                      "pairing certifies an isomorphism; inconsistent input")
+
+
+def _yes(a: ModuleRep, b: ModuleRep, mat: Mat, how: str, trials: int, local: bool) -> IsoVerdict:
+    """The yes verdict for an invertible map found by ``how`` at trial
+    ``trials``, re-verified as an intertwiner.  With local End algebras the
+    trace pairing already decides, so it is cited, with no trials."""
+    witness = Morphism(a, b, mat)
+    if not witness.is_valid():
+        raise DatumError("isomorphism witness is not an intertwiner; inconsistent input")
+    if local:
+        how, trials = "trace pairing", 0
+    return IsoVerdict("yes", f"invertible intertwiner ({how})", witness, trials)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,14 @@ class ModuleRep(Memo):
     def xi_kernel(self) -> list[Row]:
         return nullspace(self.act_xi)
 
+    def negated_columns(self) -> tuple[Mat, Mat]:
+        """The transposes of -x and -xi, built once per module: row k of each
+        is column k of the negated operator.  The Hom solve reads them as the
+        target's side of its equations, and ``spin_submodule`` takes the
+        images of a whole basis as one product with them."""
+        return self.cached("negated columns",
+                           lambda: ((-self.act_x).transpose(), (-self.act_xi).transpose()))
+
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -466,14 +474,16 @@ def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
     Seeds are split into weight-pure components (legitimate because every
     submodule is graded by the weight projectors in the group part of the
     algebra) and kept in one sparse reduced echelon basis (``Echelon``) per
-    weight block.  The x and xi images of each basis row are taken once and
-    reduced against the blocks: when every image lies in the span, the span
-    is closed and the images give the restricted action; otherwise the
-    images that leave it extend the span, and the images of the new basis
-    are taken again.  The basis depends only on the submodule, not on the
-    seeds or their order.
+    weight block.  The x and xi images of the basis rows are taken as one
+    product each, the basis rows times the module's ``negated_columns``,
+    and reduced against the blocks: when every image lies in the span, the
+    span is closed and the images give the restricted action, negated once
+    more; otherwise the images that leave it extend the span, and the images
+    of the new basis are taken again.  The basis depends only on the
+    submodule, not on the seeds or their order.
     """
     datum = mod.datum
+    negated = mod.negated_columns()
     blocks: dict[Weight, Echelon] = {}
 
     def add(v: Row) -> bool:
@@ -494,7 +504,8 @@ def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
     while True:
         basis = [(w, p) for w in sorted(blocks, key=Weight.sort_key) for p in blocks[w].pivots]
         rows = [blocks[w].rows[p] for w, p in basis]
-        images = [[op.matvec(b) for b in rows] for op in (mod.act_x, mod.act_xi)]
+        # row k of each product is -(op rows[k]), which spans what op rows[k] does
+        images = [(Mat(datum.N, rows, mod.dim) * neg).nz_rows() for neg in negated]
         grew = [add(v) for vs in images for v in vs]
         if not any(grew):
             break
@@ -504,8 +515,9 @@ def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
 
     def restrict(vs: list[Row]) -> Mat:
         # in a reduced echelon basis, the coefficient of a row in a vector of
-        # the span is the vector's value at the row's pivot
-        return Mat.from_cols(datum.N, [{at[k]: c for k, c in v.items() if k in at} for v in vs],
+        # the span is the vector's value at the row's pivot; the images are
+        # negated, so their coefficients are too
+        return Mat.from_cols(datum.N, [{at[k]: -c for k, c in v.items() if k in at} for v in vs],
                              len(rows))
 
     labels = [mod.labels[p] for p in pivots]

@@ -3,21 +3,27 @@
 The package reaches each of these results one way: ``loewy_structure`` reads
 the simples of every radical layer from the Hom solves that find the radicals,
 ``linalg.Echelon`` is its one elimination, and ``is_isomorphic`` decides every
-pair by the rank of the trace pairing.  The references below build the
+pair by an invertible Hom basis map or the rank of the trace pairing.  The references below build the
 intermediate modules and spans that the package skips, or scan the pairings
 one by one, so that tests can check its answers against a second,
 independent route.  ``projective_table`` writes P(l, lambda) entry by entry
 from the action tables, where the package glues two chain segments.  The datum classes its weights in integer exponents mod N;
 the references here search for the same classes over ``CycScalar`` values.
+``is_isomorphic`` and ``spin_submodule`` are the package's functions as they
+were before the package scanned the Hom basis first and spun by products;
+tests hold the package's verdicts and spans equal to theirs.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from doublerep import homology
 from doublerep.constructors import _put, require_regular
-from doublerep.datum import NILPOTENT, WeightClass
-from doublerep.linalg import Echelon, Mat, frobenius_pair
-from doublerep.repmod import ModuleRep, quotient_module
+from doublerep.datum import NILPOTENT, DatumError, Weight, WeightClass
+from doublerep.homology import (IsoVerdict, Morphism, _draws, _no, end_local_dim, hom_space,
+                                invariant_key, pairing_rank)
+from doublerep.linalg import Echelon, Mat, Row, frobenius_pair, rank
+from doublerep.repmod import ModuleRep, SubmoduleFacts, quotient_module, require_same_datum
 
 
 def semisimple_factors(h):
@@ -174,3 +180,118 @@ def projective_table(datum, l, lam):
             _put(xi, U(i - 1), U(i), one)
     labels = [f"v{i}" for i in range(n)] + [f"u{i}" for i in range(n)]
     return ModuleRep(datum, weights, Mat(datum.N, x, 2 * n), Mat(datum.N, xi, 2 * n), labels)
+
+
+# ``homology.is_isomorphic`` as it was before it scanned the Hom(a, b) basis
+# first: every invariant, Hom dimension and the pairing identity are decided
+# before any basis map is tried.
+def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
+    """Exact isomorphism test: the verdict is always "yes" or "no".
+
+    With r(a, b) the rank of the trace pairing of Hom(a, b) with Hom(b, a),
+    r(a, b) = sum m_i n_i d_i in characteristic zero, where m_i, n_i are the
+    multiplicities of the indecomposable X_i in a and b and d_i is the
+    dimension of End(X_i) modulo its radical.  So a and b are isomorphic
+    exactly when r(a, a) + r(b, b) = 2 r(a, b), the difference being
+    sum d_i (m_i - n_i)^2.  NO verdicts cite a mismatched invariant or Hom
+    dimension, or the failed identity.  YES verdicts carry a re-verified
+    invertible intertwiner: the first invertible element of the Hom(a, b)
+    basis, else a seeded combination of it.
+    """
+    require_same_datum(a, b)
+    if a.dim != b.dim:
+        return _no(f"dimension {a.dim} != {b.dim}")
+    if a.dim == 0:
+        return IsoVerdict("yes", "both modules are zero",
+                          Morphism(a, b, Mat.zeros(a.datum.N, 0, 0)))
+    for reason, ka, kb in zip(("weight multisets differ", "dim ker(x) differs",
+                               "dim ker(xi) differs"), invariant_key(a)[1:], invariant_key(b)[1:]):
+        if ka != kb:
+            return _no(reason)
+    homs_ab = hom_space(a, b)
+    homs_ba = hom_space(b, a)
+    ends_a = hom_space(a, a)
+    ends_b = hom_space(b, b)
+    dims = {len(homs_ab), len(homs_ba), len(ends_a), len(ends_b)}
+    if len(dims) != 1:
+        return _no("Hom-space dimensions are asymmetric: "
+                   f"hom(a,b)={len(homs_ab)}, hom(b,a)={len(homs_ba)}, "
+                   f"end(a)={len(ends_a)}, end(b)={len(ends_b)}")
+    el_a, el_b = end_local_dim(a), end_local_dim(b)
+    # With both End algebras local, the maps a -> b that are not invertible
+    # are those f with tr(g f) = 0 for every g in Hom(b, a), a proper subspace
+    # when r(a, b) = 1, so the basis scan finds an invertible map.
+    local = el_a == el_b == 1
+    r = pairing_rank(homs_ab, homs_ba)
+    if el_a + el_b != 2 * r:
+        return _no("trace pairing of Hom(a,b) with Hom(b,a) vanishes; "
+                   "both endomorphism algebras are local, so no map is invertible" if local
+                   else f"trace pairing ranks: r(a,a) + r(b,b) = {el_a + el_b} "
+                        f"!= 2 r(a,b) = {2 * r}")
+    # the determinant of a combination is a nonzero polynomial of degree dim a
+    for trials, mat in enumerate(chain(homs_ab, _draws(a.datum, homs_ab, seed, a.dim)), 1):
+        if mat is not None and rank(mat) == a.dim:
+            witness = Morphism(a, b, mat)
+            if not witness.is_valid():
+                raise DatumError("isomorphism witness is not an intertwiner; inconsistent input")
+            how = "basis scan" if trials <= len(homs_ab) else "seeded combination"
+            if local:
+                how, trials = "trace pairing", 0
+            return IsoVerdict("yes", f"invertible intertwiner ({how})", witness, trials)
+    raise DatumError("no invertible combination of Hom(a,b) though the trace "
+                     "pairing certifies an isomorphism; inconsistent input")
+
+
+# ``repmod.spin_submodule`` as it was before it took the images of a basis as
+# one product: one ``matvec`` per basis row and operator.
+def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
+    """Smallest submodule containing the seed vectors.
+
+    Seeds are split into weight-pure components (legitimate because every
+    submodule is graded by the weight projectors in the group part of the
+    algebra) and kept in one sparse reduced echelon basis (``Echelon``) per
+    weight block.  The x and xi images of each basis row are taken once and
+    reduced against the blocks: when every image lies in the span, the span
+    is closed and the images give the restricted action; otherwise the
+    images that leave it extend the span, and the images of the new basis
+    are taken again.  The basis depends only on the submodule, not on the
+    seeds or their order.
+    """
+    datum = mod.datum
+    blocks: dict[Weight, Echelon] = {}
+
+    def add(v: Row) -> bool:
+        """Extend the span by the weight components of v; True when it grew."""
+        comps: dict[Weight, Row] = {}
+        for k, x in v.items():
+            comps.setdefault(mod.weights[k], {})[k] = x
+        grew = False
+        for w, comp in comps.items():
+            if w not in blocks:
+                blocks[w] = Echelon(datum.N)
+            if blocks[w].add(comp) is not None:
+                grew = True
+        return grew
+
+    for seed in seeds:
+        add(seed)
+    while True:
+        basis = [(w, p) for w in sorted(blocks, key=Weight.sort_key) for p in blocks[w].pivots]
+        rows = [blocks[w].rows[p] for w, p in basis]
+        images = [[op.matvec(b) for b in rows] for op in (mod.act_x, mod.act_xi)]
+        grew = [add(v) for vs in images for v in vs]
+        if not any(grew):
+            break
+
+    pivots = [p for _, p in basis]
+    at = {p: idx for idx, p in enumerate(pivots)}
+
+    def restrict(vs: list[Row]) -> Mat:
+        # in a reduced echelon basis, the coefficient of a row in a vector of
+        # the span is the vector's value at the row's pivot
+        return Mat.from_cols(datum.N, [{at[k]: c for k, c in v.items() if k in at} for v in vs],
+                             len(rows))
+
+    labels = [mod.labels[p] for p in pivots]
+    module = ModuleRep(datum, [w for w, _ in basis], *map(restrict, images), labels)
+    return SubmoduleFacts(mod, rows, pivots, module)

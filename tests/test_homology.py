@@ -419,18 +419,27 @@ def test_cover_and_hull_match_reference(key):
 def test_syzygies_read_the_one_radical_or_socle_solve(monkeypatch):
     datum = make_datum("D")
     lam = first_weight(datum, 2)
+    # a cover reads its head from the Hom(m, S) pass and never spins rad m,
+    # so a syzygy spins only its kernel
     mods = [simple(datum, 2, lam), t_chain(datum, 2, lam, 2)]
-    calls = []
-    for name in ("_radical", "_socle"):
+    calls, spun = [], []
+    for name in ("_head_homs", "_radical", "_socle"):
         def counted(m, name=name, solve=getattr(homology, name)):
             calls.append(name)
             return solve(m)
         monkeypatch.setattr(homology, name, counted)
+    spin = homology.spin_submodule
+    monkeypatch.setattr(homology, "spin_submodule",
+                        lambda mod, seeds: spun.append(mod) or spin(mod, seeds))
     for m in mods:
-        for omega, solve in ((homology.syzygy, "_radical"), (homology.cosyzygy, "_socle")):
+        for omega, solve in ((homology.syzygy, "_head_homs"), (homology.cosyzygy, "_socle")):
             calls.clear()
-            assert omega(m).dim
-            assert calls == [solve], (omega.__name__, m.labels)
+            spun.clear()
+            dim = omega(m).dim
+            assert dim and calls == [solve], (omega.__name__, m.labels)
+            if omega is homology.syzygy:
+                # the one spin is the kernel's, inside the cover P of dim m + dim Omega m
+                assert [p.dim for p in spun] == [m.dim + dim], m.labels
 
 
 def test_projective_cover_builds_no_quotient_module(monkeypatch):
