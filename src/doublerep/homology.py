@@ -504,10 +504,11 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     invertible intertwiner: the first invertible element of the Hom(a, b)
     basis, else a seeded combination of it.
 
-    The basis is scanned first.  An invertible basis map is an isomorphism,
-    which forces every Hom dimension to agree, End(b) to be End(a) and the
-    identity to hold, so it decides the verdict without Hom(b, a), End(b) or
-    the pairing; the identity is read only when no basis map is invertible.
+    The basis is scanned once the weights agree.  An invertible basis map is
+    an isomorphism, which forces the kernel dimensions and every Hom
+    dimension to agree, End(b) to be End(a) and the identity to hold, so it
+    decides the verdict without the kernels, Hom(b, a), End(b) or the
+    pairing; they are read only when no basis map is invertible.
     """
     require_same_datum(a, b)
     if a.dim != b.dim:
@@ -515,14 +516,16 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     if a.dim == 0:
         return IsoVerdict("yes", "both modules are zero",
                           Morphism(a, b, Mat.zeros(a.datum.N, 0, 0)))
-    for reason, ka, kb in zip(("weight multisets differ", "dim ker(x) differs",
-                               "dim ker(xi) differs"), invariant_key(a)[1:], invariant_key(b)[1:]):
-        if ka != kb:
-            return _no(reason)
+    if a.weight_multiset() != b.weight_multiset():
+        return _no("weight multisets differ")
     homs_ab = hom_space(a, b)
     for trials, mat in enumerate(homs_ab, 1):
         if rank(mat) == a.dim:
             return _yes(a, b, mat, "basis scan", trials, end_local_dim(a) == 1)
+    for reason, ka, kb in zip(("dim ker(x) differs", "dim ker(xi) differs"),
+                              invariant_key(a)[2:], invariant_key(b)[2:]):
+        if ka != kb:
+            return _no(reason)
     homs_ba = hom_space(b, a)
     ends_a = hom_space(a, a)
     ends_b = hom_space(b, b)
