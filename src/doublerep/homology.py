@@ -77,14 +77,7 @@ def _hom_unknowns(a: ModuleRep, b: ModuleRep) -> tuple[int, ...]:
     """The index pairs (i, j) of equal weight, b.weights[i] == a.weights[j],
     flattened to i0, j0, i1, j1, ...: the entries a map a -> b may have."""
     spaces_a = a.weight_spaces()
-    out = []
-    for i, w in enumerate(b.weights):
-        js = spaces_a.get(w)
-        if js:
-            for j in js:
-                out.append(i)
-                out.append(j)
-    return tuple(out)
+    return tuple(k for i, w in enumerate(b.weights) for j in spaces_a.get(w, ()) for k in (i, j))
 
 
 def _eliminate_homs(a: ModuleRep, b: ModuleRep, unknowns: tuple[int, ...]) -> tuple[Mat, ...]:
@@ -231,13 +224,12 @@ def _head_homs(m: ModuleRep) -> list:
     return m.cached("head homs", build)
 
 
-def _radical(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
-    """The radical, and the Hom(m, S) of each candidate simple S; solved once
+def _radical(m: ModuleRep) -> SubmoduleFacts:
+    """The radical, the kernel of the ``_head_homs`` maps stacked; spun once
     per module."""
     def build():
-        homs = _head_homs(m)
-        mats = [f for _, _, fs in homs for f in fs]
-        return spin_submodule(m, nullspace(vstack(mats)) if mats else []), homs
+        mats = [f for _, _, fs in _head_homs(m) for f in fs]
+        return spin_submodule(m, nullspace(vstack(mats)) if mats else [])
     return m.cached("radical", build)
 
 
@@ -249,7 +241,7 @@ def socle(m: ModuleRep) -> SubmoduleFacts:
 
 def radical(m: ModuleRep) -> SubmoduleFacts:
     """Intersection of the kernels of all maps onto candidate simples."""
-    return _radical(m)[0]
+    return _radical(m)
 
 
 def head(m: ModuleRep) -> tuple[ModuleRep, Mat]:
@@ -331,8 +323,8 @@ def _solve_loewy(m: ModuleRep) -> LoewyStructure:
                                    or not any(span.reduce(v) for v in basis.nz_rows())):
             layers.append(socle)
             break
-        rad, homs = _radical(cur)
-        layers.append(_multiplicities(homs, cur.dim - rad.dim))
+        rad = _radical(cur)
+        layers.append(_multiplicities(_head_homs(cur), cur.dim - rad.dim))
         sub = Mat(m.datum.N, rad.rows, cur.dim)
         basis = sub if basis is None else sub * basis
         cur = rad.module
@@ -504,11 +496,11 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     invertible intertwiner: the first invertible element of the Hom(a, b)
     basis, else a seeded combination of it.
 
-    The basis is scanned once the weights agree.  An invertible basis map is
-    an isomorphism, which forces the kernel dimensions and every Hom
-    dimension to agree, End(b) to be End(a) and the identity to hold, so it
-    decides the verdict without the kernels, Hom(b, a), End(b) or the
-    pairing; they are read only when no basis map is invertible.
+    The basis is scanned once the invariants agree.  An invertible basis map
+    is an isomorphism, which forces every Hom dimension to agree, End(b) to
+    be End(a) and the identity to hold, so it decides the verdict without
+    Hom(b, a), End(b) or the pairing; they are read only when no basis map
+    is invertible.
     """
     require_same_datum(a, b)
     if a.dim != b.dim:
@@ -516,16 +508,15 @@ def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:
     if a.dim == 0:
         return IsoVerdict("yes", "both modules are zero",
                           Morphism(a, b, Mat.zeros(a.datum.N, 0, 0)))
-    if a.weight_multiset() != b.weight_multiset():
-        return _no("weight multisets differ")
-    homs_ab = hom_space(a, b)
-    for trials, mat in enumerate(homs_ab, 1):
-        if rank(mat) == a.dim:
-            return _yes(a, b, mat, "basis scan", trials, end_local_dim(a) == 1)
-    for reason, ka, kb in zip(("dim ker(x) differs", "dim ker(xi) differs"),
-                              invariant_key(a)[2:], invariant_key(b)[2:]):
+    for reason, ka, kb in zip(("weight multisets differ", "dim ker(x) differs",
+                               "dim ker(xi) differs"), invariant_key(a)[1:], invariant_key(b)[1:]):
         if ka != kb:
             return _no(reason)
+    homs_ab = hom_space(a, b)
+    for trials, mat in enumerate(homs_ab, 1):
+        # a zero row already makes the map singular, without an elimination
+        if all(mat.nz_rows()) and rank(mat) == a.dim:
+            return _yes(a, b, mat, "basis scan", trials, end_local_dim(a) == 1)
     homs_ba = hom_space(b, a)
     ends_a = hom_space(a, a)
     ends_b = hom_space(b, b)

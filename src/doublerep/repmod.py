@@ -273,13 +273,18 @@ class ModuleRep(Memo):
     def xi_kernel(self) -> list[Row]:
         return nullspace(self.act_xi)
 
-    def negated_columns(self) -> tuple[Mat, Mat]:
-        """The transposes of -x and -xi, built once per module: row k of each
-        is column k of the negated operator.  The Hom solve reads them as the
-        target's side of its equations, and ``spin_submodule`` takes the
-        images of a whole basis as one product with them."""
-        return self.cached("negated columns",
-                           lambda: ((-self.act_x).transpose(), (-self.act_xi).transpose()))
+    def negated_columns(self, keep: bool = True) -> tuple[Mat, Mat]:
+        """The transposes of -x and -xi: row k of each is column k of the
+        negated operator.  The Hom solve reads them as the target's side of
+        its equations and keeps them on the module.  ``spin_submodule`` takes
+        the images of a whole basis as one product with them, with ``keep``
+        false: it reads the module's copy when there is one, and otherwise
+        builds them for itself, so a module that is only spun in, such as
+        each rad^k M of the Loewy walk, holds no copy."""
+        def build():
+            return (-self.act_x).transpose(), (-self.act_xi).transpose()
+        return self.cached("negated columns", build) if keep else (
+            self._memo.get("negated columns") or build())
 
     # -- serialization -----------------------------------------------------
 
@@ -483,7 +488,7 @@ def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
     submodule, not on the seeds or their order.
     """
     datum = mod.datum
-    negated = mod.negated_columns()
+    negated = mod.negated_columns(keep=False)
     blocks: dict[Weight, Echelon] = {}
 
     def add(v: Row) -> bool:

@@ -2,13 +2,12 @@
 
 ``reference.is_isomorphic`` decides every invariant, Hom dimension and the
 pairing identity before it tries a basis map; the package returns at the
-first invertible Hom(a, b) basis map and reads the kernel dimensions and the
-identity only when there is none.  Both must give the same verdict, reason,
-trial count and witness on every pair of registry members with equal weights
-(equal invariant keys among them) over A-F and R2, on basis-permuted copies
-of them, and on V(+)P against P(+)V over A, whose witness is a seeded
-combination.  ``reference.spin_submodule`` takes one
-``matvec`` per basis row and operator; the package takes one product per
+first invertible Hom(a, b) basis map and reads the identity only when there
+is none.  Both must give the same verdict, reason, trial count and witness
+on every pair of registry members with equal weights (equal invariant keys
+among them) over A-F and R2, on basis-permuted copies of them, and on
+V(+)P against P(+)V over A, whose witness is a seeded combination.
+``reference.spin_submodule`` takes one ``matvec`` per basis row and operator; the package takes one product per
 operator, and both must find the same submodule, basis and action.
 """
 
@@ -77,8 +76,8 @@ def same_verdict(a: ModuleRep, b: ModuleRep, seed: int = 0) -> homology.IsoVerdi
 @pytest.mark.parametrize("key", KEYS)
 def test_scan_matches_the_reference_on_registry_pairs(key):
     rnd = random.Random(key)
-    # equal weights, so the pairs whose kernel dimensions differ, which the
-    # package checks after the scan, are compared too
+    # equal weights, so the pairs whose kernel dimensions differ are compared
+    # too
     groups = {}
     for m in registry(key):
         groups.setdefault(m.weight_multiset(), []).append(m)
@@ -104,8 +103,7 @@ def test_scan_matches_the_reference_on_a_seeded_combination():
 
 def test_ar_check_never_solves_the_translate_side(monkeypatch):
     # the invertible basis map of Hom(A, Omega^2 C) decides A = tau C, so
-    # End(Omega^2 C), Hom(Omega^2 C, A) and the kernels of Omega^2 C are never
-    # eliminated
+    # End(Omega^2 C) and Hom(Omega^2 C, A) are never eliminated
     d = make_datum("E")
     solved = []
     eliminate = homology._eliminate_homs
@@ -146,3 +144,20 @@ def test_product_spin_matches_the_matvec_spin(data):
     assert got.module.weights == want.module.weights
     assert got.module.labels == want.module.labels
     assert got.module.act_x == want.module.act_x and got.module.act_xi == want.module.act_xi
+
+
+def test_a_spin_keeps_no_negated_columns():
+    # a module that is only spun in, like each rad^k M of the Loewy walk,
+    # holds no copy of its negated columns; once a Hom solve into it has
+    # made one, the spin reads that copy
+    d = make_datum("E")
+    lam = first_weight(d, 1)
+    p = projective(d, 1, lam)
+    seeds = [{0: d.scalar(1)}]
+    first = spin_submodule(p, seeds)
+    assert "negated columns" not in p._memo
+    assert homology.hom_space(simple(d, 1, lam), p)
+    cols = p._memo["negated columns"]
+    assert p.negated_columns(keep=False) is cols is p.negated_columns()
+    again = spin_submodule(p, seeds)
+    assert again.rows == first.rows and again.module.act_x == first.module.act_x
