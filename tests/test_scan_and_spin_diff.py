@@ -7,8 +7,9 @@ is none.  Both must give the same verdict, reason, trial count and witness
 on every pair of registry members with equal weights (equal invariant keys
 among them) over A-F and R2, on basis-permuted copies of them, and on
 V(+)P against P(+)V over A, whose witness is a seeded combination.
-``reference.spin_submodule`` takes one ``matvec`` per basis row and operator; the package takes one product per
-operator, and both must find the same submodule, basis and action.
+``reference.spin_submodule`` takes one ``matvec`` per basis row and
+operator; the package takes one product per operator, and both must find
+the same submodule, basis and action.
 """
 
 import random
