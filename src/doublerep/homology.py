@@ -180,23 +180,77 @@ def candidate_simples(m: ModuleRep) -> list[tuple[int, Weight]]:
                   key=lambda lw: (lw[0], lw[1].sort_key()))
 
 
-def _fits(s: ModuleRep, m: ModuleRep) -> bool:
-    """False when some weight space of the simple s is larger than m's.  A
-    nonzero map s -> m is injective and a nonzero map m -> s surjective,
-    because s is simple, so then Hom(s, m) = Hom(m, s) = 0."""
+def _nonzero_lines(m: ModuleRep) -> tuple[tuple[set, set], tuple[set, set]]:
+    """For x and for xi, the set of nonzero columns and the set of nonzero
+    rows; found once per module."""
+    def build():
+        return tuple((set().union(*op.nz_rows()), {i for i, r in enumerate(op.nz_rows()) if r})
+                     for op in (m.act_x, m.act_xi))
+    return m.cached("nonzero lines", build)
+
+
+def _full_block(m: ModuleRep, op: int, w: Weight, into: bool) -> bool:
+    """Whether x (op 0) or xi (op 1) is injective on m's weight space w
+    (``into``), or else whether that weight space lies in the operator's
+    image: the rank of the columns, or of the rows, of the weight block.
+    Found once per module for each operator, weight and side."""
+    def build():
+        nz = (m.act_x, m.act_xi)[op].nz_rows()
+        ix = m.weight_spaces()[w]
+        if into:
+            at = {j: k for k, j in enumerate(ix)}
+            block = Mat(m.datum.N, ({at[j]: x for j, x in r.items() if j in at} for r in nz),
+                        len(ix))
+        else:
+            block = Mat(m.datum.N, (nz[i] for i in ix), m.dim)
+        return rank(block) == len(ix)
+    return m.cached(("full block", op, w, into), build)
+
+
+def _schur_zero(s: ModuleRep, m: ModuleRep, into: bool) -> bool:
+    """True when the nonzero patterns of the simple s and of m prove
+    Hom(s, m) = 0 (``into``) or Hom(m, s) = 0; False decides nothing.
+
+    A nonzero map f: s -> m is injective, because s is simple.  If op v = 0
+    for a basis vector v of s (its column of op = x or xi is empty), then
+    op f(v) = f(op v) = 0, with f(v) in m's weight space at v's weight; so
+    when op is injective on that weight space, f(v) = 0 and f is zero.
+    Dually a nonzero map g: m -> s is onto.  If v lies outside op(s) (its
+    row is empty) while m's weight space at v's weight lies in op(m), then
+    v = g(u) for some u in that weight space, u = op u', and
+    v = op g(u') lies in op(s); so g is zero.  A weight of s missing from m
+    proves both directions zero.
+
+    Injectivity on a weight space is the rank of its columns of op; the
+    inclusion in op(m) is the rank of its rows of op only when op maps each
+    weight space into one weight space, as the group-like relations say, so
+    the relations must hold on m.  Over a one-dimensional weight space each
+    test is one lookup of a nonzero column or row.
+    """
     spaces = m.weight_spaces()
-    return all(len(ix) <= len(spaces.get(w, ())) for w, ix in s.weight_spaces().items())
+    if any(w not in spaces for w in s.weights):
+        return True
+    side = 0 if into else 1
+    for op, lines_s, lines_m in zip((0, 1), _nonzero_lines(s), _nonzero_lines(m)):
+        full_s, full_m = lines_s[side], lines_m[side]
+        for k, w in enumerate(s.weights):
+            if k not in full_s:
+                ix = spaces[w]
+                if ix[0] in full_m if len(ix) == 1 else _full_block(m, op, w, into):
+                    return True
+    return False
 
 
 def _simple_homs(m: ModuleRep, into: bool) -> list:
     """(key, S, basis of Hom(S, m) if ``into`` else of Hom(m, S)) for each
     candidate simple S: the one Hom pass that the socle, the radical and the
-    multiplicities of their simples are read from.  A simple that does not
-    fit m (``_fits``) gets the empty basis without a solve."""
+    multiplicities of their simples are read from.  A simple for which
+    ``_schur_zero`` proves the Hom space zero gets the empty basis without a
+    solve.  The relations must hold on m, as ``_schur_zero`` assumes."""
     out = []
     for l, w in candidate_simples(m):
         s = constructors.simple(m.datum, l, w)
-        if not _fits(s, m):
+        if _schur_zero(s, m, into):
             out.append(((l, w), s, ()))
         else:
             out.append(((l, w), s, hom_space(s, m) if into else hom_space(m, s)))
@@ -364,8 +418,9 @@ def projective_of_simple(datum: ValidatedDatum, l: int, w: Weight) -> ModuleRep:
     return constructors.FAMILIES["P"].member(datum, l, w)
 
 
-def _cover_map(m: ModuleRep, cover: bool) -> Morphism:
-    """A minimal projective cover P -> m (``cover``) or injective hull m -> P.
+def _cover_map(m: ModuleRep, cover: bool) -> tuple[Morphism, list]:
+    """A minimal projective cover P -> m (``cover``) or injective hull m -> P,
+    and the kernel of its matrix, which is empty for a hull.
 
     The simples S of the head (socle) of m, their multiplicities and the edge
     come from the Hom pass that finds the radical (socle): phi, the Hom(m, S)
@@ -374,13 +429,14 @@ def _cover_map(m: ModuleRep, cover: bool) -> Morphism:
     soc m.  For each S, maps f in Hom(P(S), m) (in Hom(m, P(S))) are taken
     greedily while the columns of phi f (the rows of f psi) leave the span of
     the images taken so far, so the map is bijective on the head (on the
-    socle).
+    socle).  One elimination of the map's matrix gives its kernel and, by
+    rank and nullity, the check that the map is onto (one to one).
     """
     datum = m.datum
     name = "projective cover" if cover else "injective hull"
     if m.dim == 0:
         z = zero_module(datum)
-        return Morphism(*((z, m) if cover else (m, z)), Mat.zeros(datum.N, 0, 0))
+        return Morphism(*((z, m) if cover else (m, z)), Mat.zeros(datum.N, 0, 0)), []
     if cover:
         homs = _head_homs(m)
     else:
@@ -410,33 +466,34 @@ def _cover_map(m: ModuleRep, cover: bool) -> Morphism:
     p = direct_sum([ps for ps, _ in chosen])
     maps = [f for _, f in chosen]
     f = Morphism(p, m, hstack(maps)) if cover else Morphism(m, p, vstack(maps))
-    if rank(f.matrix) != m.dim:
+    kernel = nullspace(f.matrix)
+    if f.matrix.ncols - len(kernel) != m.dim:
         raise DatumError(f"{name} map is not " + ("surjective" if cover else "injective"))
-    return f
+    return f, kernel
 
 
 def projective_cover_map(m: ModuleRep) -> Morphism:
     """Minimal projective cover P -> m, P = ``f.source``."""
-    return _cover_map(m, True)
+    return _cover_map(m, True)[0]
 
 
 def injective_hull_map(m: ModuleRep) -> Morphism:
     """Minimal injective (= projective) hull m -> E, E = ``f.target``."""
-    return _cover_map(m, False)
+    return _cover_map(m, False)[0]
 
 
 def syzygy(m: ModuleRep) -> ModuleRep:
     """Kernel of a projective cover, built once per module."""
     def build():
-        f = projective_cover_map(m)
-        return spin_submodule(f.source, nullspace(f.matrix)).module
+        f, kernel = _cover_map(m, True)
+        return spin_submodule(f.source, kernel).module
     return m.cached("syzygy", build)
 
 
 def cosyzygy(m: ModuleRep) -> ModuleRep:
     """Cokernel of an injective hull, built once per module."""
     def build():
-        f = injective_hull_map(m)
+        f, _ = _cover_map(m, False)
         return quotient_module(f.target, spin_submodule(f.target, f.matrix.cols()))[0]
     return m.cached("cosyzygy", build)
 

@@ -1045,6 +1045,35 @@ def test_classify_solves_each_pass_and_hom_system_once(capsys, datum_file, monke
     assert len(eliminations) == len(systems)
 
 
+def test_classify_solves_no_simple_hom_that_is_zero(capsys, datum_file, monkeypatch):
+    # In classify E, every Hom space against a candidate simple that has no
+    # map is proved zero by the Schur certificate of the weight blocks, so no
+    # elimination inside a Hom pass returns the zero space; without the
+    # certificate 206 of that pass's 335 eliminations did, of 435 in all.
+    solved, inside = [], []
+    simple_homs, solve = homology._simple_homs, homology._eliminate_homs
+
+    def counted_pass(m, into):
+        inside.append(True)
+        try:
+            return simple_homs(m, into)
+        finally:
+            inside.pop()
+
+    def counted_solve(a, b, unknowns):
+        homs = solve(a, b, unknowns)
+        solved.append((bool(inside), homs))
+        return homs
+
+    monkeypatch.setattr(homology, "_simple_homs", counted_pass)
+    monkeypatch.setattr(homology, "_eliminate_homs", counted_solve)
+    code, _, _ = run(capsys, "classify", datum_file("E"),
+                     "--max-t", "1", "--max-s", "1", "--etas", "1")
+    assert code == 0
+    assert all(homs for in_pass, homs in solved if in_pass)
+    assert len(solved) <= 229
+
+
 def test_classify_analyzes_each_shape_once(capsys, datum_file, monkeypatch):
     # Over E, the 177 members have 68 shapes (x, xi and the partition of the
     # basis into weight spaces) and 68 contents (x and xi): the Loewy walk
