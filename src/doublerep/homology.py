@@ -180,36 +180,17 @@ def candidate_simples(m: ModuleRep) -> list[tuple[int, Weight]]:
                   key=lambda lw: (lw[0], lw[1].sort_key()))
 
 
-def _nonzero_lines(m: ModuleRep) -> tuple[tuple[set, set], tuple[set, set]]:
-    """For x and for xi, the set of nonzero columns and the set of nonzero
-    rows; found once per module."""
-    def build():
-        return tuple((set().union(*op.nz_rows()), {i for i, r in enumerate(op.nz_rows()) if r})
-                     for op in (m.act_x, m.act_xi))
-    return m.cached("nonzero lines", build)
+def _nonzero_lines(m: ModuleRep, into: bool) -> tuple[set, set]:
+    """For x and for xi, the set of nonzero columns (``into``) or of nonzero
+    rows."""
+    return tuple(set().union(*op.nz_rows()) if into
+                 else {i for i, r in enumerate(op.nz_rows()) if r} for op in (m.act_x, m.act_xi))
 
 
-def _full_block(m: ModuleRep, op: int, w: Weight, into: bool) -> bool:
-    """Whether x (op 0) or xi (op 1) is injective on m's weight space w
-    (``into``), or else whether that weight space lies in the operator's
-    image: the rank of the columns, or of the rows, of the weight block.
-    Found once per module for each operator, weight and side."""
-    def build():
-        nz = (m.act_x, m.act_xi)[op].nz_rows()
-        ix = m.weight_spaces()[w]
-        if into:
-            at = {j: k for k, j in enumerate(ix)}
-            block = Mat(m.datum.N, ({at[j]: x for j, x in r.items() if j in at} for r in nz),
-                        len(ix))
-        else:
-            block = Mat(m.datum.N, (nz[i] for i in ix), m.dim)
-        return rank(block) == len(ix)
-    return m.cached(("full block", op, w, into), build)
-
-
-def _schur_zero(s: ModuleRep, m: ModuleRep, into: bool) -> bool:
-    """True when the nonzero patterns of the simple s and of m prove
-    Hom(s, m) = 0 (``into``) or Hom(m, s) = 0; False decides nothing.
+def _schur_zero(m: ModuleRep, into: bool):
+    """The test ``zero(s)`` for a simple s: True when the nonzero patterns of
+    s and of m prove Hom(s, m) = 0 (``into``) or Hom(m, s) = 0; False
+    decides nothing.
 
     A nonzero map f: s -> m is injective, because s is simple.  If op v = 0
     for a basis vector v of s (its column of op = x or xi is empty), then
@@ -225,20 +206,36 @@ def _schur_zero(s: ModuleRep, m: ModuleRep, into: bool) -> bool:
     inclusion in op(m) is the rank of its rows of op only when op maps each
     weight space into one weight space, as the group-like relations say, so
     the relations must hold on m.  Over a one-dimensional weight space each
-    test is one lookup of a nonzero column or row.
+    test is one lookup of a nonzero column or row of m, found once per test;
+    a larger weight block is ranked once per test, operator and weight.
+    Nothing is kept on m.
     """
     spaces = m.weight_spaces()
-    if any(w not in spaces for w in s.weights):
-        return True
-    side = 0 if into else 1
-    for op, lines_s, lines_m in zip((0, 1), _nonzero_lines(s), _nonzero_lines(m)):
-        full_s, full_m = lines_s[side], lines_m[side]
-        for k, w in enumerate(s.weights):
-            if k not in full_s:
-                ix = spaces[w]
-                if ix[0] in full_m if len(ix) == 1 else _full_block(m, op, w, into):
-                    return True
-    return False
+    lines = _nonzero_lines(m, into)
+    ranked: dict[tuple[int, Weight], bool] = {}
+
+    def full(op: int, w: Weight) -> bool:
+        ix = spaces[w]
+        if len(ix) == 1:
+            return ix[0] in lines[op]
+        if (op, w) not in ranked:
+            nz = (m.act_x, m.act_xi)[op].nz_rows()
+            if into:
+                at = {j: k for k, j in enumerate(ix)}
+                block = Mat(m.datum.N, ({at[j]: x for j, x in r.items() if j in at}
+                                        for r in nz), len(ix))
+            else:
+                block = Mat(m.datum.N, (nz[i] for i in ix), m.dim)
+            ranked[op, w] = rank(block) == len(ix)
+        return ranked[op, w]
+
+    def zero(s: ModuleRep) -> bool:
+        if any(w not in spaces for w in s.weights):
+            return True
+        lines_s = s.cached(("nonzero lines", into), lambda: _nonzero_lines(s, into))
+        return any(k not in lines_s[op] and full(op, w)
+                   for op in (0, 1) for k, w in enumerate(s.weights))
+    return zero
 
 
 def _simple_homs(m: ModuleRep, into: bool) -> list:
@@ -247,10 +244,11 @@ def _simple_homs(m: ModuleRep, into: bool) -> list:
     multiplicities of their simples are read from.  A simple for which
     ``_schur_zero`` proves the Hom space zero gets the empty basis without a
     solve.  The relations must hold on m, as ``_schur_zero`` assumes."""
+    zero = _schur_zero(m, into)
     out = []
     for l, w in candidate_simples(m):
         s = constructors.simple(m.datum, l, w)
-        if _schur_zero(s, m, into):
+        if zero(s):
             out.append(((l, w), s, ()))
         else:
             out.append(((l, w), s, hom_space(s, m) if into else hom_space(m, s)))
