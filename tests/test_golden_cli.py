@@ -123,8 +123,9 @@ CASES.update({
     # closing edge x v_(n-1) = (const) v_0 the Loewy walk and the Hom solves meet
     "classify-H-budget": ("classify", "{H}", "--max-t", "1", "--max-s", "1", "--etas", "1",
                           "--budget", "600"),
-    # the whole n = 8 manifest: most candidate simples of its Hom passes get
-    # no map, and the weight-block certificate decides them without a solve
+    # n = 8 up to the default budget (416 of 872 members): most candidate
+    # simples of its Hom passes get no map, and the weight-block certificate
+    # decides them without a solve
     "classify-H": ("classify", "{H}", "--max-t", "1", "--max-s", "1", "--etas", "1"),
     # rank two, m = 1: 640 members through the W family, most of them repeating
     # the x and xi matrices of a member at another weight
