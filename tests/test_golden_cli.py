@@ -131,6 +131,11 @@ CASES.update({
     # the x and xi matrices of a member at another weight
     "classify-R2": ("classify", "{R2}", "--max-t", "1", "--max-s", "0", "--etas", "1",
                     "--budget", "100000"),
+    # rank two: Omega^-2 V(1,(0,0;0,0)) has dimension 9 and socle
+    # 3*V(1,(0,0;0,0)), so its hull takes three summands at one simple
+    "build-R2-omega_power-s-2": ("module", "build", "{R2}", "--family", "omega_power",
+                                 "--l", "1", "--lambda", "0,0;0,0", "--s", "-2"),
+    "analyze-R2-omega_power-s-2": ("module", "analyze", "{mod:build-R2-omega_power-s-2}"),
 })
 # analyze over E: M_2 at eta = 2 is matched in the registry; M_1 at eta = 3
 # lies outside the default eta grid
