@@ -240,60 +240,41 @@ def _schur_zero(m: ModuleRep, into: bool):
 
 def _simple_homs(m: ModuleRep, into: bool) -> list:
     """(key, S, basis of Hom(S, m) if ``into`` else of Hom(m, S)) for each
-    candidate simple S: the one Hom pass that the socle, the radical and the
-    multiplicities of their simples are read from.  A simple for which
-    ``_schur_zero`` proves the Hom space zero gets the empty basis without a
-    solve.  The relations must hold on m, as ``_schur_zero`` assumes."""
-    zero = _schur_zero(m, into)
-    out = []
-    for l, w in candidate_simples(m):
-        s = constructors.simple(m.datum, l, w)
-        if zero(s):
-            out.append(((l, w), s, ()))
-        else:
-            out.append(((l, w), s, hom_space(s, m) if into else hom_space(m, s)))
-    return out
-
-
-def _socle(m: ModuleRep) -> tuple[SubmoduleFacts, list]:
-    """The socle, and the Hom(S, m) of each candidate simple S; solved once
-    per module."""
+    candidate simple S: the one Hom pass per side that the socle (the span of
+    the images), the radical (the common kernel), the multiplicities of their
+    simples, the Loewy walk, the cover and the hull are read from; solved once
+    per module.  A simple for which ``_schur_zero`` proves the Hom space zero
+    gets the empty basis without a solve.  The relations must hold on m, as
+    ``_schur_zero`` assumes; a nonzero module with no map on that side
+    raises."""
     def build():
-        homs = _simple_homs(m, True)
-        return spin_submodule(m, [c for _, _, fs in homs for f in fs for c in f.cols()]), homs
-    return m.cached("socle", build)
-
-
-def _head_homs(m: ModuleRep) -> list:
-    """The Hom(m, S) of each candidate simple S: the one pass that the
-    radical (the kernel of these maps stacked) and the head (their image)
-    are read from; solved once per module."""
-    def build():
-        homs = _simple_homs(m, False)
+        zero = _schur_zero(m, into)
+        homs = []
+        for l, w in candidate_simples(m):
+            s = constructors.simple(m.datum, l, w)
+            homs.append(((l, w), s, () if zero(s) else hom_space(s, m) if into
+                         else hom_space(m, s)))
         if m.dim and not any(fs for _, _, fs in homs):
-            raise DatumError("module has no simple quotients; inconsistent input")
+            raise DatumError(f"module has no simple {'submodules' if into else 'quotients'}; "
+                             "inconsistent input")
         return homs
-    return m.cached("head homs", build)
-
-
-def _radical(m: ModuleRep) -> SubmoduleFacts:
-    """The radical, the kernel of the ``_head_homs`` maps stacked; spun once
-    per module."""
-    def build():
-        mats = [f for _, _, fs in _head_homs(m) for f in fs]
-        return spin_submodule(m, nullspace(vstack(mats)) if mats else [])
-    return m.cached("radical", build)
+    return m.cached(("simple homs", into), build)
 
 
 def socle(m: ModuleRep) -> SubmoduleFacts:
-    """Largest semisimple submodule: the sum of all images of maps from
-    candidate simples."""
-    return _socle(m)[0]
+    """Largest semisimple submodule: the span of the images of the maps from
+    the candidate simples; spun once per module."""
+    return m.cached("socle", lambda: spin_submodule(
+        m, [c for _, _, fs in _simple_homs(m, True) for f in fs for c in f.cols()]))
 
 
 def radical(m: ModuleRep) -> SubmoduleFacts:
-    """Intersection of the kernels of all maps onto candidate simples."""
-    return _radical(m)
+    """Intersection of the kernels of the maps onto the candidate simples,
+    the nullspace of those maps stacked; spun once per module."""
+    def build():
+        mats = [f for _, _, fs in _simple_homs(m, False) for f in fs]
+        return spin_submodule(m, nullspace(vstack(mats)) if mats else [])
+    return m.cached("radical", build)
 
 
 def head(m: ModuleRep) -> tuple[ModuleRep, Mat]:
@@ -363,8 +344,8 @@ def _solve_loewy(m: ModuleRep) -> LoewyStructure:
     """The walk down the radical series stops at the first rad^k m that spans
     soc m: that layer is semisimple, so it is the last one and its simples
     are the socle's.  Otherwise rad^k m is solved for its radical."""
-    soc, homs = _socle(m)
-    socle = _multiplicities(homs, soc.dim)
+    soc = socle(m)
+    bottom = _multiplicities(_simple_homs(m, True), soc.dim)
     span = Echelon(m.datum.N)
     for r in soc.rows:
         span.add(r)
@@ -373,14 +354,14 @@ def _solve_loewy(m: ModuleRep) -> LoewyStructure:
     while cur.dim:
         if cur.dim == soc.dim and (basis is None
                                    or not any(span.reduce(v) for v in basis.nz_rows())):
-            layers.append(socle)
+            layers.append(bottom)
             break
-        rad = _radical(cur)
-        layers.append(_multiplicities(_head_homs(cur), cur.dim - rad.dim))
+        rad = radical(cur)
+        layers.append(_multiplicities(_simple_homs(cur, False), cur.dim - rad.dim))
         sub = Mat(m.datum.N, rad.rows, cur.dim)
         basis = sub if basis is None else sub * basis
         cur = rad.module
-    return LoewyStructure(socle, layers)
+    return LoewyStructure(bottom, layers)
 
 
 def loewy_type(m: ModuleRep) -> LoewyType:
@@ -422,12 +403,12 @@ def _cover_map(m: ModuleRep, cover: bool) -> tuple[Morphism, list]:
 
     The simples S of the head (socle) of m, their multiplicities and the edge
     come from the Hom pass that finds the radical (socle): phi, the Hom(m, S)
-    bases stacked, has kernel rad m, so the head's dimension is its rank and
-    rad m is not spun; psi, the Hom(S, m) bases side by side, has image
-    soc m.  For each S, maps f in Hom(P(S), m) (in Hom(m, P(S))) are taken
-    greedily while the columns of phi f (the rows of f psi) leave the span of
-    the images taken so far, so the map is bijective on the head (on the
-    socle).  One elimination of the map's matrix gives its kernel and, by
+    bases stacked, has kernel rad m, and psi, the Hom(S, m) bases side by
+    side, has image soc m, so the head's (socle's) dimension is the rank of
+    the edge and neither rad m nor soc m is spun.  For each S, maps f in
+    Hom(P(S), m) (in Hom(m, P(S))) are taken greedily while the columns of
+    phi f (the rows of f psi) leave the span of the images taken so far, so
+    the map is bijective on the head (on the socle).  One elimination of the map's matrix gives its kernel and, by
     rank and nullity, the check that the map is onto (one to one).
     """
     datum = m.datum
@@ -435,15 +416,10 @@ def _cover_map(m: ModuleRep, cover: bool) -> tuple[Morphism, list]:
     if m.dim == 0:
         z = zero_module(datum)
         return Morphism(*((z, m) if cover else (m, z)), Mat.zeros(datum.N, 0, 0)), []
-    if cover:
-        homs = _head_homs(m)
-    else:
-        soc, homs = _socle(m)
+    homs = _simple_homs(m, not cover)
     mats = [f for _, _, fs in homs for f in fs]
-    if not mats:
-        raise DatumError("module has no simple submodules; inconsistent input")
     edge = vstack(mats) if cover else hstack(mats)
-    total = rank(edge) if cover else soc.dim
+    total = rank(edge)
     span = Echelon(datum.N)
     chosen: list[tuple[ModuleRep, Mat]] = []
     for (l, w), mult in _multiplicities(homs, total):

@@ -521,7 +521,9 @@ def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatc
                                                   command, files):
     # V(1,(0;0)) (+) P(1,(0;0)) over A: End is not local, so compare reaches
     # the trace-pairing identity and the witness search, and solves neither
-    # the radical nor the socle; analyze solves each once
+    # the radical nor the socle; analyze builds each side's Hom pass once
+    # (``_schur_zero`` runs once per build) and spins the radical and the
+    # socle once each
     solves = 1 if command == "analyze" else 0
     datum = make_datum("A")
     lam = first_weight(datum, 1)
@@ -529,15 +531,21 @@ def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatc
     paths = [write_json(f"{name}.json", direct_sum(mods).to_json())
              for name, mods in (("vp", [v, p]), ("pv", [p, v]))]
     calls = Counter()
-    for name in ("_radical", "_socle"):
-        def counted(m, name=name, solve=getattr(homology, name)):
-            calls[name, m.dim] += 1
-            return solve(m)
-        monkeypatch.setattr(homology, name, counted)
+    schur_zero, spin = homology._schur_zero, homology.spin_submodule
+
+    def counted_pass(m, into):
+        calls[into, m.dim] += 1
+        return schur_zero(m, into)
+
+    def counted_spin(m, seeds):
+        calls["spin", m.dim] += 1
+        return spin(m, seeds)
+    monkeypatch.setattr(homology, "_schur_zero", counted_pass)
+    monkeypatch.setattr(homology, "spin_submodule", counted_spin)
     code, out, _ = run(capsys, "module", command, *paths[:files])
     assert code == 0
     assert "seeded combination" in out if command == "compare" else cli.OUTSIDE in out
-    assert (calls["_radical", 5], calls["_socle", 5]) == (solves, solves)
+    assert (calls[False, 5], calls[True, 5], calls["spin", 5]) == (solves, solves, 2 * solves)
 
 
 def test_analyze_solves_end_of_its_input_at_most_twice(capsys, tmp_path, datum_file,
@@ -995,17 +1003,18 @@ def test_classify_evaluates_each_weight_tag_once(capsys, datum_file, monkeypatch
 
 
 def test_classify_solves_each_pass_and_hom_system_once(capsys, datum_file, monkeypatch):
-    # In classify E, the Hom pass against the candidate simples runs at most
-    # once per module (submodules included) and direction, and a Hom system
-    # is eliminated once for each content: x and xi of both modules and the
-    # equal-weight index pairs that carry the unknowns.
+    # In classify E, the Hom pass against the candidate simples is built at
+    # most once per module (submodules included) and direction, counted where
+    # it builds its Schur certificate, and a Hom system is eliminated once for
+    # each content: x and xi of both modules and the equal-weight index pairs
+    # that carry the unknowns.
     keep, passes = [], Counter()
-    simple_homs = homology._simple_homs
+    schur_zero = homology._schur_zero
 
     def counted_pass(m, into):
         keep.append(m)
         passes[id(m), into] += 1
-        return simple_homs(m, into)
+        return schur_zero(m, into)
 
     def content(m):
         return tuple(tuple(tuple(sorted(r.items())) for r in op.nz_rows())
@@ -1034,7 +1043,7 @@ def test_classify_solves_each_pass_and_hom_system_once(capsys, datum_file, monke
             eliminations.append(m)
         return nullspace(m)
 
-    monkeypatch.setattr(homology, "_simple_homs", counted_pass)
+    monkeypatch.setattr(homology, "_schur_zero", counted_pass)
     monkeypatch.setattr(homology, "hom_space", counted_hom_space)
     monkeypatch.setattr(homology, "_eliminate_homs", counted_solve)
     monkeypatch.setattr(homology, "nullspace", counted_nullspace)

@@ -274,13 +274,13 @@ def test_socle_stop_and_hom_memo_match_the_exact_passes(key, monkeypatch):
     # a distinct datum object, where the memo of the source's datum must
     # serve the same basis.
     mods = [fam.build(datum, l, lam, **params) for datum, fam, l, lam, params in members(key)]
-    radical, passes = homology._radical, []
-    monkeypatch.setattr(homology, "_radical", lambda m: passes.append(m) or radical(m))
+    radical, passes = homology.radical, []
+    monkeypatch.setattr(homology, "radical", lambda m: passes.append(m) or radical(m))
     for a, b in zip(mods, mods[1:] + mods[:1]):
         passes.clear()
         got = homology.loewy_structure(a)
         # every member's last layer is its whole socle, so the walk stops
-        # there and solves one radical pass fewer than there are layers
+        # there and reads one radical fewer than there are layers
         assert len(passes) == len(got.layers) - 1, a.labels
         layers = [semisimple_factors(q) for q in radical_series(a)]
         assert got.layers == layers, a.labels
@@ -457,8 +457,11 @@ def _reference_hull(m):
     return direct_sum([ps for ps, _ in chosen]), vstack([mat for _, mat in chosen])
 
 
-@pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F"])
+@pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F", "R2", "H"])
 def test_cover_and_hull_match_reference(key):
+    # the hull reads the socle's dimension as the rank of the Hom(S, m) maps
+    # and the reference as the dimension of the spun socle, also where a
+    # simple occurs in the socle more than once (every datum's sums a (+) a)
     for m in _members_and_sums(key):
         cover, hull = homology.projective_cover_map(m), homology.injective_hull_map(m)
         assert cover.target is m and hull.source is m
@@ -472,11 +475,16 @@ def test_cover_and_hull_match_reference(key):
 def test_syzygies_read_the_one_radical_or_socle_solve(monkeypatch):
     datum = make_datum("D")
     lam = first_weight(datum, 2)
-    # a cover reads its head from the Hom(m, S) pass and never spins rad m,
-    # so a syzygy spins only its kernel
+    # a cover reads its head from the Hom(m, S) pass and a hull its socle from
+    # the Hom(S, m) pass, each as the rank of the pass's maps: neither reads
+    # rad m or soc m, so a syzygy spins only its kernel and a cosyzygy only
+    # the image of m in the hull's target
     mods = [simple(datum, 2, lam), t_chain(datum, 2, lam, 2)]
     calls, spun = [], []
-    for name in ("_head_homs", "_radical", "_socle"):
+    schur_zero = homology._schur_zero
+    monkeypatch.setattr(homology, "_schur_zero",
+                        lambda m, into: calls.append(into) or schur_zero(m, into))
+    for name in ("radical", "socle"):
         def counted(m, name=name, solve=getattr(homology, name)):
             calls.append(name)
             return solve(m)
@@ -485,14 +493,13 @@ def test_syzygies_read_the_one_radical_or_socle_solve(monkeypatch):
     monkeypatch.setattr(homology, "spin_submodule",
                         lambda mod, seeds: spun.append(mod) or spin(mod, seeds))
     for m in mods:
-        for omega, solve in ((homology.syzygy, "_head_homs"), (homology.cosyzygy, "_socle")):
+        for omega, into in ((homology.syzygy, False), (homology.cosyzygy, True)):
             calls.clear()
             spun.clear()
             dim = omega(m).dim
-            assert dim and calls == [solve], (omega.__name__, m.labels)
-            if omega is homology.syzygy:
-                # the one spin is the kernel's, inside the cover P of dim m + dim Omega m
-                assert [p.dim for p in spun] == [m.dim + dim], m.labels
+            assert dim and calls == [into], (omega.__name__, m.labels)
+            # the one spin is inside P, of dim m + dim Omega m (or Omega^-1 m)
+            assert [p.dim for p in spun] == [m.dim + dim], (omega.__name__, m.labels)
 
 
 def test_projective_cover_builds_no_quotient_module(monkeypatch):
@@ -518,6 +525,11 @@ def test_cover_and_hull_of_a_non_module_raise(datum_b):
         homology.projective_cover_map(m)
     with pytest.raises(DatumError, match="no simple submodules"):
         homology.injective_hull_map(m)
+    # the check lives in the Hom pass, so the socle and the radical raise too
+    with pytest.raises(DatumError, match="no simple submodules"):
+        homology.socle(m)
+    with pytest.raises(DatumError, match="no simple quotients"):
+        homology.radical(m)
 
 
 def test_cover_and_hull_of_simple(datum_b):
