@@ -153,14 +153,23 @@ def _end_radical_coords(m: ModuleRep) -> tuple[dict, ...]:
 
 
 def end_radical(m: ModuleRep) -> list[Mat]:
-    """A basis of rad End(M)."""
+    """A basis of rad End(M): empty for a multiplicity-free M, whose End is
+    a product of copies of the field (``_weight_graph``)."""
+    if _weight_graph(m) is not None:
+        return []
     ends = hom_space(m, m)
     return [_combination(m.datum, v, ends) for v in _end_radical_coords(m)]
 
 
 def end_local_dim(m: ModuleRep) -> int:
     """Dimension of End(M) modulo its radical, r(M, M), the rank of the
-    trace form.  Value 1 certifies that M is absolutely indecomposable."""
+    trace form.  Value 1 certifies that M is absolutely indecomposable.  For
+    a multiplicity-free M it is dim End(M), the number of weakly connected
+    components of its weight graph (``_weight_graph``); otherwise End(M) and
+    its trace form are solved."""
+    graph = _weight_graph(m)
+    if graph is not None:
+        return graph[0]
     return len(hom_space(m, m)) - len(_end_radical_coords(m))
 
 
@@ -333,11 +342,14 @@ class LoewyStructure(namedtuple("LoewyStructure", "socle layers")):
 
 
 def loewy_structure(m: ModuleRep) -> LoewyStructure:
-    """The socle from the Hom solve that finds it (Hom(S, m) = Hom(S, soc m)),
-    and layer k from the one that finds rad^(k+1) m as the radical of rad^k m
-    (Hom(rad^k m, S) = Hom(rad^k m / rad^(k+1) m, S)); no layer is built.
-    Solved once per module."""
-    return m.cached("loewy structure", lambda: _solve_loewy(m))
+    """The socle and the simples of each radical layer, found once per
+    module.  A multiplicity-free m whose composition factors the weight
+    graph names has them read off that graph (``_weight_graph``).  Any
+    other m is walked: the socle from the Hom solve that finds it
+    (Hom(S, m) = Hom(S, soc m)), and layer k from the one that finds
+    rad^(k+1) m as the radical of rad^k m (Hom(rad^k m, S) =
+    Hom(rad^k m / rad^(k+1) m, S)); no layer is built."""
+    return m.cached("loewy structure", lambda: _graph_loewy(m) or _solve_loewy(m))
 
 
 def _solve_loewy(m: ModuleRep) -> LoewyStructure:
@@ -364,13 +376,144 @@ def _solve_loewy(m: ModuleRep) -> LoewyStructure:
     return LoewyStructure(bottom, layers)
 
 
+def _weight_graph(m: ModuleRep) -> tuple | None:
+    """For a multiplicity-free m (every weight space of dimension one), the
+    facts of its weight graph G(m) that the Loewy structure and End are read
+    from: the number of weakly connected components, each strongly connected
+    component (SCC) as its size and its lowest vector, the socle's SCCs and
+    each radical layer's.  None for any other m.  They depend only on the
+    shape of m, so they are read once per datum for each shape, with no
+    scalar arithmetic.
+
+    G(m) has an edge j -> i for each nonzero x[i, j] or xi[i, j].  A
+    submodule is the sum of its weight parts, so in a multiplicity-free m it
+    is spanned by a set of basis vectors closed under the edges.  Hence the
+    SCCs are the composition factors, the socle is spanned by the sink
+    SCCs, rad m by the SCCs that are not sources, and layer k is the source
+    SCCs of what is left once layers 0 to k-1 are removed.  An
+    endomorphism keeps each weight space, so it is diagonal, and commuting
+    with x and xi makes it constant on each weakly connected component: End
+    is a product of copies of the field, with zero radical, and its
+    dimension is end_local_dim, whether or not the relations hold.
+    """
+    if m.shape()[1] != tuple(range(m.dim)):
+        return None
+    return m.datum.cached(("weight graph", m.shape()), lambda: _read_weight_graph(m))
+
+
+def _read_weight_graph(m: ModuleRep) -> tuple:
+    """The facts of ``_weight_graph``, read off G(m).  The lowest vector of an
+    SCC is its one vector with no xi-edge inside it, None when there is not
+    exactly one."""
+    succ = [set() for _ in range(m.dim)]
+    for op in (m.act_x, m.act_xi):
+        for i, r in enumerate(op.nz_rows()):
+            for j in r:
+                succ[j].add(i)
+    comp = _strong_components(succ)
+    count = max(comp, default=-1) + 1
+    members = [[] for _ in range(count)]
+    below = [set() for _ in range(count)]  # the SCCs that edges out of each SCC enter
+    for v, c in enumerate(comp):
+        members[c].append(v)
+        below[c].update(comp[i] for i in succ[v] if comp[i] != c)
+    root = list(range(count))  # union-find of the SCCs into weak components
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            c = root[c]
+        return c
+
+    for c, ds in enumerate(below):
+        for d in ds:
+            root[find(d)] = find(c)
+    inside = {j for i, r in enumerate(m.act_xi.nz_rows()) for j in r if comp[j] == comp[i]}
+    sccs = []
+    for vs in members:
+        lows = [v for v in vs if v not in inside]
+        sccs.append((len(vs), lows[0] if len(lows) == 1 else None))
+    # an edge runs from a higher SCC number to a lower one, so the layer of
+    # each SCC, the length of the longest path into it, is final by the time
+    # the loop reaches it
+    depth = [0] * count
+    for c in reversed(range(count)):
+        for d in below[c]:
+            depth[d] = max(depth[d], depth[c] + 1)
+    return (sum(root[c] == c for c in range(count)), tuple(sccs),
+            tuple(c for c in range(count) if not below[c]),
+            tuple(tuple(c for c in range(count) if depth[c] == k)
+                  for k in range(max(depth, default=-1) + 1)))
+
+
+def _graph_loewy(m: ModuleRep) -> LoewyStructure | None:
+    """The Loewy structure of a multiplicity-free m, read off its weight
+    graph: an SCC of size l is V(l, lam), lam the weight of its lowest
+    vector, the xi-killed end of the string.  None for any other m, or when
+    a name is ambiguous: an SCC without a single lowest vector, or one with
+    classify_weight(lam).l other than its size, which the relations rule
+    out."""
+    graph = _weight_graph(m)
+    if graph is None:
+        return None
+    _, sccs, socle, layers = graph
+    names = []
+    for size, low in sccs:
+        if low is None or m.datum.classify_weight(m.weights[low]).l != size:
+            return None
+        names.append((size, m.weights[low]))
+
+    def factors(cs) -> list:
+        return sorted(((names[c], 1) for c in cs), key=lambda f: (f[0][0], f[0][1].sort_key()))
+    return LoewyStructure(factors(socle), [factors(cs) for cs in layers])
+
+
+def _strong_components(succ: list[set]) -> list[int]:
+    """The strongly connected component of each vertex of the digraph whose
+    vertex v has the successors succ[v], numbered as Tarjan's algorithm
+    completes them: an edge between two components runs from the higher
+    number to the lower one."""
+    n = len(succ)
+    index, low, comp = [None] * n, [0] * n, [None] * n
+    stack, work, seen, count = [], [], 0, 0
+
+    def visit(v: int) -> None:
+        nonlocal seen
+        index[v] = low[v] = seen
+        seen += 1
+        stack.append(v)
+        work.append((v, iter(succ[v])))
+
+    for start in range(n):
+        if index[start] is not None:
+            continue
+        visit(start)
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] is None:
+                    visit(w)
+                    break
+                if comp[w] is None:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    while comp[v] is None:
+                        comp[stack.pop()] = count
+                    count += 1
+    return comp
+
+
 def loewy_type(m: ModuleRep) -> LoewyType:
     """The type of ``loewy_structure``, found once per datum for each shape:
     its lengths are those of the submodule lattice, which the shape fixes.
-    The walk assumes that the relations hold, as ``module analyze`` and
-    ``classify`` check first: it reads the actual weights through
-    ``candidate_simples``, so for a module whose relations fail its result
-    is not a function of the shape, and it may raise."""
+    Both readers assume that the relations hold, as ``module analyze`` and
+    ``classify`` check first: they read the actual weights (the Hom-pass
+    walk through ``candidate_simples``, the weight graph in naming its
+    composition factors), so for a module whose relations fail the result
+    is not a function of the shape, and the walk may raise."""
     return m.datum.cached(("loewy type", m.shape()), lambda: loewy_structure(m).type)
 
 
@@ -507,11 +650,23 @@ def _no(reason: str) -> IsoVerdict:
 
 def invariant_key(mod: ModuleRep) -> tuple:
     """Invariants compared before a Hom solve: modules with different keys
-    are not isomorphic.  The kernel dimensions are found once per datum for
-    each content."""
+    are not isomorphic.  The kernel dimensions of x and xi are found once
+    per datum for each content: counted for an operator with at most one
+    nonzero per row and per column, eliminated for any other."""
     return (mod.dim, mod.weight_multiset(),
             *mod.datum.cached(("kernel dims", mod.content()),
-                              lambda: (len(mod.x_kernel()), len(mod.xi_kernel()))))
+                              lambda: (_kernel_dim(mod.act_x, mod.x_kernel),
+                                       _kernel_dim(mod.act_xi, mod.xi_kernel))))
+
+
+def _kernel_dim(op: Mat, kernel) -> int:
+    """dim ker op.  When op has at most one nonzero per row and per column,
+    its rank is its number of nonzeros; otherwise ``kernel()`` is
+    eliminated."""
+    cols = [j for r in op.nz_rows() for j in r]
+    if len(set(cols)) == len(cols) and all(len(r) <= 1 for r in op.nz_rows()):
+        return op.ncols - len(cols)
+    return len(kernel())
 
 
 def is_isomorphic(a: ModuleRep, b: ModuleRep, seed: int = 0) -> IsoVerdict:

@@ -1085,11 +1085,15 @@ def test_classify_solves_no_simple_hom_that_is_zero(capsys, datum_file, monkeypa
 
 def test_classify_analyzes_each_shape_once(capsys, datum_file, monkeypatch):
     # Over E, the 177 members have 68 shapes (x, xi and the partition of the
-    # basis into weight spaces) and 68 contents (x and xi): the Loewy walk
-    # and the trace form of End run once per shape, the relation products and
-    # the kernels of x once per content.  A trace form is counted where its
-    # Gram matrix is built for the End radical.
-    runs = {name: [] for name in ("walk", "trace form", "products", "kernel")}
+    # basis into weight spaces) and 68 contents (x and xi).  Each shape is
+    # decided once: a multiplicity-free one by its weight graph, any other by
+    # the Loewy walk and the trace form of End, each run once for it.  The
+    # relation products run once per content, and so do the kernels of x,
+    # counted when x has at most one nonzero per row and column and
+    # eliminated otherwise.  A trace form is counted where its Gram matrix
+    # is built for the End radical.
+    runs = {name: [] for name in ("graph", "walk", "trace form", "products", "kernel",
+                                  "x kernel dim")}
 
     def counted(owner, attr, name):
         fn = getattr(owner, attr)
@@ -1109,17 +1113,39 @@ def test_classify_analyzes_each_shape_once(capsys, datum_file, monkeypatch):
             runs["trace form"].append(radical_of[-1])
         return gram(fs, gs)
 
+    kernel_dim = homology._kernel_dim
+
+    def counted_kernel_dim(op, kernel):
+        mod = kernel.__self__
+        if op is mod.act_x:
+            runs["x kernel dim"].append(mod)
+        return kernel_dim(op, kernel)
+
     monkeypatch.setattr(homology, "_end_radical_coords", counted_coords)
     monkeypatch.setattr(homology, "_trace_gram", counted_gram)
+    monkeypatch.setattr(homology, "_kernel_dim", counted_kernel_dim)
+    counted(homology, "_read_weight_graph", "graph")
     counted(homology, "_solve_loewy", "walk")
     counted(repmod, "_relation_products", "products")
     counted(ModuleRep, "x_kernel", "kernel")
     code, _, _ = run(capsys, "classify", datum_file("E"),
                      "--max-t", "1", "--max-s", "1", "--etas", "1")
     assert code == 0
-    for name, key in (("walk", ModuleRep.shape), ("trace form", ModuleRep.shape),
-                      ("products", ModuleRep.content), ("kernel", ModuleRep.content)):
-        assert len(runs[name]) == len(set(map(key, runs[name]))) == 68, name
+    shapes = {name: [m.shape() for m in runs[name]] for name in ("graph", "walk", "trace form")}
+    for name, found in shapes.items():
+        assert len(found) == len(set(found)), name
+    decided = shapes["graph"] + shapes["walk"]
+    assert len(decided) == len(set(decided)) == 68
+    assert set(shapes["trace form"]) == set(shapes["walk"])
+    assert all(homology._weight_graph(m) is None for m in runs["walk"])
+    for name in ("products", "x kernel dim"):
+        assert len(runs[name]) == len({m.content() for m in runs[name]}) == 68, name
+    # x is eliminated only where some row or column has two nonzeros, each
+    # content once
+    for m in runs["kernel"]:
+        cols = [j for r in m.act_x.nz_rows() for j in r]
+        assert len(set(cols)) < len(cols) or any(len(r) > 1 for r in m.act_x.nz_rows())
+    assert len(runs["kernel"]) == len({m.content() for m in runs["kernel"]}) < 68
 
 
 def test_classify_walks_a_module_whose_relations_fail(capsys, datum_file, monkeypatch):

@@ -2,6 +2,7 @@
 certification, and almost-split sequence candidates."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from doublerep.linalg import (Echelon, Mat, frobenius_pair, hstack, inv, nullspa
                               solve_right, vstack)
 from doublerep.repmod import ModuleRep, direct_sum, intertwines, quotient_module, spin_submodule
 
-from .conftest import first_weight, make_datum
+from .conftest import conjugated_json, first_weight, make_datum
 from .reference import radical_series, same_span, semisimple_factors
 from .test_registry import members
 
@@ -269,16 +270,18 @@ def _direct_homs(a, b):
 def test_socle_stop_and_hom_memo_match_the_exact_passes(key, monkeypatch):
     # The Loewy walk stops at the first radical power that spans the socle;
     # the layers and socle must be those of the radical series built as
-    # quotient modules.  A Hom basis served by the content-keyed memo must
-    # equal a fresh elimination, also for a module read back from JSON over
-    # a distinct datum object, where the memo of the source's datum must
-    # serve the same basis.
+    # quotient modules.  The walk is the exact path that every module whose
+    # structure the weight graph does not read takes, so it is held to the
+    # reference on every member, multiplicity-free or not.  A Hom basis
+    # served by the content-keyed memo must equal a fresh elimination, also
+    # for a module read back from JSON over a distinct datum object, where
+    # the memo of the source's datum must serve the same basis.
     mods = [fam.build(datum, l, lam, **params) for datum, fam, l, lam, params in members(key)]
     radical, passes = homology.radical, []
     monkeypatch.setattr(homology, "radical", lambda m: passes.append(m) or radical(m))
     for a, b in zip(mods, mods[1:] + mods[:1]):
         passes.clear()
-        got = homology.loewy_structure(a)
+        got = homology._solve_loewy(a)
         # every member's last layer is its whole socle, so the walk stops
         # there and reads one radical fewer than there are layers
         assert len(passes) == len(got.layers) - 1, a.labels
@@ -317,6 +320,90 @@ def test_shape_memo_matches_a_fresh_datum(key):
     assert len(shapes) < total
 
 
+# ---------------------------------------------------------------------------
+# multiplicity-free modules: the weight graph against the exact path
+
+
+def _unipotent(datum, dim, rng):
+    """A random upper unitriangular change of basis with entries in -2..2,
+    which mixes weight vectors of different weights."""
+    return Mat(datum.N, ({i: datum.one(), **{j: datum.scalar(c) for j in range(i + 1, dim)
+                                             if (c := rng.randint(-2, 2))}}
+                         for i in range(dim)), dim)
+
+
+def _graph_agrees(m):
+    """The weight graph's Loewy structure and End against the exact path:
+    the Hom-pass walk, the End basis and its trace-form radical."""
+    graph = homology._weight_graph(m)
+    assert graph is not None, m.labels
+    assert homology._graph_loewy(m) == homology._solve_loewy(m), m.labels
+    assert graph[0] == len(homology.hom_space(m, m)), m.labels
+    assert homology._end_radical_coords(m) == (), m.labels
+    return graph[0]
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "D", "E", "F", "R2", "H"])
+def test_weight_graph_matches_the_exact_path(key, monkeypatch):
+    # On every multiplicity-free member of the classify grid (max-t 2, H 1;
+    # max-s 1; eta = 1, -1), each sum of two consecutive ones with disjoint
+    # weights, and copies of 12 of them in a random unipotent basis, read
+    # back into a weight basis by from_json, the weight graph's Loewy
+    # structure equals the walk's, its component count is dim End, and
+    # rad End = 0.  Kernel counting equals nullspace on every member.
+    datum = make_datum(key)
+    _, specs = cli._classify_specs(datum, 1 if key == "H" else 2, 1, cli.parse_etas("1,-1"))
+    rng = random.Random(key)
+    free = []
+    for fam, l, w, params in specs:
+        m = fam.member(datum, l, w, **params)
+        for op in (m.act_x, m.act_xi):
+            assert homology._kernel_dim(op, lambda op=op: nullspace(op)) == len(nullspace(op))
+        if homology._weight_graph(m) is not None:
+            free.append(m)
+            _graph_agrees(m)
+    assert free
+    for a, b in zip(free, free[1:]):
+        if not set(a.weights) & set(b.weights):
+            assert _graph_agrees(direct_sum([a, b])) == (homology.end_local_dim(a)
+                                                          + homology.end_local_dim(b))
+    for m in rng.sample(free, min(len(free), 12)):
+        back = ModuleRep.from_json(conjugated_json(m, _unipotent(datum, m.dim, rng)))
+        _graph_agrees(back)
+        assert homology.loewy_structure(back) == homology.loewy_structure(m), m.labels
+    # a sum whose summands share a weight is not multiplicity-free: it takes
+    # the walk and the End solve
+    walked, solved = [], []
+    for name, log in (("_solve_loewy", walked), ("_end_radical_coords", solved)):
+        fn = getattr(homology, name)
+        monkeypatch.setattr(homology, name, lambda m, fn=fn, log=log: log.append(m) or fn(m))
+    shared = direct_sum([free[0], free[0]])
+    assert homology._weight_graph(shared) is None and homology._graph_loewy(shared) is None
+    homology.loewy_structure(shared)
+    # End(X (+) X) is the 2 x 2 matrices over End(X) = the field
+    assert homology.end_local_dim(free[0]) == 1 and homology.end_local_dim(shared) == 4
+    assert walked == solved == [shared]
+
+
+def test_kernel_count_falls_back_off_monomial_matrices(datum_e):
+    # The rank of a matrix with at most one nonzero per row and per column is
+    # its number of nonzeros; any other matrix is eliminated.
+    one, calls = datum_e.one(), []
+
+    def kernel(op):
+        calls.append(op)
+        return nullspace(op)
+
+    monomial = Mat(datum_e.N, [{2: one}, {}, {0: one + one}], 3)
+    two_in_a_column = Mat(datum_e.N, [{0: one}, {0: one}, {}], 3)
+    two_in_a_row = Mat(datum_e.N, [{0: one, 1: one}, {}, {}], 3)
+    assert homology._kernel_dim(monomial, lambda: kernel(monomial)) == 1
+    assert calls == []
+    for op in (two_in_a_column, two_in_a_row):
+        assert homology._kernel_dim(op, lambda op=op: kernel(op)) == 2
+    assert calls == [two_in_a_column, two_in_a_row]
+
+
 @pytest.mark.parametrize("side", ["socle", "head"])
 @pytest.mark.parametrize("copies,message", [(1, "inconsistent Hom dimensions"),
                                             (2, "does not exhaust")])
@@ -325,12 +412,16 @@ def test_loewy_type_keeps_the_multiplicity_checks(side, copies, message, monkeyp
     # head.  On a fresh datum whose cached simple at `side` answers a
     # 2-dimensional End(S) instead of its 1-dimensional one, dim Hom = 1 (one
     # copy of T_1) is not divisible by it, and dim Hom = 2 (two copies)
-    # counts one S, which does not exhaust the socle or the head.
+    # counts one S, which does not exhaust the socle or the head.  One copy
+    # is multiplicity-free, so loewy_type reads it off its weight graph,
+    # which solves no Hom space and keeps its true type; the exact walk
+    # keeps the checks.  Two copies share every weight and take the walk.
     probe = make_datum("E")
     t = t_chain(probe, 1, first_weight(probe, 1), 1)
     [((l, lam), _)] = getattr(homology.loewy_structure(t), side)
     hom_space = homology.hom_space
-    for loewy in (homology.loewy_type, _layered_loewy_type):
+    walks = (homology._solve_loewy, _layered_loewy_type)
+    for loewy in walks + ((homology.loewy_type,) if copies > 1 else ()):
         datum = make_datum("E")
         w = next(w for w in datum.weights_in_class(l) if w.label() == lam.label())
         s = simple(datum, l, w)
@@ -341,6 +432,8 @@ def test_loewy_type_keeps_the_multiplicity_checks(side, copies, message, monkeyp
         m = direct_sum([t_chain(datum, 1, first_weight(datum, 1), 1)] * copies)
         with pytest.raises(DatumError, match=message):
             loewy(m)
+        if copies == 1:
+            assert homology.loewy_type(m) == homology.loewy_structure(t).type
 
 
 # ---------------------------------------------------------------------------
@@ -804,12 +897,15 @@ def test_end_radical_is_the_trace_form_radical(monkeypatch):
     grams = []
     gram = homology._trace_gram
     monkeypatch.setattr(homology, "_trace_gram", lambda fs, gs: grams.append(fs) or gram(fs, gs))
-    for m in (simple(datum, 1, lam), projective(datum, 1, lam), band(datum, 1, lam, 1, 3)):
+    for m, solved in ((simple(datum, 1, lam), 0), (projective(datum, 1, lam), 1),
+                      (band(datum, 1, lam, 1, 3), 1), (band(datum, 1, lam, 1, 1), 0)):
         grams.clear()
         local = homology.end_local_dim(m)
         rad = homology.end_radical(m)
-        # one Gram matrix gives both
-        assert len(grams) == 1
+        # one Gram matrix gives both; a multiplicity-free module (the simple
+        # and M_1) has End read off its weight graph, with none
+        assert len(grams) == solved
+        assert (homology._weight_graph(m) is None) == solved
         ends = homology.hom_space(m, m)
         assert local == homology.pairing_rank(ends, ends)
         assert len(rad) == len(ends) - local
