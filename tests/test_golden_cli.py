@@ -150,6 +150,11 @@ for _fmt in ((), ("--format", "json")):
     _sfx = "-json" if _fmt else ""
     CASES[f"analyze-A-V+P{_sfx}"] = ("module", "analyze", _VP, *_fmt)
     CASES[f"compare-A-V+P-P+V{_sfx}"] = ("module", "compare", _VP, _PV, *_fmt)
+# two sums whose Loewy structure the weight graph reads at no depth: V (+) V
+# over A is semisimple, and no radical power of P(1,(0;0)) (+) P(1,(0;0))
+# over E is multiplicity-free
+CASES["analyze-A-V+V"] = ("module", "analyze", "{sum:build-A-simple+build-A-simple}")
+CASES["analyze-E-P+P"] = ("module", "analyze", "{sum:build-E-projective+build-E-projective}")
 for _key, _band in (("A", "w_t"), ("B", "band_mt"), ("C", "band_mt")):
     for _tok in ("projective", "string_tt", _band, "omega_power"):
         CASES[f"verify-{_key}-{_tok}"] = ("module", "verify", f"{{mod:build-{_key}-{_tok}}}")
