@@ -311,6 +311,18 @@ def _multiplicities(homs, total: int) -> list[tuple[tuple[int, Weight], int]]:
     return out
 
 
+def _pass_factors(m: ModuleRep, into: bool) -> tuple[list, Mat | None]:
+    """The simples of soc m (``into``) or of m's head with multiplicities, and
+    the edge whose rank is its dimension: m's Hom(S, m) bases side by side
+    (image soc m) or Hom(m, S) bases stacked (kernel rad m); nothing is spun."""
+    homs = _simple_homs(m, into)
+    mats = [f for _, _, fs in homs for f in fs]
+    if not mats:
+        return [], None
+    edge = hstack(mats) if into else vstack(mats)
+    return _multiplicities(homs, rank(edge)), edge
+
+
 def _factors_as_json(factors) -> list[dict]:
     return [{"l": l, "lambda": w.label(), "mult": mult} for (l, w), mult in factors]
 
@@ -343,36 +355,26 @@ class LoewyStructure(namedtuple("LoewyStructure", "socle layers")):
 
 def loewy_structure(m: ModuleRep) -> LoewyStructure:
     """The socle and the simples of each radical layer, found once per
-    module.  A multiplicity-free m whose composition factors the weight
-    graph names has them read off that graph (``_weight_graph``).  Any
-    other m is walked: the socle from the Hom solve that finds it
-    (Hom(S, m) = Hom(S, soc m)), and layer k from the one that finds
-    rad^(k+1) m as the radical of rad^k m (Hom(rad^k m, S) =
-    Hom(rad^k m / rad^(k+1) m, S)); no layer is built."""
+    module: read off the weight graph when m is multiplicity-free and the
+    graph names its composition factors (``_graph_loewy``), walked by
+    ``_solve_loewy`` otherwise."""
     return m.cached("loewy structure", lambda: _graph_loewy(m) or _solve_loewy(m))
 
 
 def _solve_loewy(m: ModuleRep) -> LoewyStructure:
-    """The walk down the radical series stops at the first rad^k m that spans
-    soc m: that layer is semisimple, so it is the last one and its simples
-    are the socle's.  Otherwise rad^k m is solved for its radical."""
-    soc = socle(m)
-    bottom = _multiplicities(_simple_homs(m, True), soc.dim)
-    span = Echelon(m.datum.N)
-    for r in soc.rows:
-        span.add(r)
-    layers = []
-    cur, basis = m, None  # basis: rad^k m in m's coordinates, None at k = 0
+    """The socle from m's Hom(S, m) pass, and one descent down the radical
+    series: layer k from the pass that finds rad^(k+1) m as the radical of
+    rad^k m, no layer built, until rad^(k+1) m is zero or the weight graph
+    names its layers, which are the rest of m's."""
+    bottom, _ = _pass_factors(m, True)
+    layers, cur = [], m
     while cur.dim:
-        if cur.dim == soc.dim and (basis is None
-                                   or not any(span.reduce(v) for v in basis.nz_rows())):
-            layers.append(bottom)
-            break
         rad = radical(cur)
         layers.append(_multiplicities(_simple_homs(cur, False), cur.dim - rad.dim))
-        sub = Mat(m.datum.N, rad.rows, cur.dim)
-        basis = sub if basis is None else sub * basis
         cur = rad.module
+        if cur.dim and (rest := _graph_loewy(cur)):
+            layers += rest.layers
+            break
     return LoewyStructure(bottom, layers)
 
 
@@ -545,27 +547,24 @@ def _cover_map(m: ModuleRep, cover: bool) -> tuple[Morphism, list]:
     and the kernel of its matrix, which is empty for a hull.
 
     The simples S of the head (socle) of m, their multiplicities and the edge
-    come from the Hom pass that finds the radical (socle): phi, the Hom(m, S)
-    bases stacked, has kernel rad m, and psi, the Hom(S, m) bases side by
-    side, has image soc m, so the head's (socle's) dimension is the rank of
-    the edge and neither rad m nor soc m is spun.  For each S, maps f in
-    Hom(P(S), m) (in Hom(m, P(S))) are taken greedily while the columns of
-    phi f (the rows of f psi) leave the span of the images taken so far, so
-    the map is bijective on the head (on the socle).  One elimination of the map's matrix gives its kernel and, by
-    rank and nullity, the check that the map is onto (one to one).
+    come from ``_pass_factors``: phi, the Hom(m, S) bases stacked, has kernel
+    rad m, and psi, the Hom(S, m) bases side by side, has image soc m, so
+    neither rad m nor soc m is spun.  For each S, maps f in Hom(P(S), m) (in
+    Hom(m, P(S))) are taken greedily while the columns of phi f (the rows of
+    f psi) leave the span of the images taken so far, so the map is
+    bijective on the head (socle), of dimension sum mult * l.  One elimination
+    of the map's matrix gives its kernel and, by rank and nullity, the check
+    that the map is onto (one to one).
     """
     datum = m.datum
     name = "projective cover" if cover else "injective hull"
     if m.dim == 0:
         z = zero_module(datum)
         return Morphism(*((z, m) if cover else (m, z)), Mat.zeros(datum.N, 0, 0)), []
-    homs = _simple_homs(m, not cover)
-    mats = [f for _, _, fs in homs for f in fs]
-    edge = vstack(mats) if cover else hstack(mats)
-    total = rank(edge)
+    factors, edge = _pass_factors(m, not cover)
     span = Echelon(datum.N)
     chosen: list[tuple[ModuleRep, Mat]] = []
-    for (l, w), mult in _multiplicities(homs, total):
+    for (l, w), mult in factors:
         ps = projective_of_simple(datum, l, w)
         taken = 0
         for f in hom_space(ps, m) if cover else hom_space(m, ps):
@@ -577,7 +576,7 @@ def _cover_map(m: ModuleRep, cover: bool) -> tuple[Morphism, list]:
                 taken += 1
         if taken != mult:
             raise DatumError(f"{name} selection failed; inconsistent input")
-    if len(span.pivots) != total:
+    if len(span.pivots) != sum(l * mult for (l, _), mult in factors):
         raise DatumError(f"{name} does not fill the head" if cover
                          else f"{name} does not embed the socle")
     p = direct_sum([ps for ps, _ in chosen])

@@ -1,9 +1,10 @@
 """Slow, direct references that tests compare the package against.
 
 The package reaches each of these results one way: ``loewy_structure`` reads
-the simples of every radical layer from the Hom solves that find the radicals,
-``linalg.Echelon`` is its one elimination, and ``is_isomorphic`` decides every
-pair by an invertible Hom basis map or the rank of the trace pairing.  The references below build the
+the simples of every radical layer off the weight graph or from the Hom passes
+that find the radicals, ``linalg.Echelon`` is its one elimination, and
+``is_isomorphic`` decides every pair by an invertible Hom basis map or the rank
+of the trace pairing.  The references below build the
 intermediate modules and spans that the package skips, or scan the pairings
 one by one, so that tests can check its answers against a second,
 independent route.  ``projective_table`` writes P(l, lambda) entry by entry
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import chain
 
 from doublerep import homology
-from doublerep.constructors import _put, require_regular
+from doublerep.constructors import _put, require_regular, simple
 from doublerep.datum import NILPOTENT, DatumError, Weight, WeightClass
 from doublerep.homology import (IsoVerdict, Morphism, _draws, _no, end_local_dim, hom_space,
                                 invariant_key, pairing_rank)
@@ -28,9 +29,23 @@ from doublerep.repmod import ModuleRep, SubmoduleFacts, quotient_module, require
 
 def semisimple_factors(h):
     """Multiplicities ``[((l, weight), mult), ...]`` of the simples in a
-    semisimple module, from Hom(S, h) for each candidate simple S; a module
-    that is not semisimple raises ``DatumError``."""
-    return homology._multiplicities(homology._simple_homs(h, True), h.dim)
+    semisimple module, each counted as dim Hom(S, h) / dim End(S) over the
+    candidate simples S, solved by ``hom_space`` and not by the package's Hom
+    pass; a module that is not semisimple raises ``DatumError``."""
+    out, covered, support = [], 0, set(h.weights)
+    for l, w in homology.candidate_simples(h):
+        s = simple(h.datum, l, w)
+        # a nonzero map out of a simple is one to one, so S's weights occur in h
+        d = len(homology.hom_space(s, h)) if support.issuperset(s.weights) else 0
+        if d:
+            es = len(homology.hom_space(s, s))
+            if d % es:
+                raise DatumError("inconsistent Hom dimensions in semisimple decomposition")
+            out.append(((l, w), d // es))
+            covered += d // es * s.dim
+    if covered != h.dim:
+        raise DatumError("semisimple decomposition does not exhaust the module")
+    return out
 
 
 def radical_series(m):

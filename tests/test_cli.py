@@ -522,8 +522,8 @@ def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatc
     # V(1,(0;0)) (+) P(1,(0;0)) over A: End is not local, so compare reaches
     # the trace-pairing identity and the witness search, and solves neither
     # the radical nor the socle; analyze builds each side's Hom pass once
-    # (``_schur_zero`` runs once per build) and spins the radical and the
-    # socle once each
+    # (``_schur_zero`` runs once per build) and spins the radical once, while
+    # the socle is read as the rank of its Hom(S, m) maps and never spun
     solves = 1 if command == "analyze" else 0
     datum = make_datum("A")
     lam = first_weight(datum, 1)
@@ -545,7 +545,7 @@ def test_radical_and_socle_solved_once_per_module(capsys, write_json, monkeypatc
     code, out, _ = run(capsys, "module", command, *paths[:files])
     assert code == 0
     assert "seeded combination" in out if command == "compare" else cli.OUTSIDE in out
-    assert (calls[False, 5], calls[True, 5], calls["spin", 5]) == (solves, solves, 2 * solves)
+    assert (calls[False, 5], calls[True, 5], calls["spin", 5]) == (solves, solves, solves)
 
 
 def test_analyze_solves_end_of_its_input_at_most_twice(capsys, tmp_path, datum_file,

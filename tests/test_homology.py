@@ -268,9 +268,10 @@ def _direct_homs(a, b):
 
 @pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F", "R2"])
 def test_socle_stop_and_hom_memo_match_the_exact_passes(key, monkeypatch):
-    # The Loewy walk stops at the first radical power that spans the socle;
-    # the layers and socle must be those of the radical series built as
-    # quotient modules.  The walk is the exact path that every module whose
+    # The Loewy walk makes one radical pass per layer until it reaches a
+    # nonzero radical power whose layers the weight graph names, and none
+    # after; its layers and socle must be those of the radical series built
+    # as quotient modules.  The walk is the exact path that every module whose
     # structure the weight graph does not read takes, so it is held to the
     # reference on every member, multiplicity-free or not.  A Hom basis
     # served by the content-keyed memo must equal a fresh elimination, also
@@ -282,9 +283,12 @@ def test_socle_stop_and_hom_memo_match_the_exact_passes(key, monkeypatch):
     for a, b in zip(mods, mods[1:] + mods[:1]):
         passes.clear()
         got = homology._solve_loewy(a)
-        # every member's last layer is its whole socle, so the walk stops
-        # there and reads one radical fewer than there are layers
-        assert len(passes) == len(got.layers) - 1, a.labels
+        powers = [a]  # rad^k a, the walk's own modules through the radical memo
+        while powers[-1].dim:
+            powers.append(radical(powers[-1]).module)
+        read = next((k for k in range(1, len(powers) - 1)
+                     if homology._graph_loewy(powers[k])), len(powers) - 1)
+        assert passes == powers[:read], a.labels
         layers = [semisimple_factors(q) for q in radical_series(a)]
         assert got.layers == layers, a.labels
         assert got.socle == semisimple_factors(homology.socle(a).module), a.labels
@@ -293,6 +297,27 @@ def test_socle_stop_and_hom_memo_match_the_exact_passes(key, monkeypatch):
         for x, y in ((a, a), (a, b), (b, a), (a, back), (back, a)):
             assert homology.hom_space(x, y) == _direct_homs(x, y), (x.labels, y.labels)
         assert homology.hom_space(a, back) is homology.hom_space(a, b)
+
+
+def test_walk_hands_a_multiplicity_free_radical_power_to_the_graph(monkeypatch):
+    # P(2,(0;2)) over E: its 4-dimensional radical is multiplicity-free, so
+    # one radical pass gives the head and the weight graph the other layers.
+    # Omega^-2 V(1,(0,0;0,0)) over R2: no radical power is multiplicity-free,
+    # so the walk goes on until the radical is zero, and its last layer is
+    # 3 * V(1,(0,0;0,0)).
+    e, r2 = make_datum("E"), make_datum("R2")
+    p = projective(e, 2, cli.parse_weight(e, "0;2"))
+    low = cli.parse_weight(r2, "0,0;0,0")
+    om = homology.omega_power(r2, 1, low, -2)
+    radical, passes = homology.radical, []
+    monkeypatch.setattr(homology, "radical", lambda m: passes.append(m.dim) or radical(m))
+    for m, dims in ((p, [6]), (om, [9, 3])):
+        passes.clear()
+        got = homology._solve_loewy(m)
+        assert passes == dims, m.labels
+        assert got.layers == [semisimple_factors(q) for q in radical_series(m)], m.labels
+    assert homology._graph_loewy(radical(p).module) is not None
+    assert homology._solve_loewy(om).layers[-1] == [((1, low), 3)]
 
 
 @pytest.mark.parametrize("key", ["A", "B", "C", "E", "D", "F", "R2"])
@@ -334,10 +359,12 @@ def _unipotent(datum, dim, rng):
 
 def _graph_agrees(m):
     """The weight graph's Loewy structure and End against the exact path:
-    the Hom-pass walk, the End basis and its trace-form radical."""
+    the layered reference, the End basis and its trace-form radical."""
     graph = homology._weight_graph(m)
     assert graph is not None, m.labels
-    assert homology._graph_loewy(m) == homology._solve_loewy(m), m.labels
+    got = homology._graph_loewy(m)
+    assert got.layers == [semisimple_factors(q) for q in radical_series(m)], m.labels
+    assert got.socle == semisimple_factors(homology.socle(m).module), m.labels
     assert graph[0] == len(homology.hom_space(m, m)), m.labels
     assert homology._end_radical_coords(m) == (), m.labels
     return graph[0]
@@ -349,8 +376,9 @@ def test_weight_graph_matches_the_exact_path(key, monkeypatch):
     # max-s 1; eta = 1, -1), each sum of two consecutive ones with disjoint
     # weights, and copies of 12 of them in a random unipotent basis, read
     # back into a weight basis by from_json, the weight graph's Loewy
-    # structure equals the walk's, its component count is dim End, and
-    # rad End = 0.  Kernel counting equals nullspace on every member.
+    # structure equals the radical series built as quotient modules, its
+    # component count is dim End, and rad End = 0.  Kernel counting equals
+    # nullspace on every member.
     datum = make_datum(key)
     _, specs = cli._classify_specs(datum, 1 if key == "H" else 2, 1, cli.parse_etas("1,-1"))
     rng = random.Random(key)
