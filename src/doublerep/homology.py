@@ -80,6 +80,13 @@ def _hom_unknowns(a: ModuleRep, b: ModuleRep) -> tuple[int, ...]:
     return tuple(k for i, w in enumerate(b.weights) for j in spaces_a.get(w, ()) for k in (i, j))
 
 
+def _negated_columns(b: ModuleRep) -> tuple[Mat, Mat]:
+    """The transposes of -x and -xi of a Hom target b, row k of each column k
+    of the negated operator: b's side of the Hom equations, kept on b."""
+    return b.cached("negated columns", lambda: ((-b.act_x).transpose(),
+                                                (-b.act_xi).transpose()))
+
+
 def _eliminate_homs(a: ModuleRep, b: ModuleRep, unknowns: tuple[int, ...]) -> tuple[Mat, ...]:
     """The Hom(a, b) basis with unknown entries at the flattened index pairs
     ``unknowns``, eliminated.
@@ -96,7 +103,7 @@ def _eliminate_homs(a: ModuleRep, b: ModuleRep, unknowns: tuple[int, ...]) -> tu
         d = eqs.setdefault(key, {})
         d[p] = d[p] + val if p in d else val
 
-    neg_x, neg_xi = b.negated_columns()
+    neg_x, neg_xi = _negated_columns(b)
     for opname, opa, neg_b in (("x", a.act_x, neg_x), ("xi", a.act_xi, neg_xi)):
         rows_a, neg_cols_b = opa.nz_rows(), neg_b.nz_rows()
         for p, (i, j) in enumerate(pos):
@@ -247,13 +254,22 @@ def _schur_zero(m: ModuleRep, into: bool):
     return zero
 
 
-def _simple_homs(m: ModuleRep, into: bool) -> list:
-    """(key, S, basis of Hom(S, m) if ``into`` else of Hom(m, S)) for each
-    candidate simple S: the one Hom pass per side that the socle (the span of
-    the images), the radical (the common kernel), the multiplicities of their
-    simples, the Loewy walk, the cover and the hull are read from; solved once
-    per module.  A simple for which ``_schur_zero`` proves the Hom space zero
-    gets the empty basis without a solve.  The relations must hold on m, as
+# One Hom pass of a module against its candidate simples (``_pass``): the
+# simples of soc m or of m's head with their multiplicities, (key, S, basis)
+# for each nonzero Hom space, and on the head side the kernel rad m of the
+# Hom(m, S) bases stacked (None on the socle side).
+_HomPass = namedtuple("_HomPass", "factors homs kernel")
+
+
+def _pass(m: ModuleRep, into: bool) -> _HomPass:
+    """The one Hom pass per side, Hom(S, m) (``into``) or Hom(m, S) for each
+    candidate simple S, that the socle (the span of the images), the radical
+    (the common kernel), the Loewy walk, the cover and the hull read; built
+    once per module.  A simple for which ``_schur_zero`` proves the Hom space
+    zero is not solved, and a zero space is not kept.  One elimination gives
+    each side's dimension: the socle's is the rank of the Hom(S, m) bases
+    side by side, and the head's is dim m minus the size of the kernel of
+    the Hom(m, S) bases stacked.  The relations must hold on m, as
     ``_schur_zero`` assumes; a nonzero module with no map on that side
     raises."""
     def build():
@@ -261,29 +277,32 @@ def _simple_homs(m: ModuleRep, into: bool) -> list:
         homs = []
         for l, w in candidate_simples(m):
             s = constructors.simple(m.datum, l, w)
-            homs.append(((l, w), s, () if zero(s) else hom_space(s, m) if into
-                         else hom_space(m, s)))
-        if m.dim and not any(fs for _, _, fs in homs):
+            fs = () if zero(s) else hom_space(s, m) if into else hom_space(m, s)
+            if fs:
+                homs.append(((l, w), s, fs))
+        if m.dim and not homs:
             raise DatumError(f"module has no simple {'submodules' if into else 'quotients'}; "
                              "inconsistent input")
-        return homs
-    return m.cached(("simple homs", into), build)
+        mats = [f for _, _, fs in homs for f in fs]
+        if into:
+            return _HomPass(_multiplicities(homs, rank(hstack(mats)) if mats else 0), homs, None)
+        kernel = nullspace(vstack(mats)) if mats else []
+        return _HomPass(_multiplicities(homs, m.dim - len(kernel)), homs, kernel)
+    return m.cached(("pass", into), build)
 
 
 def socle(m: ModuleRep) -> SubmoduleFacts:
     """Largest semisimple submodule: the span of the images of the maps from
-    the candidate simples; spun once per module."""
+    the candidate simples, the columns of m's Hom(S, m) pass; spun once per
+    module."""
     return m.cached("socle", lambda: spin_submodule(
-        m, [c for _, _, fs in _simple_homs(m, True) for f in fs for c in f.cols()]))
+        m, [c for _, _, fs in _pass(m, True).homs for f in fs for c in f.cols()]))
 
 
 def radical(m: ModuleRep) -> SubmoduleFacts:
     """Intersection of the kernels of the maps onto the candidate simples,
-    the nullspace of those maps stacked; spun once per module."""
-    def build():
-        mats = [f for _, _, fs in _simple_homs(m, False) for f in fs]
-        return spin_submodule(m, nullspace(vstack(mats)) if mats else [])
-    return m.cached("radical", build)
+    the kernel that m's Hom(m, S) pass eliminates; spun once per module."""
+    return m.cached("radical", lambda: spin_submodule(m, _pass(m, False).kernel))
 
 
 def head(m: ModuleRep) -> tuple[ModuleRep, Mat]:
@@ -292,14 +311,13 @@ def head(m: ModuleRep) -> tuple[ModuleRep, Mat]:
 
 def _multiplicities(homs, total: int) -> list[tuple[tuple[int, Weight], int]]:
     """Multiplicities of the simples in a semisimple module of dimension
-    ``total``, from Hom(S, -) or Hom(-, S) for each candidate S: each dimension
-    is the multiplicity times dim End(S), and the simples must exhaust it."""
+    ``total``, from the nonzero Hom(S, -) or Hom(-, S) for each candidate S:
+    each dimension is the multiplicity times dim End(S), and the simples must
+    exhaust it."""
     out = []
     covered = 0
     for (l, w), s, fs in homs:
         d = len(fs)
-        if d == 0:
-            continue
         es = len(hom_space(s, s))
         if d % es != 0:
             raise DatumError("inconsistent Hom dimensions in semisimple decomposition")
@@ -309,18 +327,6 @@ def _multiplicities(homs, total: int) -> list[tuple[tuple[int, Weight], int]]:
         raise DatumError("semisimple decomposition does not exhaust the module; "
                          "input is not semisimple or candidate set is incomplete")
     return out
-
-
-def _pass_factors(m: ModuleRep, into: bool) -> tuple[list, Mat | None]:
-    """The simples of soc m (``into``) or of m's head with multiplicities, and
-    the edge whose rank is its dimension: m's Hom(S, m) bases side by side
-    (image soc m) or Hom(m, S) bases stacked (kernel rad m); nothing is spun."""
-    homs = _simple_homs(m, into)
-    mats = [f for _, _, fs in homs for f in fs]
-    if not mats:
-        return [], None
-    edge = hstack(mats) if into else vstack(mats)
-    return _multiplicities(homs, rank(edge)), edge
 
 
 def _factors_as_json(factors) -> list[dict]:
@@ -362,16 +368,15 @@ def loewy_structure(m: ModuleRep) -> LoewyStructure:
 
 
 def _solve_loewy(m: ModuleRep) -> LoewyStructure:
-    """The socle from m's Hom(S, m) pass, and one descent down the radical
-    series: layer k from the pass that finds rad^(k+1) m as the radical of
-    rad^k m, no layer built, until rad^(k+1) m is zero or the weight graph
-    names its layers, which are the rest of m's."""
-    bottom, _ = _pass_factors(m, True)
+    """The socle's factors from m's Hom(S, m) pass, and one descent down the
+    radical series: layer k is the head's factors of rad^k m's Hom pass, whose
+    kernel is spun into rad^(k+1) m, no layer built, until rad^(k+1) m is
+    zero or the weight graph names its layers, which are the rest of m's."""
+    bottom = _pass(m, True).factors
     layers, cur = [], m
     while cur.dim:
-        rad = radical(cur)
-        layers.append(_multiplicities(_simple_homs(cur, False), cur.dim - rad.dim))
-        cur = rad.module
+        layers.append(_pass(cur, False).factors)
+        cur = radical(cur).module
         if cur.dim and (rest := _graph_loewy(cur)):
             layers += rest.layers
             break
@@ -546,25 +551,27 @@ def _cover_map(m: ModuleRep, cover: bool) -> tuple[Morphism, list]:
     """A minimal projective cover P -> m (``cover``) or injective hull m -> P,
     and the kernel of its matrix, which is empty for a hull.
 
-    The simples S of the head (socle) of m, their multiplicities and the edge
-    come from ``_pass_factors``: phi, the Hom(m, S) bases stacked, has kernel
-    rad m, and psi, the Hom(S, m) bases side by side, has image soc m, so
-    neither rad m nor soc m is spun.  For each S, maps f in Hom(P(S), m) (in
-    Hom(m, P(S))) are taken greedily while the columns of phi f (the rows of
-    f psi) leave the span of the images taken so far, so the map is
-    bijective on the head (socle), of dimension sum mult * l.  One elimination
-    of the map's matrix gives its kernel and, by rank and nullity, the check
-    that the map is onto (one to one).
+    The simples S of the head (socle) of m and their multiplicities come
+    from m's Hom pass (``_pass``), and so does the edge: phi, the Hom(m, S)
+    bases stacked, has kernel rad m, and psi, the Hom(S, m) bases side by
+    side, has image soc m, so neither rad m nor soc m is spun.  For each S,
+    maps f in Hom(P(S), m) (in Hom(m, P(S))) are taken greedily while the
+    columns of phi f (the rows of f psi) leave the span of the images taken
+    so far, so the map is bijective on the head (socle), of dimension
+    sum mult * l.  One elimination of the map's matrix gives its kernel and,
+    by rank and nullity, the check that the map is onto (one to one).
     """
     datum = m.datum
     name = "projective cover" if cover else "injective hull"
     if m.dim == 0:
         z = zero_module(datum)
         return Morphism(*((z, m) if cover else (m, z)), Mat.zeros(datum.N, 0, 0)), []
-    factors, edge = _pass_factors(m, not cover)
+    hom_pass = _pass(m, not cover)
+    mats = [f for _, _, fs in hom_pass.homs for f in fs]
+    edge = vstack(mats) if cover else hstack(mats)
     span = Echelon(datum.N)
     chosen: list[tuple[ModuleRep, Mat]] = []
-    for (l, w), mult in factors:
+    for (l, w), mult in hom_pass.factors:
         ps = projective_of_simple(datum, l, w)
         taken = 0
         for f in hom_space(ps, m) if cover else hom_space(m, ps):
@@ -576,7 +583,7 @@ def _cover_map(m: ModuleRep, cover: bool) -> tuple[Morphism, list]:
                 taken += 1
         if taken != mult:
             raise DatumError(f"{name} selection failed; inconsistent input")
-    if len(span.pivots) != sum(l * mult for (l, _), mult in factors):
+    if len(span.pivots) != sum(l * mult for (l, _), mult in hom_pass.factors):
         raise DatumError(f"{name} does not fill the head" if cover
                          else f"{name} does not embed the socle")
     p = direct_sum([ps for ps, _ in chosen])

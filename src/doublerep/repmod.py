@@ -273,19 +273,6 @@ class ModuleRep(Memo):
     def xi_kernel(self) -> list[Row]:
         return nullspace(self.act_xi)
 
-    def negated_columns(self, keep: bool = True) -> tuple[Mat, Mat]:
-        """The transposes of -x and -xi: row k of each is column k of the
-        negated operator.  The Hom solve reads them as the target's side of
-        its equations and keeps them on the module.  ``spin_submodule`` takes
-        the images of a whole basis as one product with them, with ``keep``
-        false: it reads the module's copy when there is one, and otherwise
-        builds them for itself, so a module that is only spun in, such as
-        each rad^k M of the Loewy walk, holds no copy."""
-        def build():
-            return (-self.act_x).transpose(), (-self.act_xi).transpose()
-        return self.cached("negated columns", build) if keep else (
-            self._memo.get("negated columns") or build())
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -480,15 +467,14 @@ def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
     submodule is graded by the weight projectors in the group part of the
     algebra) and kept in one sparse reduced echelon basis (``Echelon``) per
     weight block.  The x and xi images of the basis rows are taken as one
-    product each, the basis rows times the module's ``negated_columns``,
-    and reduced against the blocks: when every image lies in the span, the
-    span is closed and the images give the restricted action, negated once
-    more; otherwise the images that leave it extend the span, and the images
-    of the new basis are taken again.  The basis depends only on the
-    submodule, not on the seeds or their order.
+    product each, the operator times the basis rows set as columns, and
+    reduced against the blocks: when every image lies in the span, the span
+    is closed and the images give the restricted action; otherwise the
+    images that leave it extend the span, and the images of the new basis
+    are taken again.  The basis depends only on the submodule, not on the
+    seeds or their order.
     """
     datum = mod.datum
-    negated = mod.negated_columns(keep=False)
     blocks: dict[Weight, Echelon] = {}
 
     def add(v: Row) -> bool:
@@ -509,24 +495,21 @@ def spin_submodule(mod: ModuleRep, seeds: list[Row]) -> SubmoduleFacts:
     while True:
         basis = [(w, p) for w in sorted(blocks, key=Weight.sort_key) for p in blocks[w].pivots]
         rows = [blocks[w].rows[p] for w, p in basis]
-        # row k of each product is -(op rows[k]), which spans what op rows[k] does
-        images = [(Mat(datum.N, rows, mod.dim) * neg).nz_rows() for neg in negated]
-        grew = [add(v) for vs in images for v in vs]
+        # column k of each product is op rows[k]
+        span = Mat.from_cols(datum.N, rows, mod.dim)
+        images = [op * span for op in (mod.act_x, mod.act_xi)]
+        grew = [add(v) for image in images for v in image.cols()]
         if not any(grew):
             break
 
     pivots = [p for _, p in basis]
-    at = {p: idx for idx, p in enumerate(pivots)}
-
-    def restrict(vs: list[Row]) -> Mat:
-        # in a reduced echelon basis, the coefficient of a row in a vector of
-        # the span is the vector's value at the row's pivot; the images are
-        # negated, so their coefficients are too
-        return Mat.from_cols(datum.N, [{at[k]: -c for k, c in v.items() if k in at} for v in vs],
-                             len(rows))
-
+    # in a reduced echelon basis, the coefficient of a row in a vector of the
+    # span is the vector's value at the row's pivot, so the restricted action
+    # is the images' rows at the pivots
     labels = [mod.labels[p] for p in pivots]
-    module = ModuleRep(datum, [w for w, _ in basis], *map(restrict, images), labels)
+    module = ModuleRep(datum, [w for w, _ in basis],
+                       *(Mat(datum.N, (image.nz_rows()[p] for p in pivots), len(rows))
+                         for image in images), labels)
     return SubmoduleFacts(mod, rows, pivots, module)
 
 

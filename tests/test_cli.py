@@ -15,7 +15,7 @@ from math import prod
 import pytest
 
 import doublerep
-from doublerep import cli, homology, repmod
+from doublerep import cli, homology, linalg, repmod
 from doublerep.constructors import FAMILIES, Family, band, projective, simple
 from doublerep.datum import Weight
 from doublerep.linalg import Mat
@@ -1060,12 +1060,12 @@ def test_classify_solves_no_simple_hom_that_is_zero(capsys, datum_file, monkeypa
     # elimination inside a Hom pass returns the zero space; without the
     # certificate 206 of that pass's 335 eliminations did, of 435 in all.
     solved, inside = [], []
-    simple_homs, solve = homology._simple_homs, homology._eliminate_homs
+    hom_pass, solve = homology._pass, homology._eliminate_homs
 
     def counted_pass(m, into):
         inside.append(True)
         try:
-            return simple_homs(m, into)
+            return hom_pass(m, into)
         finally:
             inside.pop()
 
@@ -1074,13 +1074,41 @@ def test_classify_solves_no_simple_hom_that_is_zero(capsys, datum_file, monkeypa
         solved.append((bool(inside), homs))
         return homs
 
-    monkeypatch.setattr(homology, "_simple_homs", counted_pass)
+    monkeypatch.setattr(homology, "_pass", counted_pass)
     monkeypatch.setattr(homology, "_eliminate_homs", counted_solve)
     code, _, _ = run(capsys, "classify", datum_file("E"),
                      "--max-t", "1", "--max-s", "1", "--etas", "1")
     assert code == 0
     assert all(homs for in_pass, homs in solved if in_pass)
     assert len(solved) <= 229
+
+
+def test_classify_reads_each_pass_record_once(capsys, datum_file, monkeypatch):
+    # In classify A, each module's Hom pass is built at most once per side,
+    # counted where it builds its Schur certificate.  One elimination of the
+    # pass gives the simples of the head and the kernel rad m, so a module
+    # that is both walked and covered (two Omega^s V here) eliminates its
+    # Hom(m, S) maps once: 244 Echelon constructions, where reading the
+    # head's dimension again from their rank made 247.
+    keep, passes, echelons = [], Counter(), []
+    schur_zero, init = homology._schur_zero, linalg.Echelon.__init__
+
+    def counted_pass(m, into):
+        keep.append(m)
+        passes[id(m), into] += 1
+        return schur_zero(m, into)
+
+    def counted_init(self, order):
+        echelons.append(order)
+        init(self, order)
+
+    monkeypatch.setattr(homology, "_schur_zero", counted_pass)
+    monkeypatch.setattr(linalg.Echelon, "__init__", counted_init)
+    code, out, _ = run(capsys, "classify", datum_file("A"),
+                       "--max-t", "2", "--max-s", "2", "--etas", "1,-1")
+    assert code == 0 and out.splitlines()[-1] == "manifest ok"
+    assert max(passes.values()) == 1
+    assert len(echelons) <= 244
 
 
 def test_classify_analyzes_each_shape_once(capsys, datum_file, monkeypatch):

@@ -148,17 +148,20 @@ def test_product_spin_matches_the_matvec_spin(data):
 
 
 def test_a_spin_keeps_no_negated_columns():
-    # a module that is only spun in, like each rad^k M of the Loewy walk,
-    # holds no copy of its negated columns; once a Hom solve into it has
-    # made one, the spin reads that copy
+    # a spin reads x and xi of the module itself: it adds nothing to the
+    # module's memo, and a Hom solve into the module, which keeps its
+    # negated columns there, does not change what the same seeds spin
     d = make_datum("E")
     lam = first_weight(d, 1)
     p = projective(d, 1, lam)
     seeds = [{0: d.scalar(1)}]
+    memo = dict(p._memo)
     first = spin_submodule(p, seeds)
-    assert "negated columns" not in p._memo
+    assert p._memo == memo
     assert homology.hom_space(simple(d, 1, lam), p)
-    cols = p._memo["negated columns"]
-    assert p.negated_columns(keep=False) is cols is p.negated_columns()
+    memo = dict(p._memo)
     again = spin_submodule(p, seeds)
-    assert again.rows == first.rows and again.module.act_x == first.module.act_x
+    assert p._memo.keys() == memo.keys()
+    assert again.rows == first.rows and again.pivots == first.pivots
+    assert again.module.act_x == first.module.act_x
+    assert again.module.act_xi == first.module.act_xi
