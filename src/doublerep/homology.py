@@ -417,39 +417,59 @@ def _read_weight_graph(m: ModuleRep) -> tuple:
         for i, r in enumerate(op.nz_rows()):
             for j in r:
                 succ[j].add(i)
-    comp = _strong_components(succ)
-    count = max(comp, default=-1) + 1
+    reach = _reach(succ)
+    # two vertices share an SCC when they reach the same set, and an edge
+    # between SCCs enters a strictly smaller set, so numbering the sets by
+    # decreasing size makes every such edge run to a higher number
+    number = {r: c for c, r in enumerate(sorted(set(reach), key=lambda r: (-r.bit_count(), r)))}
+    comp = [number[r] for r in reach]
+    count = len(number)
     members = [[] for _ in range(count)]
     below = [set() for _ in range(count)]  # the SCCs that edges out of each SCC enter
     for v, c in enumerate(comp):
         members[c].append(v)
         below[c].update(comp[i] for i in succ[v] if comp[i] != c)
-    root = list(range(count))  # union-find of the SCCs into weak components
-
-    def find(c: int) -> int:
-        while root[c] != c:
-            c = root[c]
-        return c
-
-    for c, ds in enumerate(below):
-        for d in ds:
-            root[find(d)] = find(c)
     inside = {j for i, r in enumerate(m.act_xi.nz_rows()) for j in r if comp[j] == comp[i]}
     sccs = []
     for vs in members:
         lows = [v for v in vs if v not in inside]
         sccs.append((len(vs), lows[0] if len(lows) == 1 else None))
-    # an edge runs from a higher SCC number to a lower one, so the layer of
-    # each SCC, the length of the longest path into it, is final by the time
-    # the loop reaches it
+    # the layer of each SCC, the length of the longest path into it, is
+    # final by the time the loop reaches it
     depth = [0] * count
-    for c in reversed(range(count)):
-        for d in below[c]:
+    both = [set(ds) for ds in below]  # the SCCs' graph with its edges taken both ways
+    for c, ds in enumerate(below):
+        for d in ds:
             depth[d] = max(depth[d], depth[c] + 1)
-    return (sum(root[c] == c for c in range(count)), tuple(sccs),
+            both[d].add(c)
+    return (len(set(_reach(both))), tuple(sccs),
             tuple(c for c in range(count) if not below[c]),
             tuple(tuple(c for c in range(count) if depth[c] == k)
                   for k in range(max(depth, default=-1) + 1)))
+
+
+def _reach(succ: list[set]) -> list[int]:
+    """For each vertex v of the digraph whose vertex v has the successors
+    succ[v], the set of vertices that v reaches, v itself included, as the
+    bits of an int.  Sweeps forward and then back over the vertices, joining
+    each set with its successors' sets, until no set grows.  After k sweeps
+    each set holds every vertex within k edges, so at most dim sweeps of
+    O(edges) unions are made: the worst case is O(dim * edges), where
+    Tarjan's algorithm takes O(dim + edges).  ``_weight_graph`` pays it once
+    per datum for each shape."""
+    reach = [1 << v for v in range(len(succ))]
+    order = list(range(len(succ)))
+    grew = True
+    while grew:
+        grew = False
+        for v in order:
+            r = reach[v]
+            for w in succ[v]:
+                r |= reach[w]
+            if r != reach[v]:
+                reach[v], grew = r, True
+        order.reverse()
+    return reach
 
 
 def _graph_loewy(m: ModuleRep) -> LoewyStructure | None:
@@ -472,45 +492,6 @@ def _graph_loewy(m: ModuleRep) -> LoewyStructure | None:
     def factors(cs) -> list:
         return sorted(((names[c], 1) for c in cs), key=lambda f: (f[0][0], f[0][1].sort_key()))
     return LoewyStructure(factors(socle), [factors(cs) for cs in layers])
-
-
-def _strong_components(succ: list[set]) -> list[int]:
-    """The strongly connected component of each vertex of the digraph whose
-    vertex v has the successors succ[v], numbered as Tarjan's algorithm
-    completes them: an edge between two components runs from the higher
-    number to the lower one."""
-    n = len(succ)
-    index, low, comp = [None] * n, [0] * n, [None] * n
-    stack, work, seen, count = [], [], 0, 0
-
-    def visit(v: int) -> None:
-        nonlocal seen
-        index[v] = low[v] = seen
-        seen += 1
-        stack.append(v)
-        work.append((v, iter(succ[v])))
-
-    for start in range(n):
-        if index[start] is not None:
-            continue
-        visit(start)
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] is None:
-                    visit(w)
-                    break
-                if comp[w] is None:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    while comp[v] is None:
-                        comp[stack.pop()] = count
-                    count += 1
-    return comp
 
 
 def loewy_type(m: ModuleRep) -> LoewyType:

@@ -7,7 +7,10 @@ that find the radicals, ``linalg.Echelon`` is its one elimination, and
 of the trace pairing.  The references below build the
 intermediate modules and spans that the package skips, or scan the pairings
 one by one, so that tests can check its answers against a second,
-independent route.  ``projective_table`` writes P(l, lambda) entry by entry
+independent route.  ``weight_graph`` finds the components of G(m) by a search
+from every vertex and peels its layers, where the package reads both kinds
+of component off one reachability closure and the layers off longest
+paths.  ``projective_table`` writes P(l, lambda) entry by entry
 from the action tables, where the package glues two chain segments.  The datum classes its weights in integer exponents mod N;
 the references here search for the same classes over ``CycScalar`` values.
 ``is_isomorphic`` and ``spin_submodule`` are the package's functions as they
@@ -15,6 +18,7 @@ were before the package scanned the Hom basis first and spun by products;
 tests hold the package's verdicts and spans equal to theirs.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -57,6 +61,51 @@ def radical_series(m):
         out.append(quotient_module(m, rad)[0])
         m = rad.module
     return out
+
+
+def _search(succ, v):
+    """The vertices that v reaches along succ, v included."""
+    seen, todo = {v}, [v]
+    while todo:
+        for w in succ[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return frozenset(seen)
+
+
+def weight_graph(m):
+    """The weight graph G(m) of a module with distinct weights (an edge
+    j -> i for each nonzero x[i, j] or xi[i, j]), read by search: a Counter
+    of the strongly connected components as (size, lowest vector, is a sink,
+    radical layer), and the number of weakly connected components.  Two
+    vertices share a component when each reaches the other; the lowest
+    vector is the component's one vector with no xi-edge to a vector of it,
+    None when there is not exactly one; layer k is the components with no
+    edge into them from what is left once layers 0 to k-1 are removed; the
+    weak components are found by searching the edges taken both ways."""
+    n = m.dim
+    succ = [set() for _ in range(n)]
+    for op in (m.act_x, m.act_xi):
+        for i, r in enumerate(op.nz_rows()):
+            for j in r:
+                succ[j].add(i)
+    xi_edges = {(j, i) for i, r in enumerate(m.act_xi.nz_rows()) for j in r}
+    reach = [_search(succ, v) for v in range(n)]
+    sccs = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
+    layer, left = {}, set(sccs)
+    while left:
+        rest = frozenset().union(*left)
+        tops = {c for c in left if not any(w in c for u in rest - c for w in succ[u])}
+        layer.update(dict.fromkeys(tops, len(set(layer.values()))))
+        left -= tops
+    facts = Counter()
+    for c in sccs:
+        lows = [v for v in c if not any((v, w) in xi_edges for w in c)]
+        facts[len(c), lows[0] if len(lows) == 1 else None,
+              all(succ[v] <= c for v in c), layer[c]] += 1
+    both = [succ[v] | {u for u in range(n) if v in succ[u]} for v in range(n)]
+    return facts, len({_search(both, v) for v in range(n)})
 
 
 def echelon(vectors, order):

@@ -3,6 +3,7 @@ certification, and almost-split sequence candidates."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from doublerep.linalg import (Echelon, Mat, frobenius_pair, hstack, inv, nullspa
 from doublerep.repmod import ModuleRep, direct_sum, intertwines, quotient_module, spin_submodule
 
 from .conftest import conjugated_json, first_weight, make_datum
-from .reference import radical_series, same_span, semisimple_factors
+from .reference import radical_series, same_span, semisimple_factors, weight_graph
 from .test_registry import members
 
 
@@ -411,6 +412,71 @@ def test_weight_graph_matches_the_exact_path(key, monkeypatch):
     # End(X (+) X) is the 2 x 2 matrices over End(X) = the field
     assert homology.end_local_dim(free[0]) == 1 and homology.end_local_dim(shared) == 4
     assert walked == solved == [shared]
+
+
+def _patterned(datum, weights, edges):
+    """A module with the given distinct weights whose x (op 0) and xi (op 1)
+    have a nonzero entry at [i, j] for each edge (op, j, i, c), of value c;
+    its relations need not hold."""
+    ops = [[{} for _ in weights] for _ in range(2)]
+    for op, j, i, c in edges:
+        ops[op][i][j] = datum.scalar(c)
+    return ModuleRep(datum, weights, *(Mat(datum.N, rows, len(weights)) for rows in ops))
+
+
+def _graph_facts(m):
+    """The weight graph's facts in the reference's form: a Counter of the
+    SCCs as (size, lowest vector, is a sink, layer), whatever their
+    numbering, and the weak component count."""
+    weak, sccs, sinks, layers = homology._weight_graph(m)
+    layer = {c: k for k, cs in enumerate(layers) for c in cs}
+    assert sorted(layer) == list(range(len(sccs))) == sorted(c for cs in layers for c in cs)
+    return Counter((size, low, c in sinks, layer[c]) for c, (size, low) in enumerate(sccs)), weak
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_weight_graph_matches_the_search_reference(datum_e, data):
+    # On distinct weights and an arbitrary sparse pattern of x and xi (a
+    # path through the vertices, closed into a cycle or not, plus random
+    # edges, self-loops among them, relabelled by a random permutation so
+    # that the path zigzags through the index order), the SCCs with their
+    # sizes, lowest vectors, sinks and layers and the weak component count
+    # equal the search reference's; the count is dim End, solved exactly,
+    # whether or not the relations hold.
+    dim = data.draw(st.integers(0, 12))
+    label = data.draw(st.permutations(range(dim)))
+    ws = data.draw(st.lists(st.sampled_from(datum_e.enumerate_weights()), min_size=dim,
+                            max_size=dim, unique=True))
+    op, c = st.integers(0, 1), st.sampled_from([-2, -1, 1, 2])
+    path = data.draw(st.integers(0, dim))
+    edges = [(data.draw(op), k, k + 1) for k in range(path - 1)]
+    if path > 1 and data.draw(st.booleans()):
+        edges.append((data.draw(op), path - 1, 0))
+    if dim:
+        vertex = st.integers(0, dim - 1)
+        edges += data.draw(st.lists(st.tuples(op, vertex, vertex), max_size=dim))
+    m = _patterned(datum_e, ws, [(o, label[j], label[i], data.draw(c)) for o, j, i in edges])
+    facts, weak = _graph_facts(m)
+    assert (facts, weak) == weight_graph(m)
+    assert weak == len(homology.hom_space(m, m)) == homology.end_local_dim(m)
+
+
+@pytest.mark.parametrize("case", ["x both ways", "xi both ways", "size off the class"])
+def test_an_ambiguous_component_sends_the_loewy_structure_to_the_walk(datum_e, case):
+    # An SCC whose vectors all lack an inner xi-edge (x-edges both ways) or
+    # all have one (xi-edges both ways) has no single lowest vector, and a
+    # lone vector whose weight lies in class l = 2 is an SCC of size 1 whose
+    # weight names a simple of dimension 2: the graph is read, but it names
+    # no Loewy structure, and End is still its component count.
+    if case == "size off the class":
+        m = _patterned(datum_e, datum_e.weights_in_class(2)[:1], [])
+    else:
+        op = 0 if case == "x both ways" else 1
+        m = _patterned(datum_e, datum_e.weights_in_class(1)[:2], [(op, 0, 1, 1), (op, 1, 0, 1)])
+    assert homology._weight_graph(m) is not None
+    assert homology._graph_loewy(m) is None
+    assert homology.end_local_dim(m) == len(homology.hom_space(m, m)) == 1
 
 
 def test_kernel_count_falls_back_off_monomial_matrices(datum_e):
